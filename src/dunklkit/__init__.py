@@ -48,6 +48,7 @@ from .operators import (
     mixed_xp_operator,
     multiplication_matrix,
     schatten_norm,
+    time_averaged_operator,
 )
 from .quadrature import (
     QuadratureRule1D,

@@ -20,7 +20,7 @@ import numpy as np
 from .hartree import HartreeConfig, solve_hartree
 from .hermite import build_basis, kernel_Kit, mehler_closed_form
 from .freeprop import kernel_Lit, lens_relation_residual
-from .operators import OperatorMatrix, dual_functional, kss_check
+from .operators import OperatorMatrix, kss_check, schatten_norm, time_averaged_operator
 from .quadrature import tensor_grid, time_grid
 from .strichartz import (
     ExponentPair,
@@ -74,7 +74,10 @@ def load_config(path: str | None) -> dict:
 
 def _context(cfg: dict):
     s = DunklStructure(cfg["d"], cfg["kappa"])
-    grid = tensor_grid(s, cfg["grid_order"])
+    try:
+        grid = tensor_grid(s, cfg["grid_order"])
+    except ArithmeticError as exc:
+        raise ValueError(f"grid_order {cfg['grid_order']} is not usable: {exc}") from exc
     basis = build_basis(s, cfg["n_degree"], grid)
     return s, grid, basis
 
@@ -201,18 +204,19 @@ def dual_schatten(cfg, qprime):
     """Schatten norm of the time-averaged conjugated potential."""
     try:
         s, grid, basis = _context(cfg)
+        tn = time_grid(-np.pi, np.pi, cfg["time_nodes"])
     except ValueError as exc:
         click.echo(f"CONFIG ERROR: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
     if qprime is None:
         qprime = 1.0 + s.d_eff / 2.0
-    tn = time_grid(-np.pi, np.pi, cfg["time_nodes"])
     rng = np.random.default_rng(cfg["seed"])
     envelope = np.exp(-0.5 * (grid.nodes**2).sum(axis=-1))
     v = np.stack([envelope * (1.0 + 0.3 * np.cos(k * tn[0][i]))
                   for i, k in enumerate(rng.integers(1, 4, tn[0].size))])
-    value = dual_functional(basis, tn, v, qprime)
-    opnorm = dual_functional(basis, tn, v, np.inf)
+    b = time_averaged_operator(basis, tn, v)
+    value = schatten_norm(b, 2.0 * qprime)
+    opnorm = schatten_norm(b, np.inf)
     l1linf = float(np.sum(tn[1] * np.abs(v).max(axis=1)))
     out = _outdir(cfg)
     rows = [{"qprime": qprime, "value": value, "operator_norm": opnorm,
@@ -233,23 +237,29 @@ def dual_schatten(cfg, qprime):
 def inhomogeneous(cfg, q, t0, rank):
     """Source-term (Duhamel) density inequality."""
     try:
+        if rank < 1:
+            raise ValueError(f"rank must be at least 1, got {rank}")
+        if not np.isfinite(t0):
+            raise ValueError(f"t0 must be finite, got {t0}")
         s, grid, basis = _context(cfg)
+        rng = np.random.default_rng(cfg["seed"])
+        span = min(basis.size, 12)
+        vecs = rng.normal(size=(rank, basis.size)) + 1j * rng.normal(size=(rank, basis.size))
+        vecs[:, span:] = 0.0
+        r0 = sum(np.outer(v, v.conj()) for v in vecs) / rank
+        lhs, rhs = inhomogeneous_check(basis, lambda sv: r0, t0, q,
+                                       n_time=min(cfg["time_nodes"], 96))
     except ValueError as exc:
         click.echo(f"CONFIG ERROR: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
-    rng = np.random.default_rng(cfg["seed"])
-    span = min(basis.size, 12)
-    vecs = rng.normal(size=(rank, basis.size)) + 1j * rng.normal(size=(rank, basis.size))
-    vecs[:, span:] = 0.0
-    r0 = sum(np.outer(v, v.conj()) for v in vecs) / rank
-    lhs, rhs = inhomogeneous_check(basis, lambda sv: r0, t0, q,
-                                   n_time=min(cfg["time_nodes"], 96))
     out = _outdir(cfg)
     rows = [{"q": q, "t0": t0, "rank": rank, "lhs": lhs, "rhs": rhs,
              "ratio": lhs / rhs}]
     _write_csv(out / "inhomogeneous.csv", rows)
     _write_summary(out / "inhomogeneous.json", cfg, {"rows": rows})
     click.echo(f"lhs={lhs:.6g} rhs={rhs:.6g} ratio={lhs / rhs:.6g}")
+    if not (np.isfinite(lhs) and np.isfinite(rhs)):
+        _fail_identity(f"non-finite Duhamel figures lhs={lhs} rhs={rhs}")
 
 
 @main.command()

@@ -27,6 +27,7 @@ __all__ = [
     "multiplication_matrix",
     "density",
     "evolved_density",
+    "time_averaged_operator",
     "dual_functional",
     "mixed_xp_operator",
     "kss_check",
@@ -124,11 +125,13 @@ def density(gamma: OperatorMatrix, points=None) -> np.ndarray:
     """Samples of rho_gamma(x) = sum_{mu nu} A_{mu nu} phi_mu(x) phi_nu(x).
 
     On the basis grid by default; real part returned (exact for self-adjoint
-    gamma since the basis is real).
+    gamma since the basis is real).  The table T of basis values is real, so
+    Re sum_{mu nu} A_{mu nu} T_{mu k} T_{nu k} = sum_mu ((Re A) T)_{mu k} T_{mu k}:
+    one real matrix product and a column sum.
     """
     basis = gamma.basis
     table = basis.eval_table if points is None else basis.evaluate(points)
-    return np.real(np.einsum("mk,mn,nk->k", table, gamma.matrix, table))
+    return ((gamma.matrix.real @ table) * table).sum(axis=0)
 
 
 def evolved_density(gamma: OperatorMatrix, t: float, flow: str = "hermite", points=None):
@@ -148,14 +151,13 @@ def evolved_density(gamma: OperatorMatrix, t: float, flow: str = "hermite", poin
     return density(conj, points)
 
 
-def dual_functional(
+def time_averaged_operator(
     basis: HermiteBasis,
     time_nodes,
     v_samples,
-    qprime: float,
     flow: str = "hermite",
-) -> float:
-    """Schatten-2q' norm of B = integral over t of e^{itP} V(t,.) e^{-itP} dt.
+) -> np.ndarray:
+    """B = integral over t of e^{itP} V(t,.) e^{-itP} dt, as a dense matrix.
 
     ``v_samples`` has shape (T, K): potential samples on the basis grid at
     each time node; the time integral is the supplied quadrature rule.
@@ -182,6 +184,19 @@ def dual_functional(
             )
         else:
             raise ValueError(f"unknown flow {flow!r}")
+    return b
+
+
+def dual_functional(
+    basis: HermiteBasis,
+    time_nodes,
+    v_samples,
+    qprime: float,
+    flow: str = "hermite",
+) -> float:
+    """Schatten-2q' norm of B = integral over t of e^{itP} V(t,.) e^{-itP} dt
+    (see ``time_averaged_operator``)."""
+    b = time_averaged_operator(basis, time_nodes, v_samples, flow)
     return schatten_norm(b, 2.0 * qprime)
 
 

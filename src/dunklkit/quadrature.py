@@ -165,6 +165,8 @@ def mixed_norm(time_nodes, grid: TensorGrid, samples, p, q) -> float:
 def time_grid(a: float, b: float, n: int, kind: str = "trapezoid"):
     """Uniform time nodes and weights on [a, b]: (t, tau)."""
     if kind == "trapezoid":
+        if n < 2:
+            raise ValueError(f"trapezoid rule needs at least 2 nodes, got {n}")
         t = np.linspace(a, b, n)
         tau = np.full(n, (b - a) / (n - 1))
         tau[0] *= 0.5
@@ -178,6 +180,8 @@ def time_grid(a: float, b: float, n: int, kind: str = "trapezoid"):
         tau[1::2] = 4.0 * h / 3.0
         tau[0] = tau[-1] = h / 3.0
     elif kind == "midpoint":
+        if n < 1:
+            raise ValueError(f"midpoint rule needs at least 1 node, got {n}")
         h = (b - a) / n
         t = a + h * (np.arange(n) + 0.5)
         tau = np.full(n, h)

@@ -236,8 +236,11 @@ def duhamel_solution(
 ) -> OperatorMatrix:
     """gamma(t) = integral_{t0}^t of e^{i(t-s)H} R(s) e^{-i(t-s)H} ds.
 
-    ``r_of_s`` maps a time to an operator matrix (array).  The conjugation is
-    by diagonal phases; the s-integral is a trapezoid rule.
+    ``r_of_s`` maps a time to an operator matrix (array), evaluated at every
+    node of a composite Simpson rule in s.  The conjugation is by diagonal
+    phases, and the phase matrix has rank one:
+    e^{i(t-s)(lam_mu - lam_nu)} = a_mu conj(a_nu) with a = e^{i(t-s) lam},
+    so each node costs M exponentials and two diagonal scalings of R(s).
     """
     if t == t0:
         return OperatorMatrix(basis, np.zeros((basis.size, basis.size)))
@@ -246,10 +249,10 @@ def duhamel_solution(
     sg, sw = time_grid(min(t0, t), max(t0, t), n_time, kind="simpson")
     sign = 1.0 if t >= t0 else -1.0
     lam = basis.eigenvalues
-    dl = lam[:, None] - lam[None, :]
     out = np.zeros((basis.size, basis.size), dtype=complex)
     for sv, w in zip(sg, sw):
-        out += sign * w * np.exp(1j * (t - sv) * dl) * np.asarray(r_of_s(sv), dtype=complex)
+        a = np.exp(1j * (t - sv) * lam)
+        out += (((sign * w) * a)[:, None] * r_of_s(sv)) * a.conj()[None, :]
     return OperatorMatrix(basis, out)
 
 

@@ -3,7 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from dunklkit.cli import EXIT_CONFIG, EXIT_OK, load_config, main
+from dunklkit.cli import EXIT_CONFIG, EXIT_IDENTITY, EXIT_OK, load_config, main
 
 
 @pytest.fixture()
@@ -61,6 +61,30 @@ class TestConfig:
         result = runner.invoke(main, ["-c", str(path), "strichartz"])
         assert result.exit_code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("command", ["strichartz", "dual-schatten", "inhomogeneous"])
+    def test_single_time_node_exit_code(self, runner, small_config, command):
+        path = small_config
+        path.write_text(path.read_text().replace("time_nodes = 32", "time_nodes = 1"))
+        result = runner.invoke(main, ["-c", str(path), command])
+        assert result.exit_code == EXIT_CONFIG
+        assert "CONFIG ERROR" in result.output
+
+    def test_single_time_node_unused_by_kernels(self, runner, small_config):
+        # time_nodes is checked only where a time grid is built
+        path = small_config
+        path.write_text(path.read_text().replace("time_nodes = 32", "time_nodes = 1"))
+        result = runner.invoke(main, ["-c", str(path), "verify-kernels"])
+        assert result.exit_code == EXIT_OK, result.output
+
+    @pytest.mark.parametrize("command", ["strichartz", "dual-schatten", "inhomogeneous"])
+    def test_unusable_grid_order_exit_code(self, runner, small_config, command):
+        # the Laguerre eigenproblem fails near order 400
+        path = small_config
+        path.write_text(path.read_text().replace("grid_order = 24", "grid_order = 500"))
+        result = runner.invoke(main, ["-c", str(path), command])
+        assert result.exit_code == EXIT_CONFIG
+        assert "CONFIG ERROR" in result.output
+
 
 class TestSubcommands:
     def test_verify_kernels(self, runner, small_config, tmp_path):
@@ -95,6 +119,32 @@ class TestSubcommands:
         )
         assert result.exit_code == EXIT_OK, result.output
         assert (tmp_path / "reports" / "inhomogeneous.csv").exists()
+
+    @pytest.mark.parametrize("args", [["--rank", "0"], ["--t0", "nan"], ["--q", "0.5"]])
+    def test_inhomogeneous_bad_options(self, runner, small_config, args):
+        result = runner.invoke(main, ["-c", str(small_config), "inhomogeneous", *args])
+        assert result.exit_code == EXIT_CONFIG
+        assert "CONFIG ERROR" in result.output
+
+    def test_inhomogeneous_time_exponent_below_one(self, runner, tmp_path):
+        # d_eff = 5: q = 1.9 lies on the scaling line at p = 0.84 < 1
+        path = tmp_path / "d2.cfg"
+        path.write_text("d = 2\nkappa = 1.0, 0.5\nn_degree = 4\ngrid_order = 10\n"
+                        f"time_nodes = 5\noutput = {tmp_path / 'reports'}\n")
+        result = runner.invoke(main, ["-c", str(path), "inhomogeneous", "--q", "1.9"])
+        assert result.exit_code == EXIT_CONFIG
+        assert "CONFIG ERROR" in result.output
+        assert "p must be >= 1" in result.output
+
+    def test_inhomogeneous_non_finite_fails(self, runner, small_config, tmp_path):
+        # at q = 1000 the q-th power of the density overflows: lhs = inf
+        result = runner.invoke(
+            main, ["-c", str(small_config), "inhomogeneous", "--q", "1000"]
+        )
+        assert result.exit_code == EXIT_IDENTITY
+        assert "IDENTITY FAILURE" in result.output
+        report = json.loads((tmp_path / "reports" / "inhomogeneous.json").read_text())
+        assert report["rows"][0]["lhs"] == float("inf")
 
     def test_kss(self, runner, small_config, tmp_path):
         result = runner.invoke(main, ["-c", str(small_config), "kss"])

@@ -12,6 +12,7 @@ from dunklkit import (
     mixed_xp_operator,
     multiplication_matrix,
     schatten_norm,
+    time_averaged_operator,
 )
 from dunklkit.operators import _momentum_rotation
 from dunklkit.quadrature import time_grid, weighted_lp_norm
@@ -127,6 +128,23 @@ class TestDensity:
         with pytest.raises(ValueError):
             evolved_density(rank_one(basis_1d_half), 0.1, "airy")
 
+    @pytest.mark.parametrize("hermitian", [False, True])
+    @pytest.mark.parametrize("fixture", ["basis_1d_half", "basis_2d"])
+    def test_matches_three_operand_einsum(self, request, fixture, hermitian):
+        # oracle: the complex contraction Re sum_{mu nu} T_mk A_mn T_nk,
+        # on the grid and at arbitrary points
+        basis = request.getfixturevalue(fixture)
+        rng = np.random.default_rng(12)
+        m = basis.size
+        a = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+        if hermitian:
+            a = a + a.conj().T
+        gam = OperatorMatrix(basis, a / m)
+        points = rng.uniform(-2.5, 2.5, size=(37, basis.structure.d))
+        for pts, table in ((None, basis.eval_table), (points, basis.evaluate(points))):
+            oracle = np.real(np.einsum("mk,mn,nk->k", table, gam.matrix, table))
+            np.testing.assert_allclose(density(gam, pts), oracle, rtol=0, atol=1e-12)
+
 
 class TestDualFunctional:
     def test_qprime_infinity_triangle_bound(self, basis_1d_half):
@@ -157,6 +175,17 @@ class TestDualFunctional:
             dual_functional(
                 basis_1d_half, (np.zeros(3), np.ones(3)), np.zeros((2, 5)), 2.0
             )
+
+    def test_is_schatten_norm_of_time_averaged_operator(self, basis_1d_half):
+        # one assembled operator gives every exponent's norm, identical to
+        # separate dual_functional evaluations
+        basis = basis_1d_half
+        t, tau = time_grid(-np.pi, np.pi, 17)
+        x = basis.grid.nodes[:, 0]
+        v = np.exp(-0.5 * x**2)[None, :] * (1.0 + 0.3 * np.cos(2.0 * t))[:, None]
+        b = time_averaged_operator(basis, (t, tau), v)
+        for qprime in (2.0, np.inf):
+            assert schatten_norm(b, 2.0 * qprime) == dual_functional(basis, (t, tau), v, qprime)
 
 
 class TestMixedOperators:

@@ -160,3 +160,8 @@ class TestTimeGrid:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             time_grid(0.0, 1.0, 8, kind="romberg")
+
+    @pytest.mark.parametrize("kind, n", [("trapezoid", 1), ("trapezoid", 0), ("midpoint", 0)])
+    def test_rejects_too_few_nodes(self, kind, n):
+        with pytest.raises(ValueError):
+            time_grid(0.0, 1.0, n, kind=kind)

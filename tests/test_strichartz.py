@@ -13,7 +13,7 @@ from dunklkit import (
     strichartz_lhs,
 )
 from dunklkit.strichartz import duhamel_solution
-from dunklkit.quadrature import weighted_lp_norm
+from dunklkit.quadrature import time_grid, weighted_lp_norm
 
 
 class TestExponents:
@@ -149,6 +149,29 @@ class TestDuhamel:
         # diagonal source commutes with the phases: gamma(t) = (t - t0) R0
         np.testing.assert_allclose(fwd.matrix, 0.4 * r0, atol=1e-12)
         np.testing.assert_allclose(bwd.matrix, -0.4 * r0, atol=1e-12)
+
+    @pytest.mark.parametrize("t0, t", [(-0.3, 0.8), (0.8, -0.3)])
+    def test_time_dependent_source_oracle(self, basis_1d_half, t0, t):
+        # oracle: the full M x M phase matrix at every Simpson node, on the
+        # self-adjoint source R(s) = R0 + sin(s) R1
+        basis = basis_1d_half
+        rng = np.random.default_rng(21)
+        m = basis.size
+        z0, z1 = (rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)) for _ in range(2))
+        r0, r1 = z0 + z0.conj().T, z1 + z1.conj().T
+
+        def source(sv):
+            return r0 + np.sin(sv) * r1
+
+        gam = duhamel_solution(basis, source, t0, t, n_time=41)
+        sg, sw = time_grid(min(t0, t), max(t0, t), 41, kind="simpson")
+        sign = 1.0 if t >= t0 else -1.0
+        dl = basis.eigenvalues[:, None] - basis.eigenvalues[None, :]
+        oracle = sum(
+            sign * w * np.exp(1j * (t - sv) * dl) * source(sv) for sv, w in zip(sg, sw)
+        )
+        np.testing.assert_allclose(gam.matrix, oracle, rtol=0, atol=1e-12)
+        assert gam.is_self_adjoint
 
 
 class TestInhomogeneous:
