@@ -17,7 +17,6 @@ from .dunklops import (
 )
 from .freeprop import (
     LensMap,
-    free_evolve_by_kernel,
     free_evolve_via_lens,
     free_propagator_matrix,
     heat_kernel,
@@ -34,15 +33,15 @@ from .hermite import (
     fdh_transform,
     hermite_functions_1d,
     kernel_Kit,
+    kernel_quadrature,
     mehler_closed_form,
-    propagate_by_kernel,
     propagate_hermite,
 )
 from .operators import (
     OperatorMatrix,
     OrthonormalSystem,
+    conjugate,
     density,
-    dual_functional,
     evolved_density,
     kss_check,
     mixed_xp_operator,

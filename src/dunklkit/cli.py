@@ -3,7 +3,7 @@ functionals, Schatten duals, the Hartree solver, and exponent sweeps.
 
 Configuration is a flat key = value file (see ``load_config``); every report
 embeds the configuration echo.  Exit codes: 0 all checks pass, 2 an identity
-check failed, 64 configuration error.
+check failed or the Hartree solve did not converge, 64 configuration error.
 """
 
 from __future__ import annotations
@@ -12,14 +12,15 @@ import csv
 import json
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import click
 import numpy as np
 
 from .hartree import HartreeConfig, solve_hartree
-from .hermite import build_basis, kernel_Kit, mehler_closed_form
-from .freeprop import kernel_Lit, lens_relation_residual
+from .hermite import build_basis, kernel_Kit
+from .freeprop import lens_relation_residual
 from .operators import OperatorMatrix, kss_check, schatten_norm, time_averaged_operator
 from .quadrature import tensor_grid, time_grid
 from .strichartz import (
@@ -53,7 +54,7 @@ def load_config(path: str | None) -> dict:
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise click.ClickException(f"cannot read config: {exc}") from exc
+        raise ValueError(f"cannot read config: {exc}") from exc
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -82,25 +83,31 @@ def _context(cfg: dict):
     return s, grid, basis
 
 
-def _outdir(cfg: dict) -> Path:
+@contextmanager
+def _config_errors():
+    """A ValueError raised in the block is a configuration error: exit 64."""
+    try:
+        yield
+    except ValueError as exc:
+        click.echo(f"CONFIG ERROR: {exc}", err=True)
+        sys.exit(EXIT_CONFIG)
+
+
+def _report(cfg: dict, name: str, rows: list[dict], summary: dict | None = None) -> Path:
+    """Write ``<name>.csv`` (the rows, if any) and ``<name>.json`` (the
+    configuration echo plus ``summary``, by default the rows) to the output
+    directory, and return that directory."""
     out = Path(cfg["output"])
     out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _write_csv(path: Path, rows: list[dict]):
-    if not rows:
-        return
-    with path.open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-        writer.writeheader()
-        writer.writerows(rows)
-
-
-def _write_summary(path: Path, cfg: dict, payload: dict):
+    if rows:
+        with (out / f"{name}.csv").open("w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
     payload = {"config": {k: list(v) if isinstance(v, tuple) else v for k, v in cfg.items()},
-               **payload}
-    path.write_text(json.dumps(payload, indent=2, default=float) + "\n")
+               **({"rows": rows} if summary is None else summary)}
+    (out / f"{name}.json").write_text(json.dumps(payload, indent=2, default=float) + "\n")
+    return out
 
 
 def _fail_identity(message: str):
@@ -114,11 +121,8 @@ def _fail_identity(message: str):
 @click.pass_context
 def main(ctx, config_path):
     """Spectral toolkit for weighted oscillator/free flows."""
-    try:
+    with _config_errors():
         ctx.obj = load_config(config_path)
-    except (ValueError, click.ClickException) as exc:
-        click.echo(f"CONFIG ERROR: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
 
 
 @main.command("verify-kernels")
@@ -155,10 +159,7 @@ def verify_kernels(cfg):
             rows.append({"d": d, "kappa": " ".join(map(str, kappa)), "check": "magnitude",
                          "parameter": t, "residual": max(mag - bound, 0.0)})
             worst = max(worst, sym, conj, max(mag - bound, 0.0) / bound)
-    out = _outdir(cfg)
-    _write_csv(out / "verify_kernels.csv", rows)
-    _write_summary(out / "verify_kernels.json", cfg,
-                   {"worst_residual": worst, "passed": worst < 1e-10})
+    _report(cfg, "verify_kernels", rows, {"worst_residual": worst, "passed": worst < 1e-10})
     click.echo(f"worst relative residual {worst:.3e}")
     if worst >= 1e-10:
         _fail_identity(f"kernel identity residual {worst:.3e} >= 1e-10")
@@ -177,19 +178,14 @@ def verify_kernels(cfg):
 @click.pass_obj
 def strichartz(cfg, q, group, kappa, j_count, seed, flow):
     """One orthonormal-system inequality evaluation."""
-    if kappa is not None:
-        cfg = {**cfg, "kappa": tuple(float(v) for v in kappa.replace(",", " ").split())}
     if seed is None:
         seed = cfg["seed"]
-    try:
+    with _config_errors():
+        if kappa is not None:
+            cfg = {**cfg, "kappa": tuple(float(v) for v in kappa.replace(",", " ").split())}
         s, grid, basis = _context(cfg)
         report = run_inequality(basis, q, group, j_count, seed, flow, cfg["time_nodes"])
-    except ValueError as exc:
-        click.echo(f"CONFIG ERROR: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
-    out = _outdir(cfg)
-    _write_csv(out / "strichartz.csv", [report.as_dict()])
-    _write_summary(out / "strichartz.json", cfg, {"report": report.as_dict()})
+    _report(cfg, "strichartz", [report.as_dict()], {"report": report.as_dict()})
     click.echo(f"q={q} p={report.p:.4g} lhs={report.lhs:.6g} rhs={report.rhs:.6g} "
                f"ratio={report.ratio:.6g}")
     if q == 1.0 and report.ratio > 1.0 + 1e-8:
@@ -202,12 +198,9 @@ def strichartz(cfg, q, group, kappa, j_count, seed, flow):
 @click.pass_obj
 def dual_schatten(cfg, qprime):
     """Schatten norm of the time-averaged conjugated potential."""
-    try:
+    with _config_errors():
         s, grid, basis = _context(cfg)
         tn = time_grid(-np.pi, np.pi, cfg["time_nodes"])
-    except ValueError as exc:
-        click.echo(f"CONFIG ERROR: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
     if qprime is None:
         qprime = 1.0 + s.d_eff / 2.0
     rng = np.random.default_rng(cfg["seed"])
@@ -218,11 +211,8 @@ def dual_schatten(cfg, qprime):
     value = schatten_norm(b, 2.0 * qprime)
     opnorm = schatten_norm(b, np.inf)
     l1linf = float(np.sum(tn[1] * np.abs(v).max(axis=1)))
-    out = _outdir(cfg)
-    rows = [{"qprime": qprime, "value": value, "operator_norm": opnorm,
-             "l1_linf_bound": l1linf}]
-    _write_csv(out / "dual_schatten.csv", rows)
-    _write_summary(out / "dual_schatten.json", cfg, {"rows": rows})
+    _report(cfg, "dual_schatten", [{"qprime": qprime, "value": value, "operator_norm": opnorm,
+                                    "l1_linf_bound": l1linf}])
     click.echo(f"q'={qprime:.4g}: Schatten-2q' value {value:.6g}; "
                f"operator norm {opnorm:.6g} <= {l1linf:.6g}")
     if opnorm > l1linf + 1e-8:
@@ -236,7 +226,7 @@ def dual_schatten(cfg, qprime):
 @click.pass_obj
 def inhomogeneous(cfg, q, t0, rank):
     """Source-term (Duhamel) density inequality."""
-    try:
+    with _config_errors():
         if rank < 1:
             raise ValueError(f"rank must be at least 1, got {rank}")
         if not np.isfinite(t0):
@@ -249,14 +239,8 @@ def inhomogeneous(cfg, q, t0, rank):
         r0 = sum(np.outer(v, v.conj()) for v in vecs) / rank
         lhs, rhs = inhomogeneous_check(basis, lambda sv: r0, t0, q,
                                        n_time=min(cfg["time_nodes"], 96))
-    except ValueError as exc:
-        click.echo(f"CONFIG ERROR: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
-    out = _outdir(cfg)
-    rows = [{"q": q, "t0": t0, "rank": rank, "lhs": lhs, "rhs": rhs,
-             "ratio": lhs / rhs}]
-    _write_csv(out / "inhomogeneous.csv", rows)
-    _write_summary(out / "inhomogeneous.json", cfg, {"rows": rows})
+    _report(cfg, "inhomogeneous", [{"q": q, "t0": t0, "rank": rank, "lhs": lhs, "rhs": rhs,
+                                    "ratio": lhs / rhs}])
     click.echo(f"lhs={lhs:.6g} rhs={rhs:.6g} ratio={lhs / rhs:.6g}")
     if not (np.isfinite(lhs) and np.isfinite(rhs)):
         _fail_identity(f"non-finite Duhamel figures lhs={lhs} rhs={rhs}")
@@ -269,7 +253,7 @@ def inhomogeneous(cfg, q, t0, rank):
 @click.pass_obj
 def kss(cfg, r, params):
     """Schatten bound for products of mixed position-momentum operators."""
-    try:
+    with _config_errors():
         quad = tuple(float(v) for v in params.replace(",", " ").split())
         if len(quad) != 4:
             raise ValueError("params needs four reals: alpha beta gamma delta")
@@ -279,14 +263,8 @@ def kss(cfg, r, params):
         f = lambda x: np.exp(-np.asarray(x)[..., 0] ** 2)
         g = lambda x: np.exp(-0.5 * np.asarray(x)[..., 0] ** 2)
         lhs, rhs = kss_check(basis, f, g, *quad, np.inf if np.isinf(r) else r)
-    except ValueError as exc:
-        click.echo(f"CONFIG ERROR: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
-    out = _outdir(cfg)
-    rows = [{"r": r, "alpha": quad[0], "beta": quad[1], "gamma": quad[2],
-             "delta": quad[3], "lhs": lhs, "rhs": rhs, "ratio": lhs / rhs}]
-    _write_csv(out / "kss.csv", rows)
-    _write_summary(out / "kss.json", cfg, {"rows": rows})
+    _report(cfg, "kss", [{"r": r, "alpha": quad[0], "beta": quad[1], "gamma": quad[2],
+                          "delta": quad[3], "lhs": lhs, "rhs": rhs, "ratio": lhs / rhs}])
     click.echo(f"lhs={lhs:.6g} rhs={rhs:.6g} ratio={lhs / rhs:.6g}")
     if lhs > rhs * (1.0 + 1e-3):
         _fail_identity(f"Schatten product bound violated: ratio {lhs / rhs}")
@@ -300,7 +278,7 @@ def kss(cfg, r, params):
 def mhls(cfg, n_factors, beta):
     """Multilinear singular integral with pairwise power weights."""
     n = int(n_factors)
-    try:
+    with _config_errors():
         if not 0.0 < beta < 1.0:
             raise ValueError(f"beta must lie in (0, 1), got {beta}")
         if n == 2:
@@ -316,13 +294,7 @@ def mhls(cfg, n_factors, beta):
             bmat = [[0.0, beta, beta], [beta, 0.0, beta], [beta, beta, 0.0]]
             rs = [r, r, r]
         lhs, rhs = mhls_check(profiles, supports, bmat, rs)
-    except ValueError as exc:
-        click.echo(f"CONFIG ERROR: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
-    out = _outdir(cfg)
-    rows = [{"n": n, "beta": beta, "lhs": lhs, "rhs": rhs, "ratio": lhs / rhs}]
-    _write_csv(out / "mhls.csv", rows)
-    _write_summary(out / "mhls.json", cfg, {"rows": rows})
+    _report(cfg, "mhls", [{"n": n, "beta": beta, "lhs": lhs, "rhs": rhs, "ratio": lhs / rhs}])
     click.echo(f"lhs={lhs:.6g} rhs={rhs:.6g} empirical constant {lhs / rhs:.6g}")
     if not np.isfinite(lhs):
         _fail_identity("singular integral diverged")
@@ -337,14 +309,15 @@ def mhls(cfg, n_factors, beta):
 @click.pass_obj
 def sweep(cfg, q_min, q_max, steps, j_values, seeds):
     """Ratio-vs-exponent sweep over system sizes and seeds."""
-    try:
+    with _config_errors():
         if not 1.0 <= q_min <= q_max:
             raise ValueError(f"need 1 <= q_min <= q_max, got {q_min}, {q_max}")
+        if steps < 1 or seeds < 1:
+            raise ValueError(f"steps and seeds must be at least 1, got {steps}, {seeds}")
         s, grid, basis = _context(cfg)
         j_list = [int(v) for v in j_values.replace(",", " ").split()]
-    except ValueError as exc:
-        click.echo(f"CONFIG ERROR: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
+        if not j_list or not all(1 <= j <= basis.size for j in j_list):
+            raise ValueError(f"j values must lie in [1, {basis.size}], got {j_values!r}")
     rows = []
     start = time.perf_counter()
     for q in np.linspace(q_min, q_max, steps):
@@ -356,20 +329,18 @@ def sweep(cfg, q_min, q_max, steps, j_values, seeds):
                 row = rep.as_dict()
                 row["admissible"] = pair.admissible
                 rows.append(row)
-    out = _outdir(cfg)
-    _write_csv(out / "sweep.csv", rows)
+    out = _report(cfg, "sweep", rows, {
+        "rows": len(rows),
+        "max_ratio": max(r["ratio"] for r in rows),
+        "min_ratio": min(r["ratio"] for r in rows),
+        "wall_time": time.perf_counter() - start,
+    })
     curve = {}
     for row in rows:
         curve.setdefault(row["q"], []).append(row["ratio"])
     with (out / "ratio_vs_q.dat").open("w") as fh:
         for q in sorted(curve):
             fh.write(f"{q:.6f} {max(curve[q]):.8f}\n")
-    _write_summary(out / "sweep.json", cfg, {
-        "rows": len(rows),
-        "max_ratio": max(r["ratio"] for r in rows),
-        "min_ratio": min(r["ratio"] for r in rows),
-        "wall_time": time.perf_counter() - start,
-    })
     click.echo(f"{len(rows)} evaluations; ratio range "
                f"[{min(r['ratio'] for r in rows):.4g}, "
                f"{max(r['ratio'] for r in rows):.4g}]")
@@ -384,9 +355,8 @@ def sweep(cfg, q_min, q_max, steps, j_values, seeds):
 @click.pass_obj
 def hartree(cfg, coupling, horizon, steps, width):
     """Fixed-point solve of the oscillator Hartree flow (d = 1)."""
-    try:
-        local = {**cfg, "d": 1, "kappa": cfg["kappa"][:1]}
-        s, grid, basis = _context(local)
+    with _config_errors():
+        s, grid, basis = _context(cfg)
         g0 = np.zeros((basis.size, basis.size))
         g0[0, 0] = 1.0
         config = HartreeConfig(
@@ -396,23 +366,20 @@ def hartree(cfg, coupling, horizon, steps, width):
             horizon=horizon,
             steps=steps,
         )
-    except ValueError as exc:
-        click.echo(f"CONFIG ERROR: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
     times, traj, diag = solve_hartree(config)
-    out = _outdir(cfg)
+    drift = max(abs(t - diag["traces"][0]) for t in diag["traces"])
     rows = [{"iteration": i, "residual": r} for i, r in enumerate(diag["residuals"])]
-    _write_csv(out / "hartree.csv", rows)
-    _write_summary(out / "hartree.json", cfg, {
+    _report(cfg, "hartree", rows, {
         "converged": diag["converged"],
         "iterations": diag["iterations"],
-        "trace_drift": max(abs(t - diag["traces"][0]) for t in diag["traces"]),
+        "trace_drift": drift,
         "contraction_factors": diag["contraction_factors"],
     })
-    drift = max(abs(t - diag["traces"][0]) for t in diag["traces"])
     click.echo(f"converged={diag['converged']} iterations={diag['iterations']} "
                f"trace drift={drift:.3e}")
-    if diag["converged"] and drift > 1e-8:
+    if not diag["converged"]:
+        _fail_identity(f"Hartree solve did not converge in {diag['iterations']} iterations")
+    if drift > 1e-8:
         _fail_identity(f"trace drift {drift:.3e} exceeds 1e-8")
 
 

@@ -7,8 +7,8 @@ The lens identity links the two propagators: with v = tan 2t,
 
 so the free evolution at time v/2 is a dilation + quadratic phase of the
 harmonic-oscillator evolution at time arctan(v)/2.  The free flow is realized
-through this identity (exact in the truncated basis); direct kernel
-quadrature is kept as an independent oracle.
+through this identity (exact in the truncated basis); quadrature against
+``kernel_Lit`` (``hermite.kernel_quadrature``) is the independent oracle.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ __all__ = [
     "kernel_Lit",
     "lens_relation_residual",
     "free_evolve_via_lens",
-    "free_evolve_by_kernel",
     "free_propagator_matrix",
     "norm_transport_check",
 ]
@@ -109,23 +108,6 @@ def free_evolve_via_lens(v: float, u: StateVector, x_eval) -> np.ndarray:
     inner = evolved.values(pts / lens.scale)
     phase = np.exp(0.5j * lens.v / (1.0 + lens.v**2) * (pts * pts).sum(axis=-1))
     return inner * phase / lens.amplitude
-
-
-def free_evolve_by_kernel(u: StateVector, t: float, x_eval, order_factor: int = 6):
-    """(e^{it Laplacian} u)(x_eval) by direct quadrature against L_{it}.
-
-    Independent oracle for the lens route; d = 1, moderate |t| only (the
-    kernel does not decay in y, so a half-Gaussian-matched rule is used).
-    """
-    s = u.basis.structure
-    if s.d != 1:
-        raise NotImplementedError("kernel-quadrature free evolution implemented for d = 1")
-    n = order_factor * (u.basis.per_dim_degree + 2)
-    ynodes, yweights = plain_rule(s.kappa[0], n, sigma=0.5)
-    fvals = u.values(ynodes)
-    pts = np.asarray(x_eval, dtype=float)
-    kern = kernel_Lit(s, t, pts[:, None], ynodes[None, :])
-    return kern @ (yweights * fvals)
 
 
 def free_propagator_matrix(basis: HermiteBasis, tau: float) -> np.ndarray:

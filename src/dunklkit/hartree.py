@@ -12,7 +12,7 @@ The fixed-point map is
                     - i integral_0^t e^{i(s-t)H} [W(s), gamma(s)] e^{-i(s-t)H} ds,
 
 discretized on a uniform time grid with trapezoid partial integrals; the
-conjugations are diagonal phases in the spectral basis.
+conjugations are the exact oscillator ones of ``operators.conjugate``.
 """
 
 from __future__ import annotations
@@ -21,10 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hermite import HermiteBasis
-from .operators import OperatorMatrix, density, multiplication_matrix, schatten_norm
+from .operators import OperatorMatrix, conjugate, density, multiplication_matrix, schatten_norm
 from .quadrature import plain_rule
-from .structure import dunkl_kernel_1d
+from .structure import DunklStructure, dunkl_kernel_1d
 
 __all__ = [
     "DunklTransform1D",
@@ -64,12 +63,6 @@ class DunklTransform1D:
         object.__setattr__(self, "xi_weights", xi_w)
         object.__setattr__(self, "_fwd", kern * weights[None, :])
 
-    @property
-    def m_kappa(self) -> float:
-        from scipy.special import gamma as _g
-
-        return 1.0 / (2.0 ** (self.kappa + 0.5) * _g(self.kappa + 0.5))
-
     def forward(self, samples: np.ndarray) -> np.ndarray:
         """D f on the frequency nodes from samples of f on the space nodes."""
         return self._fwd @ np.asarray(samples)
@@ -83,7 +76,8 @@ class DunklTransform1D:
             dunkl_kernel_1d(self.kappa, 1j * x[:, None], self.xi_nodes[None, :])
             * self.xi_weights[None, :]
         )
-        return self.m_kappa**2 * (kern @ np.asarray(hat_samples))
+        m_kappa = DunklStructure(1, (self.kappa,)).m_kappa
+        return m_kappa**2 * (kern @ np.asarray(hat_samples))
 
 
 def interaction_potential(transform: DunklTransform1D, w_samples, rho_samples, x=None):
@@ -118,22 +112,14 @@ class HartreeConfig:
             raise ValueError("initial operator must be self-adjoint")
         if not 0.0 < self.horizon:
             raise ValueError(f"horizon must be positive, got {self.horizon}")
+        if self.steps < 2:
+            raise ValueError(f"need at least 2 time steps, got {self.steps}")
         if self.gamma0.basis.structure.d != 1:
             raise ValueError("the Hartree solver is one-dimensional")
 
     @property
     def schatten_exponent(self) -> float:
         return 2.0 * self.q / (self.q + 1.0)
-
-
-def _free_trajectory(config: HartreeConfig, times: np.ndarray) -> np.ndarray:
-    basis = config.gamma0.basis
-    lam = basis.eigenvalues
-    out = np.empty((times.size, basis.size, basis.size), dtype=complex)
-    for i, t in enumerate(times):
-        phase = np.exp(-1j * t * lam)
-        out[i] = (phase[:, None] * config.gamma0.matrix) * phase.conj()[None, :]
-    return out
 
 
 def _potential_matrices(config: HartreeConfig, transform, traj: np.ndarray) -> np.ndarray:
@@ -152,40 +138,39 @@ def _potential_matrices(config: HartreeConfig, transform, traj: np.ndarray) -> n
 def picard_step(config: HartreeConfig, times: np.ndarray, traj: np.ndarray, transform=None):
     """One application of the fixed-point map to a sampled trajectory."""
     basis = config.gamma0.basis
-    lam = basis.eigenvalues
     if transform is None:
         transform = DunklTransform1D(basis.structure.kappa[0], config.transform_order)
     pots = _potential_matrices(config, transform, traj)
     h = times[1] - times[0]
-
-    # rotated commutators e^{isH} [W(s), gamma(s)] e^{-isH}
-    rotated = np.empty_like(traj)
-    for j in range(times.size):
-        comm = pots[j] @ traj[j] - traj[j] @ pots[j]
-        phase = np.exp(1j * times[j] * lam)
-        rotated[j] = (phase[:, None] * comm) * phase.conj()[None, :]
-
-    new = _free_trajectory(config, times)
-    acc = np.zeros_like(traj[0])
-    for i in range(1, times.size):
-        acc = acc + 0.5 * h * (rotated[i - 1] + rotated[i])
-        phase = np.exp(-1j * times[i] * lam)
-        new[i] = new[i] - 1j * (phase[:, None] * acc) * phase.conj()[None, :]
+    # rotated commutators e^{isH} [W(s), gamma(s)] e^{-isH}, overwritten by
+    # their trapezoid integrals from 0 to each node; reusing buffers keeps
+    # the (T, M, M) temporaries, which set the solve's peak memory, few
+    acc = conjugate(basis, pots @ traj - traj @ pots, -times)
+    acc[1:] = np.cumsum(0.5 * h * (acc[:-1] + acc[1:]), axis=0)
+    acc[0] = 0.0
+    new = -1j * conjugate(basis, acc, times)
+    new += conjugate(basis, config.gamma0.matrix, times)
     return new
 
 
 def solve_hartree(config: HartreeConfig):
     """Iterate the fixed-point map to tolerance; returns (times, trajectory,
-    diagnostics dict with per-iteration residuals and contraction factors)."""
+    diagnostics dict with per-iteration residuals and contraction factors).
+
+    An iterate with a non-finite entry ends the solve as not converged; the
+    trajectory returned is then the last finite iterate.
+    """
     basis = config.gamma0.basis
     times = np.linspace(0.0, config.horizon, config.steps)
     transform = DunklTransform1D(basis.structure.kappa[0], config.transform_order)
-    traj = _free_trajectory(config, times)
+    traj = conjugate(basis, config.gamma0.matrix, times)
     residuals = []
     p = config.schatten_exponent
     converged = False
     for _ in range(config.max_iter):
         new = picard_step(config, times, traj, transform)
+        if not np.isfinite(new).all():
+            break
         res = max(
             schatten_norm(new[i] - traj[i], p) for i in range(times.size)
         )

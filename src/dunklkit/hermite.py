@@ -34,7 +34,7 @@ __all__ = [
     "mehler_closed_form",
     "kernel_Kit",
     "propagate_hermite",
-    "propagate_by_kernel",
+    "kernel_quadrature",
     "extension_operator",
     "fdh_transform",
 ]
@@ -224,22 +224,26 @@ def kernel_Kit(s: DunklStructure, t: float, x, y):
     return pref * body * _kernel_product(s, 1.0 / (1j * sin2t), x, y)
 
 
-def propagate_by_kernel(v: StateVector, t: float, eval_points, order_factor: int = 6):
-    """e^{-itH} v at eval_points by quadrature against the Mehler-type kernel.
+def kernel_quadrature(v: StateVector, kernel, eval_points, order_factor: int = 6):
+    """integral of kernel(x, y) v(y) h^2(y) dy at x in eval_points, by quadrature.
 
-    Independent of the spectral path; accurate for band-limited v and t not
-    too close to the singular set.  Integration uses a half-Gaussian-matched
-    plain rule since the oscillatory kernel does not decay in y.
+    The kernel-quadrature oracle for both flows: ``kernel`` maps point arrays
+    (x, y) to kernel values, e.g. ``lambda x, y: kernel_Kit(s, t, x, y)`` for
+    e^{-itH} v or ``freeprop.kernel_Lit`` for e^{it Laplacian} v.  Independent
+    of the spectral and lens paths; d = 1 only, accurate for band-limited v
+    and t not too close to the kernel's singular set.  Integration uses a
+    half-Gaussian-matched plain rule since the oscillatory kernels do not
+    decay in y.
     """
     basis = v.basis
     s = basis.structure
     if s.d != 1:
-        raise NotImplementedError("kernel-quadrature propagation implemented for d = 1")
+        raise NotImplementedError("kernel quadrature implemented for d = 1")
     n = order_factor * (basis.per_dim_degree + 2)
     ynodes, yweights = plain_rule(s.kappa[0], n, sigma=0.5)
     fvals = v.values(ynodes)
     pts = np.asarray(eval_points, dtype=float)
-    kern = kernel_Kit(s, t, pts[:, None], ynodes[None, :])
+    kern = kernel(pts[:, None], ynodes[None, :])
     return kern @ (yweights * fvals)
 
 

@@ -1,13 +1,14 @@
-"""Compact operators in the spectral basis: Schatten norms, densities,
-the dual time-averaging functional, and mixed position-momentum operators.
+"""Compact operators in the spectral basis: conjugation by the two flows,
+Schatten norms, densities, the time-averaged operator of the dual functional,
+and mixed position-momentum operators.
 
 Everything is dense: operators are square matrices A with entries
 A_{mu nu} = <A phi_nu, phi_mu>_kappa in the truncated orthonormal basis, and
 Schatten norms come from full SVDs.  The momentum operator is p = -iT (T the
 Dunkl gradient); functions f(alpha x + beta p) are assembled by conjugating
 the multiplication operator f(alpha x) with the free flow at time
-beta / (2 alpha), or through the spectral rotation that swaps x and p when
-alpha = 0.
+beta / (2 alpha), or, when alpha = 0, with the oscillator flow at time -pi/4,
+which swaps x and p.
 """
 
 from __future__ import annotations
@@ -23,12 +24,12 @@ from .quadrature import weighted_lp_norm
 __all__ = [
     "OperatorMatrix",
     "OrthonormalSystem",
+    "conjugate",
     "schatten_norm",
     "multiplication_matrix",
     "density",
     "evolved_density",
     "time_averaged_operator",
-    "dual_functional",
     "mixed_xp_operator",
     "kss_check",
 ]
@@ -94,6 +95,25 @@ class OrthonormalSystem:
         return OperatorMatrix(self.basis, (c.T * self.coeffs) @ c.conj())
 
 
+def conjugate(basis: HermiteBasis, a, t, flow: str = "hermite") -> np.ndarray:
+    """e^{-itP} A e^{itP} for P the oscillator (``hermite``) or the Laplacian
+    (``laplacian``), with A a matrix in the basis.
+
+    The oscillator flow is exact: entry (mu, nu) is multiplied by
+    e_mu conj(e_nu) with e = e^{-it lambda}.  An array of times gives one
+    conjugate per time on a leading axis, of one matrix or of a matching
+    stack.  The free flow uses the lens-route matrix U = e^{itP} at a scalar
+    t; e^{-itP} = conj(U) because the basis is real.
+    """
+    if flow == "hermite":
+        phase = np.exp(-1j * np.asarray(t)[..., None] * basis.eigenvalues)
+        return (phase[..., :, None] * a) * phase.conj()[..., None, :]
+    if flow == "laplacian":
+        u = free_propagator_matrix(basis, t)
+        return u.conj() @ a @ u
+    raise ValueError(f"unknown flow {flow!r}")
+
+
 def schatten_norm(a, p) -> float:
     """Schatten p-norm (sum of sigma^p)^{1/p}; p = inf gives the largest
     singular value."""
@@ -136,19 +156,9 @@ def density(gamma: OperatorMatrix, points=None) -> np.ndarray:
 
 def evolved_density(gamma: OperatorMatrix, t: float, flow: str = "hermite", points=None):
     """Density of e^{-itP} gamma e^{itP} for P the oscillator or the
-    Laplacian; the former is exact (diagonal phases), the latter goes through
-    the lens-route propagator matrix."""
+    Laplacian (see ``conjugate``)."""
     basis = gamma.basis
-    if flow == "hermite":
-        phase = np.exp(-1j * t * basis.eigenvalues)
-        conj = OperatorMatrix(basis, (phase[:, None] * gamma.matrix) * phase.conj()[None, :])
-    elif flow == "laplacian":
-        u_minus = free_propagator_matrix(basis, -t)
-        u_plus = free_propagator_matrix(basis, t)
-        conj = OperatorMatrix(basis, u_minus @ gamma.matrix @ u_plus)
-    else:
-        raise ValueError(f"unknown flow {flow!r}")
-    return density(conj, points)
+    return density(OperatorMatrix(basis, conjugate(basis, gamma.matrix, t, flow)), points)
 
 
 def time_averaged_operator(
@@ -160,7 +170,9 @@ def time_averaged_operator(
     """B = integral over t of e^{itP} V(t,.) e^{-itP} dt, as a dense matrix.
 
     ``v_samples`` has shape (T, K): potential samples on the basis grid at
-    each time node; the time integral is the supplied quadrature rule.
+    each time node; the time integral is the supplied quadrature rule.  Its
+    Schatten-2q' norm is the dual functional.  The nodes are visited one at
+    a time: a (T, M, M) stack of conjugates would set the memory at large M.
     """
     t, tau = (np.asarray(v, dtype=float) for v in time_nodes)
     v_samples = np.asarray(v_samples)
@@ -173,67 +185,30 @@ def time_averaged_operator(
     b = np.zeros((basis.size, basis.size), dtype=complex)
     for i in range(t.size):
         m = multiplication_matrix(basis, v_samples[i])
-        if flow == "hermite":
-            phase = np.exp(1j * t[i] * basis.eigenvalues)
-            b += tau[i] * ((phase[:, None] * m) * phase.conj()[None, :])
-        elif flow == "laplacian":
-            b += tau[i] * (
-                free_propagator_matrix(basis, t[i])
-                @ m
-                @ free_propagator_matrix(basis, -t[i])
-            )
-        else:
-            raise ValueError(f"unknown flow {flow!r}")
+        b += tau[i] * conjugate(basis, m, -t[i], flow)
     return b
-
-
-def dual_functional(
-    basis: HermiteBasis,
-    time_nodes,
-    v_samples,
-    qprime: float,
-    flow: str = "hermite",
-) -> float:
-    """Schatten-2q' norm of B = integral over t of e^{itP} V(t,.) e^{-itP} dt
-    (see ``time_averaged_operator``)."""
-    b = time_averaged_operator(basis, time_nodes, v_samples, flow)
-    return schatten_norm(b, 2.0 * qprime)
-
-
-def _momentum_rotation(basis: HermiteBasis) -> np.ndarray:
-    """Diagonal of the spectral rotation sending x to p: phi_mu -> (-i)^{|mu|}.
-
-    This is the Dunkl transform restricted to the basis; it conjugates
-    multiplication by f(x) into f(p).
-    """
-    return (-1j) ** basis.multi_indices.sum(axis=1)
 
 
 def mixed_xp_operator(basis: HermiteBasis, f, alpha: float, beta: float) -> OperatorMatrix:
     """Matrix of f(alpha x + beta p) with p = -iT, for a profile f on R^d.
 
     ``f`` maps point arrays (n, d) -- or flat arrays when d = 1 -- to values.
-    beta = 0 is the plain multiplication operator; alpha = 0 routes through
-    the x <-> p spectral rotation; otherwise the operator is the free-flow
-    conjugate of f(alpha x) at time beta / (2 alpha).
+    beta = 0 is the plain multiplication operator; otherwise the operator is
+    the free-flow conjugate of f(alpha x) at time beta / (2 alpha), or for
+    alpha = 0 the oscillator conjugate of f(beta x) at time -pi/4: that flow
+    sends phi_mu to (-i)^{|mu|} phi_mu up to a global phase, the Dunkl
+    transform on the basis, which turns f(x) into f(p).
     """
     if alpha == 0.0 and beta == 0.0:
         raise ValueError("alpha and beta cannot both vanish")
-    if beta == 0.0:
-        samples = np.asarray(f(alpha * basis.grid.nodes), dtype=complex)
-        return OperatorMatrix(basis, multiplication_matrix(basis, samples))
-    if alpha == 0.0:
-        samples = np.asarray(f(beta * basis.grid.nodes), dtype=complex)
-        m = multiplication_matrix(basis, samples)
-        rot = _momentum_rotation(basis)
-        return OperatorMatrix(basis, (rot.conj()[:, None] * m) * rot[None, :])
-    tau = beta / (2.0 * alpha)
-    samples = np.asarray(f(alpha * basis.grid.nodes), dtype=complex)
+    scale = beta if alpha == 0.0 else alpha
+    samples = np.asarray(f(scale * basis.grid.nodes), dtype=complex)
     m = multiplication_matrix(basis, samples)
-    return OperatorMatrix(
-        basis,
-        free_propagator_matrix(basis, -tau) @ m @ free_propagator_matrix(basis, tau),
-    )
+    if beta == 0.0:
+        return OperatorMatrix(basis, m)
+    if alpha == 0.0:
+        return OperatorMatrix(basis, conjugate(basis, m, -np.pi / 4.0))
+    return OperatorMatrix(basis, conjugate(basis, m, beta / (2.0 * alpha), "laplacian"))
 
 
 def kss_check(basis, f, g, alpha, beta, gamma, delta, r):

@@ -12,24 +12,25 @@ from dunklkit import (
     StateVector,
     admissible_p,
     build_basis,
-    dual_functional,
-    free_evolve_by_kernel,
     free_evolve_via_lens,
     generate_system,
     hamiltonian_matrix,
     hermite_functions_1d,
     inhomogeneous_check,
     kernel_Kit,
+    kernel_Lit,
+    kernel_quadrature,
     kss_check,
     lens_relation_residual,
     mehler_closed_form,
     mhls_check,
     norm_transport_check,
-    propagate_by_kernel,
     propagate_hermite,
     run_inequality,
+    schatten_norm,
     solve_hartree,
     tensor_grid,
+    time_averaged_operator,
     time_grid,
     weighted_lp_norm,
 )
@@ -123,6 +124,7 @@ def test_criterion_05_dual_method_propagation(basis_1d_half):
     # decay in x, and the bare weights grow like e^{x^2}, so the comparison
     # is windowed to where both routes resolve the (Gaussian-decaying) state
     basis = basis_1d_half
+    s = basis.structure
     grid_x = basis.grid.nodes[:, 0]
     mask = np.abs(grid_x) <= 5.0
     bw = basis.grid.bare_weights[mask]
@@ -135,11 +137,15 @@ def test_criterion_05_dual_method_propagation(basis_1d_half):
         u = random_state(basis, seed=seed, band=basis.per_dim_degree // 2)
         for t in (0.3, 0.7):
             spect = propagate_hermite(u, t).values()
-            direct = propagate_by_kernel(u, t, grid_x, order_factor=10)
+            direct = kernel_quadrature(
+                u, lambda x, y: kernel_Kit(s, t, x, y), grid_x, order_factor=10
+            )
             worst = max(worst, l2_gap(direct - spect))
         for v in (0.4, 1.0):
             via_lens = free_evolve_via_lens(v, u, grid_x[:, None])
-            direct = free_evolve_by_kernel(u, v / 2, grid_x, order_factor=10)
+            direct = kernel_quadrature(
+                u, lambda x, y: kernel_Lit(s, v / 2, x, y), grid_x, order_factor=10
+            )
             worst = max(worst, l2_gap(direct - via_lens))
     announce(5, "dual-method propagation", worst < 1e-6,
              f"L2 discrepancy {worst:.2e} < 1e-6")
@@ -217,15 +223,18 @@ def test_criterion_09_dual_functional(basis_1d_half):
         t = tn[0]
         return envelope[None, :] * (1.0 + 0.3 * np.cos(2.0 * t))[:, None]
 
+    def dual_functional(tn, qprime):
+        return schatten_norm(time_averaged_operator(basis, tn, samples(tn)), 2.0 * qprime)
+
     tn = time_grid(-np.pi, np.pi, 64)
-    opnorm = dual_functional(basis, tn, samples(tn), np.inf)
+    opnorm = dual_functional(tn, np.inf)
     l1linf = float(np.sum(tn[1] * np.abs(samples(tn)).max(axis=1)))
     triangle_ok = opnorm <= l1linf + 1e-8
 
     qprime = 1.0 + s.d_eff / 2.0
-    v1 = dual_functional(basis, tn, samples(tn), qprime)
+    v1 = dual_functional(tn, qprime)
     tn2 = time_grid(-np.pi, np.pi, 128)
-    v2 = dual_functional(basis, tn2, samples(tn2), qprime)
+    v2 = dual_functional(tn2, qprime)
     stable = abs(v2 - v1) / v2
     ok = triangle_ok and np.isfinite(v2) and stable < 1e-4
     announce(9, "dual Schatten functional", ok,

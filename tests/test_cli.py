@@ -190,3 +190,47 @@ class TestSubcommands:
         summary = json.loads((tmp_path / "reports" / "hartree.json").read_text())
         assert summary["converged"]
         assert summary["trace_drift"] < 1e-8
+
+
+class TestHartreeRobustness:
+    @pytest.mark.parametrize("body", ["d = 2\nkappa = 1.0 0.5\n", "d = 1\nkappa = 0.5 1.0\n"])
+    def test_only_one_dimension(self, runner, tmp_path, body):
+        path = tmp_path / "c.cfg"
+        path.write_text(body + f"n_degree = 8\ngrid_order = 12\noutput = {tmp_path}\n")
+        result = runner.invoke(main, ["-c", str(path), "hartree"])
+        assert result.exit_code == EXIT_CONFIG
+        assert "CONFIG ERROR" in result.output
+
+    def test_too_few_steps(self, runner, small_config):
+        result = runner.invoke(main, ["-c", str(small_config), "hartree", "--steps", "1"])
+        assert result.exit_code == EXIT_CONFIG
+        assert "CONFIG ERROR" in result.output
+
+    def test_divergence_is_a_failure(self, runner, small_config, tmp_path):
+        # the iterates overflow after a dozen steps: the solve stops as not
+        # converged, the report is still written, and the exit code is 2
+        result = runner.invoke(
+            main, ["-c", str(small_config), "hartree", "--coupling", "40", "--horizon", "1"]
+        )
+        assert result.exit_code == EXIT_IDENTITY
+        assert "converged=False" in result.output
+        assert "IDENTITY FAILURE" in result.output
+        summary = json.loads((tmp_path / "reports" / "hartree.json").read_text())
+        assert not summary["converged"]
+
+
+class TestBadOptions:
+    @pytest.mark.parametrize(
+        "args",
+        [["--j-values", "1000"], ["--j-values", "0"], ["--steps", "0"], ["--seeds", "0"]],
+    )
+    def test_sweep(self, runner, small_config, args):
+        result = runner.invoke(main, ["-c", str(small_config), "sweep", *args])
+        assert result.exit_code == EXIT_CONFIG
+        assert "CONFIG ERROR" in result.output
+
+    @pytest.mark.parametrize("args", [["--j", "0"], ["--kappa", "half"]])
+    def test_strichartz(self, runner, small_config, args):
+        result = runner.invoke(main, ["-c", str(small_config), "strichartz", *args])
+        assert result.exit_code == EXIT_CONFIG
+        assert "CONFIG ERROR" in result.output

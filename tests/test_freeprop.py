@@ -4,11 +4,11 @@ import pytest
 from dunklkit import (
     DunklStructure,
     LensMap,
-    free_evolve_by_kernel,
     free_evolve_via_lens,
     free_propagator_matrix,
     heat_kernel,
     kernel_Lit,
+    kernel_quadrature,
     lens_relation_residual,
     norm_transport_check,
     propagate_hermite,
@@ -125,7 +125,10 @@ class TestFreeEvolution:
         u = random_state(basis_1d_half, seed=7, band=16)
         x = np.linspace(-3, 3, 21)
         via_lens = free_evolve_via_lens(v, u, x[:, None])
-        direct = free_evolve_by_kernel(u, v / 2.0, x, order_factor=10)
+        s = basis_1d_half.structure
+        direct = kernel_quadrature(
+            u, lambda x, y: kernel_Lit(s, v / 2.0, x, y), x, order_factor=10
+        )
         np.testing.assert_allclose(via_lens, direct, atol=1e-10)
 
     def test_identity_limit(self, basis_1d_half):

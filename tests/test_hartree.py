@@ -2,10 +2,14 @@ import numpy as np
 import pytest
 
 from dunklkit import (
+    DunklStructure,
     DunklTransform1D,
     HartreeConfig,
     OperatorMatrix,
+    conjugate,
+    density,
     interaction_potential,
+    multiplication_matrix,
     picard_step,
     schatten_norm,
     solve_hartree,
@@ -50,7 +54,7 @@ class TestTransform:
         f = np.exp(-0.6 * tr.nodes**2)
         lhs = np.sum(tr.weights * np.abs(f) ** 2)
         hat = tr.forward(f)
-        rhs = tr.m_kappa**2 * np.sum(tr.xi_weights * np.abs(hat) ** 2)
+        rhs = DunklStructure(1, (tr.kappa,)).m_kappa ** 2 * np.sum(tr.xi_weights * np.abs(hat) ** 2)
         assert rhs == pytest.approx(lhs, rel=1e-6)
 
 
@@ -132,14 +136,54 @@ class TestPicard:
             steps=9,
         )
         times = np.linspace(0.0, config.horizon, config.steps)
-        from dunklkit.hartree import _free_trajectory
-
-        traj = _free_trajectory(config, times)
+        traj = conjugate(basis, config.gamma0.matrix, times)
         new = picard_step(config, times, traj)
         for i in range(times.size):
             assert np.abs(new[i] - new[i].conj().T).max() < 1e-10
             assert abs(np.trace(new[i]).real - 1.0) < 1e-10
             assert abs(np.trace(new[i]).imag) < 1e-10
+
+    def test_step_matches_loop_form(self, basis_1d_half):
+        # the fixed-point map written node by node: rotated commutators,
+        # running trapezoid sums, and diagonal-phase conjugations
+        basis = basis_1d_half
+        lam = basis.eigenvalues
+        config = HartreeConfig(
+            gamma0=ground_state_operator(basis),
+            w_profile=lambda x: np.exp(-(x**2)),
+            coupling=0.5,
+            horizon=0.1,
+            steps=9,
+        )
+        times = np.linspace(0.0, config.horizon, config.steps)
+        _, traj, _ = solve_hartree(config)
+        transform = DunklTransform1D(0.5, config.transform_order)
+
+        def conj(a, t):
+            phase = np.exp(-1j * t * lam)
+            return (phase[:, None] * a) * phase.conj()[None, :]
+
+        pots = np.stack([
+            multiplication_matrix(
+                basis,
+                config.coupling * np.real(interaction_potential(
+                    transform,
+                    config.w_profile(transform.nodes),
+                    density(OperatorMatrix(basis, g), transform.nodes),
+                    basis.grid.nodes[:, 0],
+                )),
+            )
+            for g in traj
+        ])
+        rotated = [conj(w @ g - g @ w, -t) for w, g, t in zip(pots, traj, times)]
+        h = times[1] - times[0]
+        expected = [conj(config.gamma0.matrix, times[0])]
+        acc = np.zeros_like(traj[0])
+        for i in range(1, times.size):
+            acc = acc + 0.5 * h * (rotated[i - 1] + rotated[i])
+            expected.append(conj(config.gamma0.matrix, times[i]) - 1j * conj(acc, times[i]))
+        got = picard_step(config, times, traj, transform)
+        np.testing.assert_allclose(got, np.stack(expected), rtol=0, atol=1e-14)
 
     def test_contraction_and_trace_drift(self, basis_1d_half):
         config = HartreeConfig(

@@ -10,8 +10,8 @@ from dunklkit import (
     build_basis,
     hermite_functions_1d,
     kernel_Kit,
+    kernel_quadrature,
     mehler_closed_form,
-    propagate_by_kernel,
     propagate_hermite,
     tensor_grid,
 )
@@ -157,7 +157,8 @@ class TestPropagation:
         u = random_state(basis_1d_half, seed=5, band=16)
         x = np.linspace(-3, 3, 21)
         spectral = propagate_hermite(u, t).values(x[:, None])
-        direct = propagate_by_kernel(u, t, x)
+        s = basis_1d_half.structure
+        direct = kernel_quadrature(u, lambda x, y: kernel_Kit(s, t, x, y), x)
         np.testing.assert_allclose(direct, spectral, atol=1e-8)
 
     def test_ground_state_closed_form(self, basis_1d_one):

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dunklkit import (
     OperatorMatrix,
     OrthonormalSystem,
     StateVector,
+    conjugate,
     density,
-    dual_functional,
     evolved_density,
     kss_check,
     mixed_xp_operator,
@@ -14,7 +16,6 @@ from dunklkit import (
     schatten_norm,
     time_averaged_operator,
 )
-from dunklkit.operators import _momentum_rotation
 from dunklkit.quadrature import time_grid, weighted_lp_norm
 
 from conftest import random_state
@@ -70,6 +71,64 @@ class TestSchattenNorm:
     def test_rejects_small_exponent(self):
         with pytest.raises(ValueError):
             schatten_norm(np.eye(3), 0.5)
+
+
+def hermitian(size, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+    return a + a.conj().T
+
+
+# times anywhere in a few periods, and within 1e-9 of (pi/2) Z, where the
+# propagator kernels are singular but the spectral conjugation is not
+TIMES = st.one_of(
+    st.floats(-7.0, 7.0),
+    st.builds(lambda k, e: k * np.pi / 2 + e, st.integers(-4, 4), st.floats(-1e-9, 1e-9)),
+)
+
+
+class TestConjugate:
+    @given(seed=st.integers(0, 2**32 - 1), t=TIMES, s=TIMES)
+    @settings(max_examples=60, deadline=None)
+    def test_hermite_flow_invariants(self, basis_1d_half, seed, t, s):
+        basis = basis_1d_half
+        a = hermitian(basis.size, seed)
+        scale = np.abs(a).max()
+        b = conjugate(basis, a, t)
+        assert np.abs(b - b.conj().T).max() <= 1e-14 * scale
+        assert abs(np.trace(b) - np.trace(a)) <= 1e-12 * scale
+        np.testing.assert_allclose(
+            np.linalg.svd(b, compute_uv=False), np.linalg.svd(a, compute_uv=False),
+            rtol=0, atol=1e-12 * scale,
+        )
+        np.testing.assert_allclose(
+            conjugate(basis, b, s), conjugate(basis, a, t + s), rtol=0, atol=1e-12 * scale
+        )
+
+    @given(seed=st.integers(0, 2**32 - 1), times=st.lists(TIMES, min_size=1, max_size=5))
+    @settings(max_examples=30, deadline=None)
+    def test_array_of_times(self, basis_2d, seed, times):
+        basis = basis_2d
+        a = hermitian(basis.size, seed)
+        stack = np.stack([hermitian(basis.size, seed + k + 1) for k in range(len(times))])
+        one = conjugate(basis, a, np.array(times))
+        many = conjugate(basis, stack, np.array(times))
+        for k, t in enumerate(times):
+            np.testing.assert_array_equal(one[k], conjugate(basis, a, t))
+            np.testing.assert_array_equal(many[k], conjugate(basis, stack[k], t))
+
+    def test_laplacian_flow_is_lens_matrix_conjugation(self, basis_1d_half):
+        from dunklkit import free_propagator_matrix
+
+        basis = basis_1d_half
+        a = hermitian(basis.size, 3)
+        for t in (0.2, -0.35):
+            oracle = free_propagator_matrix(basis, -t) @ a @ free_propagator_matrix(basis, t)
+            np.testing.assert_array_equal(conjugate(basis, a, t, "laplacian"), oracle)
+
+    def test_unknown_flow(self, basis_1d_half):
+        with pytest.raises(ValueError):
+            conjugate(basis_1d_half, np.eye(basis_1d_half.size), 0.1, "heat")
 
 
 class TestOrthonormalSystem:
@@ -146,6 +205,10 @@ class TestDensity:
             np.testing.assert_allclose(density(gam, pts), oracle, rtol=0, atol=1e-12)
 
 
+def dual_functional(basis, time_nodes, v_samples, qprime):
+    return schatten_norm(time_averaged_operator(basis, time_nodes, v_samples), 2.0 * qprime)
+
+
 class TestDualFunctional:
     def test_qprime_infinity_triangle_bound(self, basis_1d_half):
         # ||B||_inf-Schatten <= integral of ||V(t)||_sup dt, since each
@@ -172,20 +235,9 @@ class TestDualFunctional:
 
     def test_shape_validation(self, basis_1d_half):
         with pytest.raises(ValueError):
-            dual_functional(
-                basis_1d_half, (np.zeros(3), np.ones(3)), np.zeros((2, 5)), 2.0
+            time_averaged_operator(
+                basis_1d_half, (np.zeros(3), np.ones(3)), np.zeros((2, 5))
             )
-
-    def test_is_schatten_norm_of_time_averaged_operator(self, basis_1d_half):
-        # one assembled operator gives every exponent's norm, identical to
-        # separate dual_functional evaluations
-        basis = basis_1d_half
-        t, tau = time_grid(-np.pi, np.pi, 17)
-        x = basis.grid.nodes[:, 0]
-        v = np.exp(-0.5 * x**2)[None, :] * (1.0 + 0.3 * np.cos(2.0 * t))[:, None]
-        b = time_averaged_operator(basis, (t, tau), v)
-        for qprime in (2.0, np.inf):
-            assert schatten_norm(b, 2.0 * qprime) == dual_functional(basis, (t, tau), v, qprime)
 
 
 class TestMixedOperators:
@@ -207,9 +259,18 @@ class TestMixedOperators:
         sp = np.linalg.svd(mp.matrix, compute_uv=False)
         np.testing.assert_allclose(sp, sx, atol=1e-12)
 
-    def test_rotation_is_unitary_diagonal(self, basis_1d_half):
-        rot = _momentum_rotation(basis_1d_half)
-        np.testing.assert_allclose(np.abs(rot), 1.0, atol=1e-15)
+    @pytest.mark.parametrize("fixture", ["basis_1d_half", "basis_2d"])
+    def test_momentum_route_is_spectral_rotation(self, fixture, request):
+        # f(beta p) = R* f(beta x) R with R phi_mu = (-i)^{|mu|} phi_mu, the
+        # Dunkl transform on the basis
+        basis = request.getfixturevalue(fixture)
+        f = lambda x: np.exp(-(np.asarray(x) ** 2).sum(axis=-1))
+        beta = 0.8
+        m = multiplication_matrix(basis, f(beta * basis.grid.nodes).astype(complex))
+        rot = (-1j) ** basis.multi_indices.sum(axis=1)
+        oracle = (rot.conj()[:, None] * m) * rot[None, :]
+        op = mixed_xp_operator(basis, f, 0.0, beta)
+        np.testing.assert_allclose(op.matrix, oracle, rtol=0, atol=1e-13)
 
     def test_mixed_spectral_bound(self, basis_1d_half):
         # ||f(alpha x + beta p)|| <= sup |f| (self-adjoint argument)
