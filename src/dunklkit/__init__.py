@@ -36,6 +36,7 @@ from .hermite import (
     kernel_quadrature,
     mehler_closed_form,
     propagate_hermite,
+    propagated_density,
 )
 from .operators import (
     OperatorMatrix,

@@ -201,12 +201,13 @@ def dual_schatten(cfg, qprime):
     with _config_errors():
         s, grid, basis = _context(cfg)
         tn = time_grid(-np.pi, np.pi, cfg["time_nodes"])
-    if qprime is None:
-        qprime = 1.0 + s.d_eff / 2.0
+        if qprime is None:
+            qprime = 1.0 + s.d_eff / 2.0
+        if not 0.5 <= qprime < np.inf:
+            raise ValueError(f"q' must be finite and >= 1/2, got {qprime}")
     rng = np.random.default_rng(cfg["seed"])
     envelope = np.exp(-0.5 * (grid.nodes**2).sum(axis=-1))
-    v = np.stack([envelope * (1.0 + 0.3 * np.cos(k * tn[0][i]))
-                  for i, k in enumerate(rng.integers(1, 4, tn[0].size))])
+    v = envelope * (1.0 + 0.3 * np.cos(rng.integers(1, 4, tn[0].size) * tn[0]))[:, None]
     b = time_averaged_operator(basis, tn, v)
     value = schatten_norm(b, 2.0 * qprime)
     opnorm = schatten_norm(b, np.inf)
@@ -262,7 +263,7 @@ def kss(cfg, r, params):
             raise ValueError("mixed-operator checks are one-dimensional")
         f = lambda x: np.exp(-np.asarray(x)[..., 0] ** 2)
         g = lambda x: np.exp(-0.5 * np.asarray(x)[..., 0] ** 2)
-        lhs, rhs = kss_check(basis, f, g, *quad, np.inf if np.isinf(r) else r)
+        lhs, rhs = kss_check(basis, f, g, *quad, r)
     _report(cfg, "kss", [{"r": r, "alpha": quad[0], "beta": quad[1], "gamma": quad[2],
                           "delta": quad[3], "lhs": lhs, "rhs": rhs, "ratio": lhs / rhs}])
     click.echo(f"lhs={lhs:.6g} rhs={rhs:.6g} ratio={lhs / rhs:.6g}")
@@ -310,8 +311,8 @@ def mhls(cfg, n_factors, beta):
 def sweep(cfg, q_min, q_max, steps, j_values, seeds):
     """Ratio-vs-exponent sweep over system sizes and seeds."""
     with _config_errors():
-        if not 1.0 <= q_min <= q_max:
-            raise ValueError(f"need 1 <= q_min <= q_max, got {q_min}, {q_max}")
+        if not 1.0 <= q_min <= q_max < np.inf:
+            raise ValueError(f"need 1 <= q_min <= q_max < inf, got {q_min}, {q_max}")
         if steps < 1 or seeds < 1:
             raise ValueError(f"steps and seeds must be at least 1, got {steps}, {seeds}")
         s, grid, basis = _context(cfg)
@@ -344,6 +345,9 @@ def sweep(cfg, q_min, q_max, steps, j_values, seeds):
     click.echo(f"{len(rows)} evaluations; ratio range "
                f"[{min(r['ratio'] for r in rows):.4g}, "
                f"{max(r['ratio'] for r in rows):.4g}]")
+    bad = [r for r in rows if not np.isfinite([r["lhs"], r["rhs"], r["ratio"]]).all()]
+    if bad:
+        _fail_identity(f"{len(bad)} of {len(rows)} evaluations are not finite")
 
 
 @main.command()

@@ -84,7 +84,8 @@ def interaction_potential(transform: DunklTransform1D, w_samples, rho_samples, x
     """W = w (Dunkl-)convolved with rho, via the multiplier theorem.
 
     Both inputs are sampled on the transform nodes; output at x (default:
-    the transform nodes).
+    the transform nodes).  Columns of ``rho_samples`` (``w_samples`` then a
+    column) are separate densities, and give the columns of W.
     """
     what = transform.forward(w_samples)
     rhat = transform.forward(rho_samples)
@@ -110,8 +111,8 @@ class HartreeConfig:
         g = self.gamma0.matrix
         if np.abs(g - g.conj().T).max() > 1e-12:
             raise ValueError("initial operator must be self-adjoint")
-        if not 0.0 < self.horizon:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
+        if not 0.0 < self.horizon < np.inf:
+            raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
         if self.steps < 2:
             raise ValueError(f"need at least 2 time steps, got {self.steps}")
         if self.gamma0.basis.structure.d != 1:
@@ -126,13 +127,9 @@ def _potential_matrices(config: HartreeConfig, transform, traj: np.ndarray) -> n
     """Multiplication matrices of coupling * (w conv rho_{gamma(t)}) per node."""
     basis = config.gamma0.basis
     w_nodes = np.asarray(config.w_profile(transform.nodes), dtype=float)
-    grid_x = basis.grid.nodes[:, 0]
-    out = np.empty((traj.shape[0], basis.size, basis.size), dtype=complex)
-    for i in range(traj.shape[0]):
-        rho = density(OperatorMatrix(basis, traj[i]), transform.nodes)
-        w_grid = interaction_potential(transform, w_nodes, rho, grid_x)
-        out[i] = multiplication_matrix(basis, config.coupling * np.real(w_grid))
-    return out
+    rho = density(basis, traj, transform.nodes)
+    w_grid = interaction_potential(transform, w_nodes[:, None], rho.T, basis.grid.nodes[:, 0])
+    return multiplication_matrix(basis, config.coupling * np.real(w_grid).T)
 
 
 def picard_step(config: HartreeConfig, times: np.ndarray, traj: np.ndarray, transform=None):
@@ -171,9 +168,7 @@ def solve_hartree(config: HartreeConfig):
         new = picard_step(config, times, traj, transform)
         if not np.isfinite(new).all():
             break
-        res = max(
-            schatten_norm(new[i] - traj[i], p) for i in range(times.size)
-        )
+        res = float(schatten_norm(new - traj, p).max())
         residuals.append(res)
         traj = new
         if res < config.tol:
@@ -189,7 +184,7 @@ def solve_hartree(config: HartreeConfig):
         "iterations": len(residuals),
         "residuals": residuals,
         "contraction_factors": factors,
-        "traces": [complex(np.trace(traj[i])).real for i in range(times.size)],
-        "schatten": [schatten_norm(traj[i], p) for i in range(times.size)],
+        "traces": np.trace(traj, axis1=1, axis2=2).real.tolist(),
+        "schatten": schatten_norm(traj, p).tolist(),
     }
     return times, traj, diagnostics

@@ -34,6 +34,7 @@ __all__ = [
     "mehler_closed_form",
     "kernel_Kit",
     "propagate_hermite",
+    "propagated_density",
     "kernel_quadrature",
     "extension_operator",
     "fdh_transform",
@@ -183,6 +184,17 @@ class StateVector:
 def propagate_hermite(v: StateVector, t: float) -> StateVector:
     """Spectral e^{-itH} action: c_mu -> e^{-it lambda_mu} c_mu; any t."""
     return StateVector(v.basis, np.exp(-1j * t * v.basis.eigenvalues) * v.coeffs)
+
+
+def propagated_density(basis: HermiteBasis, coeffs, occupations, t) -> np.ndarray:
+    """sum_j n_j |e^{-itH} f_j|^2 on the basis grid at each time in t, shape
+    (T, K); ``coeffs`` is (J, M), one state per row, and n_j = Re occupations.
+    The states are added one at a time: no (T, J, K) stack is formed."""
+    phases = np.exp(-1j * np.atleast_1d(t)[:, None] * basis.eigenvalues)
+    out = np.zeros((phases.shape[0], basis.grid.npoints))
+    for c, n in zip(coeffs, np.real(occupations)):
+        out += np.abs((phases * c) @ basis.eval_table) ** 2 * n
+    return out
 
 
 def _branch_power(base: np.ndarray | complex, expo: float) -> np.ndarray | complex:

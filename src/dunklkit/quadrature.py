@@ -125,23 +125,26 @@ def gaussian_moment(kappa: float, m: int) -> float:
     return float(np.exp(gammaln(m + kappa + 0.5)))
 
 
-def weighted_lp_norm(grid: TensorGrid, samples, p) -> float:
+def weighted_lp_norm(grid: TensorGrid, samples, p):
     """L^p_kappa norm of f from its node samples (Gaussian NOT pre-applied).
 
     The samples are plain values f(x_k); accuracy requires f to decay like
-    exp(-c |x|^2).  p = inf returns the max over nodes.
+    exp(-c |x|^2).  p = inf returns the max over nodes.  Samples of shape
+    (T, K) -- one function per time node -- give one norm per row.
     """
     samples = np.asarray(samples)
-    if samples.shape != (grid.npoints,):
-        raise ValueError(f"expected {grid.npoints} samples, got {samples.shape}")
+    if samples.ndim not in (1, 2) or samples.shape[-1] != grid.npoints:
+        raise ValueError(f"expected {grid.npoints} samples per row, got {samples.shape}")
     if not np.all(np.isfinite(samples)):
         raise ValueError("non-finite samples")
+    if not p >= 1:
+        raise ValueError(f"p must be >= 1 or inf, got {p}")
     a = np.abs(samples)
     if np.isinf(p):
-        return float(a.max())
-    if p < 1:
-        raise ValueError(f"p must be >= 1 or inf, got {p}")
-    return float(np.sum(grid.bare_weights * a**p) ** (1.0 / p))
+        norms = a.max(axis=-1)
+    else:
+        norms = np.sum(grid.bare_weights * a**p, axis=-1) ** (1.0 / p)
+    return float(norms) if norms.ndim == 0 else norms
 
 
 def mixed_norm(time_nodes, grid: TensorGrid, samples, p, q) -> float:
@@ -154,11 +157,11 @@ def mixed_norm(time_nodes, grid: TensorGrid, samples, p, q) -> float:
     samples = np.asarray(samples)
     if samples.shape != (t.size, grid.npoints):
         raise ValueError(f"samples shape {samples.shape} does not match {t.size} x {grid.npoints}")
-    inner = np.array([weighted_lp_norm(grid, samples[i], q) for i in range(t.size)])
+    if not p >= 1:
+        raise ValueError(f"p must be >= 1 or inf, got {p}")
+    inner = weighted_lp_norm(grid, samples, q)
     if np.isinf(p):
         return float(inner.max())
-    if p < 1:
-        raise ValueError(f"p must be >= 1 or inf, got {p}")
     return float(np.sum(tau * inner**p) ** (1.0 / p))
 
 

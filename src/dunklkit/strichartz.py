@@ -14,9 +14,9 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .hermite import HermiteBasis, StateVector
+from .hermite import HermiteBasis, StateVector, propagated_density
 from .operators import OperatorMatrix, OrthonormalSystem, conjugate, density, schatten_norm
-from .quadrature import mixed_norm, time_grid, weighted_lp_norm
+from .quadrature import mixed_norm, time_grid
 
 __all__ = [
     "ExponentPair",
@@ -33,8 +33,8 @@ __all__ = [
 
 def admissible_p(q: float, d_eff: float) -> float:
     """p on the scaling line 2/p + d_eff/q = d_eff; q = 1 gives p = inf."""
-    if q < 1:
-        raise ValueError(f"q must be >= 1, got {q}")
+    if not 1 <= q < np.inf:
+        raise ValueError(f"q must be finite and >= 1, got {q}")
     if q == 1.0:
         return np.inf
     return 2.0 * q / (d_eff * (q - 1.0))
@@ -120,14 +120,6 @@ def generate_system(
     return OrthonormalSystem(vectors, coeffs)
 
 
-def _density_samples(system: OrthonormalSystem, t: float) -> np.ndarray:
-    """sum_j n_j |e^{-itH} f_j|^2 on the basis grid (real for real n_j)."""
-    basis = system.basis
-    phases = np.exp(-1j * t * basis.eigenvalues)
-    vals = (system.coeff_matrix() * phases) @ basis.eval_table
-    return (np.abs(vals) ** 2 * system.coeffs[:, None].real).sum(axis=0)
-
-
 def strichartz_lhs(
     system: OrthonormalSystem,
     q: float,
@@ -140,38 +132,26 @@ def strichartz_lhs(
     Oscillator flow: t over (-pi, pi).  Free flow: the whole-line integral
     transformed onto (-pi/4, pi/4), each slice carrying the factor
     s^{2/p + d_eff(1/q - 1)} with s = sec 2t (identically 1 on the scaling
-    line).
+    line); the factor multiplies the slice's density, since the L^q norm is
+    positively homogeneous.
     """
     basis = system.basis
-    grid = basis.grid
-    s = basis.structure
     if flow == "hermite":
         t, tau = time_grid(-np.pi, np.pi, n_time)
-        samples = np.stack([_density_samples(system, tv) for tv in t])
-        return mixed_norm((t, tau), grid, samples, p, q)
-    if flow != "laplacian":
+        weight = 1.0
+    elif flow == "laplacian":
+        t, tau = time_grid(-np.pi / 4 + 1e-9, np.pi / 4 - 1e-9, n_time)
+        expo = 2.0 / p + basis.structure.d_eff * (1.0 / q - 1.0)
+        weight = np.abs(1.0 / np.cos(2.0 * t))[:, None] ** expo
+    else:
         raise ValueError(f"unknown flow {flow!r}")
-    eps = 1e-9
-    t, tau = time_grid(-np.pi / 4 + eps, np.pi / 4 - eps, n_time)
-    sec2 = 1.0 / np.cos(2.0 * t)
-    # s-power per slice; 1/p = 0 at p = inf
-    inv_p = 0.0 if np.isinf(p) else 1.0 / p
-    expo = 2.0 * inv_p + s.d_eff * (1.0 / q - 1.0)
-    inner = np.array(
-        [
-            np.abs(sec2[i]) ** expo
-            * weighted_lp_norm(grid, _density_samples(system, t[i]), q)
-            for i in range(t.size)
-        ]
-    )
-    if np.isinf(p):
-        return float(inner.max())
-    return float(np.sum(tau * inner**p) ** (1.0 / p))
+    samples = weight * propagated_density(basis, system.coeff_matrix(), system.coeffs, t)
+    return mixed_norm((t, tau), basis.grid, samples, p, q)
 
 
 def schatten_rhs(coeffs, q: float) -> float:
     """l^{2q/(q+1)} norm of the occupation coefficients."""
-    if q < 1:
+    if not q >= 1:
         raise ValueError(f"q must be >= 1, got {q}")
     n = np.abs(np.asarray(coeffs, dtype=complex))
     r = 2.0 * q / (q + 1.0)
@@ -238,8 +218,8 @@ def duhamel_solution(
     lam = basis.eigenvalues
     out = np.zeros((basis.size, basis.size), dtype=complex)
     for sv, w in zip(sg, sw):
-        # conjugate() by hand: folding the weight into the phase vector saves
-        # one M x M pass per node
+        # one node at a time, since r_of_s is a callable; conjugate() by hand:
+        # folding the weight into the phase vector saves one M x M pass per node
         a = np.exp(1j * (t - sv) * lam)
         out += (((sign * w) * a)[:, None] * r_of_s(sv)) * a.conj()[None, :]
     return OperatorMatrix(basis, out)
@@ -263,10 +243,12 @@ def inhomogeneous_check(
     pair = ExponentPair(q, s.d_eff)
     grid = basis.grid
     t, tau = time_grid(-np.pi, np.pi, n_time)
+    # both loops call r_of_s at each node: a cumulative integral of the
+    # rotated source would change the discretization of gamma(t)
     samples = np.empty((t.size, grid.npoints))
     for i, tv in enumerate(t):
         gam = duhamel_solution(basis, r_of_s, t0, tv, n_source_time)
-        samples[i] = density(gam)
+        samples[i] = density(basis, gam.matrix)
     lhs = mixed_norm((t, tau), grid, samples, pair.p, pair.q)
 
     acc = np.zeros((basis.size, basis.size), dtype=complex)

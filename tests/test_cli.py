@@ -234,3 +234,32 @@ class TestBadOptions:
         result = runner.invoke(main, ["-c", str(small_config), "strichartz", *args])
         assert result.exit_code == EXIT_CONFIG
         assert "CONFIG ERROR" in result.output
+
+    # Non-finite and out-of-range options, for each subcommand they reach:
+    # each must stop in the config block (64, before any report) or fail a
+    # numerical gate after writing its report (2), never succeed.
+    @pytest.mark.parametrize("args, code", [
+        (["strichartz", "--q", "nan"], EXIT_CONFIG),
+        (["strichartz", "--q", "inf"], EXIT_CONFIG),
+        (["strichartz", "--q", "nan", "--flow", "laplacian"], EXIT_CONFIG),
+        (["inhomogeneous", "--q", "nan"], EXIT_CONFIG),
+        (["inhomogeneous", "--q", "inf"], EXIT_CONFIG),
+        (["kss", "--r", "nan"], EXIT_CONFIG),
+        (["dual-schatten", "--qprime", "0.1"], EXIT_CONFIG),
+        (["dual-schatten", "--qprime", "nan"], EXIT_CONFIG),
+        (["dual-schatten", "--qprime", "inf"], EXIT_CONFIG),
+        (["sweep", "--q-max", "nan"], EXIT_CONFIG),
+        (["sweep", "--q-max", "inf"], EXIT_CONFIG),
+        (["sweep", "--q-min", "nan"], EXIT_CONFIG),
+        # the q-th power of the density overflows at q = 1000: lhs = inf
+        (["sweep", "--q-min", "1000", "--q-max", "1000", "--steps", "1", "--seeds", "1",
+          "--j-values", "8"], EXIT_IDENTITY),
+        (["mhls", "--beta", "nan"], EXIT_CONFIG),
+        (["hartree", "--horizon", "inf"], EXIT_CONFIG),
+        (["hartree", "--coupling", "nan", "--steps", "5"], EXIT_IDENTITY),
+    ])
+    def test_no_false_success(self, runner, small_config, tmp_path, args, code):
+        result = runner.invoke(main, ["-c", str(small_config), *args])
+        assert result.exit_code == code, result.output
+        reports = list((tmp_path / "reports").glob("*.json"))
+        assert bool(reports) == (code == EXIT_IDENTITY)

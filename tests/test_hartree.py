@@ -14,6 +14,7 @@ from dunklkit import (
     schatten_norm,
     solve_hartree,
 )
+from dunklkit.hartree import _potential_matrices
 
 
 @pytest.fixture(scope="module")
@@ -30,6 +31,23 @@ def ground_state_operator(basis):
     m = np.zeros((basis.size, basis.size))
     m[0, 0] = 1.0
     return OperatorMatrix(basis, m)
+
+
+def loop_potentials(config, transform, traj):
+    """The potential matrices one time node at a time."""
+    basis = config.gamma0.basis
+    return np.stack([
+        multiplication_matrix(
+            basis,
+            config.coupling * np.real(interaction_potential(
+                transform,
+                config.w_profile(transform.nodes),
+                density(basis, g, transform.nodes),
+                basis.grid.nodes[:, 0],
+            )),
+        )
+        for g in traj
+    ])
 
 
 class TestTransform:
@@ -163,18 +181,7 @@ class TestPicard:
             phase = np.exp(-1j * t * lam)
             return (phase[:, None] * a) * phase.conj()[None, :]
 
-        pots = np.stack([
-            multiplication_matrix(
-                basis,
-                config.coupling * np.real(interaction_potential(
-                    transform,
-                    config.w_profile(transform.nodes),
-                    density(OperatorMatrix(basis, g), transform.nodes),
-                    basis.grid.nodes[:, 0],
-                )),
-            )
-            for g in traj
-        ])
+        pots = loop_potentials(config, transform, traj)
         rotated = [conj(w @ g - g @ w, -t) for w, g, t in zip(pots, traj, times)]
         h = times[1] - times[0]
         expected = [conj(config.gamma0.matrix, times[0])]
@@ -184,6 +191,22 @@ class TestPicard:
             expected.append(conj(config.gamma0.matrix, times[i]) - 1j * conj(acc, times[i]))
         got = picard_step(config, times, traj, transform)
         np.testing.assert_allclose(got, np.stack(expected), rtol=0, atol=1e-14)
+
+    def test_potentials_match_loop_form(self, basis_1d_half):
+        basis = basis_1d_half
+        rng = np.random.default_rng(8)
+        c = np.zeros((3, basis.size), dtype=complex)
+        c[:, :10] = rng.normal(size=(3, 10)) + 1j * rng.normal(size=(3, 10))
+        gamma0 = OperatorMatrix(basis, c.T @ c.conj() / 10.0)
+        config = HartreeConfig(gamma0=gamma0, w_profile=lambda x: np.exp(-(x**2)),
+                               coupling=0.5, horizon=0.4, steps=7)
+        traj = conjugate(basis, gamma0.matrix, np.linspace(0.0, config.horizon, config.steps))
+        transform = DunklTransform1D(0.5, config.transform_order)
+        np.testing.assert_allclose(
+            _potential_matrices(config, transform, traj),
+            loop_potentials(config, transform, traj),
+            rtol=0, atol=1e-14,
+        )
 
     def test_contraction_and_trace_drift(self, basis_1d_half):
         config = HartreeConfig(

@@ -13,6 +13,7 @@ from dunklkit import (
     kernel_quadrature,
     mehler_closed_form,
     propagate_hermite,
+    propagated_density,
     tensor_grid,
 )
 from dunklkit.hermite import box_multi_indices, extension_operator, fdh_transform
@@ -171,6 +172,27 @@ class TestPropagation:
         evolved = propagate_hermite(u, t)
         expected = np.exp(-1j * t * basis.structure.d_eff) * u.coeffs
         np.testing.assert_allclose(evolved.coeffs, expected, rtol=1e-14)
+
+
+    @pytest.mark.parametrize("j_count", [1, 3])
+    @pytest.mark.parametrize("fixture", ["basis_1d_half", "basis_2d"])
+    def test_density_of_propagated_states(self, request, fixture, j_count):
+        # oracle: sum_j n_j |values of propagate_hermite(f_j, t)|^2, per time;
+        # the two sum their M products in different orders, so they agree to
+        # the dot-product rounding bound M eps (largest entry)
+        basis = request.getfixturevalue(fixture)
+        states = [random_state(basis, seed=10 + j) for j in range(j_count)]
+        occupations = np.linspace(1.0, 0.2, j_count)
+        times = np.array([-2.1, 0.0, 0.4, np.pi / 2 + 1e-9])
+        oracle = np.stack([
+            sum(n * np.abs(propagate_hermite(u, t).values()) ** 2
+                for n, u in zip(occupations, states))
+            for t in times
+        ])
+        got = propagated_density(basis, np.stack([u.coeffs for u in states]), occupations, times)
+        assert got.shape == (times.size, basis.grid.npoints)
+        tol = basis.size * np.finfo(float).eps * np.abs(oracle).max()
+        np.testing.assert_allclose(got, oracle, rtol=0, atol=tol)
 
 
 class TestExtensionAndTransform:

@@ -71,6 +71,14 @@ class TestSchattenNorm:
     def test_rejects_small_exponent(self):
         with pytest.raises(ValueError):
             schatten_norm(np.eye(3), 0.5)
+        with pytest.raises(ValueError):
+            schatten_norm(np.eye(3), np.nan)
+
+    @pytest.mark.parametrize("p", [1, 1.5, 2, np.inf])
+    def test_stack_is_one_norm_per_matrix(self, p):
+        rng = np.random.default_rng(4)
+        a = rng.normal(size=(4, 12, 12)) + 1j * rng.normal(size=(4, 12, 12))
+        np.testing.assert_array_equal(schatten_norm(a, p), [schatten_norm(m, p) for m in a])
 
 
 def hermitian(size, seed):
@@ -154,7 +162,7 @@ class TestDensity:
         u = random_state(basis_1d_half, seed=4)
         gam = OperatorMatrix(basis_1d_half, np.outer(u.coeffs, u.coeffs.conj()))
         np.testing.assert_allclose(
-            density(gam), np.abs(u.values()) ** 2, atol=1e-12
+            density(basis_1d_half, gam.matrix), np.abs(u.values()) ** 2, atol=1e-12
         )
 
     def test_trace_duality(self, basis_1d_half):
@@ -164,7 +172,7 @@ class TestDensity:
         vsamp = 1.0 + basis.grid.nodes[:, 0] ** 2
         vmat = multiplication_matrix(basis, vsamp)
         lhs = np.trace(gam.matrix @ vmat)
-        rhs = np.sum(basis.grid.bare_weights * density(gam) * vsamp)
+        rhs = np.sum(basis.grid.bare_weights * density(basis, gam.matrix) * vsamp)
         assert lhs == pytest.approx(rhs, rel=1e-8)
 
     def test_evolved_density_invariants(self, basis_1d_half):
@@ -172,14 +180,14 @@ class TestDensity:
         gam = rank_one(basis, seed=6, band=20)
         # t = 0 is the plain density for both flows
         np.testing.assert_allclose(
-            evolved_density(gam, 0.0, "hermite"), density(gam), atol=1e-14
+            evolved_density(gam, 0.0, "hermite"), density(basis, gam.matrix), atol=1e-14
         )
         np.testing.assert_allclose(
-            evolved_density(gam, 0.0, "laplacian"), density(gam), atol=1e-12
+            evolved_density(gam, 0.0, "laplacian"), density(basis, gam.matrix), atol=1e-12
         )
         # oscillator flow conserves the total mass exactly
         rho = evolved_density(gam, 0.7, "hermite")
-        mass0 = np.sum(basis.grid.bare_weights * density(gam))
+        mass0 = np.sum(basis.grid.bare_weights * density(basis, gam.matrix))
         mass_t = np.sum(basis.grid.bare_weights * rho)
         assert mass_t == pytest.approx(mass0, rel=1e-12)
 
@@ -198,11 +206,40 @@ class TestDensity:
         a = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
         if hermitian:
             a = a + a.conj().T
-        gam = OperatorMatrix(basis, a / m)
+        a = a / m
         points = rng.uniform(-2.5, 2.5, size=(37, basis.structure.d))
         for pts, table in ((None, basis.eval_table), (points, basis.evaluate(points))):
-            oracle = np.real(np.einsum("mk,mn,nk->k", table, gam.matrix, table))
-            np.testing.assert_allclose(density(gam, pts), oracle, rtol=0, atol=1e-12)
+            oracle = np.real(np.einsum("mk,mn,nk->k", table, a, table))
+            np.testing.assert_allclose(density(basis, a, pts), oracle, rtol=0, atol=1e-12)
+
+
+class TestStacks:
+    """A leading time axis gives the single-matrix results row by row."""
+
+    @pytest.mark.parametrize("fixture", ["basis_1d_half", "basis_2d"])
+    def test_multiplication_matrix(self, request, fixture):
+        basis = request.getfixturevalue(fixture)
+        rng = np.random.default_rng(5)
+        k = basis.grid.npoints
+        samples = rng.normal(size=(3, k)) + 1j * rng.normal(size=(3, k))
+        np.testing.assert_array_equal(
+            multiplication_matrix(basis, samples),
+            np.stack([multiplication_matrix(basis, v) for v in samples]),
+        )
+        with pytest.raises(ValueError):
+            multiplication_matrix(basis, np.ones((2, 2, k)))
+
+    @pytest.mark.parametrize("fixture", ["basis_1d_half", "basis_2d"])
+    def test_density(self, request, fixture):
+        basis = request.getfixturevalue(fixture)
+        rng = np.random.default_rng(6)
+        m = basis.size
+        a = (rng.normal(size=(3, m, m)) + 1j * rng.normal(size=(3, m, m))) / m
+        points = rng.uniform(-2.5, 2.5, size=(37, basis.structure.d))
+        for pts in (None, points):
+            np.testing.assert_array_equal(
+                density(basis, a, pts), np.stack([density(basis, g, pts) for g in a])
+            )
 
 
 def dual_functional(basis, time_nodes, v_samples, qprime):

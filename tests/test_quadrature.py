@@ -128,7 +128,20 @@ class TestNorms:
         with pytest.raises(ValueError):
             weighted_lp_norm(grid, np.full(grid.npoints, np.nan), 2)
         with pytest.raises(ValueError):
-            weighted_lp_norm(grid, np.ones(grid.npoints), 0.5)
+            weighted_lp_norm(grid, np.ones((2, 3, grid.npoints)), 2)
+        for p in (0.5, np.nan):
+            with pytest.raises(ValueError, match="p must be >= 1"):
+                weighted_lp_norm(grid, np.ones(grid.npoints), p)
+            with pytest.raises(ValueError, match="p must be >= 1"):
+                mixed_norm(time_grid(0.0, 1.0, 3), grid, np.ones((3, grid.npoints)), p, 2)
+
+    @pytest.mark.parametrize("p", [1, 1.5, 3, np.inf])
+    def test_stack_is_one_norm_per_row(self, basis_2d, p):
+        grid = basis_2d.grid
+        rng = np.random.default_rng(7)
+        samples = rng.normal(size=(5, grid.npoints)) * np.exp(-(grid.nodes**2).sum(axis=-1))
+        got = weighted_lp_norm(grid, samples, p)
+        np.testing.assert_array_equal(got, [weighted_lp_norm(grid, row, p) for row in samples])
 
     def test_mixed_norm_separable(self, basis_1d_half):
         grid = basis_1d_half.grid

@@ -12,6 +12,7 @@ from dunklkit import (
     schatten_rhs,
     strichartz_lhs,
 )
+from dunklkit.hermite import propagate_hermite
 from dunklkit.strichartz import duhamel_solution
 from dunklkit.quadrature import time_grid, weighted_lp_norm
 
@@ -34,6 +35,13 @@ class TestExponents:
     def test_rejects_small_q(self):
         with pytest.raises(ValueError):
             admissible_p(0.9, 3.0)
+
+    def test_rejects_non_finite_q(self):
+        for q in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                admissible_p(q, 3.0)
+        with pytest.raises(ValueError):
+            schatten_rhs(np.ones(3), np.nan)
 
 
 class TestSystems:
@@ -106,6 +114,29 @@ class TestInequality:
         # densities are pi/2-periodic in t for the oscillator flow, so the
         # full-window norm is exactly 4^{1/p} times the quarter-window norm
         assert lap == pytest.approx(quarter, rel=1e-3)
+
+    @pytest.mark.parametrize("q, p", [(1.5, 2.0), (1.2, 7.0), (2.5, 1.3), (1.0, np.inf)])
+    def test_laplacian_matches_per_slice_loop(self, basis_1d_half, q, p):
+        # off the scaling line (d_eff = 2: p = 3, 6, 5/3 there) and at q = 1;
+        # oracle: per slice, |sec 2t|^expo times the L^q norm of the summed
+        # propagated densities, then the L^p_t sum (the max at p = inf)
+        basis = basis_1d_half
+        system = generate_system(basis, "gaussian_orthogonalized", 3, seed=4,
+                                 coeffs=[1.0, 0.6, 0.3])
+        t, tau = time_grid(-np.pi / 4 + 1e-9, np.pi / 4 - 1e-9, 48)
+        expo = 2.0 * (0.0 if np.isinf(p) else 1.0 / p) + basis.structure.d_eff * (1.0 / q - 1.0)
+        inner = np.array([
+            np.abs(1.0 / np.cos(2.0 * tv)) ** expo * weighted_lp_norm(
+                basis.grid,
+                sum(n.real * np.abs(propagate_hermite(u, tv).values()) ** 2
+                    for n, u in zip(system.coeffs, system.vectors)),
+                q,
+            )
+            for tv in t
+        ])
+        oracle = inner.max() if np.isinf(p) else np.sum(tau * inner**p) ** (1.0 / p)
+        got = strichartz_lhs(system, q, p, flow="laplacian", n_time=48)
+        assert got == pytest.approx(oracle, rel=1e-13)
 
     def test_report_fields(self, basis_1d_half):
         rep = run_inequality(basis_1d_half, 1.5, "basis_subset", 2, n_time=32)
