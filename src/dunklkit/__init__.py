@@ -39,11 +39,9 @@ from .hermite import (
     propagated_density,
 )
 from .operators import (
-    OperatorMatrix,
     OrthonormalSystem,
     conjugate,
     density,
-    evolved_density,
     kss_check,
     mixed_xp_operator,
     multiplication_matrix,

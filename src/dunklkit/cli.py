@@ -21,7 +21,7 @@ import numpy as np
 from .hartree import HartreeConfig, solve_hartree
 from .hermite import build_basis, kernel_Kit
 from .freeprop import lens_relation_residual
-from .operators import OperatorMatrix, kss_check, schatten_norm, time_averaged_operator
+from .operators import kss_check, schatten_norm, time_averaged_operator
 from .quadrature import tensor_grid, time_grid
 from .strichartz import (
     ExponentPair,
@@ -256,8 +256,10 @@ def kss(cfg, r, params):
     """Schatten bound for products of mixed position-momentum operators."""
     with _config_errors():
         quad = tuple(float(v) for v in params.replace(",", " ").split())
-        if len(quad) != 4:
-            raise ValueError("params needs four reals: alpha beta gamma delta")
+        if len(quad) != 4 or not np.isfinite(quad).all():
+            raise ValueError(
+                f"--params needs four finite reals alpha beta gamma delta, got {params!r}"
+            )
         s, grid, basis = _context(cfg)
         if s.d != 1:
             raise ValueError("mixed-operator checks are one-dimensional")
@@ -360,11 +362,14 @@ def sweep(cfg, q_min, q_max, steps, j_values, seeds):
 def hartree(cfg, coupling, horizon, steps, width):
     """Fixed-point solve of the oscillator Hartree flow (d = 1)."""
     with _config_errors():
+        if not 0.0 < width < np.inf:
+            raise ValueError(f"width must be positive and finite, got {width}")
         s, grid, basis = _context(cfg)
         g0 = np.zeros((basis.size, basis.size))
         g0[0, 0] = 1.0
         config = HartreeConfig(
-            OperatorMatrix(basis, g0),
+            basis,
+            g0,
             lambda x: np.exp(-(x / width) ** 2),
             coupling=coupling,
             horizon=horizon,

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import OperatorMatrix, conjugate, density, multiplication_matrix, schatten_norm
+from .hermite import HermiteBasis
+from .operators import conjugate, density, multiplication_matrix, schatten_norm
 from .quadrature import plain_rule
 from .structure import DunklStructure, dunkl_kernel_1d
 
@@ -95,9 +96,11 @@ def interaction_potential(transform: DunklTransform1D, w_samples, rho_samples, x
 
 @dataclass
 class HartreeConfig:
-    """Problem data for the fixed-point solve on [0, T]."""
+    """Problem data for the fixed-point solve on [0, T]; ``gamma0`` is the
+    initial operator as an (M, M) matrix in ``basis``."""
 
-    gamma0: OperatorMatrix
+    basis: HermiteBasis
+    gamma0: np.ndarray
     w_profile: object          # callable on flat x arrays
     coupling: float = 1.0
     horizon: float = 0.1
@@ -108,14 +111,19 @@ class HartreeConfig:
     transform_order: int = 80
 
     def __post_init__(self):
-        g = self.gamma0.matrix
+        g = self.gamma0 = np.asarray(self.gamma0, dtype=complex)
+        n = self.basis.size
+        if g.shape != (n, n):
+            raise ValueError(f"expected a {n} x {n} initial operator, got {g.shape}")
         if np.abs(g - g.conj().T).max() > 1e-12:
             raise ValueError("initial operator must be self-adjoint")
+        if not np.isfinite(self.coupling):
+            raise ValueError(f"coupling must be finite, got {self.coupling}")
         if not 0.0 < self.horizon < np.inf:
             raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
         if self.steps < 2:
             raise ValueError(f"need at least 2 time steps, got {self.steps}")
-        if self.gamma0.basis.structure.d != 1:
+        if self.basis.structure.d != 1:
             raise ValueError("the Hartree solver is one-dimensional")
 
     @property
@@ -125,7 +133,7 @@ class HartreeConfig:
 
 def _potential_matrices(config: HartreeConfig, transform, traj: np.ndarray) -> np.ndarray:
     """Multiplication matrices of coupling * (w conv rho_{gamma(t)}) per node."""
-    basis = config.gamma0.basis
+    basis = config.basis
     w_nodes = np.asarray(config.w_profile(transform.nodes), dtype=float)
     rho = density(basis, traj, transform.nodes)
     w_grid = interaction_potential(transform, w_nodes[:, None], rho.T, basis.grid.nodes[:, 0])
@@ -134,7 +142,7 @@ def _potential_matrices(config: HartreeConfig, transform, traj: np.ndarray) -> n
 
 def picard_step(config: HartreeConfig, times: np.ndarray, traj: np.ndarray, transform=None):
     """One application of the fixed-point map to a sampled trajectory."""
-    basis = config.gamma0.basis
+    basis = config.basis
     if transform is None:
         transform = DunklTransform1D(basis.structure.kappa[0], config.transform_order)
     pots = _potential_matrices(config, transform, traj)
@@ -146,7 +154,7 @@ def picard_step(config: HartreeConfig, times: np.ndarray, traj: np.ndarray, tran
     acc[1:] = np.cumsum(0.5 * h * (acc[:-1] + acc[1:]), axis=0)
     acc[0] = 0.0
     new = -1j * conjugate(basis, acc, times)
-    new += conjugate(basis, config.gamma0.matrix, times)
+    new += conjugate(basis, config.gamma0, times)
     return new
 
 
@@ -157,10 +165,10 @@ def solve_hartree(config: HartreeConfig):
     An iterate with a non-finite entry ends the solve as not converged; the
     trajectory returned is then the last finite iterate.
     """
-    basis = config.gamma0.basis
+    basis = config.basis
     times = np.linspace(0.0, config.horizon, config.steps)
     transform = DunklTransform1D(basis.structure.kappa[0], config.transform_order)
-    traj = conjugate(basis, config.gamma0.matrix, times)
+    traj = conjugate(basis, config.gamma0, times)
     residuals = []
     p = config.schatten_exponent
     converged = False

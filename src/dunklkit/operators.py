@@ -18,17 +18,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .freeprop import free_propagator_matrix
-from .hermite import HermiteBasis, StateVector
+from .hermite import HermiteBasis
 from .quadrature import weighted_lp_norm
 
 __all__ = [
-    "OperatorMatrix",
     "OrthonormalSystem",
     "conjugate",
     "schatten_norm",
     "multiplication_matrix",
     "density",
-    "evolved_density",
     "time_averaged_operator",
     "mixed_xp_operator",
     "kss_check",
@@ -36,63 +34,33 @@ __all__ = [
 
 
 @dataclass
-class OperatorMatrix:
-    """Dense operator in the truncated basis; entries <A phi_nu, phi_mu>."""
+class OrthonormalSystem:
+    """Orthonormal family f_j with occupation coefficients n_j; row j of
+    ``states`` holds the spectral coefficients of f_j."""
 
     basis: HermiteBasis
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=complex)
-        n = self.basis.size
-        if self.matrix.shape != (n, n):
-            raise ValueError(f"expected a {n} x {n} matrix, got {self.matrix.shape}")
-
-    @property
-    def is_self_adjoint(self) -> bool:
-        return bool(np.abs(self.matrix - self.matrix.conj().T).max() < 1e-12)
-
-    def trace(self) -> complex:
-        return complex(np.trace(self.matrix))
-
-    def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        if other.basis is not self.basis:
-            raise ValueError("operators live in different bases")
-        return OperatorMatrix(self.basis, self.matrix @ other.matrix)
-
-
-@dataclass
-class OrthonormalSystem:
-    """Orthonormal family f_j with occupation coefficients n_j."""
-
-    vectors: list[StateVector]
+    states: np.ndarray
     coeffs: np.ndarray
 
     def __post_init__(self):
+        self.states = np.asarray(self.states, dtype=complex)
         self.coeffs = np.asarray(self.coeffs, dtype=complex)
-        if len(self.vectors) != self.coeffs.size:
+        if self.states.shape[1:] != (self.basis.size,):
             raise ValueError(
-                f"{len(self.vectors)} vectors but {self.coeffs.size} coefficients"
+                f"expected (J, {self.basis.size}) states, got {self.states.shape}"
             )
-        if self.vectors:
-            c = self.coeff_matrix()
-            gram = c.conj() @ c.T
-            dev = np.abs(gram - np.eye(len(self.vectors))).max()
-            if dev > 1e-10:
-                raise ValueError(f"system is not orthonormal (Gram deviation {dev:.3e})")
+        if len(self.states) != self.coeffs.size:
+            raise ValueError(
+                f"{len(self.states)} states but {self.coeffs.size} coefficients"
+            )
+        gram = self.states.conj() @ self.states.T
+        dev = np.abs(gram - np.eye(len(self.states))).max(initial=0.0)
+        if dev > 1e-10:
+            raise ValueError(f"system is not orthonormal (Gram deviation {dev:.3e})")
 
-    @property
-    def basis(self) -> HermiteBasis:
-        return self.vectors[0].basis
-
-    def coeff_matrix(self) -> np.ndarray:
-        """(J, M) matrix whose rows are the spectral coefficients of f_j."""
-        return np.stack([v.coeffs for v in self.vectors])
-
-    def operator(self) -> OperatorMatrix:
+    def operator(self) -> np.ndarray:
         """The operator sum_j n_j |f_j><f_j|."""
-        c = self.coeff_matrix()
-        return OperatorMatrix(self.basis, (c.T * self.coeffs) @ c.conj())
+        return (self.states.T * self.coeffs) @ self.states.conj()
 
 
 def conjugate(basis: HermiteBasis, a, t, flow: str = "hermite") -> np.ndarray:
@@ -119,8 +87,7 @@ def schatten_norm(a, p):
     singular value.  A (T, M, M) stack gives one norm per matrix."""
     if not p >= 1:
         raise ValueError(f"Schatten exponent must be >= 1 or inf, got {p}")
-    mat = a.matrix if isinstance(a, OperatorMatrix) else np.asarray(a)
-    sigma = np.linalg.svd(mat, compute_uv=False)
+    sigma = np.linalg.svd(a, compute_uv=False)
     if np.isinf(p):
         norms = np.max(sigma, axis=-1, initial=0.0)
     else:
@@ -157,13 +124,6 @@ def density(basis: HermiteBasis, a, points=None) -> np.ndarray:
     return ((np.real(a) @ table) * table).sum(axis=-2)
 
 
-def evolved_density(gamma: OperatorMatrix, t: float, flow: str = "hermite", points=None):
-    """Density of e^{-itP} gamma e^{itP} for P the oscillator or the
-    Laplacian (see ``conjugate``)."""
-    basis = gamma.basis
-    return density(basis, conjugate(basis, gamma.matrix, t, flow), points)
-
-
 def time_averaged_operator(
     basis: HermiteBasis,
     time_nodes,
@@ -193,7 +153,7 @@ def time_averaged_operator(
     return b
 
 
-def mixed_xp_operator(basis: HermiteBasis, f, alpha: float, beta: float) -> OperatorMatrix:
+def mixed_xp_operator(basis: HermiteBasis, f, alpha: float, beta: float) -> np.ndarray:
     """Matrix of f(alpha x + beta p) with p = -iT, for a profile f on R^d.
 
     ``f`` maps point arrays (n, d) -- or flat arrays when d = 1 -- to values.
@@ -209,10 +169,10 @@ def mixed_xp_operator(basis: HermiteBasis, f, alpha: float, beta: float) -> Oper
     samples = np.asarray(f(scale * basis.grid.nodes), dtype=complex)
     m = multiplication_matrix(basis, samples)
     if beta == 0.0:
-        return OperatorMatrix(basis, m)
+        return m
     if alpha == 0.0:
-        return OperatorMatrix(basis, conjugate(basis, m, -np.pi / 4.0))
-    return OperatorMatrix(basis, conjugate(basis, m, beta / (2.0 * alpha), "laplacian"))
+        return conjugate(basis, m, -np.pi / 4.0)
+    return conjugate(basis, m, beta / (2.0 * alpha), "laplacian")
 
 
 def kss_check(basis, f, g, alpha, beta, gamma, delta, r):

@@ -14,8 +14,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .hermite import HermiteBasis, StateVector, propagated_density
-from .operators import OperatorMatrix, OrthonormalSystem, conjugate, density, schatten_norm
+from .hermite import HermiteBasis, propagated_density
+from .operators import OrthonormalSystem, conjugate, density, schatten_norm
 from .quadrature import mixed_norm, time_grid
 
 __all__ = [
@@ -114,10 +114,9 @@ def generate_system(
         c = qmat.T
     else:
         raise ValueError(f"unknown system kind {kind!r}")
-    vectors = [StateVector(basis, row) for row in c]
     if coeffs is None:
         coeffs = np.ones(j_count)
-    return OrthonormalSystem(vectors, coeffs)
+    return OrthonormalSystem(basis, c, coeffs)
 
 
 def strichartz_lhs(
@@ -145,7 +144,7 @@ def strichartz_lhs(
         weight = np.abs(1.0 / np.cos(2.0 * t))[:, None] ** expo
     else:
         raise ValueError(f"unknown flow {flow!r}")
-    samples = weight * propagated_density(basis, system.coeff_matrix(), system.coeffs, t)
+    samples = weight * propagated_density(basis, system.states, system.coeffs, t)
     return mixed_norm((t, tau), basis.grid, samples, p, q)
 
 
@@ -200,7 +199,7 @@ def duhamel_solution(
     t0: float,
     t: float,
     n_time: int = 128,
-) -> OperatorMatrix:
+) -> np.ndarray:
     """gamma(t) = integral_{t0}^t of e^{i(t-s)H} R(s) e^{-i(t-s)H} ds.
 
     ``r_of_s`` maps a time to an operator matrix (array), evaluated at every
@@ -210,7 +209,7 @@ def duhamel_solution(
     so each node costs M exponentials and two diagonal scalings of R(s).
     """
     if t == t0:
-        return OperatorMatrix(basis, np.zeros((basis.size, basis.size)))
+        return np.zeros((basis.size, basis.size), dtype=complex)
     if n_time % 2 == 0:
         n_time += 1
     sg, sw = time_grid(min(t0, t), max(t0, t), n_time, kind="simpson")
@@ -222,7 +221,7 @@ def duhamel_solution(
         # folding the weight into the phase vector saves one M x M pass per node
         a = np.exp(1j * (t - sv) * lam)
         out += (((sign * w) * a)[:, None] * r_of_s(sv)) * a.conj()[None, :]
-    return OperatorMatrix(basis, out)
+    return out
 
 
 def inhomogeneous_check(
@@ -247,8 +246,7 @@ def inhomogeneous_check(
     # rotated source would change the discretization of gamma(t)
     samples = np.empty((t.size, grid.npoints))
     for i, tv in enumerate(t):
-        gam = duhamel_solution(basis, r_of_s, t0, tv, n_source_time)
-        samples[i] = density(basis, gam.matrix)
+        samples[i] = density(basis, duhamel_solution(basis, r_of_s, t0, tv, n_source_time))
     lhs = mixed_norm((t, tau), grid, samples, pair.p, pair.q)
 
     acc = np.zeros((basis.size, basis.size), dtype=complex)

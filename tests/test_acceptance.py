@@ -8,7 +8,6 @@ from dunklkit import (
     DunklStructure,
     HartreeConfig,
     LensMap,
-    OperatorMatrix,
     StateVector,
     admissible_p,
     build_basis,
@@ -295,7 +294,7 @@ def test_criterion_11_inhomogeneous(basis_1d_half):
         t - t0,
         (np.exp(1j * dl * (t - t0)) - 1.0) / (1j * np.where(dl == 0, 1.0, dl)),
     )
-    oracle_err = float(np.abs(gam.matrix - r0 * factor).max())
+    oracle_err = float(np.abs(gam - r0 * factor).max())
 
     c = rng.normal(size=(3, basis.size)) * np.exp(
         -0.15 * basis.multi_indices.sum(axis=1)
@@ -344,7 +343,7 @@ def test_criterion_13_hartree(basis_1d_half):
     g0[0, 0] = 1.0
 
     free_cfg = HartreeConfig(
-        gamma0=OperatorMatrix(basis, g0),
+        basis=basis, gamma0=g0,
         w_profile=lambda x: np.exp(-(x**2)),
         coupling=0.0, horizon=0.1, steps=9,
     )
@@ -352,7 +351,7 @@ def test_criterion_13_hartree(basis_1d_half):
     zero_ok = free_diag["converged"] and free_diag["iterations"] == 1
 
     cfg = HartreeConfig(
-        gamma0=OperatorMatrix(basis, g0),
+        basis=basis, gamma0=g0,
         w_profile=lambda x: np.exp(-(x**2)),
         coupling=0.5, horizon=0.1, steps=17,
     )

@@ -256,7 +256,13 @@ class TestBadOptions:
           "--j-values", "8"], EXIT_IDENTITY),
         (["mhls", "--beta", "nan"], EXIT_CONFIG),
         (["hartree", "--horizon", "inf"], EXIT_CONFIG),
-        (["hartree", "--coupling", "nan", "--steps", "5"], EXIT_IDENTITY),
+        (["hartree", "--coupling", "nan", "--steps", "5"], EXIT_CONFIG),
+        (["kss", "--params", "nan 1 1 1"], EXIT_CONFIG),
+        (["kss", "--params", "1 inf 1 1"], EXIT_CONFIG),
+        (["hartree", "--coupling", "inf", "--steps", "5"], EXIT_CONFIG),
+        (["hartree", "--width", "nan", "--steps", "5"], EXIT_CONFIG),
+        # a zero width makes the interaction vanish: a solve would "converge"
+        (["hartree", "--width", "0", "--steps", "5"], EXIT_CONFIG),
     ])
     def test_no_false_success(self, runner, small_config, tmp_path, args, code):
         result = runner.invoke(main, ["-c", str(small_config), *args])

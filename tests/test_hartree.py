@@ -5,7 +5,6 @@ from dunklkit import (
     DunklStructure,
     DunklTransform1D,
     HartreeConfig,
-    OperatorMatrix,
     conjugate,
     density,
     interaction_potential,
@@ -30,12 +29,12 @@ def transform_classical():
 def ground_state_operator(basis):
     m = np.zeros((basis.size, basis.size))
     m[0, 0] = 1.0
-    return OperatorMatrix(basis, m)
+    return m
 
 
 def loop_potentials(config, transform, traj):
     """The potential matrices one time node at a time."""
-    basis = config.gamma0.basis
+    basis = config.basis
     return np.stack([
         multiplication_matrix(
             basis,
@@ -114,7 +113,7 @@ class TestInteraction:
 class TestPicard:
     def test_zero_coupling_is_free_flow(self, basis_1d_half):
         config = HartreeConfig(
-            gamma0=ground_state_operator(basis_1d_half),
+            basis=basis_1d_half, gamma0=ground_state_operator(basis_1d_half),
             w_profile=lambda x: np.exp(-(x**2)),
             coupling=0.0,
             horizon=0.1,
@@ -125,7 +124,7 @@ class TestPicard:
         assert diag["iterations"] == 1
         # gamma0 commutes with H: trajectory is constant
         for i in range(times.size):
-            assert np.abs(traj[i] - config.gamma0.matrix).max() < 1e-14
+            assert np.abs(traj[i] - config.gamma0).max() < 1e-14
 
     def test_zero_interaction_schatten_invariance(self, basis_1d_half):
         basis = basis_1d_half
@@ -133,9 +132,9 @@ class TestPicard:
         c = rng.normal(size=(2, basis.size)) * np.exp(
             -0.2 * basis.multi_indices.sum(axis=1)
         )
-        g0 = OperatorMatrix(basis, c.T @ c)
+        g0 = c.T @ c
         config = HartreeConfig(
-            gamma0=g0, w_profile=lambda x: np.exp(-(x**2)), coupling=0.0,
+            basis=basis, gamma0=g0, w_profile=lambda x: np.exp(-(x**2)), coupling=0.0,
             horizon=0.1, steps=9,
         )
         _, traj, diag = solve_hartree(config)
@@ -147,14 +146,14 @@ class TestPicard:
     def test_step_preserves_self_adjointness_and_trace(self, basis_1d_half):
         basis = basis_1d_half
         config = HartreeConfig(
-            gamma0=ground_state_operator(basis),
+            basis=basis, gamma0=ground_state_operator(basis),
             w_profile=lambda x: 0.3 * np.exp(-(x**2)),
             coupling=1.0,
             horizon=0.1,
             steps=9,
         )
         times = np.linspace(0.0, config.horizon, config.steps)
-        traj = conjugate(basis, config.gamma0.matrix, times)
+        traj = conjugate(basis, config.gamma0, times)
         new = picard_step(config, times, traj)
         for i in range(times.size):
             assert np.abs(new[i] - new[i].conj().T).max() < 1e-10
@@ -167,7 +166,7 @@ class TestPicard:
         basis = basis_1d_half
         lam = basis.eigenvalues
         config = HartreeConfig(
-            gamma0=ground_state_operator(basis),
+            basis=basis, gamma0=ground_state_operator(basis),
             w_profile=lambda x: np.exp(-(x**2)),
             coupling=0.5,
             horizon=0.1,
@@ -184,11 +183,11 @@ class TestPicard:
         pots = loop_potentials(config, transform, traj)
         rotated = [conj(w @ g - g @ w, -t) for w, g, t in zip(pots, traj, times)]
         h = times[1] - times[0]
-        expected = [conj(config.gamma0.matrix, times[0])]
+        expected = [conj(config.gamma0, times[0])]
         acc = np.zeros_like(traj[0])
         for i in range(1, times.size):
             acc = acc + 0.5 * h * (rotated[i - 1] + rotated[i])
-            expected.append(conj(config.gamma0.matrix, times[i]) - 1j * conj(acc, times[i]))
+            expected.append(conj(config.gamma0, times[i]) - 1j * conj(acc, times[i]))
         got = picard_step(config, times, traj, transform)
         np.testing.assert_allclose(got, np.stack(expected), rtol=0, atol=1e-14)
 
@@ -197,10 +196,10 @@ class TestPicard:
         rng = np.random.default_rng(8)
         c = np.zeros((3, basis.size), dtype=complex)
         c[:, :10] = rng.normal(size=(3, 10)) + 1j * rng.normal(size=(3, 10))
-        gamma0 = OperatorMatrix(basis, c.T @ c.conj() / 10.0)
-        config = HartreeConfig(gamma0=gamma0, w_profile=lambda x: np.exp(-(x**2)),
+        gamma0 = c.T @ c.conj() / 10.0
+        config = HartreeConfig(basis=basis, gamma0=gamma0, w_profile=lambda x: np.exp(-(x**2)),
                                coupling=0.5, horizon=0.4, steps=7)
-        traj = conjugate(basis, gamma0.matrix, np.linspace(0.0, config.horizon, config.steps))
+        traj = conjugate(basis, gamma0, np.linspace(0.0, config.horizon, config.steps))
         transform = DunklTransform1D(0.5, config.transform_order)
         np.testing.assert_allclose(
             _potential_matrices(config, transform, traj),
@@ -210,7 +209,7 @@ class TestPicard:
 
     def test_contraction_and_trace_drift(self, basis_1d_half):
         config = HartreeConfig(
-            gamma0=ground_state_operator(basis_1d_half),
+            basis=basis_1d_half, gamma0=ground_state_operator(basis_1d_half),
             w_profile=lambda x: np.exp(-(x**2)),
             coupling=0.5,
             horizon=0.1,
@@ -229,15 +228,28 @@ class TestPicard:
         m[0, 1] = 1.0
         with pytest.raises(ValueError):
             HartreeConfig(
-                gamma0=OperatorMatrix(basis, m), w_profile=lambda x: x, horizon=0.1
+                basis=basis, gamma0=m, w_profile=lambda x: x, horizon=0.1
             )
         with pytest.raises(ValueError):
             HartreeConfig(
-                gamma0=ground_state_operator(basis), w_profile=lambda x: x,
+                basis=basis, gamma0=ground_state_operator(basis), w_profile=lambda x: x,
                 horizon=-1.0,
             )
         with pytest.raises(ValueError):
             HartreeConfig(
-                gamma0=ground_state_operator(basis_2d), w_profile=lambda x: x,
+                basis=basis_2d, gamma0=ground_state_operator(basis_2d), w_profile=lambda x: x,
                 horizon=0.1,
+            )
+
+    def test_rejects_bad_operator_shape(self, basis_1d_half):
+        m = np.eye(basis_1d_half.size - 1)
+        with pytest.raises(ValueError, match="initial operator"):
+            HartreeConfig(basis=basis_1d_half, gamma0=m, w_profile=lambda x: x)
+
+    @pytest.mark.parametrize("coupling", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_coupling(self, basis_1d_half, coupling):
+        with pytest.raises(ValueError, match="coupling"):
+            HartreeConfig(
+                basis=basis_1d_half, gamma0=ground_state_operator(basis_1d_half),
+                w_profile=lambda x: x, coupling=coupling,
             )

@@ -1,14 +1,14 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and
+the export lists agree: a module's ``__all__`` names only what it defines,
+and the package ``__init__`` imports only names in those lists."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted(
-    p for p in (Path(__file__).parent.parent / "src" / "dunklkit").glob("*.py")
-    if p.name != "__init__.py"
-)
+PACKAGE = Path(__file__).parent.parent / "src" / "dunklkit"
+SOURCES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -32,3 +32,44 @@ def test_no_unused_imports(path):
 
 def test_detects_an_unused_import():
     assert unused_imports("import os\nfrom a import b, c\nc()\n") == ["line 1: os", "line 2: b"]
+
+
+def exported(source: str) -> list[str]:
+    """The string entries of a module's top-level ``__all__``."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return [elt.value for elt in node.value.elts]
+    return []
+
+
+def undefined_exports(source: str) -> list[str]:
+    defined = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Assign):
+            defined.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            defined.add(node.target.id)
+    return [name for name in exported(source) if name not in defined]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_all_names_are_defined(path):
+    assert undefined_exports(path.read_text()) == []
+
+
+def test_package_imports_only_exported_names():
+    stale = []
+    for node in ast.parse((PACKAGE / "__init__.py").read_text()).body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            names = exported((PACKAGE / f"{node.module}.py").read_text())
+            stale += [f"{node.module}.{a.name}" for a in node.names if a.name not in names]
+    assert stale == []
+
+
+def test_detects_a_stale_export():
+    source = "__all__ = ['kept', 'gone', 'K']\ndef kept(): pass\nK = 1\n"
+    assert undefined_exports(source) == ["gone"]

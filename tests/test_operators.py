@@ -4,12 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dunklkit import (
-    OperatorMatrix,
     OrthonormalSystem,
     StateVector,
     conjugate,
     density,
-    evolved_density,
     kss_check,
     mixed_xp_operator,
     multiplication_matrix,
@@ -23,7 +21,7 @@ from conftest import random_state
 
 def rank_one(basis, seed=0, band=None):
     u = random_state(basis, seed=seed, band=band)
-    return OperatorMatrix(basis, np.outer(u.coeffs, u.coeffs.conj()))
+    return np.outer(u.coeffs, u.coeffs.conj())
 
 
 class TestSchattenNorm:
@@ -143,7 +141,13 @@ class TestOrthonormalSystem:
     def test_rejects_non_orthonormal(self, basis_1d_half):
         u = random_state(basis_1d_half, seed=0)
         with pytest.raises(ValueError):
-            OrthonormalSystem([u, u], np.ones(2))
+            OrthonormalSystem(basis_1d_half, [u.coeffs, u.coeffs], np.ones(2))
+
+    def test_rejects_shape_or_count_mismatch(self, basis_1d_half):
+        m = basis_1d_half.size
+        for states, count in [(np.eye(3, m - 1), 3), (np.eye(m)[0], 1), (np.eye(2, m), 3)]:
+            with pytest.raises(ValueError, match="states"):
+                OrthonormalSystem(basis_1d_half, states, np.ones(count))
 
     def test_operator_is_projection_for_unit_coeffs(self, basis_1d_half):
         basis = basis_1d_half
@@ -152,17 +156,17 @@ class TestOrthonormalSystem:
             c = np.zeros(basis.size, dtype=complex)
             c[j] = 1.0
             vs.append(StateVector(basis, c))
-        op = OrthonormalSystem(vs, np.ones(3)).operator()
-        np.testing.assert_allclose((op @ op).matrix, op.matrix, atol=1e-14)
-        assert op.trace() == pytest.approx(3.0)
+        op = OrthonormalSystem(basis, [v.coeffs for v in vs], np.ones(3)).operator()
+        np.testing.assert_allclose(op @ op, op, atol=1e-14)
+        assert np.trace(op) == pytest.approx(3.0)
 
 
 class TestDensity:
     def test_rank_one_density_is_modulus_squared(self, basis_1d_half):
         u = random_state(basis_1d_half, seed=4)
-        gam = OperatorMatrix(basis_1d_half, np.outer(u.coeffs, u.coeffs.conj()))
+        gam = np.outer(u.coeffs, u.coeffs.conj())
         np.testing.assert_allclose(
-            density(basis_1d_half, gam.matrix), np.abs(u.values()) ** 2, atol=1e-12
+            density(basis_1d_half, gam), np.abs(u.values()) ** 2, atol=1e-12
         )
 
     def test_trace_duality(self, basis_1d_half):
@@ -171,29 +175,31 @@ class TestDensity:
         gam = rank_one(basis, seed=5, band=24)
         vsamp = 1.0 + basis.grid.nodes[:, 0] ** 2
         vmat = multiplication_matrix(basis, vsamp)
-        lhs = np.trace(gam.matrix @ vmat)
-        rhs = np.sum(basis.grid.bare_weights * density(basis, gam.matrix) * vsamp)
+        lhs = np.trace(gam @ vmat)
+        rhs = np.sum(basis.grid.bare_weights * density(basis, gam) * vsamp)
         assert lhs == pytest.approx(rhs, rel=1e-8)
 
-    def test_evolved_density_invariants(self, basis_1d_half):
+    def test_conjugated_density_invariants(self, basis_1d_half):
         basis = basis_1d_half
         gam = rank_one(basis, seed=6, band=20)
         # t = 0 is the plain density for both flows
+        rho0 = density(basis, gam)
         np.testing.assert_allclose(
-            evolved_density(gam, 0.0, "hermite"), density(basis, gam.matrix), atol=1e-14
+            density(basis, conjugate(basis, gam, 0.0, "hermite")), rho0, atol=1e-14
         )
         np.testing.assert_allclose(
-            evolved_density(gam, 0.0, "laplacian"), density(basis, gam.matrix), atol=1e-12
+            density(basis, conjugate(basis, gam, 0.0, "laplacian")), rho0, atol=1e-12
         )
         # oscillator flow conserves the total mass exactly
-        rho = evolved_density(gam, 0.7, "hermite")
-        mass0 = np.sum(basis.grid.bare_weights * density(basis, gam.matrix))
+        rho = density(basis, conjugate(basis, gam, 0.7, "hermite"))
+        mass0 = np.sum(basis.grid.bare_weights * density(basis, gam))
         mass_t = np.sum(basis.grid.bare_weights * rho)
         assert mass_t == pytest.approx(mass0, rel=1e-12)
 
     def test_unknown_flow(self, basis_1d_half):
+        basis = basis_1d_half
         with pytest.raises(ValueError):
-            evolved_density(rank_one(basis_1d_half), 0.1, "airy")
+            density(basis, conjugate(basis, rank_one(basis), 0.1, "airy"))
 
     @pytest.mark.parametrize("hermitian", [False, True])
     @pytest.mark.parametrize("fixture", ["basis_1d_half", "basis_2d"])
@@ -283,7 +289,7 @@ class TestMixedOperators:
         f = lambda x: np.exp(-np.asarray(x).ravel() ** 2)
         op = mixed_xp_operator(basis, f, 2.0, 0.0)
         direct = multiplication_matrix(basis, f(2.0 * basis.grid.nodes))
-        np.testing.assert_allclose(op.matrix, direct, atol=1e-14)
+        np.testing.assert_allclose(op, direct, atol=1e-14)
 
     def test_momentum_route_isospectral(self, basis_1d_classical):
         # at kappa = 0, f(p) and f(x) are unitarily equivalent (Fourier):
@@ -292,8 +298,8 @@ class TestMixedOperators:
         f = lambda x: np.exp(-np.asarray(x).ravel() ** 2)
         mx = mixed_xp_operator(basis, f, 1.0, 0.0)
         mp = mixed_xp_operator(basis, f, 0.0, 1.0)
-        sx = np.linalg.svd(mx.matrix, compute_uv=False)
-        sp = np.linalg.svd(mp.matrix, compute_uv=False)
+        sx = np.linalg.svd(mx, compute_uv=False)
+        sp = np.linalg.svd(mp, compute_uv=False)
         np.testing.assert_allclose(sp, sx, atol=1e-12)
 
     @pytest.mark.parametrize("fixture", ["basis_1d_half", "basis_2d"])
@@ -307,7 +313,7 @@ class TestMixedOperators:
         rot = (-1j) ** basis.multi_indices.sum(axis=1)
         oracle = (rot.conj()[:, None] * m) * rot[None, :]
         op = mixed_xp_operator(basis, f, 0.0, beta)
-        np.testing.assert_allclose(op.matrix, oracle, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(op, oracle, rtol=0, atol=1e-13)
 
     def test_mixed_spectral_bound(self, basis_1d_half):
         # ||f(alpha x + beta p)|| <= sup |f| (self-adjoint argument)

@@ -57,6 +57,18 @@ class TestRule1D:
         with pytest.raises(ArithmeticError):
             build_rule(0.5, 400)
 
+    @given(kappa=st.floats(0.0, 5.0), n=st.integers(180, 363))
+    @settings(max_examples=30, deadline=None)
+    def test_high_orders_below_ceiling(self, kappa, n):
+        # every order up to the ceiling (364 with scipy 1.17.1) gives finite
+        # bare weights, non-negative weights and accurate even moments
+        rule = build_rule(kappa, n)
+        assert np.all(np.isfinite(rule.bare_weights))
+        assert np.all(rule.weights >= 0)
+        for m in range(10):
+            approx = np.sum(rule.weights * rule.nodes ** (2 * m))
+            assert approx == pytest.approx(gaussian_moment(kappa, m), rel=1e-12)
+
     def test_fringe_underflow_is_harmless(self):
         # beyond order ~180 the outermost bare weights collapse to exact
         # zeros; Gaussian-decaying integrals are unaffected

@@ -3,7 +3,6 @@ import pytest
 
 from dunklkit import (
     ExponentPair,
-    OperatorMatrix,
     admissible_p,
     generate_system,
     inhomogeneous_check,
@@ -12,7 +11,7 @@ from dunklkit import (
     schatten_rhs,
     strichartz_lhs,
 )
-from dunklkit.hermite import propagate_hermite
+from dunklkit.hermite import StateVector, propagate_hermite
 from dunklkit.strichartz import duhamel_solution
 from dunklkit.quadrature import time_grid, weighted_lp_norm
 
@@ -50,14 +49,14 @@ class TestSystems:
     )
     def test_orthonormal(self, basis_1d_half, kind):
         system = generate_system(basis_1d_half, kind, 6, seed=3)
-        c = system.coeff_matrix()
+        c = system.states
         gram = c.conj() @ c.T
         assert np.abs(gram - np.eye(6)).max() < 1e-12
 
     def test_deterministic(self, basis_1d_half):
         a = generate_system(basis_1d_half, "haar_rotation", 5, seed=11)
         b = generate_system(basis_1d_half, "haar_rotation", 5, seed=11)
-        assert np.array_equal(a.coeff_matrix(), b.coeff_matrix())
+        assert np.array_equal(a.states, b.states)
 
     def test_too_large_rejected(self, basis_1d_half):
         with pytest.raises(ValueError):
@@ -96,7 +95,7 @@ class TestInequality:
         lhs_a = strichartz_lhs(sys_a, 1.5, admissible_p(1.5, 2.0), n_time=64)
         from dunklkit import OrthonormalSystem
 
-        sys_b = OrthonormalSystem(sys_a.vectors[::-1], sys_a.coeffs)
+        sys_b = OrthonormalSystem(sys_a.basis, sys_a.states[::-1], sys_a.coeffs)
         lhs_b = strichartz_lhs(sys_b, 1.5, admissible_p(1.5, 2.0), n_time=64)
         assert lhs_a == pytest.approx(lhs_b, rel=1e-13)
 
@@ -128,8 +127,8 @@ class TestInequality:
         inner = np.array([
             np.abs(1.0 / np.cos(2.0 * tv)) ** expo * weighted_lp_norm(
                 basis.grid,
-                sum(n.real * np.abs(propagate_hermite(u, tv).values()) ** 2
-                    for n, u in zip(system.coeffs, system.vectors)),
+                sum(n.real * np.abs(propagate_hermite(StateVector(basis, c), tv).values()) ** 2
+                    for n, c in zip(system.coeffs, system.states)),
                 q,
             )
             for tv in t
@@ -149,7 +148,7 @@ class TestInequality:
 class TestDuhamel:
     def test_zero_interval(self, basis_1d_half):
         gam = duhamel_solution(basis_1d_half, lambda s: np.eye(basis_1d_half.size), 0.3, 0.3)
-        assert np.abs(gam.matrix).max() == 0.0
+        assert np.abs(gam).max() == 0.0
 
     def test_rank_one_closed_form(self, basis_1d_half):
         # R(s) = R0 constant: gamma(t)_{mu nu} =
@@ -170,7 +169,7 @@ class TestDuhamel:
                 (np.exp(1j * dl * (t - t0)) - 1.0) / (1j * np.where(dl == 0, 1.0, dl)),
             )
         expected = r0 * factor
-        assert np.abs(gam.matrix - expected).max() < 1e-8
+        assert np.abs(gam - expected).max() < 1e-8
 
     def test_reversed_interval_antisymmetry(self, basis_1d_half):
         basis = basis_1d_half
@@ -178,8 +177,8 @@ class TestDuhamel:
         fwd = duhamel_solution(basis, lambda s: r0, 0.0, 0.4, n_time=101)
         bwd = duhamel_solution(basis, lambda s: r0, 0.4, 0.0, n_time=101)
         # diagonal source commutes with the phases: gamma(t) = (t - t0) R0
-        np.testing.assert_allclose(fwd.matrix, 0.4 * r0, atol=1e-12)
-        np.testing.assert_allclose(bwd.matrix, -0.4 * r0, atol=1e-12)
+        np.testing.assert_allclose(fwd, 0.4 * r0, atol=1e-12)
+        np.testing.assert_allclose(bwd, -0.4 * r0, atol=1e-12)
 
     @pytest.mark.parametrize("t0, t", [(-0.3, 0.8), (0.8, -0.3)])
     def test_time_dependent_source_oracle(self, basis_1d_half, t0, t):
@@ -201,8 +200,8 @@ class TestDuhamel:
         oracle = sum(
             sign * w * np.exp(1j * (t - sv) * dl) * source(sv) for sv, w in zip(sg, sw)
         )
-        np.testing.assert_allclose(gam.matrix, oracle, rtol=0, atol=1e-12)
-        assert gam.is_self_adjoint
+        np.testing.assert_allclose(gam, oracle, rtol=0, atol=1e-12)
+        assert np.abs(gam - gam.conj().T).max() < 1e-12
 
 
 class TestInhomogeneous:

@@ -63,6 +63,22 @@ class TestKernel1D:
                 assert abs(lo - hi) < 2e-3 * (abs(lo) + abs(hi))
 
     @given(
+        kappa=st.floats(0.0, 5.0),
+        radius=st.floats(7.5, 8.5),
+        phase=st.floats(0.0, 2 * np.pi, exclude_max=True),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_switchover_against_hypergeometric_oracle(self, kappa, radius, phase):
+        # both routes near the |z| = 8 seam against e^z 1F1(kappa; 2 kappa + 1; -2z);
+        # the error is measured on the scale e^{|Re z|} of the larger exponential
+        mpmath = pytest.importorskip("mpmath")
+        z = radius * np.exp(1j * phase)
+        with mpmath.workdps(50):
+            ref = complex(mpmath.exp(z) * mpmath.hyp1f1(kappa, 2 * kappa + 1, -2 * z))
+        val = dunkl_kernel_1d(kappa, 1.0, z)
+        assert abs(val - ref) <= 1e-12 * np.exp(abs(z.real)), (kappa, z)
+
+    @given(
         kappa=st.floats(0.0, 3.0),
         x=st.floats(-10.0, 10.0),
         y=st.floats(-10.0, 10.0),
