@@ -27,15 +27,11 @@ from .freeprop import (
 from .hermite import (
     HermiteBasis,
     SingularTimeError,
-    StateVector,
     build_basis,
-    extension_operator,
-    fdh_transform,
     hermite_functions_1d,
     kernel_Kit,
     kernel_quadrature,
     mehler_closed_form,
-    propagate_hermite,
     propagated_density,
 )
 from .operators import (

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import sys
 import time
 from contextlib import contextmanager
@@ -18,7 +19,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .hartree import HartreeConfig, solve_hartree
+from .hartree import DunklTransform1D, HartreeConfig, solve_hartree
 from .hermite import build_basis, kernel_Kit
 from .freeprop import lens_relation_residual
 from .operators import kss_check, schatten_norm, time_averaged_operator
@@ -318,6 +319,7 @@ def sweep(cfg, q_min, q_max, steps, j_values, seeds):
         if steps < 1 or seeds < 1:
             raise ValueError(f"steps and seeds must be at least 1, got {steps}, {seeds}")
         s, grid, basis = _context(cfg)
+        time_grid(-np.pi, np.pi, cfg["time_nodes"])  # the rule each evaluation builds
         j_list = [int(v) for v in j_values.replace(",", " ").split()]
         if not j_list or not all(1 <= j <= basis.size for j in j_list):
             raise ValueError(f"j values must lie in [1, {basis.size}], got {j_values!r}")
@@ -375,6 +377,20 @@ def hartree(cfg, coupling, horizon, steps, width):
             horizon=horizon,
             steps=steps,
         )
+        # a profile the transform nodes miss gives a vanishing interaction and
+        # a one-step "convergence": its sampled mass must match the closed form
+        kappa = s.kappa[0]
+        nodes, weights = DunklTransform1D.space_rule(kappa, config.transform_order)
+        with np.errstate(all="ignore"):  # widths far off the node scale over/underflow
+            mass = np.sum(config.w_profile(nodes) * weights)
+            exact = np.exp((2.0 * kappa + 1.0) * np.log(width) + math.lgamma(kappa + 0.5))
+            mismatch = abs(mass / exact - 1.0)
+        if not mismatch <= 1e-6:
+            raise ValueError(
+                f"--width {width} is not resolved on the {config.transform_order}-node "
+                f"transform rule: sampled profile mass {mass:.6g} against the closed form "
+                f"{exact:.6g}, relative mismatch {mismatch:.1e} > 1e-6"
+            )
     times, traj, diag = solve_hartree(config)
     drift = max(abs(t - diag["traces"][0]) for t in diag["traces"])
     rows = [{"iteration": i, "residual": r} for i, r in enumerate(diag["residuals"])]

@@ -17,14 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hermite import (
-    HermiteBasis,
-    StateVector,
-    _branch_power,
-    kernel_Kit,
-    propagate_hermite,
-    propagated_density,
-)
+from .hermite import HermiteBasis, _branch_power, kernel_Kit, propagated_density
 from .quadrature import plain_rule, time_grid, weighted_lp_norm
 from .structure import DunklStructure, _kernel_product, as_point_list, as_points
 
@@ -100,15 +93,21 @@ def lens_relation_residual(s: DunklStructure, v: float, x, y) -> float:
     return np.abs(lhs - rhs)
 
 
-def free_evolve_via_lens(v: float, u: StateVector, x_eval) -> np.ndarray:
-    """(e^{i(v/2) Laplacian} u)(x_eval) through the lens identity."""
-    s = u.basis.structure
-    lens = LensMap(v, s.d_eff)
-    pts = as_point_list(s, x_eval)
-    evolved = propagate_hermite(u, lens.t_hermite)
-    inner = evolved.values(pts / lens.scale)
+def _lens_columns(basis: HermiteBasis, v: float, pts: np.ndarray) -> np.ndarray:
+    """(e^{i(v/2) Laplacian} phi_mu)(pts) for every mu, shape (M, n): the
+    oscillator phase at arctan(v)/2 on the contracted points pts / scale,
+    times the lens phase and divided by the lens amplitude."""
+    lens = LensMap(v, basis.structure.d_eff)
+    inner = basis.evaluate(pts / lens.scale)
     phase = np.exp(0.5j * lens.v / (1.0 + lens.v**2) * (pts * pts).sum(axis=-1))
-    return inner * phase / lens.amplitude
+    spect = np.exp(-1j * lens.t_hermite * basis.eigenvalues)
+    return (spect[:, None] * inner) * phase / lens.amplitude
+
+
+def free_evolve_via_lens(basis: HermiteBasis, coeffs, v: float, x_eval) -> np.ndarray:
+    """(e^{i(v/2) Laplacian} u)(x_eval) through the lens identity, for the
+    state u with (M,) coefficients ``coeffs``."""
+    return coeffs @ _lens_columns(basis, v, as_point_list(basis.structure, x_eval))
 
 
 def free_propagator_matrix(basis: HermiteBasis, tau: float) -> np.ndarray:
@@ -127,24 +126,16 @@ def free_propagator_matrix(basis: HermiteBasis, tau: float) -> np.ndarray:
     sigma = 0.5 * (1.0 + 1.0 / lens.scale**2)
     order = 2 * (basis.per_dim_degree + 2)
     rules = [plain_rule(k, order, sigma=sigma) for k in s.kappa]
-    if s.d == 1:
-        nodes = rules[0][0][:, None]
-        wts = rules[0][1]
-    else:
-        mesh = np.meshgrid(*[r[0] for r in rules], indexing="ij")
-        nodes = np.stack([m.ravel() for m in mesh], axis=-1)
-        wmesh = np.meshgrid(*[r[1] for r in rules], indexing="ij")
-        wts = np.prod(np.stack([m.ravel() for m in wmesh], axis=-1), axis=-1)
-    inner = basis.evaluate(nodes / lens.scale)  # (M, K)
-    phase = np.exp(0.5j * lens.v / (1.0 + lens.v**2) * (nodes * nodes).sum(axis=-1))
-    spect = np.exp(-1j * lens.t_hermite * basis.eigenvalues)
-    evolved = (spect[:, None] * inner) * phase / lens.amplitude  # columns of e^{i tau Lap}
-    outer = basis.evaluate(nodes) * wts
-    return outer @ evolved.T
+    mesh = np.meshgrid(*[r[0] for r in rules], indexing="ij")
+    nodes = np.stack([m.ravel() for m in mesh], axis=-1)
+    wmesh = np.meshgrid(*[r[1] for r in rules], indexing="ij")
+    wts = np.prod(np.stack([m.ravel() for m in wmesh], axis=-1), axis=-1)
+    return (basis.evaluate(nodes) * wts) @ _lens_columns(basis, 2.0 * tau, nodes).T
 
 
-def norm_transport_check(u: StateVector, p: float, q: float, n_time: int = 256):
-    """Two-route check of the time-norm identity between the two flows.
+def norm_transport_check(basis: HermiteBasis, coeffs, p: float, q: float, n_time: int = 256):
+    """Two-route check of the time-norm identity between the two flows, for
+    the state u with (M,) coefficients ``coeffs``.
 
     lhs: integral over (0, pi/4) of || |e^{-itH} u|^2 ||_{L^q_kappa}^p dt via
     the spectral path.  rhs: the same quantity for the free flow over
@@ -152,13 +143,12 @@ def norm_transport_check(u: StateVector, p: float, q: float, n_time: int = 256):
     norms evaluated on dilated grids.  Also returns the (-pi, pi) vs
     4 x (-pi/4, pi/4) window ratio for the oscillator side.
     """
-    basis = u.basis
     s = basis.structure
     grid = basis.grid
     t, tau = time_grid(1e-9, np.pi / 4.0 - 1e-9, n_time)
 
     def phi_p(times):
-        dens = propagated_density(basis, u.coeffs[None], np.ones(1), times)
+        dens = propagated_density(basis, coeffs[None], np.ones(1), times)
         return weighted_lp_norm(grid, dens, q) ** p
 
     lhs = float(np.sum(tau * phi_p(t)))
@@ -170,7 +160,7 @@ def norm_transport_check(u: StateVector, p: float, q: float, n_time: int = 256):
         lens = LensMap(v, s.d_eff)
         # free-side density evaluated on the dilated grid x -> s x; the
         # L^q_kappa norm picks up the Jacobian scale^{d + 2 gamma}
-        vals = free_evolve_via_lens(v, u, lens.scale * grid.nodes)
+        vals = free_evolve_via_lens(basis, coeffs, v, lens.scale * grid.nodes)
         dens = np.abs(vals) ** 2
         qnorm = weighted_lp_norm(grid, dens, q) * lens.scale ** (s.d_eff / q)
         jac = lens.scale**2  # dv/dt = 2(1 + v^2) combined with tau_free = v/2

@@ -54,8 +54,13 @@ class DunklTransform1D:
     xi_weights: np.ndarray = field(init=False)
     _fwd: np.ndarray = field(init=False)        # (n_xi, n_x)
 
+    @staticmethod
+    def space_rule(kappa: float, order: int):
+        """The (nodes, weights) on which the transform samples its inputs."""
+        return plain_rule(kappa, order, sigma=0.5)
+
     def __post_init__(self):
-        nodes, weights = plain_rule(self.kappa, self.order, sigma=0.5)
+        nodes, weights = self.space_rule(self.kappa, self.order)
         xi, xi_w = plain_rule(self.kappa, self.order, sigma=2.0)
         kern = dunkl_kernel_1d(self.kappa, -1j * xi[:, None], nodes[None, :])
         object.__setattr__(self, "nodes", nodes)

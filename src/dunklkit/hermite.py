@@ -10,7 +10,9 @@ One-dimensional functions are built from Laguerre polynomials:
 normalized in L^2 against |x|^{2 kappa} dx, sign fixed so phi_n(x) > 0 as
 x -> +inf; d-dimensional functions are tensor products over a box truncation
 mu_j <= N.  The n-th function satisfies H phi = (2n + 1 + 2 kappa) phi in one
-dimension, hence eigenvalues 2|mu| + d + 2 gamma_kappa.
+dimension, hence eigenvalues 2|mu| + d + 2 gamma_kappa.  A state is its
+complex (M,) coefficient array in a basis, and e^{-itH} multiplies it by
+e^{-it lambda_mu}.
 """
 
 from __future__ import annotations
@@ -27,17 +29,13 @@ from .structure import DunklStructure, _kernel_product, as_point_list, as_points
 __all__ = [
     "SingularTimeError",
     "HermiteBasis",
-    "StateVector",
     "build_basis",
     "laguerre_table",
     "hermite_functions_1d",
     "mehler_closed_form",
     "kernel_Kit",
-    "propagate_hermite",
     "propagated_density",
     "kernel_quadrature",
-    "extension_operator",
-    "fdh_transform",
 ]
 
 
@@ -159,33 +157,6 @@ def build_basis(s: DunklStructure, n_degree: int, grid: TensorGrid) -> HermiteBa
     return HermiteBasis(s, int(n_degree), grid, mi, eig, table, dim_tables)
 
 
-@dataclass
-class StateVector:
-    """Function in the truncated basis, represented by its coefficients."""
-
-    basis: HermiteBasis
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=complex)
-        if self.coeffs.shape != (self.basis.size,):
-            raise ValueError(f"expected {self.basis.size} coefficients, got {self.coeffs.shape}")
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
-
-    def values(self, points=None) -> np.ndarray:
-        if points is None:
-            return self.coeffs @ self.basis.eval_table
-        return self.coeffs @ self.basis.evaluate(points)
-
-
-def propagate_hermite(v: StateVector, t: float) -> StateVector:
-    """Spectral e^{-itH} action: c_mu -> e^{-it lambda_mu} c_mu; any t."""
-    return StateVector(v.basis, np.exp(-1j * t * v.basis.eigenvalues) * v.coeffs)
-
-
 def propagated_density(basis: HermiteBasis, coeffs, occupations, t) -> np.ndarray:
     """sum_j n_j |e^{-itH} f_j|^2 on the basis grid at each time in t, shape
     (T, K); ``coeffs`` is (J, M), one state per row, and n_j = Re occupations.
@@ -236,8 +207,9 @@ def kernel_Kit(s: DunklStructure, t: float, x, y):
     return pref * body * _kernel_product(s, 1.0 / (1j * sin2t), x, y)
 
 
-def kernel_quadrature(v: StateVector, kernel, eval_points, order_factor: int = 6):
-    """integral of kernel(x, y) v(y) h^2(y) dy at x in eval_points, by quadrature.
+def kernel_quadrature(basis: HermiteBasis, coeffs, kernel, eval_points, order_factor: int = 6):
+    """integral of kernel(x, y) v(y) h^2(y) dy at x in eval_points, by quadrature,
+    for the state v with (M,) coefficients ``coeffs`` in ``basis``.
 
     The kernel-quadrature oracle for both flows: ``kernel`` maps point arrays
     (x, y) to kernel values, e.g. ``lambda x, y: kernel_Kit(s, t, x, y)`` for
@@ -247,55 +219,12 @@ def kernel_quadrature(v: StateVector, kernel, eval_points, order_factor: int = 6
     half-Gaussian-matched plain rule since the oscillatory kernels do not
     decay in y.
     """
-    basis = v.basis
     s = basis.structure
     if s.d != 1:
         raise NotImplementedError("kernel quadrature implemented for d = 1")
     n = order_factor * (basis.per_dim_degree + 2)
     ynodes, yweights = plain_rule(s.kappa[0], n, sigma=0.5)
-    fvals = v.values(ynodes)
+    fvals = coeffs @ basis.evaluate(ynodes)
     pts = np.asarray(eval_points, dtype=float)
     kern = kernel(pts[:, None], ynodes[None, :])
     return kern @ (yweights * fvals)
-
-
-def extension_operator(basis: HermiteBasis, g: dict, t: float, x) -> np.ndarray | complex:
-    """sum over (mu, nu) of g(mu, nu) phi_mu(x) e^{-i nu t}.
-
-    ``g`` maps (mu tuple, nu) pairs to complex amplitudes; mu must lie inside
-    the basis truncation.
-    """
-    pts = np.asarray(x, dtype=float)
-    scalar = pts.ndim == 0 or (pts.ndim == 1 and basis.structure.d > 1)
-    if basis.structure.d == 1:
-        pts = np.atleast_1d(pts)
-        scalar = pts.size == 1 and np.asarray(x).ndim == 0
-    else:
-        pts = pts.reshape(-1, basis.structure.d)
-    table = basis.evaluate(pts)
-    lookup = {tuple(mu): i for i, mu in enumerate(basis.multi_indices)}
-    out = np.zeros(table.shape[1], dtype=complex)
-    for (mu, nu), amp in g.items():
-        mu = tuple(int(m) for m in np.atleast_1d(mu))
-        if mu not in lookup:
-            raise KeyError(f"multi-index {mu} outside the basis truncation")
-        out += amp * table[lookup[mu]] * np.exp(-1j * nu * t)
-    return complex(out[0]) if scalar else out
-
-
-def fdh_transform(basis: HermiteBasis, time_nodes, samples, nu_values) -> np.ndarray:
-    """Fourier-Hermite coefficients of F(t, x) on (-pi, pi) x R^d.
-
-    f_hat(mu, nu) = integral of F(t, x) phi_mu(x) e^{i nu t} h^2 dx dt by the
-    spatial grid rule and the supplied time rule; returns (M, len(nu_values)).
-    """
-    t, tau = (np.asarray(v, dtype=float) for v in time_nodes)
-    samples = np.asarray(samples)
-    if samples.shape != (t.size, basis.grid.npoints):
-        raise ValueError(
-            f"samples shape {samples.shape} does not match {t.size} x {basis.grid.npoints}"
-        )
-    nu_values = np.asarray(nu_values, dtype=float)
-    spatial = samples @ (basis.eval_table * basis.grid.bare_weights).T  # (T, M)
-    phases = np.exp(1j * np.outer(nu_values, t)) * tau  # (nnu, T)
-    return (phases @ spatial).T  # (M, nnu)

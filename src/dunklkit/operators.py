@@ -124,13 +124,8 @@ def density(basis: HermiteBasis, a, points=None) -> np.ndarray:
     return ((np.real(a) @ table) * table).sum(axis=-2)
 
 
-def time_averaged_operator(
-    basis: HermiteBasis,
-    time_nodes,
-    v_samples,
-    flow: str = "hermite",
-) -> np.ndarray:
-    """B = integral over t of e^{itP} V(t,.) e^{-itP} dt, as a dense matrix.
+def time_averaged_operator(basis: HermiteBasis, time_nodes, v_samples) -> np.ndarray:
+    """B = integral over t of e^{itH} V(t,.) e^{-itH} dt, as a dense matrix.
 
     ``v_samples`` has shape (T, K): potential samples on the basis grid at
     each time node; the time integral is the supplied quadrature rule.  Its
@@ -149,7 +144,7 @@ def time_averaged_operator(
     b = np.zeros((basis.size, basis.size), dtype=complex)
     for i in range(t.size):
         m = multiplication_matrix(basis, v_samples[i])
-        b += tau[i] * conjugate(basis, m, -t[i], flow)
+        b += tau[i] * conjugate(basis, m, -t[i])
     return b
 
 

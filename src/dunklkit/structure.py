@@ -45,8 +45,8 @@ class DunklStructure:
             raise ValueError(f"dimension must be positive, got {self.d}")
         if len(kappa) != self.d:
             raise ValueError(f"need {self.d} multiplicities, got {len(kappa)}")
-        if any(k < 0 for k in kappa):
-            raise ValueError(f"multiplicities must be non-negative: {kappa}")
+        if not all(0.0 <= k < np.inf for k in kappa):
+            raise ValueError(f"multiplicities must be finite and non-negative: {kappa}")
         object.__setattr__(self, "kappa", kappa)
         object.__setattr__(self, "gamma_kappa", float(sum(kappa)))
         m = 1.0

@@ -37,6 +37,4 @@ def random_state(basis, seed=0, band=None):
     if band is not None:
         c[basis.multi_indices.sum(axis=1) > band] = 0.0
     c /= np.linalg.norm(c)
-    from dunklkit import StateVector
-
-    return StateVector(basis, c)
+    return c

@@ -8,7 +8,6 @@ from dunklkit import (
     DunklStructure,
     HartreeConfig,
     LensMap,
-    StateVector,
     admissible_p,
     build_basis,
     free_evolve_via_lens,
@@ -24,7 +23,6 @@ from dunklkit import (
     mehler_closed_form,
     mhls_check,
     norm_transport_check,
-    propagate_hermite,
     run_inequality,
     schatten_norm,
     solve_hartree,
@@ -135,15 +133,15 @@ def test_criterion_05_dual_method_propagation(basis_1d_half):
     for seed in range(3):
         u = random_state(basis, seed=seed, band=basis.per_dim_degree // 2)
         for t in (0.3, 0.7):
-            spect = propagate_hermite(u, t).values()
+            spect = (np.exp(-1j * t * basis.eigenvalues) * u) @ basis.eval_table
             direct = kernel_quadrature(
-                u, lambda x, y: kernel_Kit(s, t, x, y), grid_x, order_factor=10
+                basis, u, lambda x, y: kernel_Kit(s, t, x, y), grid_x, order_factor=10
             )
             worst = max(worst, l2_gap(direct - spect))
         for v in (0.4, 1.0):
-            via_lens = free_evolve_via_lens(v, u, grid_x[:, None])
+            via_lens = free_evolve_via_lens(basis, u, v, grid_x[:, None])
             direct = kernel_quadrature(
-                u, lambda x, y: kernel_Lit(s, v / 2, x, y), grid_x, order_factor=10
+                basis, u, lambda x, y: kernel_Lit(s, v / 2, x, y), grid_x, order_factor=10
             )
             worst = max(worst, l2_gap(direct - via_lens))
     announce(5, "dual-method propagation", worst < 1e-6,
@@ -159,7 +157,7 @@ def test_criterion_06_norm_transport(basis_1d_half):
         u = random_state(basis_1d_half, seed=seed, band=12)
         q = qs[seed % 3]
         p = admissible_p(q, s.d_eff)
-        lhs, rhs, full, quarter4 = norm_transport_check(u, p, q, n_time=128)
+        lhs, rhs, full, quarter4 = norm_transport_check(basis_1d_half, u, p, q, n_time=128)
         worst_gap = max(worst_gap, abs(rhs - lhs) / lhs)
         worst_four = max(worst_four, abs(quarter4 - full) / full)
     ok = worst_gap < 1e-4 and worst_four < 1e-4

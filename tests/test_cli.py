@@ -61,7 +61,7 @@ class TestConfig:
         result = runner.invoke(main, ["-c", str(path), "strichartz"])
         assert result.exit_code == EXIT_CONFIG
 
-    @pytest.mark.parametrize("command", ["strichartz", "dual-schatten", "inhomogeneous"])
+    @pytest.mark.parametrize("command", ["strichartz", "dual-schatten", "inhomogeneous", "sweep"])
     def test_single_time_node_exit_code(self, runner, small_config, command):
         path = small_config
         path.write_text(path.read_text().replace("time_nodes = 32", "time_nodes = 1"))
@@ -263,6 +263,8 @@ class TestBadOptions:
         (["hartree", "--width", "nan", "--steps", "5"], EXIT_CONFIG),
         # a zero width makes the interaction vanish: a solve would "converge"
         (["hartree", "--width", "0", "--steps", "5"], EXIT_CONFIG),
+        # so does one far narrower than the transform's node spacing
+        (["hartree", "--width", "0.05", "--steps", "5"], EXIT_CONFIG),
     ])
     def test_no_false_success(self, runner, small_config, tmp_path, args, code):
         result = runner.invoke(main, ["-c", str(small_config), *args])

@@ -6,18 +6,15 @@ import pytest
 from dunklkit import (
     DunklStructure,
     SingularTimeError,
-    StateVector,
     build_basis,
     hermite_functions_1d,
     kernel_Kit,
     kernel_quadrature,
     mehler_closed_form,
-    propagate_hermite,
     propagated_density,
     tensor_grid,
 )
-from dunklkit.hermite import box_multi_indices, extension_operator, fdh_transform
-from dunklkit.quadrature import time_grid, weighted_lp_norm
+from dunklkit.hermite import box_multi_indices
 
 from conftest import random_state
 
@@ -57,8 +54,8 @@ class TestBasis:
 
     def test_project_roundtrip(self, basis_1d_half):
         u = random_state(basis_1d_half, seed=3, band=20)
-        coeffs = basis_1d_half.project(u.values())
-        np.testing.assert_allclose(coeffs, u.coeffs, atol=1e-10)
+        coeffs = basis_1d_half.project(u @ basis_1d_half.eval_table)
+        np.testing.assert_allclose(coeffs, u, atol=1e-10)
 
     def test_grid_order_guard(self):
         s = DunklStructure(1, (0.5,))
@@ -140,26 +137,28 @@ class TestOscillatorKernel:
 class TestPropagation:
     def test_unitarity_and_group_law(self, basis_1d_half):
         u = random_state(basis_1d_half, seed=1)
-        v = propagate_hermite(u, 0.7)
-        assert v.norm == pytest.approx(1.0, rel=1e-14)
-        w1 = propagate_hermite(v, 0.5)
-        w2 = propagate_hermite(u, 1.2)
-        np.testing.assert_allclose(w1.coeffs, w2.coeffs, rtol=1e-13)
+        lam = basis_1d_half.eigenvalues
+        v = np.exp(-1j * 0.7 * lam) * u
+        assert np.linalg.norm(v) == pytest.approx(1.0, rel=1e-14)
+        w1 = np.exp(-1j * 0.5 * lam) * v
+        w2 = np.exp(-1j * 1.2 * lam) * u
+        np.testing.assert_allclose(w1, w2, rtol=1e-13)
 
     def test_period_is_pi_up_to_phase(self, basis_1d_half):
         u = random_state(basis_1d_half, seed=2)
-        v = propagate_hermite(u, np.pi)
+        v = np.exp(-1j * np.pi * basis_1d_half.eigenvalues) * u
         # eigenvalues 2|mu| + d_eff: e^{-i pi lambda} = e^{-i pi d_eff} const
         phase = np.exp(-1j * np.pi * basis_1d_half.structure.d_eff)
-        np.testing.assert_allclose(v.coeffs, phase * u.coeffs, rtol=1e-12)
+        np.testing.assert_allclose(v, phase * u, rtol=1e-12)
 
     @pytest.mark.parametrize("t", [0.3, 0.7, -0.4])
     def test_spectral_vs_kernel_quadrature(self, basis_1d_half, t):
         u = random_state(basis_1d_half, seed=5, band=16)
         x = np.linspace(-3, 3, 21)
-        spectral = propagate_hermite(u, t).values(x[:, None])
-        s = basis_1d_half.structure
-        direct = kernel_quadrature(u, lambda x, y: kernel_Kit(s, t, x, y), x)
+        basis = basis_1d_half
+        spectral = (np.exp(-1j * t * basis.eigenvalues) * u) @ basis.evaluate(x[:, None])
+        s = basis.structure
+        direct = kernel_quadrature(basis, u, lambda x, y: kernel_Kit(s, t, x, y), x)
         np.testing.assert_allclose(direct, spectral, atol=1e-8)
 
     def test_ground_state_closed_form(self, basis_1d_one):
@@ -167,17 +166,16 @@ class TestPropagation:
         basis = basis_1d_one
         c = np.zeros(basis.size, dtype=complex)
         c[0] = 1.0
-        u = StateVector(basis, c)
         t = 0.9
-        evolved = propagate_hermite(u, t)
-        expected = np.exp(-1j * t * basis.structure.d_eff) * u.coeffs
-        np.testing.assert_allclose(evolved.coeffs, expected, rtol=1e-14)
+        evolved = np.exp(-1j * t * basis.eigenvalues) * c
+        expected = np.exp(-1j * t * basis.structure.d_eff) * c
+        np.testing.assert_allclose(evolved, expected, rtol=1e-14)
 
 
     @pytest.mark.parametrize("j_count", [1, 3])
     @pytest.mark.parametrize("fixture", ["basis_1d_half", "basis_2d"])
     def test_density_of_propagated_states(self, request, fixture, j_count):
-        # oracle: sum_j n_j |values of propagate_hermite(f_j, t)|^2, per time;
+        # oracle: sum_j n_j |values of e^{-itH} f_j|^2, one time at a time;
         # the two sum their M products in different orders, so they agree to
         # the dot-product rounding bound M eps (largest entry)
         basis = request.getfixturevalue(fixture)
@@ -185,41 +183,12 @@ class TestPropagation:
         occupations = np.linspace(1.0, 0.2, j_count)
         times = np.array([-2.1, 0.0, 0.4, np.pi / 2 + 1e-9])
         oracle = np.stack([
-            sum(n * np.abs(propagate_hermite(u, t).values()) ** 2
+            sum(n * np.abs((np.exp(-1j * t * basis.eigenvalues) * u) @ basis.eval_table) ** 2
                 for n, u in zip(occupations, states))
             for t in times
         ])
-        got = propagated_density(basis, np.stack([u.coeffs for u in states]), occupations, times)
+        got = propagated_density(basis, np.stack(states), occupations, times)
         assert got.shape == (times.size, basis.grid.npoints)
         tol = basis.size * np.finfo(float).eps * np.abs(oracle).max()
         np.testing.assert_allclose(got, oracle, rtol=0, atol=tol)
 
-
-class TestExtensionAndTransform:
-    def test_extension_single_mode(self, basis_1d_half):
-        basis = basis_1d_half
-        g = {((2,), 1.5): 2.0}
-        x = np.array([0.4, -1.1])
-        got = extension_operator(basis, g, 0.6, x)
-        phi2 = basis.evaluate(x[:, None])[2]
-        np.testing.assert_allclose(got, 2.0 * phi2 * np.exp(-1j * 1.5 * 0.6), rtol=1e-13)
-
-    def test_extension_outside_truncation(self, basis_1d_half):
-        with pytest.raises(KeyError):
-            extension_operator(basis_1d_half, {((99,), 0.0): 1.0}, 0.0, 0.3)
-
-    def test_fdh_recovers_amplitudes(self, basis_1d_half):
-        # F(t, x) = sum amp phi_mu(x) e^{-i nu t} with integer nu:
-        # the (mu, nu) coefficient is 2 pi amp by orthogonality on (-pi, pi)
-        basis = basis_1d_half
-        g = {((1,), 3.0): 0.7 + 0.2j, ((4,), -2.0): -1.1}
-        t, tau = time_grid(-np.pi, np.pi, 257)
-        samples = np.stack(
-            [extension_operator(basis, g, tv, basis.grid.nodes) for tv in t]
-        )
-        coeffs = fdh_transform(basis, (t, tau), samples, [3.0, -2.0])
-        assert coeffs[1, 0] == pytest.approx(2 * np.pi * (0.7 + 0.2j), rel=1e-6)
-        assert coeffs[4, 1] == pytest.approx(2 * np.pi * (-1.1), rel=1e-6)
-        # cross terms vanish
-        assert abs(coeffs[1, 1]) < 1e-6
-        assert abs(coeffs[4, 0]) < 1e-6

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from dunklkit import (
     OrthonormalSystem,
-    StateVector,
     conjugate,
     density,
     kss_check,
@@ -21,7 +20,7 @@ from conftest import random_state
 
 def rank_one(basis, seed=0, band=None):
     u = random_state(basis, seed=seed, band=band)
-    return np.outer(u.coeffs, u.coeffs.conj())
+    return np.outer(u, u.conj())
 
 
 class TestSchattenNorm:
@@ -141,7 +140,7 @@ class TestOrthonormalSystem:
     def test_rejects_non_orthonormal(self, basis_1d_half):
         u = random_state(basis_1d_half, seed=0)
         with pytest.raises(ValueError):
-            OrthonormalSystem(basis_1d_half, [u.coeffs, u.coeffs], np.ones(2))
+            OrthonormalSystem(basis_1d_half, [u, u], np.ones(2))
 
     def test_rejects_shape_or_count_mismatch(self, basis_1d_half):
         m = basis_1d_half.size
@@ -155,8 +154,8 @@ class TestOrthonormalSystem:
         for j in range(3):
             c = np.zeros(basis.size, dtype=complex)
             c[j] = 1.0
-            vs.append(StateVector(basis, c))
-        op = OrthonormalSystem(basis, [v.coeffs for v in vs], np.ones(3)).operator()
+            vs.append(c)
+        op = OrthonormalSystem(basis, vs, np.ones(3)).operator()
         np.testing.assert_allclose(op @ op, op, atol=1e-14)
         assert np.trace(op) == pytest.approx(3.0)
 
@@ -164,9 +163,9 @@ class TestOrthonormalSystem:
 class TestDensity:
     def test_rank_one_density_is_modulus_squared(self, basis_1d_half):
         u = random_state(basis_1d_half, seed=4)
-        gam = np.outer(u.coeffs, u.coeffs.conj())
+        gam = np.outer(u, u.conj())
         np.testing.assert_allclose(
-            density(basis_1d_half, gam), np.abs(u.values()) ** 2, atol=1e-12
+            density(basis_1d_half, gam), np.abs(u @ basis_1d_half.eval_table) ** 2, atol=1e-12
         )
 
     def test_trace_duality(self, basis_1d_half):

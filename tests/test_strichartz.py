@@ -11,7 +11,6 @@ from dunklkit import (
     schatten_rhs,
     strichartz_lhs,
 )
-from dunklkit.hermite import StateVector, propagate_hermite
 from dunklkit.strichartz import duhamel_solution
 from dunklkit.quadrature import time_grid, weighted_lp_norm
 
@@ -127,7 +126,8 @@ class TestInequality:
         inner = np.array([
             np.abs(1.0 / np.cos(2.0 * tv)) ** expo * weighted_lp_norm(
                 basis.grid,
-                sum(n.real * np.abs(propagate_hermite(StateVector(basis, c), tv).values()) ** 2
+                sum(n.real * np.abs((np.exp(-1j * tv * basis.eigenvalues) * c)
+                                    @ basis.eval_table) ** 2
                     for n, c in zip(system.coeffs, system.states)),
                 q,
             )

@@ -21,7 +21,9 @@ class TestStructure:
             s = DunklStructure(d, (0.0,) * d)
             assert s.m_kappa == pytest.approx((2 * np.pi) ** (-d / 2), rel=1e-14)
 
-    @pytest.mark.parametrize("d,kappa", [(0, ()), (2, (1.0,)), (1, (-0.5,))])
+    @pytest.mark.parametrize(
+        "d,kappa", [(0, ()), (2, (1.0,)), (1, (-0.5,)), (1, (np.nan,)), (1, (np.inf,))]
+    )
     def test_invalid_input(self, d, kappa):
         with pytest.raises(ValueError):
             DunklStructure(d, kappa)
