@@ -1,18 +1,21 @@
 """Matrices of the Dunkl operators T_j and coordinate multiplications.
 
-For Z2 in one dimension, T f(x) = f'(x) + kappa (f(x) - f(-x)) / x.  Acting on
-the basis functions both terms are available in closed form (the reflection
-difference vanishes on even functions and equals 2 f(x) / x on odd ones, with
-the 1/x absorbed analytically), so matrix entries are assembled by exact
-Gaussian quadrature.  Multi-dimensional matrices follow from the tensor
-factorization of the box-truncated basis.
+For Z2 in one dimension, T f(x) = f'(x) + kappa (f(x) - f(-x)) / x.  On the
+generalized Hermite functions it is the skew partner of the position ladder
+(see ``hermite``):
+
+    T phi_n = a_n phi_{n-1} - a_{n+1} phi_{n+1},
+
+so its values come from one basis-function table, and matrix entries are
+assembled from those values by exact Gaussian quadrature.  Multi-dimensional
+matrices follow from the tensor factorization of the box-truncated basis.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .hermite import HermiteBasis, _norms_even, _norms_odd, laguerre_table
+from .hermite import HermiteBasis, _ladder, hermite_functions_1d
 
 __all__ = [
     "dunkl_action_1d",
@@ -23,34 +26,11 @@ __all__ = [
 
 
 def dunkl_action_1d(kappa: float, nmax: int, x: np.ndarray) -> np.ndarray:
-    """Values of T phi_n at x for n = 0..nmax, shape (nmax + 1, len(x)).
-
-    Uses (L_m^a)' = -L_{m-1}^{a+1} for the derivative part; the reflection
-    part is 2 kappa L_m^{kappa+1/2}(x^2) e^{-x^2/2} on odd functions.
-    """
-    x = np.asarray(x, dtype=float)
-    u = x * x
-    gauss = np.exp(-0.5 * u)
-    m_even = nmax // 2
-    m_odd = max((nmax - 1) // 2, 0)
-    la = laguerre_table(kappa - 0.5, m_even, u)
-    dla = laguerre_table(kappa + 0.5, max(m_even - 1, 0), u)   # -(L^{a})' table
-    lb = laguerre_table(kappa + 0.5, m_odd, u)
-    dlb = laguerre_table(kappa + 1.5, max(m_odd - 1, 0), u)
-    ce = _norms_even(kappa, m_even)
-    co = _norms_odd(kappa, m_odd)
-    out = np.empty((nmax + 1, x.size))
-    for n in range(nmax + 1):
-        m = n // 2
-        sgn = (-1.0) ** m
-        if n % 2 == 0:
-            dl = -dla[m - 1] if m >= 1 else np.zeros_like(u)
-            out[n] = sgn * ce[m] * (2.0 * x * dl - x * la[m]) * gauss
-        else:
-            dl = -dlb[m - 1] if m >= 1 else np.zeros_like(u)
-            deriv = (lb[m] + 2.0 * u * dl - u * lb[m]) * gauss
-            refl = 2.0 * kappa * lb[m] * gauss
-            out[n] = sgn * co[m] * (deriv + refl)
+    """Values of T phi_n at x for n = 0..nmax, shape (nmax + 1, len(x))."""
+    a = _ladder(kappa, nmax + 1)[:, None]
+    phi = hermite_functions_1d(kappa, nmax + 1, x)
+    out = -a[1:] * phi[1:]
+    out[1:] += a[1:-1] * phi[:-2]
     return out
 
 

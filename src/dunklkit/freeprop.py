@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hermite import HermiteBasis, _branch_power, kernel_Kit, propagated_density
+from .hermite import HermiteBasis, _kernel_body, kernel_Kit, propagated_density
 from .quadrature import plain_rule, time_grid, weighted_lp_norm
-from .structure import DunklStructure, _kernel_product, as_point_list, as_points
+from .structure import DunklStructure, as_point_list, as_points
 
 __all__ = [
     "LensMap",
@@ -54,32 +54,18 @@ class LensMap:
         return 0.5 * self.v
 
 
-
-
 def heat_kernel(s: DunklStructure, t: float, x, y):
     """Heat kernel of the Dunkl Laplacian; strictly positive for Z2^d."""
     if t <= 0:
         raise ValueError(f"heat kernel needs t > 0, got {t}")
-    x = as_points(s, x)
-    y = as_points(s, y)
-    e = s.gamma_kappa + 0.5 * s.d
-    r2 = (x * x).sum(axis=-1) + (y * y).sum(axis=-1)
-    out = s.m_kappa * (2.0 * t) ** (-e) * np.exp(-r2 / (4.0 * t)) * _kernel_product(
-        s, 1.0 / (2.0 * t), x, y
-    )
-    return np.real_if_close(out, tol=100)
+    return np.real_if_close(_kernel_body(s, 2.0 * t, 1.0, 1.0, x, y), tol=100)
 
 
 def kernel_Lit(s: DunklStructure, t: float, x, y):
     """Kernel of e^{it Laplacian} for t != 0 (principal-branch power)."""
     if t == 0:
         raise ValueError("free Schrodinger kernel undefined at t = 0")
-    x = as_points(s, x)
-    y = as_points(s, y)
-    e = s.gamma_kappa + 0.5 * s.d
-    r2 = (x * x).sum(axis=-1) + (y * y).sum(axis=-1)
-    pref = s.m_kappa * _branch_power(2j * t, -e)
-    return pref * np.exp(1j * r2 / (4.0 * t)) * _kernel_product(s, 1.0 / (2j * t), x, y)
+    return _kernel_body(s, 2j * t, 1.0, 1.0, x, y)
 
 
 def lens_relation_residual(s: DunklStructure, v: float, x, y) -> float:

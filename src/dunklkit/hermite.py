@@ -1,27 +1,27 @@
 """Generalized (Dunkl) Hermite basis, Mehler kernel, and e^{-itH} machinery.
 
-One-dimensional functions are built from Laguerre polynomials:
+One-dimensional functions come from the ladder of the Z2 oscillator: with
+a_n = sqrt((n + 2 kappa [n odd]) / 2),
 
-    phi_{2m}(x)   = (-1)^m sqrt(m! / Gamma(m + kappa + 1/2))
-                    * L_m^{kappa - 1/2}(x^2) e^{-x^2/2}
-    phi_{2m+1}(x) = (-1)^m sqrt(m! / Gamma(m + kappa + 3/2))
-                    * x L_m^{kappa + 1/2}(x^2) e^{-x^2/2}
+    x phi_n = a_{n+1} phi_{n+1} + a_n phi_{n-1},
+    phi_0(x) = e^{-x^2/2} / sqrt(Gamma(kappa + 1/2)),
 
-normalized in L^2 against |x|^{2 kappa} dx, sign fixed so phi_n(x) > 0 as
-x -> +inf; d-dimensional functions are tensor products over a box truncation
-mu_j <= N.  The n-th function satisfies H phi = (2n + 1 + 2 kappa) phi in one
-dimension, hence eigenvalues 2|mu| + d + 2 gamma_kappa.  A state is its
-complex (M,) coefficient array in a basis, and e^{-itH} multiplies it by
-e^{-it lambda_mu}.
+so phi_{n+1} = (x phi_n - a_n phi_{n-1}) / a_{n+1}.  The functions are
+orthonormal in L^2 against |x|^{2 kappa} dx and their leading coefficients
+are positive, so phi_n(x) > 0 as x -> +inf; d-dimensional functions are
+tensor products over a box truncation mu_j <= N.  The n-th function satisfies
+H phi = (2n + 1 + 2 kappa) phi in one dimension, hence eigenvalues
+2|mu| + d + 2 gamma_kappa.  A state is its complex (M,) coefficient array in
+a basis, and e^{-itH} multiplies it by e^{-it lambda_mu}.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product as _iproduct
 
 import numpy as np
-from scipy.special import gammaln
 
 from .quadrature import TensorGrid, plain_rule
 from .structure import DunklStructure, _kernel_product, as_point_list, as_points
@@ -30,7 +30,6 @@ __all__ = [
     "SingularTimeError",
     "HermiteBasis",
     "build_basis",
-    "laguerre_table",
     "hermite_functions_1d",
     "mehler_closed_form",
     "kernel_Kit",
@@ -51,47 +50,22 @@ class SingularTimeError(ValueError):
         )
 
 
-def laguerre_table(alpha: float, mmax: int, u: np.ndarray) -> np.ndarray:
-    """L_m^alpha(u) for m = 0..mmax via the three-term recurrence."""
-    u = np.asarray(u, dtype=float)
-    out = np.empty((mmax + 1,) + u.shape)
-    out[0] = 1.0
-    if mmax >= 1:
-        out[1] = 1.0 + alpha - u
-    for m in range(1, mmax):
-        out[m + 1] = ((2 * m + 1 + alpha - u) * out[m] - (m + alpha) * out[m - 1]) / (m + 1)
-    return out
-
-
-def _norms_even(kappa: float, mmax: int) -> np.ndarray:
-    m = np.arange(mmax + 1)
-    return np.exp(0.5 * (gammaln(m + 1) - gammaln(m + kappa + 0.5)))
-
-
-def _norms_odd(kappa: float, mmax: int) -> np.ndarray:
-    m = np.arange(mmax + 1)
-    return np.exp(0.5 * (gammaln(m + 1) - gammaln(m + kappa + 1.5)))
+def _ladder(kappa: float, nmax: int) -> np.ndarray:
+    """Ladder coefficients a_n = sqrt((n + 2 kappa [n odd]) / 2), n = 0..nmax."""
+    n = np.arange(nmax + 1)
+    return np.sqrt(0.5 * (n + 2.0 * kappa * (n % 2)))
 
 
 def hermite_functions_1d(kappa: float, nmax: int, x: np.ndarray) -> np.ndarray:
     """Table phi_n(x) for n = 0..nmax, shape (nmax + 1, len(x))."""
     x = np.asarray(x, dtype=float)
-    u = x * x
-    gauss = np.exp(-0.5 * u)
-    m_even = nmax // 2
-    m_odd = max((nmax - 1) // 2, 0)
-    la = laguerre_table(kappa - 0.5, m_even, u)
-    lb = laguerre_table(kappa + 0.5, m_odd, u)
-    ce = _norms_even(kappa, m_even)
-    co = _norms_odd(kappa, m_odd)
-    sign = lambda m: (-1.0) ** m
+    a = _ladder(kappa, nmax)
     out = np.empty((nmax + 1, x.size))
-    for n in range(nmax + 1):
-        m = n // 2
-        if n % 2 == 0:
-            out[n] = sign(m) * ce[m] * la[m] * gauss
-        else:
-            out[n] = sign(m) * co[m] * x * lb[m] * gauss
+    out[0] = np.exp(-0.5 * x * x - 0.5 * math.lgamma(kappa + 0.5))
+    if nmax >= 1:
+        out[1] = x * out[0] / a[1]
+    for n in range(1, nmax):
+        out[n + 1] = (x * out[n] - a[n] * out[n - 1]) / a[n + 1]
     return out
 
 
@@ -141,6 +115,8 @@ class HermiteBasis:
 
 
 def build_basis(s: DunklStructure, n_degree: int, grid: TensorGrid) -> HermiteBasis:
+    if n_degree < 0:
+        raise ValueError(f"n_degree must be non-negative, got {n_degree}")
     for rule in grid.rules:
         if rule.order < n_degree + 1:
             raise ValueError(
@@ -168,9 +144,15 @@ def propagated_density(basis: HermiteBasis, coeffs, occupations, t) -> np.ndarra
     return out
 
 
-def _branch_power(base: np.ndarray | complex, expo: float) -> np.ndarray | complex:
-    """Principal-branch complex power (numpy convention)."""
-    return np.asarray(base, dtype=complex) ** expo
+def _kernel_body(s: DunklStructure, z: complex, c: complex, b: complex, x, y):
+    """M_kappa z^{-d_eff/2} exp(-c (|x|^2 + |y|^2) / (2z)) E_kappa(b x / z, y),
+    the Mehler-type form shared by the propagator kernels (principal-branch
+    power)."""
+    x = as_points(s, x)
+    y = as_points(s, y)
+    r2 = (x * x).sum(axis=-1) + (y * y).sum(axis=-1)
+    pref = s.m_kappa * np.asarray(z, dtype=complex) ** (-0.5 * s.d_eff)
+    return pref * np.exp(-c * r2 / (2.0 * z)) * _kernel_product(s, b / z, x, y)
 
 
 def mehler_closed_form(s: DunklStructure, w: complex, x, y):
@@ -178,13 +160,7 @@ def mehler_closed_form(s: DunklStructure, w: complex, x, y):
     w = complex(w)
     if abs(w * w - 1.0) < 1e-14:
         raise ValueError(f"Mehler kernel undefined at w^2 = 1 (w={w!r})")
-    x = as_points(s, x)
-    y = as_points(s, y)
-    e = 0.5 * s.d_eff
-    r2 = (x * x).sum(axis=-1) + (y * y).sum(axis=-1)
-    pref = 2.0**e * s.m_kappa * _branch_power(1.0 - w * w, -e)
-    body = np.exp(-0.5 * ((1.0 + w * w) / (1.0 - w * w)) * r2)
-    return pref * body * _kernel_product(s, 2.0 * w / (1.0 - w * w), x, y)
+    return _kernel_body(s, 0.5 * (1.0 - w * w), 0.5 * (1.0 + w * w), w, x, y)
 
 
 def singular_time_distance(t: float) -> float:
@@ -197,14 +173,7 @@ def kernel_Kit(s: DunklStructure, t: float, x, y):
     dist = singular_time_distance(t)
     if dist < 1e-10:
         raise SingularTimeError(t, dist)
-    x = as_points(s, x)
-    y = as_points(s, y)
-    e = 0.5 * s.d_eff
-    sin2t = np.sin(2.0 * t)
-    r2 = (x * x).sum(axis=-1) + (y * y).sum(axis=-1)
-    pref = s.m_kappa * _branch_power(1j * sin2t, -e)
-    body = np.exp(0.5j * (np.cos(2.0 * t) / sin2t) * r2)
-    return pref * body * _kernel_product(s, 1.0 / (1j * sin2t), x, y)
+    return _kernel_body(s, 1j * np.sin(2.0 * t), np.cos(2.0 * t), 1.0, x, y)
 
 
 def kernel_quadrature(basis: HermiteBasis, coeffs, kernel, eval_points, order_factor: int = 6):

@@ -2,16 +2,13 @@
 pass/fail line and the measured figure of merit for each."""
 
 import numpy as np
-import pytest
 
 from dunklkit import (
     DunklStructure,
     HartreeConfig,
-    LensMap,
     admissible_p,
     build_basis,
     free_evolve_via_lens,
-    generate_system,
     hamiltonian_matrix,
     hermite_functions_1d,
     inhomogeneous_check,
@@ -29,7 +26,6 @@ from dunklkit import (
     tensor_grid,
     time_averaged_operator,
     time_grid,
-    weighted_lp_norm,
 )
 from dunklkit.strichartz import duhamel_solution
 

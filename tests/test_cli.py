@@ -85,6 +85,15 @@ class TestConfig:
         assert result.exit_code == EXIT_CONFIG
         assert "CONFIG ERROR" in result.output
 
+    @pytest.mark.parametrize("command", ["strichartz", "dual-schatten", "inhomogeneous"])
+    def test_negative_degree_exit_code(self, runner, small_config, tmp_path, command):
+        path = small_config
+        path.write_text(path.read_text().replace("n_degree = 16", "n_degree = -1"))
+        result = runner.invoke(main, ["-c", str(path), command])
+        assert result.exit_code == EXIT_CONFIG
+        assert "CONFIG ERROR: n_degree must be non-negative, got -1" in result.output
+        assert not (tmp_path / "reports").exists()
+
 
 class TestSubcommands:
     def test_verify_kernels(self, runner, small_config, tmp_path):

@@ -36,15 +36,20 @@ class TestDunklAction:
 
 
 class TestMatrices:
-    def test_classical_ladder_structure(self, basis_1d_classical):
-        # at kappa = 0, x has entries sqrt(n/2) on the first off-diagonals
-        basis = basis_1d_classical
-        xmat = position_operator_matrix(basis, 1)
+    @pytest.mark.parametrize("fixture", ["basis_1d_classical", "basis_1d_half", "basis_1d_one"])
+    def test_ladder_structure(self, fixture, request):
+        # with a_n = sqrt((n + 2 kappa [n odd]) / 2), x is the symmetric and T
+        # the skew tridiagonal of the ladder (sqrt(n/2) at kappa = 0); the
+        # quadrature is exact on both, the truncation edge included
+        basis = request.getfixturevalue(fixture)
         n = np.arange(1, basis.size)
-        np.testing.assert_allclose(np.diag(xmat, 1), np.sqrt(n / 2.0), atol=1e-12)
-        np.testing.assert_allclose(np.diag(xmat, -1), np.sqrt(n / 2.0), atol=1e-12)
-        off = xmat - np.diag(np.diag(xmat, 1), 1) - np.diag(np.diag(xmat, -1), -1)
-        assert np.abs(off).max() < 1e-12
+        upper = np.diag(np.sqrt(0.5 * (n + 2.0 * basis.structure.kappa[0] * (n % 2))), 1)
+        np.testing.assert_allclose(
+            position_operator_matrix(basis, 1), upper + upper.T, rtol=0, atol=1e-12
+        )
+        np.testing.assert_allclose(
+            dunkl_operator_matrix(basis, 1), upper - upper.T, rtol=0, atol=1e-12
+        )
 
     def test_position_self_adjoint_dunkl_antisymmetric_blocks(self, basis_1d_one):
         basis = basis_1d_one

@@ -41,6 +41,31 @@ class TestBasis:
             )
             np.testing.assert_allclose(table[n], ref, atol=1e-12)
 
+    @pytest.mark.parametrize("kappa", [0.5, 0.8, 1.5, 5.0])
+    def test_laguerre_closed_form_oracle(self, kappa):
+        # phi_{2m}   = (-1)^m sqrt(m! / Gamma(m + kappa + 1/2)) L_m^{kappa-1/2}(x^2) e^{-x^2/2}
+        # phi_{2m+1} = (-1)^m sqrt(m! / Gamma(m + kappa + 3/2)) x L_m^{kappa+1/2}(x^2) e^{-x^2/2}
+        # with L_m^a(u) = sum_j (-1)^j binom(m + a, m - j) u^j / j! summed at
+        # 60 digits (mpmath.laguerre fails to converge at the root L_1^0(1) = 0)
+        mpmath = pytest.importorskip("mpmath")
+        nmax = 60
+        x = np.linspace(-7, 7, 15)
+        table = hermite_functions_1d(kappa, nmax, x)
+        ref = np.empty_like(table)
+        with mpmath.workdps(60):
+            u = [mpmath.mpf(xi) ** 2 for xi in x]
+            gauss = [mpmath.exp(-ui / 2) for ui in u]
+            for n in range(nmax + 1):
+                m, odd = divmod(n, 2)
+                a = mpmath.mpf(kappa) - 0.5 + odd
+                norm = (-1) ** m * mpmath.sqrt(mpmath.factorial(m) / mpmath.gamma(m + a + 1))
+                coef = [(-1) ** j * mpmath.binomial(m + a, m - j) / mpmath.factorial(j)
+                        for j in range(m, -1, -1)]
+                for i, xi in enumerate(x):
+                    val = norm * mpmath.polyval(coef, u[i]) * gauss[i]
+                    ref[n, i] = float(val * xi if odd else val)
+        assert np.abs(table - ref).max() <= 1e-13 * np.abs(table).max()
+
     def test_positive_at_infinity_sign_convention(self, basis_1d_one):
         vals = basis_1d_one.evaluate(np.array([[6.0]]))
         # e^{-18} suppressed but the sign of every function is + at large x

@@ -1,6 +1,7 @@
-"""Every name a module of the package imports is used in that module, and
-the export lists agree: a module's ``__all__`` names only what it defines,
-and the package ``__init__`` imports only names in those lists."""
+"""Every name a module of the package or of its tests imports is used in
+that module, and the export lists agree: a module's ``__all__`` names only
+what it defines, and the package ``__init__`` imports only names in those
+lists."""
 
 import ast
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 
 PACKAGE = Path(__file__).parent.parent / "src" / "dunklkit"
 SOURCES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -25,7 +27,7 @@ def unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES + TESTS, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

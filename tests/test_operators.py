@@ -13,7 +13,7 @@ from dunklkit import (
     schatten_norm,
     time_averaged_operator,
 )
-from dunklkit.quadrature import time_grid, weighted_lp_norm
+from dunklkit.quadrature import time_grid
 
 from conftest import random_state
 
