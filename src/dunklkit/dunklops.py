@@ -1,76 +1,54 @@
 """Matrices of the Dunkl operators T_j and coordinate multiplications.
 
 For Z2 in one dimension, T f(x) = f'(x) + kappa (f(x) - f(-x)) / x.  On the
-generalized Hermite functions it is the skew partner of the position ladder
-(see ``hermite``):
+generalized Hermite functions x and T act through the ladder of ``hermite``,
+a_n = sqrt((n + 2 kappa [n odd]) / 2):
 
+    x phi_n = a_n phi_{n-1} + a_{n+1} phi_{n+1},
     T phi_n = a_n phi_{n-1} - a_{n+1} phi_{n+1},
 
-so its values come from one basis-function table, and matrix entries are
-assembled from those values by exact Gaussian quadrature.  Multi-dimensional
-matrices follow from the tensor factorization of the box-truncated basis.
+so in the truncated basis x is the symmetric and T the skew tridiagonal of
+the ladder, exact up to the truncation edge.  Multi-dimensional matrices
+follow from the tensor factorization of the box-truncated basis.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .hermite import HermiteBasis, _ladder, hermite_functions_1d
+from .hermite import HermiteBasis, _ladder
 
 __all__ = [
-    "dunkl_action_1d",
     "dunkl_operator_matrix",
     "position_operator_matrix",
     "hamiltonian_matrix",
 ]
 
 
-def dunkl_action_1d(kappa: float, nmax: int, x: np.ndarray) -> np.ndarray:
-    """Values of T phi_n at x for n = 0..nmax, shape (nmax + 1, len(x))."""
-    a = _ladder(kappa, nmax + 1)[:, None]
-    phi = hermite_functions_1d(kappa, nmax + 1, x)
-    out = -a[1:] * phi[1:]
-    out[1:] += a[1:-1] * phi[:-2]
-    return out
-
-
-def _matrix_1d(basis: HermiteBasis, j: int, action_values: np.ndarray) -> np.ndarray:
-    """<A phi_n, phi_m> along dimension j by the per-dimension rule."""
-    rule = basis.grid.rules[j]
-    table = basis.dim_tables[j]
-    return (table * rule.bare_weights) @ action_values.T
-
-
-def _lift(basis: HermiteBasis, mat1d: np.ndarray, j: int) -> np.ndarray:
-    """Lift a 1-D matrix acting on coordinate j to the tensor basis."""
+def _lift(basis: HermiteBasis, j: int, sign: float) -> np.ndarray:
+    """The ladder tridiagonal upper + sign upper^T of coordinate j (1-based),
+    lifted to the tensor basis: the identity on the other coordinates."""
+    d = basis.structure.d
+    if not 1 <= j <= d:
+        raise ValueError(f"coordinate index {j} outside 1..{d}")
+    jj = j - 1
+    upper = np.diag(_ladder(basis.structure.kappa[jj], basis.per_dim_degree)[1:], 1)
     mi = basis.multi_indices
-    out = mat1d[np.ix_(mi[:, j], mi[:, j])].astype(float).copy()
-    for l in range(basis.structure.d):
-        if l != j:
-            out *= (mi[:, l][:, None] == mi[:, l][None, :])
+    out = (upper + sign * upper.T)[np.ix_(mi[:, jj], mi[:, jj])]
+    for l in range(d):
+        if l != jj:
+            out *= mi[:, l][:, None] == mi[:, l][None, :]
     return out
 
 
 def dunkl_operator_matrix(basis: HermiteBasis, j: int) -> np.ndarray:
     """Matrix of T_j in the orthonormal basis (1-based coordinate index)."""
-    d = basis.structure.d
-    if not 1 <= j <= d:
-        raise ValueError(f"coordinate index {j} outside 1..{d}")
-    jj = j - 1
-    action = dunkl_action_1d(
-        basis.structure.kappa[jj], basis.per_dim_degree, basis.grid.rules[jj].nodes
-    )
-    return _lift(basis, _matrix_1d(basis, jj, action), jj)
+    return _lift(basis, j, -1.0)
 
 
 def position_operator_matrix(basis: HermiteBasis, j: int) -> np.ndarray:
     """Matrix of multiplication by x_j (1-based coordinate index)."""
-    d = basis.structure.d
-    if not 1 <= j <= d:
-        raise ValueError(f"coordinate index {j} outside 1..{d}")
-    jj = j - 1
-    action = basis.dim_tables[jj] * basis.grid.rules[jj].nodes
-    return _lift(basis, _matrix_1d(basis, jj, action), jj)
+    return _lift(basis, j, 1.0)
 
 
 def hamiltonian_matrix(basis: HermiteBasis) -> np.ndarray:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hermite import HermiteBasis, _kernel_body, kernel_Kit, propagated_density
-from .quadrature import plain_rule, time_grid, weighted_lp_norm
+from .quadrature import tensor_grid, time_grid, weighted_lp_norm
 from .structure import DunklStructure, as_point_list, as_points
 
 __all__ = [
@@ -108,14 +108,12 @@ def free_propagator_matrix(basis: HermiteBasis, tau: float) -> np.ndarray:
         return np.conj(free_propagator_matrix(basis, -tau))
     s = basis.structure
     lens = LensMap(2.0 * tau, s.d_eff)
-    # Projection rule matched to the slowed Gaussian decay e^{-|x|^2 (1 + 1/s^2)/2}.
+    # Projection rule matched to the slowed Gaussian decay e^{-|x|^2 sigma}
+    # with sigma = (1 + 1/s^2)/2: the tensor rule for e^{-|x|^2}, dilated.
     sigma = 0.5 * (1.0 + 1.0 / lens.scale**2)
-    order = 2 * (basis.per_dim_degree + 2)
-    rules = [plain_rule(k, order, sigma=sigma) for k in s.kappa]
-    mesh = np.meshgrid(*[r[0] for r in rules], indexing="ij")
-    nodes = np.stack([m.ravel() for m in mesh], axis=-1)
-    wmesh = np.meshgrid(*[r[1] for r in rules], indexing="ij")
-    wts = np.prod(np.stack([m.ravel() for m in wmesh], axis=-1), axis=-1)
+    grid = tensor_grid(s, 2 * (basis.per_dim_degree + 2))
+    nodes = grid.nodes * (1.0 / np.sqrt(sigma))
+    wts = grid.bare_weights * sigma ** (-0.5 * s.d_eff)
     return (basis.evaluate(nodes) * wts) @ _lens_columns(basis, 2.0 * tau, nodes).T
 
 

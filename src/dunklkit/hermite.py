@@ -9,7 +9,9 @@ a_n = sqrt((n + 2 kappa [n odd]) / 2),
 so phi_{n+1} = (x phi_n - a_n phi_{n-1}) / a_{n+1}.  The functions are
 orthonormal in L^2 against |x|^{2 kappa} dx and their leading coefficients
 are positive, so phi_n(x) > 0 as x -> +inf; d-dimensional functions are
-tensor products over a box truncation mu_j <= N.  The n-th function satisfies
+tensor products over a box truncation mu_j <= N, tabulated at any points
+(the basis grid included) as one product of 1-D tables at the points'
+coordinates.  The n-th function satisfies
 H phi = (2n + 1 + 2 kappa) phi in one dimension, hence eigenvalues
 2|mu| + d + 2 gamma_kappa.  A state is its complex (M,) coefficient array in
 a basis, and e^{-itH} multiplies it by e^{-it lambda_mu}.
@@ -75,9 +77,18 @@ def box_multi_indices(d: int, n: int) -> np.ndarray:
     return np.asarray(idx, dtype=int)
 
 
+def _table(s: DunklStructure, n_degree: int, multi_indices: np.ndarray, points) -> np.ndarray:
+    """phi_mu at the (npts, d) points, shape (M, npts): the product over j of
+    the 1-D functions of degree mu_j at the j-th coordinates."""
+    out = np.ones((multi_indices.shape[0], points.shape[0]))
+    for j in range(s.d):
+        out *= hermite_functions_1d(s.kappa[j], n_degree, points[:, j])[multi_indices[:, j]]
+    return out
+
+
 @dataclass(frozen=True)
 class HermiteBasis:
-    """Truncated orthonormal generalized-Hermite basis with node tables."""
+    """Truncated orthonormal generalized-Hermite basis with its grid table."""
 
     structure: DunklStructure
     per_dim_degree: int
@@ -85,7 +96,6 @@ class HermiteBasis:
     multi_indices: np.ndarray   # (M, d)
     eigenvalues: np.ndarray     # (M,) values 2|mu| + d + 2 gamma
     eval_table: np.ndarray      # (M, K) phi_mu at grid nodes
-    dim_tables: tuple[np.ndarray, ...]  # per-dimension 1-D tables on rule nodes
 
     @property
     def size(self) -> int:
@@ -94,14 +104,7 @@ class HermiteBasis:
     def evaluate(self, points) -> np.ndarray:
         """phi_mu at arbitrary points, shape (M, npts)."""
         pts = as_point_list(self.structure, points)
-        tables = [
-            hermite_functions_1d(self.structure.kappa[j], self.per_dim_degree, pts[:, j])
-            for j in range(self.structure.d)
-        ]
-        out = np.ones((self.size, pts.shape[0]))
-        for j in range(self.structure.d):
-            out *= tables[j][self.multi_indices[:, j]]
-        return out
+        return _table(self.structure, self.per_dim_degree, self.multi_indices, pts)
 
     def project(self, samples: np.ndarray) -> np.ndarray:
         """Coefficients of a function from grid samples by quadrature.
@@ -109,9 +112,6 @@ class HermiteBasis:
         Accurate for Gaussian-enveloped samples (decay ~ e^{-|x|^2/2}).
         """
         return (self.eval_table * self.grid.bare_weights) @ np.asarray(samples)
-
-    def gram_matrix(self) -> np.ndarray:
-        return (self.eval_table * self.grid.bare_weights) @ self.eval_table.T
 
 
 def build_basis(s: DunklStructure, n_degree: int, grid: TensorGrid) -> HermiteBasis:
@@ -124,13 +124,7 @@ def build_basis(s: DunklStructure, n_degree: int, grid: TensorGrid) -> HermiteBa
             )
     mi = box_multi_indices(s.d, n_degree)
     eig = 2.0 * mi.sum(axis=1) + s.d_eff
-    dim_tables = tuple(
-        hermite_functions_1d(s.kappa[j], n_degree, grid.rules[j].nodes) for j in range(s.d)
-    )
-    table = np.ones((mi.shape[0], grid.npoints))
-    for j in range(s.d):
-        table *= dim_tables[j][np.ix_(mi[:, j], grid.index[:, j])]
-    return HermiteBasis(s, int(n_degree), grid, mi, eig, table, dim_tables)
+    return HermiteBasis(s, int(n_degree), grid, mi, eig, _table(s, n_degree, mi, grid.nodes))
 
 
 def propagated_density(basis: HermiteBasis, coeffs, occupations, t) -> np.ndarray:

@@ -87,14 +87,14 @@ def plain_rule(kappa: float, n: int, sigma: float = 1.0):
 
 @dataclass(frozen=True)
 class TensorGrid:
-    """Full tensor product of per-dimension rules over a DunklStructure."""
+    """Full tensor product of per-dimension rules over a DunklStructure, in
+    row-major order: the last coordinate varies fastest."""
 
     structure: DunklStructure
     rules: tuple[QuadratureRule1D, ...]
     nodes: np.ndarray        # (K, d)
     weights: np.ndarray      # (K,), absorb h^2 * exp(-|x|^2)
     bare_weights: np.ndarray  # (K,), Gaussian divided out per dimension
-    index: np.ndarray        # (K, d) per-dimension node indices
 
     @property
     def npoints(self) -> int:
@@ -108,17 +108,16 @@ def tensor_grid(s: DunklStructure, orders) -> TensorGrid:
     if len(orders) != s.d:
         raise ValueError(f"need {s.d} orders, got {len(orders)}")
     rules = tuple(build_rule(k, n) for k, n in zip(s.kappa, orders))
-    axes = [np.arange(2 * r.order) for r in rules]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    index = np.stack([m.ravel() for m in mesh], axis=-1)
-    nodes = np.stack([rules[j].nodes[index[:, j]] for j in range(s.d)], axis=-1)
-    weights = np.prod(
-        np.stack([rules[j].weights[index[:, j]] for j in range(s.d)], axis=-1), axis=-1
+
+    def product(field):
+        """(K, d) array of the per-dimension values of ``field`` at each node."""
+        mesh = np.meshgrid(*[getattr(r, field) for r in rules], indexing="ij")
+        return np.stack([m.ravel() for m in mesh], axis=-1)
+
+    return TensorGrid(
+        s, rules, product("nodes"), product("weights").prod(axis=-1),
+        product("bare_weights").prod(axis=-1),
     )
-    bare = np.prod(
-        np.stack([rules[j].bare_weights[index[:, j]] for j in range(s.d)], axis=-1), axis=-1
-    )
-    return TensorGrid(s, rules, nodes, weights, bare, index)
 
 
 def gaussian_moment(kappa: float, m: int) -> float:

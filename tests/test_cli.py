@@ -160,6 +160,27 @@ class TestSubcommands:
         assert result.exit_code == EXIT_OK, result.output
         assert (tmp_path / "reports" / "kss.json").exists()
 
+    @pytest.mark.parametrize(
+        "n_degree, grid_order, code, ratio",
+        [(16, 24, EXIT_IDENTITY, "1.00546"), (32, 40, EXIT_OK, "0.991412")],
+    )
+    def test_kss_truncation(self, runner, small_config, tmp_path, n_degree, grid_order,
+                            code, ratio):
+        # the bound holds for the operator, not for its truncation: at
+        # n_degree 16 the truncated lhs exceeds the rhs beyond the gate's
+        # 1e-3 slack, and doubling the degree brings it back under
+        path = small_config
+        path.write_text(
+            path.read_text()
+            .replace("n_degree = 16", f"n_degree = {n_degree}")
+            .replace("grid_order = 24", f"grid_order = {grid_order}")
+        )
+        result = runner.invoke(
+            main, ["-c", str(path), "kss", "--r", "1.5", "--params", "0 1 1 0.3"]
+        )
+        assert result.exit_code == code, result.output
+        assert f"ratio={ratio}" in result.output
+
     def test_kss_bad_params(self, runner, small_config):
         result = runner.invoke(
             main, ["-c", str(small_config), "kss", "--params", "1 2 3"]

@@ -2,53 +2,68 @@ import numpy as np
 import pytest
 
 from dunklkit import (
+    DunklStructure,
+    build_basis,
     dunkl_operator_matrix,
     hamiltonian_matrix,
     hermite_functions_1d,
     position_operator_matrix,
+    tensor_grid,
 )
-from dunklkit.dunklops import dunkl_action_1d
+
+
+def dunkl_action(kappa, nmax, x):
+    """Values of T phi_n at x for n = 0..nmax, shape (nmax + 1, len(x)): the
+    columns of the T matrix at degree nmax + 1, which hold them exactly."""
+    s = DunklStructure(1, (kappa,))
+    basis = build_basis(s, nmax + 1, tensor_grid(s, nmax + 2))
+    table = hermite_functions_1d(kappa, nmax + 1, x)
+    return (dunkl_operator_matrix(basis, 1).T @ table)[: nmax + 1]
+
+
+def central_difference_action(kappa, nmax, x, h=1e-6):
+    """T phi_n = phi_n' + kappa (phi_n(x) - phi_n(-x)) / x by central differences."""
+    up = hermite_functions_1d(kappa, nmax, x + h)
+    dn = hermite_functions_1d(kappa, nmax, x - h)
+    mid = hermite_functions_1d(kappa, nmax, x)
+    neg = hermite_functions_1d(kappa, nmax, -x)
+    return (up - dn) / (2 * h) + kappa * (mid - neg) / x
 
 
 class TestDunklAction:
     def test_finite_difference_oracle(self):
-        # T f = f' + kappa (f(x) - f(-x)) / x, checked against central
-        # differences of the basis-function tables
-        kappa = 0.8
         x = np.array([0.4, 1.1, -0.7, 2.0])
-        h = 1e-6
-        action = dunkl_action_1d(kappa, 8, x)
-        up = hermite_functions_1d(kappa, 8, x + h)
-        dn = hermite_functions_1d(kappa, 8, x - h)
-        mid = hermite_functions_1d(kappa, 8, x)
-        neg = hermite_functions_1d(kappa, 8, -x)
-        fd = (up - dn) / (2 * h) + kappa * (mid - neg) / x
-        np.testing.assert_allclose(action, fd, atol=1e-8)
+        np.testing.assert_allclose(
+            dunkl_action(0.8, 8, x), central_difference_action(0.8, 8, x), atol=1e-8
+        )
 
     def test_classical_reduces_to_derivative(self):
         x = np.linspace(-2, 2, 9)
         h = 1e-6
-        action = dunkl_action_1d(0.0, 6, x)
         fd = (hermite_functions_1d(0.0, 6, x + h) - hermite_functions_1d(0.0, 6, x - h)) / (
             2 * h
         )
-        np.testing.assert_allclose(action, fd, atol=1e-8)
+        np.testing.assert_allclose(dunkl_action(0.0, 6, x), fd, atol=1e-8)
 
 
 class TestMatrices:
     @pytest.mark.parametrize("fixture", ["basis_1d_classical", "basis_1d_half", "basis_1d_one"])
-    def test_ladder_structure(self, fixture, request):
-        # with a_n = sqrt((n + 2 kappa [n odd]) / 2), x is the symmetric and T
-        # the skew tridiagonal of the ladder (sqrt(n/2) at kappa = 0); the
-        # quadrature is exact on both, the truncation edge included
+    def test_quadrature_oracle(self, fixture, request):
+        # the ladder matrices against Gaussian quadrature of the actions on
+        # the basis grid, <A phi_n, phi_m> = sum_k w_k (A phi_n)(x_k) phi_m(x_k):
+        # exact for x, through central differences for T; the quadrature is
+        # exact on both, the truncation edge included
         basis = request.getfixturevalue(fixture)
-        n = np.arange(1, basis.size)
-        upper = np.diag(np.sqrt(0.5 * (n + 2.0 * basis.structure.kappa[0] * (n % 2))), 1)
+        kappa = basis.structure.kappa[0]
+        x = basis.grid.nodes[:, 0]
+        table = basis.eval_table
+        weighted = table * basis.grid.bare_weights
         np.testing.assert_allclose(
-            position_operator_matrix(basis, 1), upper + upper.T, rtol=0, atol=1e-12
+            position_operator_matrix(basis, 1), weighted @ (table * x).T, rtol=0, atol=1e-12
         )
+        action = central_difference_action(kappa, basis.per_dim_degree, x)
         np.testing.assert_allclose(
-            dunkl_operator_matrix(basis, 1), upper - upper.T, rtol=0, atol=1e-12
+            dunkl_operator_matrix(basis, 1), weighted @ action.T, rtol=0, atol=1e-6
         )
 
     def test_position_self_adjoint_dunkl_antisymmetric_blocks(self, basis_1d_one):

@@ -210,6 +210,22 @@ class TestFreeEvolution:
         assert np.abs(gram - np.eye(m)).max() <= 1e-6
         assert 1.0 - np.linalg.norm(umat[:, -1]) >= 1e-3
 
+    @pytest.mark.parametrize("tau", [0.05, 0.3, -0.2, 1.7])
+    def test_matrix_2d_is_product_of_1d(self, basis_2d, tau):
+        # e^{i tau Laplacian} factors over the coordinates, and so does the
+        # tensor projection rule: the d = 2 matrix is the box-lifted product
+        # U_{kappa_1}[mu_1, nu_1] U_{kappa_2}[mu_2, nu_2] of the d = 1 ones
+        s, n = basis_2d.structure, basis_2d.per_dim_degree
+        u1, u2 = (
+            free_propagator_matrix(build_basis(sj, n, tensor_grid(sj, n + 1)), tau)
+            for sj in (DunklStructure(1, (k,)) for k in s.kappa)
+        )
+        mi = basis_2d.multi_indices
+        product = u1[np.ix_(mi[:, 0], mi[:, 0])] * u2[np.ix_(mi[:, 1], mi[:, 1])]
+        np.testing.assert_allclose(
+            free_propagator_matrix(basis_2d, tau), product, rtol=0, atol=1e-14
+        )
+
     def test_matrix_matches_lens_on_states(self, basis_1d_half):
         basis = basis_1d_half
         u = random_state(basis, seed=10, band=12)

@@ -1,7 +1,7 @@
 """Every name a module of the package or of its tests imports is used in
 that module, and the export lists agree: a module's ``__all__`` names only
 what it defines, and the package ``__init__`` imports only names in those
-lists."""
+lists.  The modules the benchmark's tracer wraps all exist."""
 
 import ast
 from pathlib import Path
@@ -11,6 +11,7 @@ import pytest
 PACKAGE = Path(__file__).parent.parent / "src" / "dunklkit"
 SOURCES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 TESTS = sorted(Path(__file__).parent.glob("*.py"))
+TRACER = Path(__file__).parent.parent / "perfbench" / "trace_child.py"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -36,11 +37,11 @@ def test_detects_an_unused_import():
     assert unused_imports("import os\nfrom a import b, c\nc()\n") == ["line 1: os", "line 2: b"]
 
 
-def exported(source: str) -> list[str]:
-    """The string entries of a module's top-level ``__all__``."""
+def exported(source: str, name: str = "__all__") -> list[str]:
+    """The string entries of a module's top-level ``__all__`` (or ``name``)."""
     for node in ast.parse(source).body:
         if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            isinstance(t, ast.Name) and t.id == name for t in node.targets
         ):
             return [elt.value for elt in node.value.elts]
     return []
@@ -75,3 +76,10 @@ def test_package_imports_only_exported_names():
 def test_detects_a_stale_export():
     source = "__all__ = ['kept', 'gone', 'K']\ndef kept(): pass\nK = 1\n"
     assert undefined_exports(source) == ["gone"]
+
+
+def test_traced_modules_exist():
+    # the tracer wraps the public functions of each module it names, so a
+    # module renamed or merged away would silently drop out of its spans
+    modules = exported(TRACER.read_text(), "MODULES")
+    assert modules and [m for m in modules if not (PACKAGE / f"{m}.py").is_file()] == []
