@@ -1,6 +1,6 @@
 """Compact operators in the spectral basis: conjugation by the two flows,
-Schatten norms, densities, the time-averaged operator of the dual functional,
-and mixed position-momentum operators.
+Schatten norms, densities, the time-averaged operator of the dual functional
+from the potential's time harmonics, and mixed position-momentum operators.
 
 Everything is dense: operators are square matrices A with entries
 A_{mu nu} = <A phi_nu, phi_mu>_kappa in the truncated orthonormal basis, and
@@ -127,13 +127,16 @@ def density(basis: HermiteBasis, a, points=None) -> np.ndarray:
 def time_averaged_operator(basis: HermiteBasis, time_nodes, v_samples) -> np.ndarray:
     """B = integral over t of e^{itH} V(t,.) e^{-itH} dt, as a dense matrix.
 
-    ``v_samples`` has shape (T, K): potential samples on the basis grid at
-    each time node; the time integral is the supplied quadrature rule.  Its
-    Schatten-2q' norm is the dual functional.  The nodes are visited one at
-    a time: at M = 289, K = 1600, T = 256 a (T, M, M) stack of conjugates
-    would take 342 MB, and a (T, M, K) stack of weighted tables 947 MB.
+    ``v_samples`` (T, K) samples V on the basis grid at the nodes of the time
+    rule (t, tau); the Schatten-2q' norm of B is the dual functional.  As
+    lambda_mu = 2|mu| + d_eff, B_{mu nu} = sum_k w_k phi_mu(x_k) phi_nu(x_k)
+    V_{|mu|-|nu|}(x_k) over the grid (w the bare weights) with time harmonics
+    V_n = sum_t tau_t e^{2int} V_t, |n| <= max |mu|: one product over the T
+    nodes, then B by blocks of degree shells, M^2 K work, not T M^2 K.
     """
     t, tau = (np.asarray(v, dtype=float) for v in time_nodes)
+    if t.ndim != 1 or t.shape != tau.shape or not np.isfinite(t + tau).all():
+        raise ValueError("time nodes and weights must be finite, 1-D and of equal length")
     v_samples = np.asarray(v_samples)
     if v_samples.shape != (t.size, basis.grid.npoints):
         raise ValueError(
@@ -141,10 +144,17 @@ def time_averaged_operator(basis: HermiteBasis, time_nodes, v_samples) -> np.nda
         )
     if not np.all(np.isfinite(v_samples)):
         raise ValueError("non-finite potential samples")
-    b = np.zeros((basis.size, basis.size), dtype=complex)
-    for i in range(t.size):
-        m = multiplication_matrix(basis, v_samples[i])
-        b += tau[i] * conjugate(basis, m, -t[i])
+    degree = basis.multi_indices.sum(axis=1)
+    top = int(degree[-1])
+    phases = tau * np.exp(2j * np.outer(np.arange(-top, top + 1), t))
+    # real and imaginary phases apart: a complex product would copy V to complex
+    harmonics = (phases.real @ v_samples + 1j * (phases.imag @ v_samples)) * basis.grid.bare_weights
+    shells = [slice(*np.searchsorted(degree, [a, a + 1])) for a in range(top + 1)]
+    table = basis.eval_table
+    b = np.empty((basis.size, basis.size), dtype=complex)
+    for a, rows in enumerate(shells):
+        for c, cols in enumerate(shells):
+            b[rows, cols] = (table[rows] * harmonics[top + a - c]) @ table[cols].T
     return b
 
 

@@ -4,13 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dunklkit import (
+    DunklStructure,
     OrthonormalSystem,
+    build_basis,
     conjugate,
     density,
     kss_check,
     mixed_xp_operator,
     multiplication_matrix,
     schatten_norm,
+    tensor_grid,
     time_averaged_operator,
 )
 from dunklkit.quadrature import time_grid
@@ -280,6 +283,74 @@ class TestDualFunctional:
             time_averaged_operator(
                 basis_1d_half, (np.zeros(3), np.ones(3)), np.zeros((2, 5))
             )
+
+
+def node_loop(basis, time_nodes, v_samples):
+    """The time-averaged operator one node at a time: sum over t of
+    tau_t e^{itH} V_t e^{-itH}, each term a conjugated multiplication matrix."""
+    t, tau = time_nodes
+    return sum(
+        tau[i] * conjugate(basis, multiplication_matrix(basis, v_samples[i]), -t[i])
+        for i in range(t.size)
+    )
+
+
+def time_rule(kind, rng):
+    if kind == "random":
+        return np.sort(rng.uniform(-7.0, 7.0, 40)), rng.uniform(0.01, 0.3, 40)
+    return time_grid(-np.pi, 2.0, 41, kind)
+
+
+class TestTimeAveragedOperator:
+    @pytest.mark.parametrize("kind", ["trapezoid", "simpson", "midpoint", "random"])
+    @pytest.mark.parametrize("fixture", ["basis_1d_half", "basis_1d_classical", "basis_2d"])
+    def test_matches_node_loop(self, request, fixture, kind):
+        # complex V with a different time profile at every grid point
+        basis = request.getfixturevalue(fixture)
+        rng = np.random.default_rng(8)
+        tn = time_rule(kind, rng)
+        envelope = np.exp(-0.5 * (basis.grid.nodes**2).sum(axis=-1))
+        shape = (tn[0].size, basis.grid.npoints)
+        v = envelope * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        b = time_averaged_operator(basis, tn, v)
+        oracle = node_loop(basis, tn, v)
+        np.testing.assert_allclose(b, oracle, rtol=0, atol=1e-13 * np.abs(oracle).max())
+
+    @pytest.mark.parametrize("fixture", ["basis_1d_half", "basis_2d"])
+    def test_hermitian_for_real_potential(self, request, fixture):
+        basis = request.getfixturevalue(fixture)
+        rng = np.random.default_rng(9)
+        tn = time_rule("random", rng)
+        v = rng.normal(size=(tn[0].size, basis.grid.npoints))
+        b = time_averaged_operator(basis, tn, v)
+        assert np.abs(b - b.conj().T).max() <= 1e-14 * np.abs(b).max()
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("n_degree", [0, 1, 5])
+    def test_degree_shell_layout(self, d, n_degree):
+        # the shell form reads B block by block of total degree and takes the
+        # phases e^{2itn} from lambda_mu = 2|mu| + d_eff
+        s = DunklStructure(d, (0.5, 1.0, 0.0)[:d])
+        basis = build_basis(s, n_degree, tensor_grid(s, n_degree + 1))
+        degree = basis.multi_indices.sum(axis=1)
+        assert np.all(np.diff(degree) >= 0)
+        np.testing.assert_array_equal(basis.eigenvalues, 2 * degree + s.d_eff)
+
+    @pytest.mark.parametrize(
+        "t, tau",
+        [
+            (np.linspace(-1, 1, 5), np.ones(4)),
+            (np.linspace(-1, 1, 5), np.ones(6)),
+            (np.array([0.0, np.nan, 0.5, 1.0, 1.5]), np.ones(5)),
+            (np.linspace(-1, 1, 5), np.array([1.0, 1.0, np.inf, 1.0, 1.0])),
+            (np.zeros((5, 1)), np.ones((5, 1))),
+        ],
+        ids=["short-weights", "long-weights", "nan-time", "infinite-weight", "two-d"],
+    )
+    def test_rejects_bad_time_rule(self, basis_1d_half, t, tau):
+        v = np.ones((5, basis_1d_half.grid.npoints))
+        with pytest.raises(ValueError, match="time nodes"):
+            time_averaged_operator(basis_1d_half, (t, tau), v)
 
 
 class TestMixedOperators:
