@@ -45,9 +45,7 @@ from .operators import (
     time_averaged_operator,
 )
 from .quadrature import (
-    QuadratureRule1D,
     TensorGrid,
-    build_rule,
     mixed_norm,
     plain_rule,
     tensor_grid,

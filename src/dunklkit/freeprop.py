@@ -106,15 +106,11 @@ def free_propagator_matrix(basis: HermiteBasis, tau: float) -> np.ndarray:
         return np.eye(basis.size, dtype=complex)
     if tau < 0.0:
         return np.conj(free_propagator_matrix(basis, -tau))
-    s = basis.structure
-    lens = LensMap(2.0 * tau, s.d_eff)
-    # Projection rule matched to the slowed Gaussian decay e^{-|x|^2 sigma}
-    # with sigma = (1 + 1/s^2)/2: the tensor rule for e^{-|x|^2}, dilated.
-    sigma = 0.5 * (1.0 + 1.0 / lens.scale**2)
-    grid = tensor_grid(s, 2 * (basis.per_dim_degree + 2))
-    nodes = grid.nodes * (1.0 / np.sqrt(sigma))
-    wts = grid.bare_weights * sigma ** (-0.5 * s.d_eff)
-    return (basis.evaluate(nodes) * wts) @ _lens_columns(basis, 2.0 * tau, nodes).T
+    # The integrand decays at least like e^{-|x|^2 / 2}; the rule for e^{-|x|^2}
+    # projects it to round-off, as closely as one matched to its decay.
+    grid = tensor_grid(basis.structure, 2 * (basis.per_dim_degree + 2))
+    columns = _lens_columns(basis, 2.0 * tau, grid.nodes)
+    return (basis.evaluate(grid.nodes) * grid.weights) @ columns.T
 
 
 def norm_transport_check(basis: HermiteBasis, coeffs, p: float, q: float, n_time: int = 256):

@@ -111,16 +111,16 @@ class HermiteBasis:
 
         Accurate for Gaussian-enveloped samples (decay ~ e^{-|x|^2/2}).
         """
-        return (self.eval_table * self.grid.bare_weights) @ np.asarray(samples)
+        return (self.eval_table * self.grid.weights) @ np.asarray(samples)
 
 
 def build_basis(s: DunklStructure, n_degree: int, grid: TensorGrid) -> HermiteBasis:
     if n_degree < 0:
         raise ValueError(f"n_degree must be non-negative, got {n_degree}")
-    for rule in grid.rules:
-        if rule.order < n_degree + 1:
+    for order in grid.orders:
+        if order < n_degree + 1:
             raise ValueError(
-                f"grid order {rule.order} too small for degree {n_degree}; need >= {n_degree + 1}"
+                f"grid order {order} too small for degree {n_degree}; need >= {n_degree + 1}"
             )
     mi = box_multi_indices(s.d, n_degree)
     eig = 2.0 * mi.sum(axis=1) + s.d_eff

@@ -107,7 +107,7 @@ def multiplication_matrix(basis: HermiteBasis, samples) -> np.ndarray:
         raise ValueError(
             f"expected {basis.grid.npoints} samples per row, got {samples.shape}"
         )
-    weighted = basis.eval_table * (basis.grid.bare_weights * samples)[..., None, :]
+    weighted = basis.eval_table * (basis.grid.weights * samples)[..., None, :]
     return weighted @ basis.eval_table.T
 
 
@@ -130,7 +130,7 @@ def time_averaged_operator(basis: HermiteBasis, time_nodes, v_samples) -> np.nda
     ``v_samples`` (T, K) samples V on the basis grid at the nodes of the time
     rule (t, tau); the Schatten-2q' norm of B is the dual functional.  As
     lambda_mu = 2|mu| + d_eff, B_{mu nu} = sum_k w_k phi_mu(x_k) phi_nu(x_k)
-    V_{|mu|-|nu|}(x_k) over the grid (w the bare weights) with time harmonics
+    V_{|mu|-|nu|}(x_k) over the grid (w the grid weights) with time harmonics
     V_n = sum_t tau_t e^{2int} V_t, |n| <= max |mu|: one product over the T
     nodes, then B by blocks of degree shells, M^2 K work, not T M^2 K.
     """
@@ -145,10 +145,12 @@ def time_averaged_operator(basis: HermiteBasis, time_nodes, v_samples) -> np.nda
     if not np.all(np.isfinite(v_samples)):
         raise ValueError("non-finite potential samples")
     degree = basis.multi_indices.sum(axis=1)
+    if np.any(np.diff(degree) < 0):
+        raise ValueError("basis multi-indices must be ordered by total degree")
     top = int(degree[-1])
     phases = tau * np.exp(2j * np.outer(np.arange(-top, top + 1), t))
     # real and imaginary phases apart: a complex product would copy V to complex
-    harmonics = (phases.real @ v_samples + 1j * (phases.imag @ v_samples)) * basis.grid.bare_weights
+    harmonics = (phases.real @ v_samples + 1j * (phases.imag @ v_samples)) * basis.grid.weights
     shells = [slice(*np.searchsorted(degree, [a, a + 1])) for a in range(top + 1)]
     table = basis.eval_table
     b = np.empty((basis.size, basis.size), dtype=complex)

@@ -1,25 +1,25 @@
-"""Weighted Gaussian quadrature for measures |x|^{2 kappa} e^{-x^2} dx.
+"""Gaussian quadrature for integrals against |x|^{2 kappa} dx.
 
 A rule of order n is built from the generalized Gauss-Laguerre rule with
-parameter alpha = kappa - 1/2 through u = x^2, giving 2n symmetric nodes and
-exactness for even polynomials up to degree 4n - 2.  Tensor grids combine the
-per-dimension rules; "bare" weights have the Gaussian divided back out so
-integrals of functions against h_kappa^2 dx alone are available.
+parameter alpha = kappa - 1/2 through u = x^2, giving 2n symmetric nodes; its
+weights have the Gaussian divided back out, so that sum_k w_k f(x_k)
+integrates f |x|^{2 kappa} dx exactly when f is an even polynomial of degree
+<= 4n - 2 times e^{-sigma x^2}.  A tensor grid is the product of the
+per-dimension rules: its weights integrate against h_kappa^2 dx.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, roots_genlaguerre
+from scipy.special import roots_genlaguerre
 
 from .structure import DunklStructure
 
 __all__ = [
-    "QuadratureRule1D",
     "TensorGrid",
-    "build_rule",
     "plain_rule",
     "tensor_grid",
     "weighted_lp_norm",
@@ -28,73 +28,48 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QuadratureRule1D:
-    """Nodes/weights for integration against |x|^{2 kappa} e^{-x^2} dx.
+def plain_rule(kappa: float, n: int, sigma: float = 1.0):
+    """Order-n rule for integrals of f |x|^{2 kappa} dx: 2n nodes in +/- pairs.
 
-    ``weights`` absorb the full factor |x|^{2 kappa} e^{-x^2};
-    ``bare_weights = weights * exp(nodes^2)`` target plain h^2 dx integrals
-    of integrands that decay like a Gaussian.
+    Exact whenever f = polynomial * exp(-sigma x^2) of degree <= 4n - 2; pick
+    sigma to match the decay of the integrand.  Returns (nodes, weights).
     """
-
-    kappa: float
-    order: int
-    nodes: np.ndarray
-    weights: np.ndarray
-    bare_weights: np.ndarray
-
-
-def build_rule(kappa: float, n: int) -> QuadratureRule1D:
-    """Order-n rule: 2n nodes in +/- pairs, exact for degree <= 4n - 2."""
     if kappa < 0:
         raise ValueError(f"kappa must be non-negative, got {kappa}")
     if n < 1:
         raise ValueError(f"order must be positive, got {n}")
+    if not 0 < sigma < np.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     u, w = roots_genlaguerre(n, kappa - 0.5)
     if not np.all(np.isfinite(u)) or not np.all(np.isfinite(w)):
         raise ArithmeticError(f"Laguerre eigenproblem failed for kappa={kappa}, n={n}")
     r = np.sqrt(u)
     nodes = np.concatenate([-r[::-1], r])
     half = 0.5 * w
-    weights = np.concatenate([half[::-1], half])
-    # log-space product: weights ~ e^{-nodes^2} so the ratio is tame even when
-    # exp(nodes^2) alone would overflow at high order.  Beyond n ~ 180 the
-    # fringe weights underflow to exact zeros -- harmless for integrands with
-    # Gaussian decay, whose samples vanish at those nodes anyway; the
-    # eigenproblem itself fails (and raises above) from n = 364 on with
-    # scipy 1.17.1, for every kappa tried in [0, 5].
+    # log-space division by the Gaussian: the Laguerre weights ~ e^{-nodes^2},
+    # so the ratio is tame even when exp(nodes^2) alone would overflow at high
+    # order.  Beyond n ~ 180 the fringe Laguerre weights underflow and give
+    # exact zeros -- harmless for integrands with Gaussian decay, whose
+    # samples vanish at those nodes anyway; the eigenproblem itself fails
+    # (and raises above) from n = 364 on with scipy 1.17.1, for every kappa
+    # tried in [0, 5].
     with np.errstate(divide="ignore"):
-        bare = np.exp(np.log(weights) + nodes**2)
-    if not np.all(np.isfinite(bare)):
+        weights = np.exp(np.log(np.concatenate([half[::-1], half])) + nodes**2)
+    if not np.all(np.isfinite(weights)):
         raise ArithmeticError(
             f"weights overflow for kappa={kappa}, n={n}; reduce the order"
         )
-    return QuadratureRule1D(float(kappa), int(n), nodes, weights, bare)
-
-
-def plain_rule(kappa: float, n: int, sigma: float = 1.0):
-    """Nodes/weights for integrals of f * |x|^{2 kappa} dx.
-
-    Exact whenever f = polynomial * exp(-sigma x^2); pick sigma to match the
-    decay of the integrand.  Returns (nodes, weights).
-    """
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    base = build_rule(kappa, n)
-    scale = 1.0 / np.sqrt(sigma)
-    return base.nodes * scale, base.bare_weights * sigma ** (-(kappa + 0.5))
+    return nodes * (1.0 / np.sqrt(sigma)), weights * sigma ** (-(kappa + 0.5))
 
 
 @dataclass(frozen=True)
 class TensorGrid:
-    """Full tensor product of per-dimension rules over a DunklStructure, in
-    row-major order: the last coordinate varies fastest."""
+    """Full tensor product of per-dimension rules, in row-major order: the
+    last coordinate varies fastest."""
 
-    structure: DunklStructure
-    rules: tuple[QuadratureRule1D, ...]
+    orders: tuple[int, ...]  # rule order per dimension
     nodes: np.ndarray        # (K, d)
-    weights: np.ndarray      # (K,), absorb h^2 * exp(-|x|^2)
-    bare_weights: np.ndarray  # (K,), Gaussian divided out per dimension
+    weights: np.ndarray      # (K,), integrate against h^2 dx
 
     @property
     def npoints(self) -> int:
@@ -102,27 +77,26 @@ class TensorGrid:
 
 
 def tensor_grid(s: DunklStructure, orders) -> TensorGrid:
+    """Product of the ``plain_rule``s of each dimension, exact for
+    polynomial * exp(-|x|^2); one order broadcasts to every dimension."""
     orders = [int(o) for o in np.atleast_1d(orders)]
     if len(orders) == 1:
         orders = orders * s.d
     if len(orders) != s.d:
         raise ValueError(f"need {s.d} orders, got {len(orders)}")
-    rules = tuple(build_rule(k, n) for k, n in zip(s.kappa, orders))
+    nodes, weights = zip(*(plain_rule(k, n) for k, n in zip(s.kappa, orders)))
 
-    def product(field):
-        """(K, d) array of the per-dimension values of ``field`` at each node."""
-        mesh = np.meshgrid(*[getattr(r, field) for r in rules], indexing="ij")
+    def product(arrays):
+        """(K, d) array of the per-dimension values at each node."""
+        mesh = np.meshgrid(*arrays, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
-    return TensorGrid(
-        s, rules, product("nodes"), product("weights").prod(axis=-1),
-        product("bare_weights").prod(axis=-1),
-    )
+    return TensorGrid(tuple(orders), product(nodes), product(weights).prod(axis=-1))
 
 
 def gaussian_moment(kappa: float, m: int) -> float:
     """Exact even moment: integral of x^{2m} |x|^{2 kappa} e^{-x^2} dx."""
-    return float(np.exp(gammaln(m + kappa + 0.5)))
+    return math.gamma(m + kappa + 0.5)
 
 
 def weighted_lp_norm(grid: TensorGrid, samples, p):
@@ -143,7 +117,7 @@ def weighted_lp_norm(grid: TensorGrid, samples, p):
     if np.isinf(p):
         norms = a.max(axis=-1)
     else:
-        norms = np.sum(grid.bare_weights * a**p, axis=-1) ** (1.0 / p)
+        norms = np.sum(grid.weights * a**p, axis=-1) ** (1.0 / p)
     return float(norms) if norms.ndim == 0 else norms
 
 

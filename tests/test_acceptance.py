@@ -114,13 +114,13 @@ def test_criterion_04_kernel_symmetries_and_bound():
 
 def test_criterion_05_dual_method_propagation(basis_1d_half):
     # L2 discrepancy over |x| <= 5: the quadrature route's error does not
-    # decay in x, and the bare weights grow like e^{x^2}, so the comparison
+    # decay in x, and the grid weights grow like e^{x^2}, so the comparison
     # is windowed to where both routes resolve the (Gaussian-decaying) state
     basis = basis_1d_half
     s = basis.structure
     grid_x = basis.grid.nodes[:, 0]
     mask = np.abs(grid_x) <= 5.0
-    bw = basis.grid.bare_weights[mask]
+    bw = basis.grid.weights[mask]
 
     def l2_gap(diff):
         return float(np.sqrt(np.sum(bw * np.abs(diff[mask]) ** 2)))

@@ -57,7 +57,7 @@ class TestMatrices:
         kappa = basis.structure.kappa[0]
         x = basis.grid.nodes[:, 0]
         table = basis.eval_table
-        weighted = table * basis.grid.bare_weights
+        weighted = table * basis.grid.weights
         np.testing.assert_allclose(
             position_operator_matrix(basis, 1), weighted @ (table * x).T, rtol=0, atol=1e-12
         )

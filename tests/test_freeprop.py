@@ -15,9 +15,9 @@ from dunklkit import (
     kernel_quadrature,
     lens_relation_residual,
     norm_transport_check,
+    plain_rule,
     tensor_grid,
 )
-from dunklkit.quadrature import build_rule
 
 from conftest import random_state
 
@@ -42,12 +42,9 @@ class TestHeatKernel:
     def test_mass_conservation(self, kappa):
         # integral of the kernel against h^2 dy equals 1 for every x, t
         s = DunklStructure(1, (kappa,))
-        rule = build_rule(kappa, 60)
         t = 0.35
-        # integrand decays like e^{-y^2/(4t)}: scale nodes to match the rule
-        scale = np.sqrt(4 * t)
-        y = rule.nodes * scale
-        w = rule.bare_weights * scale ** (1 + 2 * kappa)
+        # integrand decays like e^{-y^2/(4t)}: match the rule to that decay
+        y, w = plain_rule(kappa, 60, sigma=1.0 / (4 * t))
         for x in (0.0, 0.8, 2.0):
             mass = np.sum(w * heat_kernel(s, t, x, y))
             assert mass == pytest.approx(1.0, rel=1e-8), (kappa, x)
@@ -173,7 +170,7 @@ class TestFreeEvolution:
         nodes = lens.scale * basis.grid.nodes
         vals = free_evolve_via_lens(basis, u, v, nodes)
         mass = np.sum(
-            basis.grid.bare_weights * lens.scale**s.d_eff * np.abs(vals) ** 2
+            basis.grid.weights * lens.scale**s.d_eff * np.abs(vals) ** 2
         )
         assert mass == pytest.approx(1.0, rel=1e-8)
 

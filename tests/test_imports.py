@@ -1,7 +1,8 @@
 """Every name a module of the package or of its tests imports is used in
 that module, and the export lists agree: a module's ``__all__`` names only
 what it defines, and the package ``__init__`` imports only names in those
-lists.  The modules the benchmark's tracer wraps all exist."""
+lists.  Only the modules in ``SCIPY_IMPORTS`` import scipy, and only the
+names listed there.  The modules the benchmark's tracer wraps all exist."""
 
 import ast
 from pathlib import Path
@@ -12,6 +13,13 @@ PACKAGE = Path(__file__).parent.parent / "src" / "dunklkit"
 SOURCES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 TESTS = sorted(Path(__file__).parent.glob("*.py"))
 TRACER = Path(__file__).parent.parent / "perfbench" / "trace_child.py"
+# scipy.special is about half of the import time of every command: only the
+# Gauss rule's Laguerre roots and the Dunkl kernel's normalisation and Bessel
+# route need it
+SCIPY_IMPORTS = {
+    "quadrature.py": ["scipy.special.roots_genlaguerre"],
+    "structure.py": ["scipy.special.gamma", "scipy.special.jv"],
+}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -83,3 +91,29 @@ def test_traced_modules_exist():
     # module renamed or merged away would silently drop out of its spans
     modules = exported(TRACER.read_text(), "MODULES")
     assert modules and [m for m in modules if not (PACKAGE / f"{m}.py").is_file()] == []
+
+
+def scipy_imports(source: str) -> list[str]:
+    """Every scipy name a module imports, at any depth, as a dotted path."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [a.name for a in node.names if a.name.split(".")[0] == "scipy"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy":
+            names += [f"{node.module}.{a.name}" for a in node.names]
+    return sorted(names)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_scipy_import_boundary(path):
+    assert scipy_imports(path.read_text()) == SCIPY_IMPORTS.get(path.name, [])
+
+
+def test_detects_a_scipy_import():
+    source = (
+        "import scipy.linalg\nimport numpy\nfrom scipy.special import jv, gamma\n"
+        "def f():\n    from scipy import sparse\n"
+    )
+    assert scipy_imports(source) == [
+        "scipy.linalg", "scipy.sparse", "scipy.special.gamma", "scipy.special.jv"
+    ]

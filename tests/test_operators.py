@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -178,7 +180,7 @@ class TestDensity:
         vsamp = 1.0 + basis.grid.nodes[:, 0] ** 2
         vmat = multiplication_matrix(basis, vsamp)
         lhs = np.trace(gam @ vmat)
-        rhs = np.sum(basis.grid.bare_weights * density(basis, gam) * vsamp)
+        rhs = np.sum(basis.grid.weights * density(basis, gam) * vsamp)
         assert lhs == pytest.approx(rhs, rel=1e-8)
 
     def test_conjugated_density_invariants(self, basis_1d_half):
@@ -194,8 +196,8 @@ class TestDensity:
         )
         # oscillator flow conserves the total mass exactly
         rho = density(basis, conjugate(basis, gam, 0.7, "hermite"))
-        mass0 = np.sum(basis.grid.bare_weights * density(basis, gam))
-        mass_t = np.sum(basis.grid.bare_weights * rho)
+        mass0 = np.sum(basis.grid.weights * density(basis, gam))
+        mass_t = np.sum(basis.grid.weights * rho)
         assert mass_t == pytest.approx(mass0, rel=1e-12)
 
     def test_unknown_flow(self, basis_1d_half):
@@ -351,6 +353,24 @@ class TestTimeAveragedOperator:
         v = np.ones((5, basis_1d_half.grid.npoints))
         with pytest.raises(ValueError, match="time nodes"):
             time_averaged_operator(basis_1d_half, (t, tau), v)
+
+    @pytest.mark.parametrize("fixture", ["basis_1d_half", "basis_2d"])
+    def test_rejects_basis_not_ordered_by_degree(self, request, fixture):
+        # a consistent basis whose modes are shuffled: the degree shells are
+        # no longer contiguous slices, so the shell form would give a wrong B
+        basis = request.getfixturevalue(fixture)
+        order = np.random.default_rng(3).permutation(basis.size)
+        shuffled = dataclasses.replace(
+            basis,
+            multi_indices=basis.multi_indices[order],
+            eigenvalues=basis.eigenvalues[order],
+            eval_table=basis.eval_table[order],
+        )
+        assert np.any(np.diff(shuffled.multi_indices.sum(axis=1)) < 0)
+        tn = time_grid(-np.pi, np.pi, 16)
+        v = np.ones((16, basis.grid.npoints))
+        with pytest.raises(ValueError, match="ordered by total degree"):
+            time_averaged_operator(shuffled, tn, v)
 
 
 class TestMixedOperators:

@@ -3,43 +3,49 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dunklkit import DunklStructure, build_rule, plain_rule, tensor_grid, time_grid
+from dunklkit import DunklStructure, plain_rule, tensor_grid, time_grid
 from dunklkit.quadrature import gaussian_moment, mixed_norm, weighted_lp_norm
+
+
+def gaussian_rule(kappa, n):
+    """Nodes and weights for integrals against |x|^{2 kappa} e^{-x^2} dx."""
+    nodes, weights = plain_rule(kappa, n)
+    return nodes, weights * np.exp(-(nodes**2))
 
 
 class TestRule1D:
     @pytest.mark.parametrize("kappa", [0.0, 0.5, 1.0, 2.3])
     def test_moments(self, kappa):
-        rule = build_rule(kappa, 20)
+        nodes, weights = gaussian_rule(kappa, 20)
         for m in range(0, 15):
-            approx = np.sum(rule.weights * rule.nodes ** (2 * m))
+            approx = np.sum(weights * nodes ** (2 * m))
             assert approx == pytest.approx(gaussian_moment(kappa, m), rel=1e-12)
 
     def test_odd_moments_vanish(self):
-        rule = build_rule(0.7, 16)
+        nodes, weights = gaussian_rule(0.7, 16)
         for m in (1, 3, 7):
-            assert abs(np.sum(rule.weights * rule.nodes**m)) < 1e-14
+            assert abs(np.sum(weights * nodes**m)) < 1e-14
 
     def test_classical_is_gauss_hermite(self):
-        rule = build_rule(0.0, 12)
-        nodes, weights = np.polynomial.hermite.hermgauss(24)
-        np.testing.assert_allclose(rule.nodes, nodes, atol=1e-12)
-        np.testing.assert_allclose(rule.weights, weights, atol=1e-12)
+        nodes, weights = gaussian_rule(0.0, 12)
+        ref_nodes, ref_weights = np.polynomial.hermite.hermgauss(24)
+        np.testing.assert_allclose(nodes, ref_nodes, atol=1e-12)
+        np.testing.assert_allclose(weights, ref_weights, atol=1e-12)
 
     @given(kappa=st.floats(0.0, 3.0), n=st.integers(4, 40))
     @settings(max_examples=50, deadline=None)
     def test_weights_positive_nodes_symmetric(self, kappa, n):
-        rule = build_rule(kappa, n)
-        assert np.all(rule.weights > 0)
-        np.testing.assert_allclose(rule.nodes, -rule.nodes[::-1], atol=1e-14)
+        nodes, weights = gaussian_rule(kappa, n)
+        assert np.all(weights > 0)
+        np.testing.assert_allclose(nodes, -nodes[::-1], atol=1e-14)
 
     def test_refinement_converges(self):
         # integral of cos(x) |x| e^{-x^2} dx, not polynomial
         target = None
         previous_error = None
         for n in (8, 16, 32):
-            rule = build_rule(0.5, n)
-            val = np.sum(rule.weights * np.cos(rule.nodes))
+            nodes, weights = gaussian_rule(0.5, n)
+            val = np.sum(weights * np.cos(nodes))
             if target is None:
                 target = val
             else:
@@ -50,37 +56,40 @@ class TestRule1D:
                 target = val
 
     def test_high_order_no_overflow(self):
-        rule = build_rule(0.7, 150)
-        assert np.all(np.isfinite(rule.bare_weights))
+        _, weights = plain_rule(0.7, 150)
+        assert np.all(np.isfinite(weights))
 
     def test_extreme_order_raises(self):
         with pytest.raises(ArithmeticError):
-            build_rule(0.5, 400)
+            plain_rule(0.5, 400)
 
     @given(kappa=st.floats(0.0, 5.0), n=st.integers(180, 363))
     @settings(max_examples=30, deadline=None)
     def test_high_orders_below_ceiling(self, kappa, n):
         # every order up to the ceiling (364 with scipy 1.17.1) gives finite
-        # bare weights, non-negative weights and accurate even moments
-        rule = build_rule(kappa, n)
-        assert np.all(np.isfinite(rule.bare_weights))
-        assert np.all(rule.weights >= 0)
+        # plain weights, non-negative Gaussian weights and accurate even moments
+        nodes, weights = plain_rule(kappa, n)
+        assert np.all(np.isfinite(weights))
+        weights = weights * np.exp(-(nodes**2))
+        assert np.all(weights >= 0)
         for m in range(10):
-            approx = np.sum(rule.weights * rule.nodes ** (2 * m))
+            approx = np.sum(weights * nodes ** (2 * m))
             assert approx == pytest.approx(gaussian_moment(kappa, m), rel=1e-12)
 
     def test_fringe_underflow_is_harmless(self):
-        # beyond order ~180 the outermost bare weights collapse to exact
+        # beyond order ~180 the outermost plain weights collapse to exact
         # zeros; Gaussian-decaying integrals are unaffected
-        rule = build_rule(0.5, 220)
-        assert np.all(np.isfinite(rule.bare_weights))
-        got = np.sum(rule.bare_weights * np.exp(-rule.nodes**2))
+        nodes, weights = plain_rule(0.5, 220)
+        assert np.all(np.isfinite(weights))
+        got = np.sum(weights * np.exp(-(nodes**2)))
         assert got == pytest.approx(gaussian_moment(0.5, 0), rel=1e-10)
 
-    @pytest.mark.parametrize("bad", [(-0.1, 8), (0.5, 0)])
+    @pytest.mark.parametrize(
+        "bad", [(-0.1, 8), (0.5, 0), (0.5, 8, 0.0), (0.5, 8, np.nan), (0.5, 8, np.inf)]
+    )
     def test_invalid(self, bad):
         with pytest.raises(ValueError):
-            build_rule(*bad)
+            plain_rule(*bad)
 
 
 class TestPlainRule:
@@ -103,16 +112,34 @@ class TestTensorGrid:
     def test_normalization_identity(self, basis_2d):
         # integral of h^2 e^{-|x|^2} factorizes into per-axis Gamma values
         grid = basis_2d.grid
-        s = grid.structure
-        exact = np.prod([gaussian_moment(k, 0) for k in s.kappa])
-        assert np.sum(grid.weights) == pytest.approx(exact, rel=1e-12)
+        exact = np.prod([gaussian_moment(k, 0) for k in basis_2d.structure.kappa])
+        got = np.sum(grid.weights * np.exp(-(grid.nodes**2).sum(axis=-1)))
+        assert got == pytest.approx(exact, rel=1e-12)
 
     def test_separable_integrand(self):
         s = DunklStructure(2, (0.5, 1.5))
         grid = tensor_grid(s, 12)
-        got = np.sum(grid.weights * grid.nodes[:, 0] ** 2 * grid.nodes[:, 1] ** 4)
+        x, y = grid.nodes.T
+        got = np.sum(grid.weights * x**2 * y**4 * np.exp(-(x**2) - y**2))
         exact = gaussian_moment(0.5, 1) * gaussian_moment(1.5, 2)
         assert got == pytest.approx(exact, rel=1e-12)
+
+    def test_grid_is_product_of_plain_rules(self):
+        # row-major product of the per-axis rules, last coordinate fastest,
+        # exact for x^{2a} y^{2b} e^{-|x|^2} against h^2 dx
+        s = DunklStructure(2, (0.5, 1.5))
+        grid = tensor_grid(s, [10, 7])
+        (x0, w0), (x1, w1) = plain_rule(0.5, 10), plain_rule(1.5, 7)
+        assert grid.orders == (10, 7) and grid.npoints == x0.size * x1.size
+        np.testing.assert_array_equal(grid.nodes[:, 0], np.repeat(x0, x1.size))
+        np.testing.assert_array_equal(grid.nodes[:, 1], np.tile(x1, x0.size))
+        np.testing.assert_array_equal(grid.weights, np.outer(w0, w1).ravel())
+        x, y = grid.nodes.T
+        gauss = np.exp(-(x**2 + y**2))
+        for a, b in [(0, 0), (1, 0), (2, 3), (4, 6)]:
+            got = np.sum(grid.weights * x ** (2 * a) * y ** (2 * b) * gauss)
+            exact = gaussian_moment(0.5, a) * gaussian_moment(1.5, b)
+            assert got == pytest.approx(exact, rel=1e-12), (a, b)
 
     def test_order_broadcast(self):
         s = DunklStructure(2, (0.0, 1.0))
