@@ -4,8 +4,10 @@ A rule of order n is built from the generalized Gauss-Laguerre rule with
 parameter alpha = kappa - 1/2 through u = x^2, giving 2n symmetric nodes; its
 weights have the Gaussian divided back out, so that sum_k w_k f(x_k)
 integrates f |x|^{2 kappa} dx exactly when f is an even polynomial of degree
-<= 4n - 2 times e^{-sigma x^2}.  A tensor grid is the product of the
-per-dimension rules: its weights integrate against h_kappa^2 dx.
+<= 4n - 2 times e^{-sigma x^2}.  The Laguerre rule is computed with numpy
+alone (Golub-Welsch, Math. Comp. 23, 1969), for orders 1 to 400.  A tensor
+grid is the product of the per-dimension rules: its weights integrate against
+h_kappa^2 dx.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_genlaguerre
 
 from .structure import DunklStructure
 
@@ -26,6 +27,11 @@ __all__ = [
     "mixed_norm",
     "time_grid",
 ]
+
+
+# The Jacobi matrix is dense, n x n: this bounds what a config can ask for,
+# far above the orders any command uses.
+_MAX_ORDER = 400
 
 
 def plain_rule(kappa: float, n: int, sigma: float = 1.0):
@@ -40,25 +46,36 @@ def plain_rule(kappa: float, n: int, sigma: float = 1.0):
         raise ValueError(f"order must be positive, got {n}")
     if not 0 < sigma < np.inf:
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
-    u, w = roots_genlaguerre(n, kappa - 0.5)
-    if not np.all(np.isfinite(u)) or not np.all(np.isfinite(w)):
-        raise ArithmeticError(f"Laguerre eigenproblem failed for kappa={kappa}, n={n}")
+    if n > _MAX_ORDER:
+        raise ArithmeticError(f"order {n} is above the largest supported order {_MAX_ORDER}")
+    # Golub-Welsch for u^alpha e^{-u} du, alpha = kappa - 1/2: the orthonormal
+    # Laguerre polynomials satisfy b_{j+1} q_{j+1} = (u - a_j) q_j - b_j q_{j-1}
+    # with a_j = 2j + alpha + 1 and b_j = sqrt(j (j + alpha)), the nodes are the
+    # eigenvalues of their Jacobi matrix, and the weights are the Christoffel
+    # numbers 1 / sum_j q_j(u)^2.  That sum grows like e^u, so the recurrence is
+    # rescaled by a power of two at each step and the weights stay logarithms:
+    # the plain weights e^u w / 2 neither overflow nor underflow at any order.
+    alpha = kappa - 0.5
+    k = np.arange(n)
+    a = 2.0 * k + alpha + 1.0
+    b = np.sqrt(k * (k + alpha))  # b[0] = 0
+    u = np.linalg.eigvalsh(np.diag(a) + np.diag(b[1:], 1) + np.diag(b[1:], -1))
+    prev, cur, total, exponent = np.zeros(n), np.ones(n), np.ones(n), np.zeros(n)
+    for j in range(1, n):
+        prev, cur = cur, ((u - a[j - 1]) * cur - b[j - 1] * prev) / b[j]
+        _, e = np.frexp(np.maximum(np.abs(prev), np.abs(cur)))
+        prev, cur, total = np.ldexp(prev, -e), np.ldexp(cur, -e), np.ldexp(total, -2 * e)
+        exponent += e
+        total += cur * cur
+    # q_0 = Gamma(alpha + 1)^{-1/2}; the 1/2 maps the rule from u to x = +/-sqrt(u)
+    log_half = math.lgamma(alpha + 1.0) - np.log(2.0 * total) - 2.0 * math.log(2.0) * exponent
+    with np.errstate(over="ignore"):  # kappa above ~120: raised below
+        half = np.exp(log_half + u)
     r = np.sqrt(u)
     nodes = np.concatenate([-r[::-1], r])
-    half = 0.5 * w
-    # log-space division by the Gaussian: the Laguerre weights ~ e^{-nodes^2},
-    # so the ratio is tame even when exp(nodes^2) alone would overflow at high
-    # order.  Beyond n ~ 180 the fringe Laguerre weights underflow and give
-    # exact zeros -- harmless for integrands with Gaussian decay, whose
-    # samples vanish at those nodes anyway; the eigenproblem itself fails
-    # (and raises above) from n = 364 on with scipy 1.17.1, for every kappa
-    # tried in [0, 5].
-    with np.errstate(divide="ignore"):
-        weights = np.exp(np.log(np.concatenate([half[::-1], half])) + nodes**2)
+    weights = np.concatenate([half[::-1], half])
     if not np.all(np.isfinite(weights)):
-        raise ArithmeticError(
-            f"weights overflow for kappa={kappa}, n={n}; reduce the order"
-        )
+        raise ArithmeticError(f"weights overflow for kappa={kappa}, n={n}")
     return nodes * (1.0 / np.sqrt(sigma)), weights * sigma ** (-(kappa + 0.5))
 
 
@@ -113,12 +130,14 @@ def weighted_lp_norm(grid: TensorGrid, samples, p):
         raise ValueError("non-finite samples")
     if not p >= 1:
         raise ValueError(f"p must be >= 1 or inf, got {p}")
-    a = np.abs(samples)
+    # one function is a one-row stack, so that both shapes run the same
+    # array code: numpy's scalar and array powers may differ in the last bit
+    a = np.abs(np.atleast_2d(samples))
     if np.isinf(p):
         norms = a.max(axis=-1)
     else:
         norms = np.sum(grid.weights * a**p, axis=-1) ** (1.0 / p)
-    return float(norms) if norms.ndim == 0 else norms
+    return float(norms[0]) if samples.ndim == 1 else norms
 
 
 def mixed_norm(time_nodes, grid: TensorGrid, samples, p, q) -> float:

@@ -14,11 +14,10 @@ regime) and the Bessel route for large oscillatory arguments.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gamma as _gamma
-from scipy.special import jv
 
 __all__ = [
     "DunklStructure",
@@ -51,8 +50,11 @@ class DunklStructure:
         object.__setattr__(self, "gamma_kappa", float(sum(kappa)))
         m = 1.0
         for k in kappa:
-            m /= 2.0 ** (k + 0.5) * _gamma(k + 0.5)
-        object.__setattr__(self, "m_kappa", float(m))
+            try:
+                m /= 2.0 ** (k + 0.5) * math.gamma(k + 0.5)
+            except OverflowError:
+                raise ValueError(f"multiplicity {k} is too large: M_kappa overflows") from None
+        object.__setattr__(self, "m_kappa", m)
 
     @property
     def d_eff(self) -> float:
@@ -124,6 +126,10 @@ def _normalized_bessel_pair(kappa: float, w: np.ndarray):
     principal-branch powers never straddle the cut.  Orders stay >= 1/2 by
     computing J_{kappa-1/2} from the downward three-term recurrence.
     """
+    # importing scipy.special more than doubles the start-up time of every
+    # command, and only this route needs it
+    from scipy.special import jv
+
     flip = (w.real < 0) | ((w.real == 0) & (w.imag < 0))
     w = np.where(flip, -w, w)
     nu = kappa + 0.5
@@ -131,8 +137,8 @@ def _normalized_bessel_pair(kappa: float, w: np.ndarray):
     j_nu_p1 = jv(nu + 1.0, w)
     j_nu_m1 = (2.0 * nu / w) * j_nu - j_nu_p1
     low_pow = (2.0 / w) ** (nu - 1.0)
-    lo = _gamma(nu) * low_pow * j_nu_m1
-    hi = _gamma(nu + 1.0) * low_pow * (2.0 / w) * j_nu
+    lo = math.gamma(nu) * low_pow * j_nu_m1
+    hi = math.gamma(nu + 1.0) * low_pow * (2.0 / w) * j_nu
     return lo, hi
 
 

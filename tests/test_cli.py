@@ -78,10 +78,20 @@ class TestConfig:
 
     @pytest.mark.parametrize("command", ["strichartz", "dual-schatten", "inhomogeneous"])
     def test_unusable_grid_order_exit_code(self, runner, small_config, command):
-        # the Laguerre eigenproblem fails near order 400
+        # plain_rule refuses orders above 400: its Jacobi matrix is dense
         path = small_config
         path.write_text(path.read_text().replace("grid_order = 24", "grid_order = 500"))
         result = runner.invoke(main, ["-c", str(path), command])
+        assert result.exit_code == EXIT_CONFIG
+        assert "CONFIG ERROR" in result.output
+
+    @pytest.mark.parametrize("kappa", ["150", "200", "2000"])
+    def test_huge_multiplicity_exit_code(self, runner, small_config, kappa):
+        # Gamma(kappa + 1/2) overflows: in the rule's weights from kappa ~120
+        # on, in M_kappa from 171 on
+        path = small_config
+        path.write_text(path.read_text().replace("kappa = 0.5", f"kappa = {kappa}"))
+        result = runner.invoke(main, ["-c", str(path), "strichartz"])
         assert result.exit_code == EXIT_CONFIG
         assert "CONFIG ERROR" in result.output
 

@@ -1,10 +1,16 @@
 """Every name a module of the package or of its tests imports is used in
 that module, and the export lists agree: a module's ``__all__`` names only
 what it defines, and the package ``__init__`` imports only names in those
-lists.  Only the modules in ``SCIPY_IMPORTS`` import scipy, and only the
-names listed there.  The modules the benchmark's tracer wraps all exist."""
+lists.  Only the modules in ``SCIPY_IMPORTS`` import scipy, only the names
+listed there and only inside function bodies, so the commands that never
+reach those functions never load scipy.  The modules the benchmark's tracer
+wraps all exist."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,13 +19,9 @@ PACKAGE = Path(__file__).parent.parent / "src" / "dunklkit"
 SOURCES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 TESTS = sorted(Path(__file__).parent.glob("*.py"))
 TRACER = Path(__file__).parent.parent / "perfbench" / "trace_child.py"
-# scipy.special is about half of the import time of every command: only the
-# Gauss rule's Laguerre roots and the Dunkl kernel's normalisation and Bessel
-# route need it
-SCIPY_IMPORTS = {
-    "quadrature.py": ["scipy.special.roots_genlaguerre"],
-    "structure.py": ["scipy.special.gamma", "scipy.special.jv"],
-}
+# scipy.special is more than half of the import time of every command: only the
+# Dunkl kernel's Bessel route (arguments |z| > 8) needs it
+SCIPY_IMPORTS = {"structure.py": ["scipy.special.jv"]}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -93,10 +95,9 @@ def test_traced_modules_exist():
     assert modules and [m for m in modules if not (PACKAGE / f"{m}.py").is_file()] == []
 
 
-def scipy_imports(source: str) -> list[str]:
-    """Every scipy name a module imports, at any depth, as a dotted path."""
+def _scipy_names(nodes) -> list[str]:
     names = []
-    for node in ast.walk(ast.parse(source)):
+    for node in nodes:
         if isinstance(node, ast.Import):
             names += [a.name for a in node.names if a.name.split(".")[0] == "scipy"]
         elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy":
@@ -104,16 +105,76 @@ def scipy_imports(source: str) -> list[str]:
     return sorted(names)
 
 
+def scipy_imports(source: str) -> list[str]:
+    """Every scipy name a module imports, at any depth, as a dotted path."""
+    return _scipy_names(ast.walk(ast.parse(source)))
+
+
+def eager_scipy_imports(source: str) -> list[str]:
+    """The scipy names a module imports outside every function body: these
+    load with the module itself."""
+    tree = ast.parse(source)
+    deferred = {
+        id(node)
+        for func in ast.walk(tree) if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(func)
+    }
+    return _scipy_names(node for node in ast.walk(tree) if id(node) not in deferred)
+
+
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_scipy_import_boundary(path):
-    assert scipy_imports(path.read_text()) == SCIPY_IMPORTS.get(path.name, [])
+    source = path.read_text()
+    assert scipy_imports(source) == SCIPY_IMPORTS.get(path.name, [])
+    assert eager_scipy_imports(source) == []
 
 
 def test_detects_a_scipy_import():
     source = (
         "import scipy.linalg\nimport numpy\nfrom scipy.special import jv, gamma\n"
         "def f():\n    from scipy import sparse\n"
+        "class C:\n    from scipy.special import erf\n"
     )
     assert scipy_imports(source) == [
-        "scipy.linalg", "scipy.sparse", "scipy.special.gamma", "scipy.special.jv"
+        "scipy.linalg", "scipy.sparse", "scipy.special.erf", "scipy.special.gamma",
+        "scipy.special.jv",
     ]
+    assert eager_scipy_imports(source) == [
+        "scipy.linalg", "scipy.special.erf", "scipy.special.gamma", "scipy.special.jv"
+    ]
+
+
+# Runs one command through the CLI entry point, then prints the scipy modules
+# it loaded as the last line of standard output.
+CHILD = """
+import json, sys
+from dunklkit.cli import main
+try:
+    main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("command", [
+    ["strichartz"],
+    ["sweep", "--steps", "2", "--j-values", "1 2", "--seeds", "1"],
+    ["dual-schatten"],
+    ["inhomogeneous"],
+    ["mhls", "--n", "2", "--beta", "0.5"],
+], ids=lambda c: c[0])
+def test_command_does_not_load_scipy(tmp_path, command):
+    config = tmp_path / "small.cfg"
+    config.write_text(
+        "d = 1\nkappa = 0.5\nn_degree = 16\ngrid_order = 24\ntime_nodes = 32\n"
+        f"output = {tmp_path / 'reports'}\n"
+    )
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", CHILD, "-c", str(config), *command],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout.splitlines()[-1]) == []

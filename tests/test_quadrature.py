@@ -40,49 +40,67 @@ class TestRule1D:
         np.testing.assert_allclose(nodes, -nodes[::-1], atol=1e-14)
 
     def test_refinement_converges(self):
-        # integral of cos(x) |x| e^{-x^2} dx, not polynomial
-        target = None
-        previous_error = None
-        for n in (8, 16, 32):
+        # integral of cos(x) |x| e^{-x^2} dx, not polynomial: the error falls
+        # strictly while it is well above round-off, then stays at round-off
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            exact = float(2 * mpmath.quad(lambda x: mpmath.cos(x) * x * mpmath.exp(-x * x),
+                                          [0, mpmath.inf]))
+        errors = {}
+        for n in (1, 2, 3, 4, 5, 16, 32):
             nodes, weights = gaussian_rule(0.5, n)
-            val = np.sum(weights * np.cos(nodes))
-            if target is None:
-                target = val
-            else:
-                error = abs(val - target)
-                if previous_error is not None:
-                    assert error <= previous_error
-                previous_error = error
-                target = val
+            errors[n] = abs(np.sum(weights * np.cos(nodes)) - exact)
+        assert errors[1] > errors[2] > errors[3] > errors[4] > errors[5]
+        assert errors[4] > 1e-12
+        assert errors[16] <= 1e-14 and errors[32] <= 1e-14
+
+    @pytest.mark.parametrize("n", [16, 120])
+    @pytest.mark.parametrize("kappa", [0.0, 0.5, 1.5, 4.5])
+    def test_matches_50_digit_rule(self, kappa, n):
+        # mpmath's Golub-Welsch rule: the implicit QL iteration of its eigsy on
+        # the same Jacobi matrix, at 50 digits, with the first components of the
+        # eigenvectors for the weights.  Largest gap seen over these cases:
+        # 1.0e-13 on nodes and 4.0e-13 on plain weights.
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            u, w = mpmath.gauss_quadrature(n, "glaguerre", alpha=mpmath.mpf(kappa) - 0.5)
+            ref_nodes = np.array([float(mpmath.sqrt(ui)) for ui in u])
+            ref_weights = np.array([float(wi * mpmath.exp(ui) / 2) for ui, wi in zip(u, w)])
+        nodes, weights = plain_rule(kappa, n)
+        np.testing.assert_allclose(nodes[n:], ref_nodes, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(nodes[:n], -ref_nodes[::-1], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(weights[n:], ref_weights, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(weights[:n], ref_weights[::-1], rtol=1e-12, atol=0)
 
     def test_high_order_no_overflow(self):
         _, weights = plain_rule(0.7, 150)
         assert np.all(np.isfinite(weights))
 
     def test_extreme_order_raises(self):
+        # the Jacobi matrix is dense, so orders above 400 are refused
         with pytest.raises(ArithmeticError):
-            plain_rule(0.5, 400)
+            plain_rule(0.5, 401)
 
-    @given(kappa=st.floats(0.0, 5.0), n=st.integers(180, 363))
+    @given(kappa=st.floats(0.0, 5.0), n=st.integers(180, 400))
     @settings(max_examples=30, deadline=None)
     def test_high_orders_below_ceiling(self, kappa, n):
-        # every order up to the ceiling (364 with scipy 1.17.1) gives finite
-        # plain weights, non-negative Gaussian weights and accurate even moments
+        # every order up to the ceiling of 400 gives finite, positive plain
+        # weights and accurate even moments
         nodes, weights = plain_rule(kappa, n)
-        assert np.all(np.isfinite(weights))
+        assert np.all(np.isfinite(weights)) and np.all(weights > 0)
         weights = weights * np.exp(-(nodes**2))
-        assert np.all(weights >= 0)
         for m in range(10):
             approx = np.sum(weights * nodes ** (2 * m))
             assert approx == pytest.approx(gaussian_moment(kappa, m), rel=1e-12)
 
-    def test_fringe_underflow_is_harmless(self):
-        # beyond order ~180 the outermost plain weights collapse to exact
-        # zeros; Gaussian-decaying integrals are unaffected
-        nodes, weights = plain_rule(0.5, 220)
-        assert np.all(np.isfinite(weights))
-        got = np.sum(weights * np.exp(-(nodes**2)))
-        assert got == pytest.approx(gaussian_moment(0.5, 0), rel=1e-10)
+    def test_fringe_weights_positive(self):
+        # the weights are Christoffel numbers kept as logarithms, so even the
+        # outermost plain weights are positive: none underflows to zero
+        for n in (220, 400):
+            nodes, weights = plain_rule(0.5, n)
+            assert np.all(np.isfinite(weights)) and np.all(weights > 0)
+            got = np.sum(weights * np.exp(-(nodes**2)))
+            assert got == pytest.approx(gaussian_moment(0.5, 0), rel=1e-12)
 
     @pytest.mark.parametrize(
         "bad", [(-0.1, 8), (0.5, 0), (0.5, 8, 0.0), (0.5, 8, np.nan), (0.5, 8, np.inf)]
@@ -176,11 +194,14 @@ class TestNorms:
 
     @pytest.mark.parametrize("p", [1, 1.5, 3, np.inf])
     def test_stack_is_one_norm_per_row(self, basis_2d, p):
+        # bitwise: numpy's scalar and array powers can differ in the last bit,
+        # which several seeds show when one row and a stack take different paths
         grid = basis_2d.grid
-        rng = np.random.default_rng(7)
-        samples = rng.normal(size=(5, grid.npoints)) * np.exp(-(grid.nodes**2).sum(axis=-1))
-        got = weighted_lp_norm(grid, samples, p)
-        np.testing.assert_array_equal(got, [weighted_lp_norm(grid, row, p) for row in samples])
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            samples = rng.normal(size=(5, grid.npoints)) * np.exp(-(grid.nodes**2).sum(axis=-1))
+            got = weighted_lp_norm(grid, samples, p)
+            np.testing.assert_array_equal(got, [weighted_lp_norm(grid, row, p) for row in samples])
 
     def test_mixed_norm_separable(self, basis_1d_half):
         grid = basis_1d_half.grid

@@ -22,7 +22,10 @@ class TestStructure:
             assert s.m_kappa == pytest.approx((2 * np.pi) ** (-d / 2), rel=1e-14)
 
     @pytest.mark.parametrize(
-        "d,kappa", [(0, ()), (2, (1.0,)), (1, (-0.5,)), (1, (np.nan,)), (1, (np.inf,))]
+        "d,kappa",
+        [(0, ()), (2, (1.0,)), (1, (-0.5,)), (1, (np.nan,)), (1, (np.inf,)),
+         # M_kappa needs Gamma(kappa + 1/2) and 2^{kappa + 1/2}, which overflow
+         (1, (200.0,)), (2, (0.5, 2000.0))],
     )
     def test_invalid_input(self, d, kappa):
         with pytest.raises(ValueError):
