@@ -4,9 +4,8 @@ Schatten-norm functionals of orthonormal systems, and a small Hartree solver.
 """
 
 from .hartree import (
-    DunklTransform1D,
     HartreeConfig,
-    interaction_potential,
+    gaussian_interaction,
     picard_step,
     solve_hartree,
 )

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import sys
 import time
 from contextlib import contextmanager
@@ -19,7 +18,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .hartree import DunklTransform1D, HartreeConfig, solve_hartree
+from .hartree import HartreeConfig, solve_hartree
 from .hermite import build_basis, kernel_Kit
 from .freeprop import lens_relation_residual
 from .operators import kss_check, schatten_norm, time_averaged_operator
@@ -362,35 +361,19 @@ def sweep(cfg, q_min, q_max, steps, j_values, seeds):
               help="interaction profile Gaussian width")
 @click.pass_obj
 def hartree(cfg, coupling, horizon, steps, width):
-    """Fixed-point solve of the oscillator Hartree flow (d = 1)."""
+    """Fixed-point solve of the oscillator Hartree flow."""
     with _config_errors():
-        if not 0.0 < width < np.inf:
-            raise ValueError(f"width must be positive and finite, got {width}")
-        s, grid, basis = _context(cfg)
+        _, _, basis = _context(cfg)
         g0 = np.zeros((basis.size, basis.size))
         g0[0, 0] = 1.0
         config = HartreeConfig(
             basis,
             g0,
-            lambda x: np.exp(-(x / width) ** 2),
+            width=width,
             coupling=coupling,
             horizon=horizon,
             steps=steps,
         )
-        # a profile the transform nodes miss gives a vanishing interaction and
-        # a one-step "convergence": its sampled mass must match the closed form
-        kappa = s.kappa[0]
-        nodes, weights = DunklTransform1D.space_rule(kappa, config.transform_order)
-        with np.errstate(all="ignore"):  # widths far off the node scale over/underflow
-            mass = np.sum(config.w_profile(nodes) * weights)
-            exact = np.exp((2.0 * kappa + 1.0) * np.log(width) + math.lgamma(kappa + 0.5))
-            mismatch = abs(mass / exact - 1.0)
-        if not mismatch <= 1e-6:
-            raise ValueError(
-                f"--width {width} is not resolved on the {config.transform_order}-node "
-                f"transform rule: sampled profile mass {mass:.6g} against the closed form "
-                f"{exact:.6g}, relative mismatch {mismatch:.1e} > 1e-6"
-            )
     times, traj, diag = solve_hartree(config)
     drift = max(abs(t - diag["traces"][0]) for t in diag["traces"])
     rows = [{"iteration": i, "residual": r} for i, r in enumerate(diag["residuals"])]

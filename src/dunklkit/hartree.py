@@ -1,10 +1,29 @@
-"""Picard iteration for the oscillator Hartree flow in one dimension.
+"""Picard iteration for the oscillator Hartree flow.
 
-The interaction is a generalized (Dunkl) convolution realized as a transform
-multiplier: with the transform D f(xi) = integral of f(x) E(-i xi, x) h^2 dx
-and inverse f(x) = M_kappa^2 integral of Df(xi) E(i x, xi) h^2 dxi, the
-potential is W = D^{-1}[ Dw . Drho ].  At kappa = 0 this is the ordinary
-convolution theorem with the non-unitary Fourier convention.
+The interaction is the generalized (Dunkl) convolution W = w * rho with the
+Gaussian w = e^{-|x|^2 / width^2}, normalized so that the Dunkl transform
+D f(xi) = integral of f(x) E(-i xi, x) h_kappa^2 dx takes it to the product
+Dw . Drho.  Up to a constant this is the Dunkl heat flow e^{t Laplacian} rho at
+t = width^2 / 4, whose multiplier is Dw(xi) = M_kappa^{-1} (width / sqrt 2)^{d_eff}
+e^{-t |xi|^2}.  At kappa = 0 it is the ordinary convolution.
+
+The heat flow is exact in the generalized Hermite basis, since D takes
+phi_mu(lambda x) to lambda^{-d_eff} (-i)^{|mu|} M_kappa^{-1} phi_mu(xi / lambda).
+A density of the basis is e^{-|x|^2} times a polynomial of degree <= 2N per
+axis, so rho(x) = sum_nu b_nu phi_nu(sqrt 2 x) over the box nu_j <= 2N, and
+with a = sqrt(1 + width^2) the potential is e^{-|x|^2 / a^2} times such a
+polynomial:
+
+    W(x) = M_kappa^{-1} (width / a)^{d_eff} 2^{-d_eff / 2}
+           sum_{mu, nu} i^{|mu| - |nu|} phi_mu(sqrt 2 x / a) C_{mu nu} b_nu,
+    C_{mu nu} = integral of phi_mu(q) phi_nu(q / a) e^{-width^2 |q|^2 / (2 a^2)} h^2 dq,
+    b_nu = integral of rho(q / sqrt 2) phi_nu(q) h^2 dq.
+
+Both integrands are e^{-|q|^2} times a polynomial of degree <= 4N per axis,
+so the order-(N + 1) tensor rule gives them exactly.  Every factor is an
+orthonormal family or a Gaussian overlap bounded by one, so no growing factor
+such as e^{|x|^2 / 2} multiplies the density and the route keeps round-off
+accuracy for densities of any degree and any width.
 
 The fixed-point map is
 
@@ -17,86 +36,40 @@ conjugations are the exact oscillator ones of ``operators.conjugate``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from .hermite import HermiteBasis
+from .hermite import HermiteBasis, _table, box_multi_indices
 from .operators import conjugate, density, multiplication_matrix, schatten_norm
-from .quadrature import plain_rule
-from .structure import DunklStructure, dunkl_kernel_1d
+from .quadrature import tensor_grid
 
 __all__ = [
-    "DunklTransform1D",
-    "interaction_potential",
+    "gaussian_interaction",
     "HartreeConfig",
     "picard_step",
     "solve_hartree",
 ]
 
 
-@dataclass(frozen=True)
-class DunklTransform1D:
-    """Quadrature realization of the rank-one Dunkl transform pair.
-
-    ``forward`` has no prefactor and ``inverse`` carries M_kappa^2, so the
-    convolution theorem reads D[w * rho] = Dw . Drho.  The frequency grid is
-    deliberately narrower than the space grid (sigma = 2 vs 1/2): the space
-    rule resolves oscillations only up to moderate frequencies, and Gaussian-
-    enveloped inputs have negligible transform content beyond that range.
-    """
-
-    kappa: float
-    order: int = 80
-    nodes: np.ndarray = field(init=False)       # space nodes
-    weights: np.ndarray = field(init=False)
-    xi_nodes: np.ndarray = field(init=False)    # frequency nodes
-    xi_weights: np.ndarray = field(init=False)
-    _fwd: np.ndarray = field(init=False)        # (n_xi, n_x)
-
-    @staticmethod
-    def space_rule(kappa: float, order: int):
-        """The (nodes, weights) on which the transform samples its inputs."""
-        return plain_rule(kappa, order, sigma=0.5)
-
-    def __post_init__(self):
-        nodes, weights = self.space_rule(self.kappa, self.order)
-        xi, xi_w = plain_rule(self.kappa, self.order, sigma=2.0)
-        kern = dunkl_kernel_1d(self.kappa, -1j * xi[:, None], nodes[None, :])
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "xi_nodes", xi)
-        object.__setattr__(self, "xi_weights", xi_w)
-        object.__setattr__(self, "_fwd", kern * weights[None, :])
-
-    def forward(self, samples: np.ndarray) -> np.ndarray:
-        """D f on the frequency nodes from samples of f on the space nodes."""
-        return self._fwd @ np.asarray(samples)
-
-    def inverse(self, hat_samples: np.ndarray, x=None) -> np.ndarray:
-        """f at x (default: the space nodes) from D f on the frequency nodes."""
-        if x is None:
-            x = self.nodes
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        kern = (
-            dunkl_kernel_1d(self.kappa, 1j * x[:, None], self.xi_nodes[None, :])
-            * self.xi_weights[None, :]
-        )
-        m_kappa = DunklStructure(1, (self.kappa,)).m_kappa
-        return m_kappa**2 * (kern @ np.asarray(hat_samples))
-
-
-def interaction_potential(transform: DunklTransform1D, w_samples, rho_samples, x=None):
-    """W = w (Dunkl-)convolved with rho, via the multiplier theorem.
-
-    Both inputs are sampled on the transform nodes; output at x (default:
-    the transform nodes).  Columns of ``rho_samples`` (``w_samples`` then a
-    column) are separate densities, and give the columns of W.
-    """
-    what = transform.forward(w_samples)
-    rhat = transform.forward(rho_samples)
-    out = transform.inverse(what * rhat, x)
-    return np.real_if_close(out, tol=1e6)
+def gaussian_interaction(basis: HermiteBasis, width: float):
+    """(points, G): (w * rho)(x_k) = sum_l G[k, l] rho(points[l]) at the basis
+    grid nodes x_k, for w = e^{-|x|^2 / width^2} and rho any density of the
+    basis.  The points are the order-(N + 1) rule's nodes over sqrt 2."""
+    s = basis.structure
+    a = math.hypot(1.0, width)
+    n = 2 * basis.per_dim_degree
+    mi = box_multi_indices(s.d, n)
+    rule = tensor_grid(s, basis.per_dim_degree + 1)
+    q = rule.nodes
+    proj = _table(s, n, mi, q) * rule.weights
+    damped = _table(s, n, mi, q / a) * np.exp(-0.5 * (width / a) ** 2 * (q * q).sum(axis=1))
+    # i^{|mu| - |nu|} = t_mu t_nu where C is non-zero, with t = (-1)^{floor(|mu| / 2)}
+    t = (-1.0) ** (mi.sum(axis=1) // 2)[:, None]
+    out = _table(s, n, mi, basis.grid.nodes * (math.sqrt(2.0) / a)) * t
+    scale = (width / a) ** s.d_eff * 2.0 ** (-0.5 * s.d_eff) / s.m_kappa
+    return q / math.sqrt(2.0), scale * (out.T @ (proj @ damped.T) @ (proj * t))
 
 
 @dataclass
@@ -106,14 +79,13 @@ class HartreeConfig:
 
     basis: HermiteBasis
     gamma0: np.ndarray
-    w_profile: object          # callable on flat x arrays
+    width: float = 1.0         # of the interaction profile e^{-|x|^2 / width^2}
     coupling: float = 1.0
     horizon: float = 0.1
     steps: int = 33
     q: float = 1.5
     tol: float = 1e-8
     max_iter: int = 50
-    transform_order: int = 80
 
     def __post_init__(self):
         g = self.gamma0 = np.asarray(self.gamma0, dtype=complex)
@@ -122,35 +94,35 @@ class HartreeConfig:
             raise ValueError(f"expected a {n} x {n} initial operator, got {g.shape}")
         if np.abs(g - g.conj().T).max() > 1e-12:
             raise ValueError("initial operator must be self-adjoint")
+        if not 0.0 < self.width < np.inf:
+            raise ValueError(f"width must be positive and finite, got {self.width}")
         if not np.isfinite(self.coupling):
             raise ValueError(f"coupling must be finite, got {self.coupling}")
         if not 0.0 < self.horizon < np.inf:
             raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
         if self.steps < 2:
             raise ValueError(f"need at least 2 time steps, got {self.steps}")
-        if self.basis.structure.d != 1:
-            raise ValueError("the Hartree solver is one-dimensional")
 
     @property
     def schatten_exponent(self) -> float:
         return 2.0 * self.q / (self.q + 1.0)
 
 
-def _potential_matrices(config: HartreeConfig, transform, traj: np.ndarray) -> np.ndarray:
-    """Multiplication matrices of coupling * (w conv rho_{gamma(t)}) per node."""
-    basis = config.basis
-    w_nodes = np.asarray(config.w_profile(transform.nodes), dtype=float)
-    rho = density(basis, traj, transform.nodes)
-    w_grid = interaction_potential(transform, w_nodes[:, None], rho.T, basis.grid.nodes[:, 0])
-    return multiplication_matrix(basis, config.coupling * np.real(w_grid).T)
+def _potential_matrices(config: HartreeConfig, interaction, traj: np.ndarray) -> np.ndarray:
+    """Multiplication matrices of coupling * (w * rho_{gamma(t)}) per node;
+    ``interaction`` is ``gaussian_interaction(config.basis, config.width)``."""
+    points, g = interaction
+    rho = density(config.basis, traj, points)
+    return multiplication_matrix(config.basis, config.coupling * rho @ g.T)
 
 
-def picard_step(config: HartreeConfig, times: np.ndarray, traj: np.ndarray, transform=None):
-    """One application of the fixed-point map to a sampled trajectory."""
+def picard_step(config: HartreeConfig, times: np.ndarray, traj: np.ndarray, interaction=None):
+    """One application of the fixed-point map to a sampled trajectory;
+    ``interaction`` defaults to ``gaussian_interaction(config.basis, config.width)``."""
     basis = config.basis
-    if transform is None:
-        transform = DunklTransform1D(basis.structure.kappa[0], config.transform_order)
-    pots = _potential_matrices(config, transform, traj)
+    if interaction is None:
+        interaction = gaussian_interaction(basis, config.width)
+    pots = _potential_matrices(config, interaction, traj)
     h = times[1] - times[0]
     # rotated commutators e^{isH} [W(s), gamma(s)] e^{-isH}, overwritten by
     # their trapezoid integrals from 0 to each node; reusing buffers keeps
@@ -172,13 +144,13 @@ def solve_hartree(config: HartreeConfig):
     """
     basis = config.basis
     times = np.linspace(0.0, config.horizon, config.steps)
-    transform = DunklTransform1D(basis.structure.kappa[0], config.transform_order)
+    interaction = gaussian_interaction(basis, config.width)
     traj = conjugate(basis, config.gamma0, times)
     residuals = []
     p = config.schatten_exponent
     converged = False
     for _ in range(config.max_iter):
-        new = picard_step(config, times, traj, transform)
+        new = picard_step(config, times, traj, interaction)
         if not np.isfinite(new).all():
             break
         res = float(schatten_norm(new - traj, p).max())

@@ -124,7 +124,10 @@ def _normalized_bessel_pair(kappa: float, w: np.ndarray):
 
     Both are even entire functions of w; w is flipped into Re w >= 0 so the
     principal-branch powers never straddle the cut.  Orders stay >= 1/2 by
-    computing J_{kappa-1/2} from the downward three-term recurrence.
+    computing J_{kappa-1/2} from the downward three-term recurrence.  The
+    factors Gamma(a + 1) (2/w)^a overflow for large kappa while J_a underflows,
+    so they come from lgamma and a logarithm; where J_a itself underflows
+    (kappa far above |w|) the route raises ArithmeticError.
     """
     # importing scipy.special more than doubles the start-up time of every
     # command, and only this route needs it
@@ -135,10 +138,18 @@ def _normalized_bessel_pair(kappa: float, w: np.ndarray):
     nu = kappa + 0.5
     j_nu = jv(nu, w)
     j_nu_p1 = jv(nu + 1.0, w)
+    tiny = np.finfo(float).tiny
+    lost = (np.abs(j_nu) < tiny) | (np.abs(j_nu_p1) < tiny)
+    if np.any(lost):
+        raise ArithmeticError(
+            f"Bessel route underflows for kappa={kappa} at |z|={np.abs(w[lost]).min():.4g}"
+        )
     j_nu_m1 = (2.0 * nu / w) * j_nu - j_nu_p1
-    low_pow = (2.0 / w) ** (nu - 1.0)
-    lo = math.gamma(nu) * low_pow * j_nu_m1
-    hi = math.gamma(nu + 1.0) * low_pow * (2.0 / w) * j_nu
+    # Gamma(nu) (2/w)^(nu - 1), as the square of its root so that neither
+    # factor overflows where the product with J does not
+    root = np.exp(0.5 * (math.lgamma(nu) + (nu - 1.0) * np.log(2.0 / w)))
+    lo = root * j_nu_m1 * root
+    hi = root * (nu * (2.0 / w) * j_nu) * root
     return lo, hi
 
 

@@ -338,7 +338,7 @@ def test_criterion_13_hartree(basis_1d_half):
 
     free_cfg = HartreeConfig(
         basis=basis, gamma0=g0,
-        w_profile=lambda x: np.exp(-(x**2)),
+        width=1.0,
         coupling=0.0, horizon=0.1, steps=9,
     )
     _, _, free_diag = solve_hartree(free_cfg)
@@ -346,7 +346,7 @@ def test_criterion_13_hartree(basis_1d_half):
 
     cfg = HartreeConfig(
         basis=basis, gamma0=g0,
-        w_profile=lambda x: np.exp(-(x**2)),
+        width=1.0,
         coupling=0.5, horizon=0.1, steps=17,
     )
     _, _, diag = solve_hartree(cfg)

@@ -233,13 +233,41 @@ class TestSubcommands:
 
 
 class TestHartreeRobustness:
-    @pytest.mark.parametrize("body", ["d = 2\nkappa = 1.0 0.5\n", "d = 1\nkappa = 0.5 1.0\n"])
-    def test_only_one_dimension(self, runner, tmp_path, body):
+    def test_multiplicity_count_must_match_dimension(self, runner, tmp_path):
         path = tmp_path / "c.cfg"
-        path.write_text(body + f"n_degree = 8\ngrid_order = 12\noutput = {tmp_path}\n")
+        path.write_text("d = 1\nkappa = 0.5 1.0\nn_degree = 8\ngrid_order = 12\n"
+                        f"output = {tmp_path}\n")
         result = runner.invoke(main, ["-c", str(path), "hartree"])
         assert result.exit_code == EXIT_CONFIG
         assert "CONFIG ERROR" in result.output
+
+    def test_two_dimensions(self, runner, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_text("d = 2\nkappa = 1.0 0.5\nn_degree = 6\ngrid_order = 8\n"
+                        f"output = {tmp_path / 'reports'}\n")
+        result = runner.invoke(main, ["-c", str(path), "hartree", "--steps", "9"])
+        assert result.exit_code == EXIT_OK, result.output
+        summary = json.loads((tmp_path / "reports" / "hartree.json").read_text())
+        assert summary["converged"]
+        assert summary["trace_drift"] < 1e-8
+
+    def test_narrow_width_converges(self, runner, small_config, tmp_path):
+        # every positive finite width is exact: 0.05 is an interaction, not a
+        # configuration error
+        result = runner.invoke(
+            main, ["-c", str(small_config), "hartree", "--width", "0.05", "--steps", "5"]
+        )
+        assert result.exit_code == EXIT_OK, result.output
+        summary = json.loads((tmp_path / "reports" / "hartree.json").read_text())
+        assert summary["converged"]
+        assert summary["trace_drift"] < 1e-8
+
+    @pytest.mark.parametrize("width", ["1e-3", "0.05", "1e3", "1e200"])
+    def test_extreme_width_is_no_traceback(self, runner, small_config, width):
+        result = runner.invoke(
+            main, ["-c", str(small_config), "hartree", "--width", width, "--steps", "5"]
+        )
+        assert result.exit_code in (EXIT_OK, EXIT_CONFIG), result.output
 
     def test_too_few_steps(self, runner, small_config):
         result = runner.invoke(main, ["-c", str(small_config), "hartree", "--steps", "1"])
@@ -303,8 +331,7 @@ class TestBadOptions:
         (["hartree", "--width", "nan", "--steps", "5"], EXIT_CONFIG),
         # a zero width makes the interaction vanish: a solve would "converge"
         (["hartree", "--width", "0", "--steps", "5"], EXIT_CONFIG),
-        # so does one far narrower than the transform's node spacing
-        (["hartree", "--width", "0.05", "--steps", "5"], EXIT_CONFIG),
+        (["hartree", "--width", "inf", "--steps", "5"], EXIT_CONFIG),
     ])
     def test_no_false_success(self, runner, small_config, tmp_path, args, code):
         result = runner.invoke(main, ["-c", str(small_config), *args])

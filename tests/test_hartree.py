@@ -3,17 +3,20 @@ import pytest
 
 from dunklkit import (
     DunklStructure,
-    DunklTransform1D,
     HartreeConfig,
+    build_basis,
     conjugate,
     density,
-    interaction_potential,
+    gaussian_interaction,
+    hermite_functions_1d,
     multiplication_matrix,
     picard_step,
     schatten_norm,
     solve_hartree,
+    tensor_grid,
 )
 from dunklkit.hartree import _potential_matrices
+from transform_oracle import DunklTransform1D, interaction_potential
 
 
 @pytest.fixture(scope="module")
@@ -32,21 +35,41 @@ def ground_state_operator(basis):
     return m
 
 
-def loop_potentials(config, transform, traj):
+def loop_potentials(config, traj):
     """The potential matrices one time node at a time."""
     basis = config.basis
+    points, g = gaussian_interaction(basis, config.width)
     return np.stack([
-        multiplication_matrix(
-            basis,
-            config.coupling * np.real(interaction_potential(
-                transform,
-                config.w_profile(transform.nodes),
-                density(basis, g, transform.nodes),
-                basis.grid.nodes[:, 0],
-            )),
-        )
-        for g in traj
+        multiplication_matrix(basis, config.coupling * (g @ density(basis, gamma, points)))
+        for gamma in traj
     ])
+
+
+def full_degree_operator(basis, seed, rank=3):
+    """A positive operator of the given rank with every basis mode occupied,
+    so that its density has the full degree 2N per axis."""
+    rng = np.random.default_rng(seed)
+    c = rng.normal(size=(rank, basis.size)) + 1j * rng.normal(size=(rank, basis.size))
+    return c.T @ c.conj() / (rank * basis.size)
+
+
+def direct_convolution(basis, gamma, width):
+    """kappa = 0: the integral of e^{-|x - y|^2 / width^2} rho_gamma(y) dy at
+    the basis grid nodes.  As rho is a sum of products of 1-D functions, it is
+    a sum of products of the 1-D integrals of e^{-(x - y)^2 / width^2}
+    phi_m(y) phi_n(y), each by the trapezoid rule on a uniform grid fine
+    enough for the profile and the density (spectrally accurate here)."""
+    n, mi = basis.per_dim_degree, basis.multi_indices
+    h = min(0.02, width / 12.0)
+    y = np.arange(-16.0, 16.0 + h / 2, h)
+    table = hermite_functions_1d(0.0, n, y)
+    pairs = (table[:, None, :] * table[None, :, :]).reshape((n + 1) ** 2, -1)
+    out = np.real(gamma)[None]
+    for j in range(basis.structure.d):
+        profile = np.exp(-(((basis.grid.nodes[:, j, None] - y) / width) ** 2))
+        ints = (h * profile @ pairs.T).reshape(-1, n + 1, n + 1)
+        out = out * ints[:, mi[:, j][:, None], mi[:, j][None, :]]
+    return out.sum(axis=(1, 2))
 
 
 class TestTransform:
@@ -109,12 +132,60 @@ class TestInteraction:
         assert err1 < 1e-3
         assert err2 / err1 == pytest.approx(0.25, rel=0.05)
 
+    @pytest.mark.parametrize("d, n_degree, order", [(1, 24, 32), (2, 6, 8)])
+    @pytest.mark.parametrize("width", [0.05, 0.3, 1.0, 3.0])
+    def test_heat_route_matches_direct_convolution(self, d, n_degree, order, width):
+        s = DunklStructure(d, (0.0,) * d)
+        basis = build_basis(s, n_degree, tensor_grid(s, order))
+        gamma = full_degree_operator(basis, seed=d)
+        points, g = gaussian_interaction(basis, width)
+        got = g @ density(basis, gamma, points)
+        expected = direct_convolution(basis, gamma, width)
+        assert np.abs(got - expected).max() <= 1e-9 * np.abs(expected).max()
+
+    # the transform route resolves widths 1 and 3 to round-off at order 120;
+    # at width 0.5 its own error is about 4e-9
+    @pytest.mark.parametrize("kappa", [0.5, 1.5])
+    @pytest.mark.parametrize("width, tol", [(0.5, 1e-7), (1.0, 1e-9), (3.0, 1e-9)])
+    def test_heat_route_matches_transform_route(self, kappa, width, tol):
+        s = DunklStructure(1, (kappa,))
+        basis = build_basis(s, 32, tensor_grid(s, 48))
+        gamma = full_degree_operator(basis, seed=7)
+        points, g = gaussian_interaction(basis, width)
+        got = g @ density(basis, gamma, points)
+        tr = DunklTransform1D(kappa, order=120)
+        expected = np.real(interaction_potential(
+            tr, np.exp(-((tr.nodes / width) ** 2)), density(basis, gamma, tr.nodes),
+            basis.grid.nodes[:, 0],
+        ))
+        assert np.abs(got - expected).max() <= tol * np.abs(expected).max()
+
+    @pytest.mark.parametrize("width", [1e-3, 1.0, 1e3, 1e200])
+    def test_heat_route_finite_at_the_largest_grid_order(self, width):
+        # nodes reach |x| = 39.5 at order 400, where e^{|x|^2 / 2} overflows
+        s = DunklStructure(1, (0.5,))
+        basis = build_basis(s, 16, tensor_grid(s, 400))
+        points, g = gaussian_interaction(basis, width)
+        assert np.isfinite(g).all()
+        w = g @ density(basis, full_degree_operator(basis, seed=1), points)
+        assert np.isfinite(w).all() and w.min() >= -1e-12 * w.max() and w.max() > 0.0
+
+    def test_heat_route_is_positive_and_covariant(self, basis_1d_half):
+        # the kernel of w * . is positive, and rho(-x) gives W(-x)
+        gamma = full_degree_operator(basis_1d_half, seed=3)
+        points, g = gaussian_interaction(basis_1d_half, 0.7)
+        w = g @ density(basis_1d_half, gamma, points)
+        parity = (-1.0) ** basis_1d_half.multi_indices[:, 0]
+        w_flip = g @ density(basis_1d_half, parity[:, None] * gamma * parity, points)
+        assert w.min() >= -1e-13 * w.max()
+        np.testing.assert_allclose(w_flip, w[::-1], rtol=0, atol=1e-13 * w.max())
+
 
 class TestPicard:
     def test_zero_coupling_is_free_flow(self, basis_1d_half):
         config = HartreeConfig(
             basis=basis_1d_half, gamma0=ground_state_operator(basis_1d_half),
-            w_profile=lambda x: np.exp(-(x**2)),
+            width=1.0,
             coupling=0.0,
             horizon=0.1,
             steps=9,
@@ -134,7 +205,7 @@ class TestPicard:
         )
         g0 = c.T @ c
         config = HartreeConfig(
-            basis=basis, gamma0=g0, w_profile=lambda x: np.exp(-(x**2)), coupling=0.0,
+            basis=basis, gamma0=g0, width=1.0, coupling=0.0,
             horizon=0.1, steps=9,
         )
         _, traj, diag = solve_hartree(config)
@@ -147,8 +218,8 @@ class TestPicard:
         basis = basis_1d_half
         config = HartreeConfig(
             basis=basis, gamma0=ground_state_operator(basis),
-            w_profile=lambda x: 0.3 * np.exp(-(x**2)),
-            coupling=1.0,
+            width=1.0,
+            coupling=0.3,
             horizon=0.1,
             steps=9,
         )
@@ -167,20 +238,19 @@ class TestPicard:
         lam = basis.eigenvalues
         config = HartreeConfig(
             basis=basis, gamma0=ground_state_operator(basis),
-            w_profile=lambda x: np.exp(-(x**2)),
+            width=1.0,
             coupling=0.5,
             horizon=0.1,
             steps=9,
         )
         times = np.linspace(0.0, config.horizon, config.steps)
         _, traj, _ = solve_hartree(config)
-        transform = DunklTransform1D(0.5, config.transform_order)
 
         def conj(a, t):
             phase = np.exp(-1j * t * lam)
             return (phase[:, None] * a) * phase.conj()[None, :]
 
-        pots = loop_potentials(config, transform, traj)
+        pots = loop_potentials(config, traj)
         rotated = [conj(w @ g - g @ w, -t) for w, g, t in zip(pots, traj, times)]
         h = times[1] - times[0]
         expected = [conj(config.gamma0, times[0])]
@@ -188,7 +258,7 @@ class TestPicard:
         for i in range(1, times.size):
             acc = acc + 0.5 * h * (rotated[i - 1] + rotated[i])
             expected.append(conj(config.gamma0, times[i]) - 1j * conj(acc, times[i]))
-        got = picard_step(config, times, traj, transform)
+        got = picard_step(config, times, traj)
         np.testing.assert_allclose(got, np.stack(expected), rtol=0, atol=1e-14)
 
     def test_potentials_match_loop_form(self, basis_1d_half):
@@ -197,20 +267,19 @@ class TestPicard:
         c = np.zeros((3, basis.size), dtype=complex)
         c[:, :10] = rng.normal(size=(3, 10)) + 1j * rng.normal(size=(3, 10))
         gamma0 = c.T @ c.conj() / 10.0
-        config = HartreeConfig(basis=basis, gamma0=gamma0, w_profile=lambda x: np.exp(-(x**2)),
+        config = HartreeConfig(basis=basis, gamma0=gamma0, width=1.0,
                                coupling=0.5, horizon=0.4, steps=7)
         traj = conjugate(basis, gamma0, np.linspace(0.0, config.horizon, config.steps))
-        transform = DunklTransform1D(0.5, config.transform_order)
         np.testing.assert_allclose(
-            _potential_matrices(config, transform, traj),
-            loop_potentials(config, transform, traj),
+            _potential_matrices(config, gaussian_interaction(basis, config.width), traj),
+            loop_potentials(config, traj),
             rtol=0, atol=1e-14,
         )
 
     def test_contraction_and_trace_drift(self, basis_1d_half):
         config = HartreeConfig(
             basis=basis_1d_half, gamma0=ground_state_operator(basis_1d_half),
-            w_profile=lambda x: np.exp(-(x**2)),
+            width=1.0,
             coupling=0.5,
             horizon=0.1,
             steps=17,
@@ -222,34 +291,40 @@ class TestPicard:
         drift = max(abs(tr - diag["traces"][0]) for tr in diag["traces"])
         assert drift < 1e-8
 
-    def test_rejects_bad_config(self, basis_1d_half, basis_2d):
+    def test_rejects_bad_config(self, basis_1d_half):
         basis = basis_1d_half
         m = np.zeros((basis.size, basis.size), dtype=complex)
         m[0, 1] = 1.0
         with pytest.raises(ValueError):
-            HartreeConfig(
-                basis=basis, gamma0=m, w_profile=lambda x: x, horizon=0.1
-            )
+            HartreeConfig(basis=basis, gamma0=m, horizon=0.1)
         with pytest.raises(ValueError):
-            HartreeConfig(
-                basis=basis, gamma0=ground_state_operator(basis), w_profile=lambda x: x,
-                horizon=-1.0,
-            )
-        with pytest.raises(ValueError):
-            HartreeConfig(
-                basis=basis_2d, gamma0=ground_state_operator(basis_2d), w_profile=lambda x: x,
-                horizon=0.1,
-            )
+            HartreeConfig(basis=basis, gamma0=ground_state_operator(basis), horizon=-1.0)
+
+    @pytest.mark.parametrize("width", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_bad_width(self, basis_1d_half, width):
+        with pytest.raises(ValueError, match="width"):
+            HartreeConfig(basis=basis_1d_half, gamma0=ground_state_operator(basis_1d_half),
+                          width=width)
 
     def test_rejects_bad_operator_shape(self, basis_1d_half):
         m = np.eye(basis_1d_half.size - 1)
         with pytest.raises(ValueError, match="initial operator"):
-            HartreeConfig(basis=basis_1d_half, gamma0=m, w_profile=lambda x: x)
+            HartreeConfig(basis=basis_1d_half, gamma0=m)
 
     @pytest.mark.parametrize("coupling", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_coupling(self, basis_1d_half, coupling):
         with pytest.raises(ValueError, match="coupling"):
             HartreeConfig(
                 basis=basis_1d_half, gamma0=ground_state_operator(basis_1d_half),
-                w_profile=lambda x: x, coupling=coupling,
+                coupling=coupling,
             )
+
+    def test_two_dimensions(self, basis_2d):
+        # the same code at d = 2: a contraction that keeps the trace
+        config = HartreeConfig(basis=basis_2d, gamma0=ground_state_operator(basis_2d),
+                               width=1.0, coupling=0.5, horizon=0.1, steps=9)
+        _, traj, diag = solve_hartree(config)
+        assert diag["converged"]
+        assert all(f < 1.0 for f in diag["contraction_factors"])
+        assert max(abs(tr - diag["traces"][0]) for tr in diag["traces"]) < 1e-8
+        assert np.abs(traj - traj.conj().transpose(0, 2, 1)).max() < 1e-12

@@ -20,7 +20,8 @@ SOURCES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 TESTS = sorted(Path(__file__).parent.glob("*.py"))
 TRACER = Path(__file__).parent.parent / "perfbench" / "trace_child.py"
 # scipy.special is more than half of the import time of every command: only the
-# Dunkl kernel's Bessel route (arguments |z| > 8) needs it
+# Dunkl kernel's Bessel route (arguments |z| > 8) needs it, and of the commands
+# only verify-kernels reaches that route
 SCIPY_IMPORTS = {"structure.py": ["scipy.special.jv"]}
 
 
@@ -164,6 +165,8 @@ sys.exit(code)
     ["dual-schatten"],
     ["inhomogeneous"],
     ["mhls", "--n", "2", "--beta", "0.5"],
+    ["hartree", "--steps", "5"],
+    ["kss"],
 ], ids=lambda c: c[0])
 def test_command_does_not_load_scipy(tmp_path, command):
     config = tmp_path / "small.cfg"

@@ -59,6 +59,26 @@ class TestKernel1D:
                 val = dunkl_kernel_1d(kappa, 1.0, z)
                 assert val == pytest.approx(ref, rel=5e-13, abs=1e-280), (kappa, z)
 
+    @pytest.mark.parametrize("kappa", [100.0, 170.0, 172.0])
+    def test_bessel_route_at_large_multiplicity(self, kappa):
+        # Gamma(kappa + 1/2) overflows above kappa ~ 171, the kernel does not
+        mpmath = pytest.importorskip("mpmath")
+        for radius in (9.0, 20.0, 50.0):
+            for phase in (0.0, 0.7, np.pi / 2, 2.2, np.pi, -np.pi / 2):
+                z = complex(radius * np.exp(1j * phase))
+                with mpmath.workdps(50):
+                    zm = mpmath.mpc(z)
+                    ref = complex(mpmath.hyp0f1(kappa + 0.5, zm**2 / 4)
+                                  + zm / (2 * kappa + 1) * mpmath.hyp0f1(kappa + 1.5, zm**2 / 4))
+                val = dunkl_kernel_1d(kappa, 1.0, z)
+                assert val == pytest.approx(ref, rel=5e-13), (kappa, z)
+
+    @pytest.mark.parametrize("z", [9.0, 20.0j, -20.0, 12.0 - 5.0j])
+    def test_bessel_route_underflow_raises(self, z):
+        # J_{kappa + 1/2}(|z|) is below the smallest double at kappa = 300
+        with pytest.raises(ArithmeticError, match=r"kappa=300\.0 at \|z\|="):
+            dunkl_kernel_1d(300.0, 1.0, z)
+
     def test_route_continuity_at_switchover(self):
         # series (|z| <= 8) and Bessel (|z| > 8) must agree across the seam
         for kappa in (0.4, 1.5):
