@@ -184,7 +184,7 @@ def strichartz(cfg, q, group, kappa, j_count, seed, flow):
         if kappa is not None:
             cfg = {**cfg, "kappa": tuple(float(v) for v in kappa.replace(",", " ").split())}
         s, grid, basis = _context(cfg)
-        report = run_inequality(basis, q, group, j_count, seed, flow, cfg["time_nodes"])
+        [report] = run_inequality(basis, [q], group, j_count, seed, flow, cfg["time_nodes"])
     _report(cfg, "strichartz", [report.as_dict()], {"report": report.as_dict()})
     click.echo(f"q={q} p={report.p:.4g} lhs={report.lhs:.6g} rhs={report.rhs:.6g} "
                f"ratio={report.ratio:.6g}")
@@ -209,8 +209,7 @@ def dual_schatten(cfg, qprime):
     envelope = np.exp(-0.5 * (grid.nodes**2).sum(axis=-1))
     v = envelope * (1.0 + 0.3 * np.cos(rng.integers(1, 4, tn[0].size) * tn[0]))[:, None]
     b = time_averaged_operator(basis, tn, v)
-    value = schatten_norm(b, 2.0 * qprime)
-    opnorm = schatten_norm(b, np.inf)
+    value, opnorm = schatten_norm(b, [2.0 * qprime, np.inf]).tolist()
     l1linf = float(np.sum(tn[1] * np.abs(v).max(axis=1)))
     _report(cfg, "dual_schatten", [{"qprime": qprime, "value": value, "operator_norm": opnorm,
                                     "l1_linf_bound": l1linf}])
@@ -322,17 +321,17 @@ def sweep(cfg, q_min, q_max, steps, j_values, seeds):
         j_list = [int(v) for v in j_values.replace(",", " ").split()]
         if not j_list or not all(1 <= j <= basis.size for j in j_list):
             raise ValueError(f"j values must lie in [1, {basis.size}], got {j_values!r}")
-    rows = []
+    qs = np.linspace(q_min, q_max, steps).tolist()
     start = time.perf_counter()
-    for q in np.linspace(q_min, q_max, steps):
-        pair = ExponentPair(float(q), s.d_eff)
-        for j_count in j_list:
-            for seed in range(seeds):
-                rep = run_inequality(basis, float(q), "haar_rotation", j_count,
-                                     seed, "hermite", cfg["time_nodes"])
-                row = rep.as_dict()
-                row["admissible"] = pair.admissible
-                rows.append(row)
+    # one system and one propagation per (J, seed) for every q; rows stay q-major
+    per_system = [run_inequality(basis, qs, "haar_rotation", j_count, seed,
+                                 "hermite", cfg["time_nodes"])
+                  for j_count in j_list for seed in range(seeds)]
+    rows = []
+    for i, q in enumerate(qs):
+        admissible = ExponentPair(q, s.d_eff).admissible
+        for reports in per_system:
+            rows.append({**reports[i].as_dict(), "admissible": admissible})
     out = _report(cfg, "sweep", rows, {
         "rows": len(rows),
         "max_ratio": max(r["ratio"] for r in rows),

@@ -84,15 +84,24 @@ def conjugate(basis: HermiteBasis, a, t, flow: str = "hermite") -> np.ndarray:
 
 def schatten_norm(a, p):
     """Schatten p-norm (sum of sigma^p)^{1/p}; p = inf gives the largest
-    singular value.  A (T, M, M) stack gives one norm per matrix."""
-    if not p >= 1:
+    singular value.  A (T, M, M) stack gives one norm per matrix.  A 1-D
+    sequence of exponents gives one norm per exponent, on a leading axis,
+    all from one SVD."""
+    exponents = np.asarray(p, dtype=float)
+    if exponents.ndim > 1 or not np.all(exponents >= 1):
         raise ValueError(f"Schatten exponent must be >= 1 or inf, got {p}")
     sigma = np.linalg.svd(a, compute_uv=False)
-    if np.isinf(p):
-        norms = np.max(sigma, axis=-1, initial=0.0)
-    else:
-        norms = np.sum(sigma**p, axis=-1) ** (1.0 / p)
-    return float(norms) if norms.ndim == 0 else norms
+
+    def norm(pk):
+        if np.isinf(pk):
+            norms = np.max(sigma, axis=-1, initial=0.0)
+        else:
+            norms = np.sum(sigma**pk, axis=-1) ** (1.0 / pk)
+        return float(norms) if norms.ndim == 0 else norms
+
+    if exponents.ndim == 0:
+        return norm(p)
+    return np.array([norm(pk) for pk in exponents.tolist()])
 
 
 def multiplication_matrix(basis: HermiteBasis, samples) -> np.ndarray:

@@ -121,11 +121,11 @@ def generate_system(
 
 def strichartz_lhs(
     system: OrthonormalSystem,
-    q: float,
-    p: float,
+    q,
+    p,
     flow: str = "hermite",
     n_time: int = 256,
-) -> float:
+) -> float | np.ndarray:
     """|| sum_j n_j |e^{-itP} f_j|^2 ||_{L^p_t L^q_kappa}.
 
     Oscillator flow: t over (-pi, pi).  Free flow: the whole-line integral
@@ -133,19 +133,31 @@ def strichartz_lhs(
     s^{2/p + d_eff(1/q - 1)} with s = sec 2t (identically 1 on the scaling
     line); the factor multiplies the slice's density, since the L^q norm is
     positively homogeneous.
+
+    q and p are scalars or equal-length 1-D arrays, one pair per entry; an
+    array pair gives one lhs per entry.  The evolved density does not depend
+    on the exponents, so it is propagated once for all pairs.
     """
+    q_arr, p_arr = np.asarray(q, dtype=float), np.asarray(p, dtype=float)
+    if q_arr.ndim > 1 or q_arr.shape != p_arr.shape:
+        raise ValueError(f"q and p must be scalars or equal-length 1-D arrays, "
+                         f"got shapes {q_arr.shape} and {p_arr.shape}")
+    pairs = list(zip(np.atleast_1d(q_arr).tolist(), np.atleast_1d(p_arr).tolist()))
     basis = system.basis
     if flow == "hermite":
         t, tau = time_grid(-np.pi, np.pi, n_time)
-        weight = 1.0
+        weights = [1.0] * len(pairs)
     elif flow == "laplacian":
         t, tau = time_grid(-np.pi / 4 + 1e-9, np.pi / 4 - 1e-9, n_time)
-        expo = 2.0 / p + basis.structure.d_eff * (1.0 / q - 1.0)
-        weight = np.abs(1.0 / np.cos(2.0 * t))[:, None] ** expo
+        sec = np.abs(1.0 / np.cos(2.0 * t))[:, None]
+        d_eff = basis.structure.d_eff
+        weights = [sec ** (2.0 / pk + d_eff * (1.0 / qk - 1.0)) for qk, pk in pairs]
     else:
         raise ValueError(f"unknown flow {flow!r}")
-    samples = weight * propagated_density(basis, system.states, system.coeffs, t)
-    return mixed_norm((t, tau), basis.grid, samples, p, q)
+    rho = propagated_density(basis, system.states, system.coeffs, t)
+    lhs = [mixed_norm((t, tau), basis.grid, w * rho, pk, qk)
+           for w, (qk, pk) in zip(weights, pairs)]
+    return lhs[0] if q_arr.ndim == 0 else np.array(lhs)
 
 
 def schatten_rhs(coeffs, q: float) -> float:
@@ -159,38 +171,49 @@ def schatten_rhs(coeffs, q: float) -> float:
 
 def run_inequality(
     basis: HermiteBasis,
-    q: float,
+    qs,
     system_kind: str = "haar_rotation",
     j_count: int = 8,
     seed: int = 0,
     flow: str = "hermite",
     n_time: int = 256,
     coeffs=None,
-) -> StrichartzReport:
-    """Assemble a system, evaluate lhs and rhs, and report the ratio."""
+) -> list[StrichartzReport]:
+    """Assemble one system, evaluate lhs and rhs at each q of the sequence
+    ``qs``, and report the ratios: one report per q, in order.
+
+    The system is generated and propagated once for all q.  Each report's
+    ``wall_time`` is the elapsed time of the whole call, shared by its
+    reports, not a per-q time.
+    """
     import time as _time
 
     start = _time.perf_counter()
     s = basis.structure
-    pair = ExponentPair(q, s.d_eff)
+    pairs = [ExponentPair(q, s.d_eff) for q in qs]
     system = generate_system(basis, system_kind, j_count, seed, coeffs)
-    lhs = strichartz_lhs(system, pair.q, pair.p, flow, n_time)
-    rhs = schatten_rhs(system.coeffs, pair.q)
-    return StrichartzReport(
-        d=s.d,
-        kappa=s.kappa,
-        n_degree=basis.per_dim_degree,
-        flow=flow,
-        q=pair.q,
-        p=pair.p,
-        system_kind=system_kind,
-        system_size=j_count,
-        seed=seed,
-        lhs=lhs,
-        rhs=rhs,
-        ratio=lhs / rhs if rhs > 0 else np.nan,
-        wall_time=_time.perf_counter() - start,
-    )
+    lhs = strichartz_lhs(system, [pr.q for pr in pairs], [pr.p for pr in pairs],
+                         flow, n_time).tolist()
+    rhs = [schatten_rhs(system.coeffs, pr.q) for pr in pairs]
+    wall_time = _time.perf_counter() - start
+    return [
+        StrichartzReport(
+            d=s.d,
+            kappa=s.kappa,
+            n_degree=basis.per_dim_degree,
+            flow=flow,
+            q=pr.q,
+            p=pr.p,
+            system_kind=system_kind,
+            system_size=j_count,
+            seed=seed,
+            lhs=lk,
+            rhs=rk,
+            ratio=lk / rk if rk > 0 else np.nan,
+            wall_time=wall_time,
+        )
+        for pr, lk, rk in zip(pairs, lhs, rhs)
+    ]
 
 
 def duhamel_solution(

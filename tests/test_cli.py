@@ -1,9 +1,13 @@
+import csv
+import io
 import json
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from dunklkit.cli import EXIT_CONFIG, EXIT_IDENTITY, EXIT_OK, load_config, main
+from dunklkit.cli import EXIT_CONFIG, EXIT_IDENTITY, EXIT_OK, _context, load_config, main
+from dunklkit.strichartz import ExponentPair, run_inequality
 
 
 @pytest.fixture()
@@ -221,6 +225,42 @@ class TestSubcommands:
         assert (tmp_path / "reports" / "ratio_vs_q.dat").exists()
         summary = json.loads((tmp_path / "reports" / "sweep.json").read_text())
         assert summary["rows"] == 4
+
+    def test_sweep_rows_match_one_q_evaluations(self, runner, small_config, tmp_path):
+        # one propagation per (J, seed) serves every q: the rows stay q-major
+        # and equal, in every column but wall_time, one-q evaluations
+        result = runner.invoke(
+            main,
+            ["-c", str(small_config), "sweep", "--steps", "3",
+             "--j-values", "1 2", "--seeds", "2"],
+        )
+        assert result.exit_code == EXIT_OK, result.output
+        cfg = load_config(str(small_config))
+        s, _, basis = _context(cfg)
+        expected = []
+        for q in np.linspace(1.1, 1.9, 3).tolist():
+            for j_count in (1, 2):
+                for seed in range(2):
+                    [rep] = run_inequality(basis, [q], "haar_rotation", j_count, seed,
+                                           "hermite", cfg["time_nodes"])
+                    expected.append({**rep.as_dict(),
+                                     "admissible": ExponentPair(q, s.d_eff).admissible})
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=list(expected[0]))
+        writer.writeheader()
+        writer.writerows(expected)
+        reports = tmp_path / "reports"
+
+        def columns(text):
+            return [{k: v for k, v in row.items() if k != "wall_time"}
+                    for row in csv.DictReader(io.StringIO(text))]
+
+        assert columns((reports / "sweep.csv").read_text()) == columns(buf.getvalue())
+        curve = {}
+        for row in expected:
+            curve.setdefault(row["q"], []).append(row["ratio"])
+        dat = "".join(f"{q:.6f} {max(curve[q]):.8f}\n" for q in sorted(curve))
+        assert (reports / "ratio_vs_q.dat").read_text() == dat
 
     def test_hartree(self, runner, small_config, tmp_path):
         result = runner.invoke(

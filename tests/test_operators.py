@@ -83,6 +83,18 @@ class TestSchattenNorm:
         np.testing.assert_array_equal(schatten_norm(a, p), [schatten_norm(m, p) for m in a])
 
 
+    @pytest.mark.parametrize("qprime", [0.5, 1.5, 3.5])
+    def test_exponent_sequence_is_one_norm_per_exponent(self, qprime):
+        # the dual-schatten pair (2q', inf) from one SVD, bit for bit
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=(14, 14)) + 1j * rng.normal(size=(14, 14))
+        value, opnorm = schatten_norm(a, [2.0 * qprime, np.inf])
+        assert value == schatten_norm(a, 2.0 * qprime)
+        assert opnorm == schatten_norm(a, np.inf)
+        with pytest.raises(ValueError):
+            schatten_norm(a, [2.0, 0.5])
+
+
 def hermitian(size, seed):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))

@@ -71,8 +71,8 @@ class TestInequality:
         # q = 1, p = inf: lhs = sup_t || sum |f_j|^2 ||_1 = J by unitarity,
         # rhs = l^1 norm of the coefficients = J; ratio exactly 1
         for seed in range(3):
-            rep = run_inequality(
-                basis_1d_half, 1.0, "haar_rotation", 6, seed=seed, n_time=64
+            [rep] = run_inequality(
+                basis_1d_half, [1.0], "haar_rotation", 6, seed=seed, n_time=64
             )
             assert rep.ratio == pytest.approx(1.0, abs=1e-8)
 
@@ -80,7 +80,7 @@ class TestInequality:
         # single eigenstate: density is t-independent, lhs = || phi_0^2 ||_q
         basis = basis_1d_one
         q = 1.5
-        rep = run_inequality(basis, q, "basis_subset", 1, n_time=32)
+        [rep] = run_inequality(basis, [q], "basis_subset", 1, n_time=32)
         dens = np.abs(basis.eval_table[0]) ** 2
         tnorm = (2 * np.pi) ** (1.0 / rep.p)
         expected = tnorm * weighted_lp_norm(basis.grid, dens, q)
@@ -138,11 +138,44 @@ class TestInequality:
         assert got == pytest.approx(oracle, rel=1e-13)
 
     def test_report_fields(self, basis_1d_half):
-        rep = run_inequality(basis_1d_half, 1.5, "basis_subset", 2, n_time=32)
+        [rep] = run_inequality(basis_1d_half, [1.5], "basis_subset", 2, n_time=32)
         d = rep.as_dict()
         assert d["q"] == 1.5
         assert d["system_size"] == 2
         assert d["ratio"] == pytest.approx(rep.lhs / rep.rhs)
+
+
+    @pytest.mark.parametrize("flow", ["hermite", "laplacian"])
+    def test_exponent_arrays_match_one_pair_calls(self, basis_1d_half, flow):
+        # q = 1 gives p = inf; one propagation for all pairs changes no bit
+        system = generate_system(basis_1d_half, "haar_rotation", 4, seed=7)
+        qs = [1.0, 1.2, 1.5, 1.9]
+        ps = [admissible_p(q, basis_1d_half.structure.d_eff) for q in qs]
+        got = strichartz_lhs(system, np.array(qs), np.array(ps), flow, n_time=48)
+        assert got.shape == (4,)
+        for g, q, p in zip(got, qs, ps):
+            one = strichartz_lhs(system, q, p, flow, n_time=48)
+            assert isinstance(one, float)
+            assert g == one
+
+    def test_exponent_arrays_reject_bad_pairs(self, basis_1d_half):
+        system = generate_system(basis_1d_half, "basis_subset", 2)
+        with pytest.raises(ValueError):
+            strichartz_lhs(system, np.array([1.5, 1.5]), np.array([2.0, 0.5]), n_time=16)
+        with pytest.raises(ValueError):
+            strichartz_lhs(system, np.array([1.5, 1.2]), np.array([2.0]), n_time=16)
+
+    @pytest.mark.parametrize("flow", ["hermite", "laplacian"])
+    def test_run_inequality_sequence_matches_one_q_calls(self, basis_1d_half, flow):
+        qs = [1.0, 1.2, 1.5, 1.9]
+        reps = run_inequality(basis_1d_half, qs, "haar_rotation", 5, seed=3,
+                              flow=flow, n_time=48)
+        assert [r.q for r in reps] == qs
+        assert len({r.wall_time for r in reps}) == 1
+        for rep, q in zip(reps, qs):
+            [one] = run_inequality(basis_1d_half, [q], "haar_rotation", 5, seed=3,
+                                   flow=flow, n_time=48)
+            assert (rep.p, rep.lhs, rep.rhs, rep.ratio) == (one.p, one.lhs, one.rhs, one.ratio)
 
 
 class TestDuhamel:
