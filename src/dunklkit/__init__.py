@@ -41,6 +41,7 @@ from .operators import (
     mixed_xp_operator,
     multiplication_matrix,
     schatten_norm,
+    shell_densities,
     time_averaged_operator,
 )
 from .quadrature import (

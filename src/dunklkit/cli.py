@@ -237,7 +237,7 @@ def inhomogeneous(cfg, q, t0, rank):
         vecs = rng.normal(size=(rank, basis.size)) + 1j * rng.normal(size=(rank, basis.size))
         vecs[:, span:] = 0.0
         r0 = sum(np.outer(v, v.conj()) for v in vecs) / rank
-        lhs, rhs = inhomogeneous_check(basis, lambda sv: r0, t0, q,
+        lhs, rhs = inhomogeneous_check(basis, r0, t0, q,
                                        n_time=min(cfg["time_nodes"], 96))
     _report(cfg, "inhomogeneous", [{"q": q, "t0": t0, "rank": rank, "lhs": lhs, "rhs": rhs,
                                     "ratio": lhs / rhs}])

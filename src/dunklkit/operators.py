@@ -1,6 +1,7 @@
 """Compact operators in the spectral basis: conjugation by the two flows,
-Schatten norms, densities, the time-averaged operator of the dual functional
-from the potential's time harmonics, and mixed position-momentum operators.
+Schatten norms, densities and their degree-shell parts, the time-averaged
+operator of the dual functional from the potential's time harmonics, and
+mixed position-momentum operators.
 
 Everything is dense: operators are square matrices A with entries
 A_{mu nu} = <A phi_nu, phi_mu>_kappa in the truncated orthonormal basis, and
@@ -27,6 +28,7 @@ __all__ = [
     "schatten_norm",
     "multiplication_matrix",
     "density",
+    "shell_densities",
     "time_averaged_operator",
     "mixed_xp_operator",
     "kss_check",
@@ -133,6 +135,41 @@ def density(basis: HermiteBasis, a, points=None) -> np.ndarray:
     return ((np.real(a) @ table) * table).sum(axis=-2)
 
 
+def _degree_shells(basis: HermiteBasis):
+    """(degree, top, shells): the total degree |mu| of each basis row, the
+    largest one, and the slice of rows of each shell |mu| = 0..top.  The
+    shells are contiguous only when the basis is ordered by total degree."""
+    degree = basis.multi_indices.sum(axis=1)
+    if np.any(np.diff(degree) < 0):
+        raise ValueError("basis multi-indices must be ordered by total degree")
+    top = int(degree[-1])
+    return degree, top, [slice(*np.searchsorted(degree, [a, a + 1])) for a in range(top + 1)]
+
+
+def shell_densities(basis: HermiteBasis, a) -> np.ndarray:
+    """G_n = sum over |mu| - |nu| = n of A_{mu nu} phi_mu phi_nu on the basis
+    grid, n = -top..top: shape (2 top + 1, K), complex.
+
+    The adjoint of the shell blocks of ``time_averaged_operator``: as the
+    flow multiplies entry (mu, nu) by e^{-2it(|mu| - |nu|)}, the density of
+    e^{-itH} A e^{itH} is Re sum_n e^{-2int} G_n at every t, from one M^2 K
+    pass.
+    """
+    a = np.asarray(a)
+    if a.shape != (basis.size, basis.size):
+        raise ValueError(f"expected a {basis.size} x {basis.size} operator, got {a.shape}")
+    _, top, shells = _degree_shells(basis)
+    table = basis.eval_table
+    g = np.zeros((2 * top + 1, basis.grid.npoints), dtype=complex)
+    for i, rows in enumerate(shells):
+        for j, cols in enumerate(shells):
+            # real and imaginary parts apart: a complex block would copy the table to complex
+            block = a[rows, cols]
+            g.real[top + i - j] += ((block.real @ table[cols]) * table[rows]).sum(axis=0)
+            g.imag[top + i - j] += ((block.imag @ table[cols]) * table[rows]).sum(axis=0)
+    return g
+
+
 def time_averaged_operator(basis: HermiteBasis, time_nodes, v_samples) -> np.ndarray:
     """B = integral over t of e^{itH} V(t,.) e^{-itH} dt, as a dense matrix.
 
@@ -153,14 +190,10 @@ def time_averaged_operator(basis: HermiteBasis, time_nodes, v_samples) -> np.nda
         )
     if not np.all(np.isfinite(v_samples)):
         raise ValueError("non-finite potential samples")
-    degree = basis.multi_indices.sum(axis=1)
-    if np.any(np.diff(degree) < 0):
-        raise ValueError("basis multi-indices must be ordered by total degree")
-    top = int(degree[-1])
+    _, top, shells = _degree_shells(basis)
     phases = tau * np.exp(2j * np.outer(np.arange(-top, top + 1), t))
     # real and imaginary phases apart: a complex product would copy V to complex
     harmonics = (phases.real @ v_samples + 1j * (phases.imag @ v_samples)) * basis.grid.weights
-    shells = [slice(*np.searchsorted(degree, [a, a + 1])) for a in range(top + 1)]
     table = basis.eval_table
     b = np.empty((basis.size, basis.size), dtype=complex)
     for a, rows in enumerate(shells):

@@ -1,11 +1,15 @@
 """Orthonormal Strichartz functionals: mixed space-time norms of densities of
-evolved orthonormal systems, the inhomogeneous (Duhamel) variant, and the
-multilinear integral inequality with pairwise power weights.
+evolved orthonormal systems, the inhomogeneous (Duhamel) variant for sources
+R(s) = r(s) R0, and the multilinear integral inequality with pairwise power
+weights.
 
 The time side lives on (-pi, pi) for the oscillator flow; the free flow is
 integrated over the whole line through the substitution v = tan 2t, which
 maps it onto (-pi/4, pi/4) with an explicit power of s(t) = sec 2t -- the
-power vanishes exactly on the scaling line 2/p + d_eff/q = d_eff.
+power vanishes exactly on the scaling line 2/p + d_eff/q = d_eff.  The
+Duhamel integral goes by degree shells: the oscillator flow multiplies entry
+(mu, nu) of an operator by a phase that depends on |mu| - |nu| alone, so for
+a source of one fixed operator the integral over s is a scalar per shell.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .hermite import HermiteBasis, propagated_density
-from .operators import OrthonormalSystem, conjugate, density, schatten_norm
+from .operators import OrthonormalSystem, _degree_shells, schatten_norm, shell_densities
 from .quadrature import mixed_norm, time_grid
 
 __all__ = [
@@ -216,71 +220,112 @@ def run_inequality(
     ]
 
 
+def _profile(r_of_s, s: np.ndarray) -> np.ndarray:
+    """The time profile r at the times s, checked to be finite, real and of
+    the shape of s: a complex value is rejected, not cut to its real part."""
+    values = np.asarray(r_of_s(s))
+    if values.shape != s.shape or np.iscomplexobj(values) or not np.all(np.isfinite(values)):
+        raise ValueError("the source profile must map an array of times to finite real "
+                         "values of the same shape")
+    return values
+
+
+def _source_operator(basis: HermiteBasis, r0) -> np.ndarray:
+    """R0 as an (M, M) array, checked to be one."""
+    r0 = np.asarray(r0)
+    if r0.shape != (basis.size, basis.size):
+        raise ValueError(f"expected a {basis.size} x {basis.size} source operator, got {r0.shape}")
+    return r0
+
+
+def _shell_phases(r_of_s, t0: float, t: np.ndarray, n_time: int, top: int) -> np.ndarray:
+    """Phi_n(t) = sign * sum_k w_k r(s_k) e^{2in(t - s_k)}, n = -top..top, at
+    each time of t: shape (len(t), 2 top + 1).  (s, w) is the composite Simpson
+    rule of n_time nodes (made odd) on the interval between t0 and t, and the
+    sign is that of t - t0.  The profile is called once, on every node of
+    every rule."""
+    if n_time % 2 == 0:
+        n_time += 1
+    s, w = (np.array(v) for v in zip(*(
+        time_grid(min(t0, tv), max(t0, tv), n_time, kind="simpson") for tv in t)))
+    w *= np.where(t >= t0, 1.0, -1.0)[:, None] * _profile(r_of_s, s)
+    n = np.arange(-top, top + 1)
+    # one time at a time: a (T, S, 2 top + 1) phase stack would set the peak memory
+    return np.array([np.exp(2j * np.outer(n, tv - sv)) @ wv for tv, sv, wv in zip(t, s, w)])
+
+
 def duhamel_solution(
     basis: HermiteBasis,
-    r_of_s,
+    r0,
     t0: float,
     t: float,
     n_time: int = 128,
+    r_of_s=np.ones_like,
 ) -> np.ndarray:
-    """gamma(t) = integral_{t0}^t of e^{i(t-s)H} R(s) e^{-i(t-s)H} ds.
+    """gamma(t) = integral_{t0}^t of e^{i(t-s)H} R(s) e^{-i(t-s)H} ds for the
+    source R(s) = r(s) R0, by a composite Simpson rule in s.
 
-    ``r_of_s`` maps a time to an operator matrix (array), evaluated at every
-    node of a composite Simpson rule in s.  The conjugation is by diagonal
-    phases, and the phase matrix has rank one:
-    e^{i(t-s)(lam_mu - lam_nu)} = a_mu conj(a_nu) with a = e^{i(t-s) lam},
-    so each node costs M exponentials and two diagonal scalings of R(s).
+    ``r0`` is the (M, M) operator R0 and ``r_of_s`` the real time profile r,
+    which maps an array of times to an array of values (constant 1 by
+    default).  As lambda_mu = 2|mu| + d_eff, the flow multiplies entry
+    (mu, nu) by e^{2in(t-s)} with n = |mu| - |nu|, so gamma(t) is R0 times
+    the scalar shell phase Phi_n(t) = sum_k w_k r(s_k) e^{2in(t - s_k)}:
+    (2 top + 1) S scalars and one M x M product.  A sum of such sources is
+    the sum of their solutions.
     """
-    if t == t0:
-        return np.zeros((basis.size, basis.size), dtype=complex)
-    if n_time % 2 == 0:
-        n_time += 1
-    sg, sw = time_grid(min(t0, t), max(t0, t), n_time, kind="simpson")
-    sign = 1.0 if t >= t0 else -1.0
-    lam = basis.eigenvalues
-    out = np.zeros((basis.size, basis.size), dtype=complex)
-    for sv, w in zip(sg, sw):
-        # one node at a time, since r_of_s is a callable; conjugate() by hand:
-        # folding the weight into the phase vector saves one M x M pass per node
-        a = np.exp(1j * (t - sv) * lam)
-        out += (((sign * w) * a)[:, None] * r_of_s(sv)) * a.conj()[None, :]
-    return out
+    r0 = _source_operator(basis, r0)
+    degree, top, _ = _degree_shells(basis)
+    phases = _shell_phases(r_of_s, t0, np.array([t], dtype=float), n_time, top)[0]
+    return r0 * phases[top + degree[:, None] - degree[None, :]]
 
 
 def inhomogeneous_check(
     basis: HermiteBasis,
-    r_of_s,
+    r0,
     t0: float,
     q: float,
     n_time: int = 96,
     n_source_time: int = 96,
+    r_of_s=np.ones_like,
 ):
-    """(lhs, rhs) for the source-term density inequality.
+    """(lhs, rhs) for the source-term density inequality with the source
+    R(s) = r(s) R0: R0 (``r0``) self-adjoint, r (``r_of_s``) real.
 
-    lhs: ||rho_{gamma(t)}||_{L^p_t L^q_kappa} over (-pi, pi) with gamma the
-    Duhamel integral from t0.  rhs: Schatten-2q/(q+1) norm of
-    integral of e^{isH} |R(s)| e^{-isH} ds over (-pi, pi).
+    lhs: ||rho_{gamma(t)}||_{L^p_t L^q_kappa} over the trapezoid rule of
+    n_time nodes on (-pi, pi), with gamma the Duhamel integral from t0 on
+    n_source_time Simpson nodes (``duhamel_solution``).  rhs: Schatten-2q/(q+1)
+    norm of the integral of e^{isH} |R(s)| e^{-isH} ds over the same rule.
+
+    Both sides go by degree shells, with no matrix work per time node: the
+    density of gamma(t) is Re sum_n Phi_n(t) G_n with G the shell densities
+    of R0 (one M^2 K pass) and Phi the shell phases ((2 top + 1) T S
+    scalars); |R(s)| = |r(s)| |R0| takes one eigendecomposition, and the rhs
+    operator is |R0| times the shell sums sum_k tau_k |r(t_k)| e^{2int_k}.
+    Everything is validated before any of this work.
     """
-    s = basis.structure
-    pair = ExponentPair(q, s.d_eff)
-    grid = basis.grid
+    pair = ExponentPair(q, basis.structure.d_eff)
+    if not pair.p >= 1:
+        raise ValueError(f"p must be >= 1 or inf, got {pair.p}")
+    r0 = _source_operator(basis, r0)
+    if np.abs(r0 - r0.conj().T).max() > 1e-10:
+        raise ValueError("source operator is not self-adjoint")
     t, tau = time_grid(-np.pi, np.pi, n_time)
-    # both loops call r_of_s at each node: a cumulative integral of the
-    # rotated source would change the discretization of gamma(t)
-    samples = np.empty((t.size, grid.npoints))
-    for i, tv in enumerate(t):
-        samples[i] = density(basis, duhamel_solution(basis, r_of_s, t0, tv, n_source_time))
-    lhs = mixed_norm((t, tau), grid, samples, pair.p, pair.q)
+    rhs_weights = tau * np.abs(_profile(r_of_s, t))
+    degree, top, _ = _degree_shells(basis)
+    phases = _shell_phases(r_of_s, t0, t, n_source_time, top)
 
-    acc = np.zeros((basis.size, basis.size), dtype=complex)
-    for sv, w in zip(t, tau):
-        r = np.asarray(r_of_s(sv), dtype=complex)
-        if np.abs(r - r.conj().T).max() > 1e-10:
-            raise ValueError("source operator is not self-adjoint")
-        evals, evecs = np.linalg.eigh(r)
-        rabs = (evecs * np.abs(evals)) @ evecs.conj().T
-        acc += w * conjugate(basis, rabs, -sv)
-    rhs = schatten_norm(acc, 2.0 * q / (q + 1.0))
+    g = shell_densities(basis, r0)
+    # real samples from real products, Re(Phi G) = Phi' G' - Phi'' G'', and G
+    # released before the norm: either complex array would set the peak memory
+    samples = phases.real @ g.real - phases.imag @ g.imag
+    del g
+    lhs = mixed_norm((t, tau), basis.grid, samples, pair.p, pair.q)
+
+    evals, evecs = np.linalg.eigh(r0)
+    rabs = (evecs * np.abs(evals)) @ evecs.conj().T
+    harmonics = np.exp(2j * np.outer(np.arange(-top, top + 1), t)) @ rhs_weights
+    rhs = schatten_norm(rabs * harmonics[top + degree[:, None] - degree[None, :]],
+                        2.0 * q / (q + 1.0))
     return lhs, rhs
 
 

@@ -280,7 +280,7 @@ def test_criterion_11_inhomogeneous(basis_1d_half):
     u /= np.linalg.norm(u)
     r0 = np.outer(u, u)
     t0, t = 0.0, 0.6
-    gam = duhamel_solution(basis, lambda s: r0, t0, t, n_time=401)
+    gam = duhamel_solution(basis, r0, t0, t, n_time=401)
     lam = basis.eigenvalues
     dl = lam[:, None] - lam[None, :]
     factor = np.where(
@@ -294,7 +294,7 @@ def test_criterion_11_inhomogeneous(basis_1d_half):
         -0.15 * basis.multi_indices.sum(axis=1)
     )
     lhs, rhs = inhomogeneous_check(
-        basis, lambda s: np.cos(s) * (c.T @ c), 0.0, 1.5, n_time=17, n_source_time=33
+        basis, c.T @ c, 0.0, 1.5, n_time=17, n_source_time=33, r_of_s=np.cos
     )
     ok = oracle_err < 1e-8 and np.isfinite(lhs) and np.isfinite(rhs) and rhs > 0
     announce(11, "inhomogeneous (Duhamel) estimate", ok,

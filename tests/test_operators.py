@@ -15,6 +15,7 @@ from dunklkit import (
     mixed_xp_operator,
     multiplication_matrix,
     schatten_norm,
+    shell_densities,
     tensor_grid,
     time_averaged_operator,
 )
@@ -383,6 +384,29 @@ class TestTimeAveragedOperator:
         v = np.ones((16, basis.grid.npoints))
         with pytest.raises(ValueError, match="ordered by total degree"):
             time_averaged_operator(shuffled, tn, v)
+        with pytest.raises(ValueError, match="ordered by total degree"):
+            shell_densities(shuffled, np.eye(basis.size))
+
+
+class TestShellDensities:
+    @pytest.mark.parametrize("fixture", ["basis_1d_half", "basis_2d"])
+    def test_densities_of_the_evolved_operator(self, request, fixture):
+        # rho of e^{-itH} A e^{itH} is Re sum_n e^{-2int} G_n, for any A
+        basis = request.getfixturevalue(fixture)
+        rng = np.random.default_rng(4)
+        m = basis.size
+        a = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+        t = rng.uniform(-np.pi, np.pi, 7)
+        g = shell_densities(basis, a)
+        top = (g.shape[0] - 1) // 2
+        assert g.shape == (2 * top + 1, basis.grid.npoints)
+        rho = (np.exp(-2j * np.outer(t, np.arange(-top, top + 1))) @ g).real
+        oracle = density(basis, conjugate(basis, a, t))
+        np.testing.assert_allclose(rho, oracle, rtol=0, atol=1e-13 * np.abs(oracle).max())
+
+    def test_rejects_wrong_shape(self, basis_1d_half):
+        with pytest.raises(ValueError, match="operator"):
+            shell_densities(basis_1d_half, np.eye(basis_1d_half.size - 1))
 
 
 class TestMixedOperators:

@@ -2,17 +2,22 @@ import numpy as np
 import pytest
 
 from dunklkit import (
+    DunklStructure,
     ExponentPair,
     admissible_p,
+    build_basis,
     generate_system,
     inhomogeneous_check,
     mhls_check,
     run_inequality,
     schatten_rhs,
     strichartz_lhs,
+    tensor_grid,
 )
 from dunklkit.strichartz import duhamel_solution
 from dunklkit.quadrature import time_grid, weighted_lp_norm
+
+import duhamel_oracle
 
 
 class TestExponents:
@@ -180,7 +185,7 @@ class TestInequality:
 
 class TestDuhamel:
     def test_zero_interval(self, basis_1d_half):
-        gam = duhamel_solution(basis_1d_half, lambda s: np.eye(basis_1d_half.size), 0.3, 0.3)
+        gam = duhamel_solution(basis_1d_half, np.eye(basis_1d_half.size), 0.3, 0.3)
         assert np.abs(gam).max() == 0.0
 
     def test_rank_one_closed_form(self, basis_1d_half):
@@ -192,7 +197,7 @@ class TestDuhamel:
         u /= np.linalg.norm(u)
         r0 = np.outer(u, u)
         t0, t = -0.2, 0.5
-        gam = duhamel_solution(basis, lambda s: r0, t0, t, n_time=401)
+        gam = duhamel_solution(basis, r0, t0, t, n_time=401)
         lam = basis.eigenvalues
         dl = lam[:, None] - lam[None, :]
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -207,8 +212,8 @@ class TestDuhamel:
     def test_reversed_interval_antisymmetry(self, basis_1d_half):
         basis = basis_1d_half
         r0 = np.eye(basis.size)
-        fwd = duhamel_solution(basis, lambda s: r0, 0.0, 0.4, n_time=101)
-        bwd = duhamel_solution(basis, lambda s: r0, 0.4, 0.0, n_time=101)
+        fwd = duhamel_solution(basis, r0, 0.0, 0.4, n_time=101)
+        bwd = duhamel_solution(basis, r0, 0.4, 0.0, n_time=101)
         # diagonal source commutes with the phases: gamma(t) = (t - t0) R0
         np.testing.assert_allclose(fwd, 0.4 * r0, atol=1e-12)
         np.testing.assert_allclose(bwd, -0.4 * r0, atol=1e-12)
@@ -216,7 +221,8 @@ class TestDuhamel:
     @pytest.mark.parametrize("t0, t", [(-0.3, 0.8), (0.8, -0.3)])
     def test_time_dependent_source_oracle(self, basis_1d_half, t0, t):
         # oracle: the full M x M phase matrix at every Simpson node, on the
-        # self-adjoint source R(s) = R0 + sin(s) R1
+        # self-adjoint source R(s) = R0 + sin(s) R1, against the sum of the
+        # solutions for R0 and for sin(s) R1
         basis = basis_1d_half
         rng = np.random.default_rng(21)
         m = basis.size
@@ -226,7 +232,8 @@ class TestDuhamel:
         def source(sv):
             return r0 + np.sin(sv) * r1
 
-        gam = duhamel_solution(basis, source, t0, t, n_time=41)
+        gam = (duhamel_solution(basis, r0, t0, t, n_time=41)
+               + duhamel_solution(basis, r1, t0, t, n_time=41, r_of_s=np.sin))
         sg, sw = time_grid(min(t0, t), max(t0, t), 41, kind="simpson")
         sign = 1.0 if t >= t0 else -1.0
         dl = basis.eigenvalues[:, None] - basis.eigenvalues[None, :]
@@ -241,7 +248,7 @@ class TestInhomogeneous:
     def test_zero_source(self, basis_1d_half):
         z = np.zeros((basis_1d_half.size, basis_1d_half.size))
         lhs, rhs = inhomogeneous_check(
-            basis_1d_half, lambda s: z, 0.0, 1.5, n_time=9, n_source_time=9
+            basis_1d_half, z, 0.0, 1.5, n_time=9, n_source_time=9
         )
         assert lhs == 0.0 and rhs == 0.0
 
@@ -253,7 +260,7 @@ class TestInhomogeneous:
         )
         r0 = c.T @ c
         lhs, rhs = inhomogeneous_check(
-            basis, lambda s: np.cos(s) * r0, 0.0, 1.5, n_time=17, n_source_time=33
+            basis, r0, 0.0, 1.5, n_time=17, n_source_time=33, r_of_s=np.cos
         )
         assert np.isfinite(lhs) and lhs > 0
         assert np.isfinite(rhs) and rhs > 0
@@ -262,8 +269,90 @@ class TestInhomogeneous:
         basis = basis_1d_half
         r = np.zeros((basis.size, basis.size))
         r[0, 1] = 1.0
-        with pytest.raises(ValueError):
-            inhomogeneous_check(basis, lambda s: r, 0.0, 1.5, n_time=5, n_source_time=5)
+        r_of_s, calls = self.counted(np.ones_like)
+        with pytest.raises(ValueError, match="self-adjoint"):
+            inhomogeneous_check(basis, r, 0.0, 1.5, n_time=5, n_source_time=5,
+                                r_of_s=r_of_s)
+        assert calls == []
+
+    @pytest.mark.parametrize("fixture", ["basis_1d_half", "basis_2d"])
+    @pytest.mark.parametrize(
+        "profile",
+        [np.ones_like, np.cos, lambda s: 1.0 + 0.3 * np.sin(2.0 * s) + 0.3 * np.sin(4.0 * s)],
+        ids=["one", "cos", "uneven"],
+    )
+    @pytest.mark.parametrize("t0", [0.0, "node", -1.3])
+    def test_matches_node_loop(self, request, fixture, profile, t0):
+        # the shell route against gamma(t), its density and |R(s)| node by
+        # node; t0 on a node of the t-rule gives one zero interval.  A sign
+        # slip in the phases of the rhs shell sums leaves the rhs unchanged
+        # when |r(-t)| = |r(t + a)| for some shift a, as for 1 and cos s
+        basis = request.getfixturevalue(fixture)
+        if t0 == "node":
+            t0 = time_grid(-np.pi, np.pi, 17)[0][5]
+        rng = np.random.default_rng(13)
+        m = basis.size
+        z = (rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))) * np.exp(
+            -0.1 * basis.multi_indices.sum(axis=1)
+        )
+        r0 = z + z.conj().T
+        q = 1.2 if basis.structure.d == 2 else 1.5
+        got = inhomogeneous_check(basis, r0, t0, q, n_time=17, n_source_time=33,
+                                  r_of_s=profile)
+        want = duhamel_oracle.inhomogeneous_check(
+            basis, lambda s: profile(s) * r0, t0, q, n_time=17, n_source_time=33
+        )
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    @staticmethod
+    def counted(profile):
+        calls = []
+
+        def r_of_s(s):
+            calls.append(s)
+            return profile(s)
+
+        return r_of_s, calls
+
+    @pytest.mark.parametrize(
+        "make", [lambda m: np.eye(m - 1), lambda m: np.eye(m)[None]], ids=["wrong-size", "stack"]
+    )
+    def test_wrong_shape_rejected_before_work(self, basis_1d_half, make):
+        r_of_s, calls = self.counted(np.ones_like)
+        r = make(basis_1d_half.size)
+        with pytest.raises(ValueError, match="source operator"):
+            inhomogeneous_check(basis_1d_half, r, 0.0, 1.5, n_time=5, n_source_time=5,
+                                r_of_s=r_of_s)
+        assert calls == []
+
+    def test_time_exponent_below_one_rejected_before_work(self):
+        # d_eff = 5: q = 1.9 lies on the scaling line at p = 0.84 < 1
+        s = DunklStructure(2, (1.0, 0.5))
+        basis = build_basis(s, 2, tensor_grid(s, 3))
+        r_of_s, calls = self.counted(np.ones_like)
+        with pytest.raises(ValueError, match="p must be >= 1"):
+            inhomogeneous_check(basis, np.eye(basis.size), 0.0, 1.9, n_time=5,
+                                n_source_time=5, r_of_s=r_of_s)
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "profile",
+        [
+            lambda s: np.exp(1j * s),
+            lambda s: np.cos(s) + 0j,
+            lambda s: np.where(s > 0.5, np.nan, 1.0),
+            lambda s: np.where(s > 0.5, -np.inf, 1.0),
+            lambda s: np.ones(3),
+        ],
+        ids=["complex", "complex-zero-imaginary", "nan", "infinite", "wrong-shape"],
+    )
+    def test_bad_profile_rejected(self, basis_1d_half, profile):
+        r0 = np.eye(basis_1d_half.size)
+        with pytest.raises(ValueError, match="profile"):
+            inhomogeneous_check(basis_1d_half, r0, 0.0, 1.5, n_time=5, n_source_time=5,
+                                r_of_s=profile)
+        with pytest.raises(ValueError, match="profile"):
+            duhamel_solution(basis_1d_half, r0, 0.0, 1.0, n_time=5, r_of_s=profile)
 
 
 class TestMhls:
