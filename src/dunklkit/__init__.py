@@ -17,7 +17,6 @@ from .dunklops import (
 from .freeprop import (
     LensMap,
     free_evolve_via_lens,
-    free_propagator_matrix,
     heat_kernel,
     kernel_Lit,
     lens_relation_residual,

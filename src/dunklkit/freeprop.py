@@ -6,9 +6,10 @@ The lens identity links the two propagators: with v = tan 2t,
         = (1 + v^2)^{(d + 2 gamma)/4} e^{-i v |x|^2 / 2} L_{i v/2}(x sqrt(1 + v^2), y),
 
 so the free evolution at time v/2 is a dilation + quadratic phase of the
-harmonic-oscillator evolution at time arctan(v)/2.  The free flow is realized
-through this identity (exact in the truncated basis); quadrature against
-``kernel_Lit`` (``hermite.kernel_quadrature``) is the independent oracle.
+harmonic-oscillator evolution at time arctan(v)/2.  The free flow of a state
+is realized through this identity (exact in the truncated basis); quadrature
+against ``kernel_Lit`` (``hermite.kernel_quadrature``) is the independent
+oracle.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hermite import HermiteBasis, _kernel_body, kernel_Kit, propagated_density
-from .quadrature import tensor_grid, time_grid, weighted_lp_norm
+from .quadrature import time_grid, weighted_lp_norm
 from .structure import DunklStructure, as_point_list, as_points
 
 __all__ = [
@@ -27,7 +28,6 @@ __all__ = [
     "kernel_Lit",
     "lens_relation_residual",
     "free_evolve_via_lens",
-    "free_propagator_matrix",
     "norm_transport_check",
 ]
 
@@ -79,38 +79,18 @@ def lens_relation_residual(s: DunklStructure, v: float, x, y) -> float:
     return np.abs(lhs - rhs)
 
 
-def _lens_columns(basis: HermiteBasis, v: float, pts: np.ndarray) -> np.ndarray:
-    """(e^{i(v/2) Laplacian} phi_mu)(pts) for every mu, shape (M, n): the
-    oscillator phase at arctan(v)/2 on the contracted points pts / scale,
-    times the lens phase and divided by the lens amplitude."""
+def free_evolve_via_lens(basis: HermiteBasis, coeffs, v: float, x_eval) -> np.ndarray:
+    """(e^{i(v/2) Laplacian} u)(x_eval) through the lens identity, for the
+    state u with (M,) coefficients ``coeffs`` (a (J, M) stack gives one row
+    of values per state): the oscillator phase at arctan(v)/2 on the
+    contracted points x_eval / scale, times the lens phase and divided by
+    the lens amplitude."""
+    pts = as_point_list(basis.structure, x_eval)
     lens = LensMap(v, basis.structure.d_eff)
     inner = basis.evaluate(pts / lens.scale)
     phase = np.exp(0.5j * lens.v / (1.0 + lens.v**2) * (pts * pts).sum(axis=-1))
     spect = np.exp(-1j * lens.t_hermite * basis.eigenvalues)
-    return (spect[:, None] * inner) * phase / lens.amplitude
-
-
-def free_evolve_via_lens(basis: HermiteBasis, coeffs, v: float, x_eval) -> np.ndarray:
-    """(e^{i(v/2) Laplacian} u)(x_eval) through the lens identity, for the
-    state u with (M,) coefficients ``coeffs``."""
-    return coeffs @ _lens_columns(basis, v, as_point_list(basis.structure, x_eval))
-
-
-def free_propagator_matrix(basis: HermiteBasis, tau: float) -> np.ndarray:
-    """Matrix of e^{i tau Laplacian} in the basis, via the lens route.
-
-    Negative times follow by entrywise conjugation (the basis is real and the
-    Laplacian commutes with complex conjugation).
-    """
-    if tau == 0.0:
-        return np.eye(basis.size, dtype=complex)
-    if tau < 0.0:
-        return np.conj(free_propagator_matrix(basis, -tau))
-    # The integrand decays at least like e^{-|x|^2 / 2}; the rule for e^{-|x|^2}
-    # projects it to round-off, as closely as one matched to its decay.
-    grid = tensor_grid(basis.structure, 2 * (basis.per_dim_degree + 2))
-    columns = _lens_columns(basis, 2.0 * tau, grid.nodes)
-    return (basis.evaluate(grid.nodes) * grid.weights) @ columns.T
+    return coeffs @ ((spect[:, None] * inner) * phase / lens.amplitude)
 
 
 def norm_transport_check(basis: HermiteBasis, coeffs, p: float, q: float, n_time: int = 256):

@@ -1,15 +1,20 @@
-"""Compact operators in the spectral basis: conjugation by the two flows,
-Schatten norms, densities and their degree-shell parts, the time-averaged
-operator of the dual functional from the potential's time harmonics, and
-mixed position-momentum operators.
+"""Compact operators in the spectral basis: conjugation by the oscillator
+flow, Schatten norms, densities and their degree-shell parts, the
+time-averaged operator of the dual functional from the potential's time
+harmonics, and mixed position-momentum operators.
 
 Everything is dense: operators are square matrices A with entries
 A_{mu nu} = <A phi_nu, phi_mu>_kappa in the truncated orthonormal basis, and
 Schatten norms come from full SVDs.  The momentum operator is p = -iT (T the
-Dunkl gradient); functions f(alpha x + beta p) are assembled by conjugating
-the multiplication operator f(alpha x) with the free flow at time
-beta / (2 alpha), or, when alpha = 0, with the oscillator flow at time -pi/4,
-which swaps x and p.
+Dunkl gradient).  As i[H, x_j] = 2 p_j and i[H, p_j] = -2 x_j, the oscillator
+flow rotates phase space,
+
+    e^{-itH} f(x) e^{itH} = f(x cos 2t - p sin 2t),
+
+so every f(alpha x + beta p) is one oscillator conjugate of a multiplication
+operator.  It is exact in the truncated basis: the projection onto the box
+commutes with H, so conjugating the projected f(r x) is projecting the
+conjugated one.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .freeprop import free_propagator_matrix
 from .hermite import HermiteBasis
 from .quadrature import weighted_lp_norm
 
@@ -65,23 +69,17 @@ class OrthonormalSystem:
         return (self.states.T * self.coeffs) @ self.states.conj()
 
 
-def conjugate(basis: HermiteBasis, a, t, flow: str = "hermite") -> np.ndarray:
-    """e^{-itP} A e^{itP} for P the oscillator (``hermite``) or the Laplacian
-    (``laplacian``), with A a matrix in the basis.
+def conjugate(basis: HermiteBasis, a, t) -> np.ndarray:
+    """e^{-itH} A e^{itH} for H the oscillator, with A a matrix in the basis.
 
-    The oscillator flow is exact: entry (mu, nu) is multiplied by
-    e_mu conj(e_nu) with e = e^{-it lambda}.  An array of times gives one
-    conjugate per time on a leading axis, of one matrix or of a matching
-    stack.  The free flow uses the lens-route matrix U = e^{itP} at a scalar
-    t; e^{-itP} = conj(U) because the basis is real.
+    Exact: entry (mu, nu) is multiplied by e_mu conj(e_nu) with
+    e = e^{-it lambda}.  A multiplication operator f(x) goes to
+    f(x cos 2t - p sin 2t), a rotation of phase space by the angle -2t.  An
+    array of times gives one conjugate per time on a leading axis, of one
+    matrix or of a matching stack.
     """
-    if flow == "hermite":
-        phase = np.exp(-1j * np.asarray(t)[..., None] * basis.eigenvalues)
-        return (phase[..., :, None] * a) * phase.conj()[..., None, :]
-    if flow == "laplacian":
-        u = free_propagator_matrix(basis, t)
-        return u.conj() @ a @ u
-    raise ValueError(f"unknown flow {flow!r}")
+    phase = np.exp(-1j * np.asarray(t)[..., None] * basis.eigenvalues)
+    return (phase[..., :, None] * a) * phase.conj()[..., None, :]
 
 
 def schatten_norm(a, p):
@@ -206,22 +204,20 @@ def mixed_xp_operator(basis: HermiteBasis, f, alpha: float, beta: float) -> np.n
     """Matrix of f(alpha x + beta p) with p = -iT, for a profile f on R^d.
 
     ``f`` maps point arrays (n, d) -- or flat arrays when d = 1 -- to values.
-    beta = 0 is the plain multiplication operator; otherwise the operator is
-    the free-flow conjugate of f(alpha x) at time beta / (2 alpha), or for
-    alpha = 0 the oscillator conjugate of f(beta x) at time -pi/4: that flow
-    sends phi_mu to (-i)^{|mu|} phi_mu up to a global phase, the Dunkl
-    transform on the basis, which turns f(x) into f(p).
+    Write alpha + i beta = r e^{i theta}, with r = hypot(alpha, beta) and
+    theta = arctan2(beta, alpha) in [-pi, pi].  Then alpha x + beta p =
+    r (x cos theta + p sin theta) is the oscillator conjugate of r x at
+    t = -theta / 2, so the operator is ``conjugate`` of the multiplication by
+    f(r x) at that time, exact in the truncated basis.  theta = 0 is the
+    plain multiplication operator; at theta = pi/2 the flow sends phi_mu to
+    (-i)^{|mu|} phi_mu up to a global phase, the Dunkl transform on the
+    basis, which turns f(x) into f(p).
     """
     if alpha == 0.0 and beta == 0.0:
         raise ValueError("alpha and beta cannot both vanish")
-    scale = beta if alpha == 0.0 else alpha
-    samples = np.asarray(f(scale * basis.grid.nodes), dtype=complex)
-    m = multiplication_matrix(basis, samples)
-    if beta == 0.0:
-        return m
-    if alpha == 0.0:
-        return conjugate(basis, m, -np.pi / 4.0)
-    return conjugate(basis, m, beta / (2.0 * alpha), "laplacian")
+    samples = np.asarray(f(np.hypot(alpha, beta) * basis.grid.nodes), dtype=complex)
+    theta = np.arctan2(beta, alpha)
+    return conjugate(basis, multiplication_matrix(basis, samples), -theta / 2.0)
 
 
 def kss_check(basis, f, g, alpha, beta, gamma, delta, r):

@@ -96,7 +96,10 @@ def weight(s: DunklStructure, x) -> np.ndarray:
 # kernel into even/odd parts of size ~e^|z|, so the series (max term ~e^|z|)
 # is restricted to |z| <= 8 to keep cancellation below ~e^16 * eps; the Bessel
 # route's pieces scale like e^|Re z|, matching the result, so it is accurate
-# for large arguments.  kappa = 0 collapses to the exponential exactly.
+# for large arguments.  The radius grows to sqrt(4 kappa + 2) for kappa > 15.5:
+# inside it |z^2 / 4| <= kappa + 1/2, so the 0F1 terms fall from the first one
+# on and nothing cancels, while J_{kappa + 1/2} can underflow there (at
+# kappa = 300 from |z| ~ 9).  kappa = 0 collapses to the exponential exactly.
 _SERIES_RADIUS = 8.0
 _MAX_TERMS = 600
 
@@ -174,7 +177,7 @@ def dunkl_kernel_1d(kappa: float, a, y) -> np.ndarray | complex:
         out = np.exp(z)
         return complex(out[0]) if scalar else out
     out = np.empty_like(z)
-    series = np.abs(z) <= _SERIES_RADIUS
+    series = np.abs(z) <= max(_SERIES_RADIUS, math.sqrt(4.0 * kappa + 2.0))
     if np.any(series):
         out[series] = _kernel_series(kappa, z[series])
     if np.any(~series):

@@ -176,7 +176,7 @@ class TestSubcommands:
 
     @pytest.mark.parametrize(
         "n_degree, grid_order, code, ratio",
-        [(16, 24, EXIT_IDENTITY, "1.00546"), (32, 40, EXIT_OK, "0.991412")],
+        [(16, 24, EXIT_IDENTITY, "1.00486"), (32, 40, EXIT_OK, "0.998984")],
     )
     def test_kss_truncation(self, runner, small_config, tmp_path, n_degree, grid_order,
                             code, ratio):
@@ -194,6 +194,23 @@ class TestSubcommands:
         )
         assert result.exit_code == code, result.output
         assert f"ratio={ratio}" in result.output
+
+    def test_kss_converges_monotonically(self, runner, small_config):
+        # f(alpha x + beta p) is the exact oscillator conjugate of the
+        # truncated multiplication operator, so the ratio moves only with the
+        # truncation: it falls steadily (1.00486, 0.998984, 0.996283, 0.994764)
+        text = small_config.read_text()
+        ratios = []
+        for n_degree in (16, 32, 48, 64):
+            small_config.write_text(
+                text.replace("n_degree = 16", f"n_degree = {n_degree}")
+                .replace("grid_order = 24", f"grid_order = {n_degree + 8}")
+            )
+            result = runner.invoke(
+                main, ["-c", str(small_config), "kss", "--r", "1.5", "--params", "0 1 1 0.3"]
+            )
+            ratios.append(float(result.output.split("ratio=")[1].split()[0]))
+        assert np.all(np.diff(ratios) <= 0.0), ratios
 
     def test_kss_bad_params(self, runner, small_config):
         result = runner.invoke(

@@ -8,7 +8,6 @@ from dunklkit import (
     LensMap,
     build_basis,
     free_evolve_via_lens,
-    free_propagator_matrix,
     heat_kernel,
     kernel_Kit,
     kernel_Lit,
@@ -20,6 +19,7 @@ from dunklkit import (
 )
 
 from conftest import random_state
+from freeprop_oracle import free_propagator_matrix
 
 
 class TestHeatKernel:

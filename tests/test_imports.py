@@ -3,8 +3,9 @@ that module, and the export lists agree: a module's ``__all__`` names only
 what it defines, and the package ``__init__`` imports only names in those
 lists.  Only the modules in ``SCIPY_IMPORTS`` import scipy, only the names
 listed there and only inside function bodies, so the commands that never
-reach those functions never load scipy.  The modules the benchmark's tracer
-wraps all exist."""
+reach those functions never load scipy.  Each module imports from the
+package only the modules ``PACKAGE_IMPORTS`` lists for it.  The modules the
+benchmark's tracer wraps all exist."""
 
 import ast
 import json
@@ -23,6 +24,20 @@ TRACER = Path(__file__).parent.parent / "perfbench" / "trace_child.py"
 # Dunkl kernel's Bessel route (arguments |z| > 8) needs it, and of the commands
 # only verify-kernels reaches that route
 SCIPY_IMPORTS = {"structure.py": ["scipy.special.jv"]}
+# the package modules each module imports from; the oscillator conjugation is
+# the one flow in operators, so the free flow (freeprop) stays out of it
+PACKAGE_IMPORTS = {
+    "cli.py": ["freeprop", "hartree", "hermite", "operators", "quadrature", "strichartz",
+               "structure"],
+    "dunklops.py": ["hermite"],
+    "freeprop.py": ["hermite", "quadrature", "structure"],
+    "hartree.py": ["hermite", "operators", "quadrature"],
+    "hermite.py": ["quadrature", "structure"],
+    "operators.py": ["hermite", "quadrature"],
+    "quadrature.py": ["structure"],
+    "strichartz.py": ["hermite", "operators", "quadrature"],
+    "structure.py": [],
+}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -142,6 +157,45 @@ def test_detects_a_scipy_import():
     ]
     assert eager_scipy_imports(source) == [
         "scipy.linalg", "scipy.special.erf", "scipy.special.gamma", "scipy.special.jv"
+    ]
+
+
+def package_imports(source: str) -> list[str]:
+    """The package modules a module imports from, at any depth: relative
+    imports and absolute ``dunklkit.*`` ones."""
+    modules = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                modules.add(node.module.split(".")[0])
+            else:
+                modules.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("dunklkit."):
+            modules.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            modules.update(
+                a.name.split(".")[1] for a in node.names if a.name.startswith("dunklkit.")
+            )
+    return sorted(modules)
+
+
+def test_import_table_covers_the_package():
+    assert sorted(PACKAGE_IMPORTS) == [p.name for p in SOURCES]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_package_import_boundary(path):
+    assert package_imports(path.read_text()) == PACKAGE_IMPORTS[path.name]
+
+
+def test_detects_a_package_import():
+    source = (
+        "import numpy\nfrom .freeprop import LensMap\nfrom . import hermite\n"
+        "import dunklkit.quadrature\nfrom dunklkit.structure import weight\n"
+        "def f():\n    from .hermite.sub import g\n    from ..other import h\n"
+    )
+    assert package_imports(source) == [
+        "freeprop", "hermite", "other", "quadrature", "structure"
     ]
 
 

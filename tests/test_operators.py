@@ -22,6 +22,7 @@ from dunklkit import (
 from dunklkit.quadrature import time_grid
 
 from conftest import random_state
+from freeprop_oracle import free_propagator_matrix
 
 
 def rank_one(basis, seed=0, band=None):
@@ -140,19 +141,6 @@ class TestConjugate:
             np.testing.assert_array_equal(one[k], conjugate(basis, a, t))
             np.testing.assert_array_equal(many[k], conjugate(basis, stack[k], t))
 
-    def test_laplacian_flow_is_lens_matrix_conjugation(self, basis_1d_half):
-        from dunklkit import free_propagator_matrix
-
-        basis = basis_1d_half
-        a = hermitian(basis.size, 3)
-        for t in (0.2, -0.35):
-            oracle = free_propagator_matrix(basis, -t) @ a @ free_propagator_matrix(basis, t)
-            np.testing.assert_array_equal(conjugate(basis, a, t, "laplacian"), oracle)
-
-    def test_unknown_flow(self, basis_1d_half):
-        with pytest.raises(ValueError):
-            conjugate(basis_1d_half, np.eye(basis_1d_half.size), 0.1, "heat")
-
 
 class TestOrthonormalSystem:
     def test_rejects_non_orthonormal(self, basis_1d_half):
@@ -199,24 +187,14 @@ class TestDensity:
     def test_conjugated_density_invariants(self, basis_1d_half):
         basis = basis_1d_half
         gam = rank_one(basis, seed=6, band=20)
-        # t = 0 is the plain density for both flows
+        # t = 0 is the plain density
         rho0 = density(basis, gam)
-        np.testing.assert_allclose(
-            density(basis, conjugate(basis, gam, 0.0, "hermite")), rho0, atol=1e-14
-        )
-        np.testing.assert_allclose(
-            density(basis, conjugate(basis, gam, 0.0, "laplacian")), rho0, atol=1e-12
-        )
+        np.testing.assert_allclose(density(basis, conjugate(basis, gam, 0.0)), rho0, atol=1e-14)
         # oscillator flow conserves the total mass exactly
-        rho = density(basis, conjugate(basis, gam, 0.7, "hermite"))
+        rho = density(basis, conjugate(basis, gam, 0.7))
         mass0 = np.sum(basis.grid.weights * density(basis, gam))
         mass_t = np.sum(basis.grid.weights * rho)
         assert mass_t == pytest.approx(mass0, rel=1e-12)
-
-    def test_unknown_flow(self, basis_1d_half):
-        basis = basis_1d_half
-        with pytest.raises(ValueError):
-            density(basis, conjugate(basis, rank_one(basis), 0.1, "airy"))
 
     @pytest.mark.parametrize("hermitian", [False, True])
     @pytest.mark.parametrize("fixture", ["basis_1d_half", "basis_2d"])
@@ -450,7 +428,7 @@ class TestMixedOperators:
 
     def test_conjugation_identity_interior(self, basis_1d_half):
         # e^{-i tau Lap} x e^{i tau Lap} = x + 2 tau p on interior blocks
-        from dunklkit import dunkl_operator_matrix, free_propagator_matrix, position_operator_matrix
+        from dunklkit import dunkl_operator_matrix, position_operator_matrix
 
         basis = basis_1d_half
         tau = 0.1
@@ -462,6 +440,48 @@ class TestMixedOperators:
         target = xmat + 2.0 * tau * pmat
         m = basis.size // 2
         assert np.abs((conj - target)[:m, :m]).max() < 1e-6
+
+    @given(
+        pair=st.one_of(
+            # the axes, where arctan2 meets its branch cut and signed zeros
+            st.sampled_from([(1.0, 0.0), (-1.0, 0.0), (0.0, 0.8), (0.0, -0.8), (-1.3, -0.0)]),
+            st.builds(
+                lambda r, theta: (r * np.cos(theta), r * np.sin(theta)),
+                st.floats(0.1, 2.0), st.floats(-np.pi, np.pi),
+            ),
+        ),
+    )
+    @settings(max_examples=40, deadline=None)
+    @pytest.mark.parametrize("fixture", ["basis_1d_half", "basis_2d"])
+    def test_first_coordinate_is_ladder_combination(self, request, fixture, pair):
+        # f(x) = x_1 gives alpha X + beta P on the whole truncated matrix, the
+        # truncation edge included: the box projection commutes with H
+        from dunklkit import dunkl_operator_matrix, position_operator_matrix
+
+        basis = request.getfixturevalue(fixture)
+        alpha, beta = pair
+        xmat = position_operator_matrix(basis, 1)
+        pmat = -1j * dunkl_operator_matrix(basis, 1)
+        op = mixed_xp_operator(basis, lambda x: np.asarray(x)[..., 0], alpha, beta)
+        np.testing.assert_allclose(
+            op, alpha * xmat + beta * pmat, rtol=0, atol=1e-13 * np.abs(xmat).max()
+        )
+
+    @pytest.mark.parametrize(
+        "alpha, beta", [(1.0, 0.3), (-0.7, 0.3), (1.0, -0.5), (2.0, 1.0), (-1.0, -0.4)]
+    )
+    def test_rotation_matches_free_route_interior(self, basis_1d_half, alpha, beta):
+        # f(alpha x + beta p) = e^{-i tau Lap} f(alpha x) e^{i tau Lap} at
+        # tau = beta / (2 alpha); the free-flow matrices are exact only on
+        # interior blocks
+        basis = basis_1d_half
+        f = lambda x: np.exp(-np.asarray(x).ravel() ** 2)
+        tau = beta / (2.0 * alpha)
+        m = multiplication_matrix(basis, f(alpha * basis.grid.nodes).astype(complex))
+        oracle = free_propagator_matrix(basis, -tau) @ m @ free_propagator_matrix(basis, tau)
+        op = mixed_xp_operator(basis, f, alpha, beta)
+        n = basis.size // 4
+        assert np.abs((op - oracle)[:n, :n]).max() < 1e-6
 
     def test_both_zero_rejected(self, basis_1d_half):
         with pytest.raises(ValueError):

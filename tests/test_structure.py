@@ -61,7 +61,8 @@ class TestKernel1D:
 
     @pytest.mark.parametrize("kappa", [100.0, 170.0, 172.0])
     def test_bessel_route_at_large_multiplicity(self, kappa):
-        # Gamma(kappa + 1/2) overflows above kappa ~ 171, the kernel does not
+        # Gamma(kappa + 1/2) overflows above kappa ~ 171, the kernel does not;
+        # radius 50 is outside the series radius sqrt(4 kappa + 2) at each kappa
         mpmath = pytest.importorskip("mpmath")
         for radius in (9.0, 20.0, 50.0):
             for phase in (0.0, 0.7, np.pi / 2, 2.2, np.pi, -np.pi / 2):
@@ -74,10 +75,37 @@ class TestKernel1D:
                 assert val == pytest.approx(ref, rel=5e-13), (kappa, z)
 
     @pytest.mark.parametrize("z", [9.0, 20.0j, -20.0, 12.0 - 5.0j])
+    def test_series_inside_the_grown_radius(self, z):
+        # at kappa = 300 the series serves |z| <= sqrt(4 kappa + 2) ~ 34.7,
+        # where J_{kappa + 1/2}(|z|) is below the smallest double
+        mpmath = pytest.importorskip("mpmath")
+        kappa = 300.0
+        with mpmath.workdps(50):
+            zm = mpmath.mpc(z)
+            ref = complex(mpmath.hyp0f1(kappa + 0.5, zm**2 / 4)
+                          + zm / (2 * kappa + 1) * mpmath.hyp0f1(kappa + 1.5, zm**2 / 4))
+        assert dunkl_kernel_1d(kappa, 1.0, z) == pytest.approx(ref, rel=5e-13)
+
+    @pytest.mark.parametrize("kappa", [15.5, 20.0, 50.0, 120.0, 171.0, 300.0])
+    def test_grown_switchover_against_hypergeometric_oracle(self, kappa):
+        # both routes just inside and just outside |z| = sqrt(4 kappa + 2)
+        mpmath = pytest.importorskip("mpmath")
+        for side in (0.999, 1.001):
+            for phase in np.linspace(0.0, 2 * np.pi, 13):
+                z = complex(side * np.sqrt(4 * kappa + 2) * np.exp(1j * phase))
+                with mpmath.workdps(50):
+                    zm = mpmath.mpc(z)
+                    ref = complex(mpmath.hyp0f1(kappa + 0.5, zm**2 / 4)
+                                  + zm / (2 * kappa + 1) * mpmath.hyp0f1(kappa + 1.5, zm**2 / 4))
+                val = dunkl_kernel_1d(kappa, 1.0, z)
+                assert val == pytest.approx(ref, rel=5e-13), (kappa, z)
+
+    @pytest.mark.parametrize("z", [50.0, 50.0j])
     def test_bessel_route_underflow_raises(self, z):
-        # J_{kappa + 1/2}(|z|) is below the smallest double at kappa = 300
-        with pytest.raises(ArithmeticError, match=r"kappa=300\.0 at \|z\|="):
-            dunkl_kernel_1d(300.0, 1.0, z)
+        # outside the series radius sqrt(4 kappa + 2) ~ 44.7 at kappa = 500,
+        # J_{kappa + 1/2}(|z|) is below the smallest double
+        with pytest.raises(ArithmeticError, match=r"kappa=500\.0 at \|z\|="):
+            dunkl_kernel_1d(500.0, 1.0, z)
 
     def test_route_continuity_at_switchover(self):
         # series (|z| <= 8) and Bessel (|z| > 8) must agree across the seam
