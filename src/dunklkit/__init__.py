@@ -16,11 +16,8 @@ from .dunklops import (
 )
 from .freeprop import (
     LensMap,
-    free_evolve_via_lens,
-    heat_kernel,
     kernel_Lit,
     lens_relation_residual,
-    norm_transport_check,
 )
 from .hermite import (
     HermiteBasis,
@@ -28,8 +25,6 @@ from .hermite import (
     build_basis,
     hermite_functions_1d,
     kernel_Kit,
-    kernel_quadrature,
-    mehler_closed_form,
     propagated_density,
 )
 from .operators import (
@@ -64,9 +59,7 @@ from .strichartz import (
 )
 from .structure import (
     DunklStructure,
-    dunkl_kernel,
     dunkl_kernel_1d,
-    weight,
 )
 
 __version__ = "0.1.0"

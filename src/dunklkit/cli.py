@@ -170,21 +170,16 @@ def verify_kernels(cfg):
 @click.option("--group", type=click.Choice(["basis_subset", "haar_rotation",
                                             "gaussian_orthogonalized"]),
               default="haar_rotation", show_default=True)
-@click.option("--kappa", type=str, default=None, help="override multiplicities")
 @click.option("--j", "j_count", type=int, default=8, show_default=True)
-@click.option("--seed", type=int, default=None)
 @click.option("--flow", type=click.Choice(["hermite", "laplacian"]),
               default="hermite", show_default=True)
 @click.pass_obj
-def strichartz(cfg, q, group, kappa, j_count, seed, flow):
+def strichartz(cfg, q, group, j_count, flow):
     """One orthonormal-system inequality evaluation."""
-    if seed is None:
-        seed = cfg["seed"]
     with _config_errors():
-        if kappa is not None:
-            cfg = {**cfg, "kappa": tuple(float(v) for v in kappa.replace(",", " ").split())}
         s, grid, basis = _context(cfg)
-        [report] = run_inequality(basis, [q], group, j_count, seed, flow, cfg["time_nodes"])
+        [report] = run_inequality(basis, [q], group, j_count, cfg["seed"], flow,
+                                  cfg["time_nodes"])
     _report(cfg, "strichartz", [report.as_dict()], {"report": report.as_dict()})
     click.echo(f"q={q} p={report.p:.4g} lhs={report.lhs:.6g} rhs={report.rhs:.6g} "
                f"ratio={report.ratio:.6g}")

@@ -52,6 +52,13 @@ __all__ = [
     "solve_hartree",
 ]
 
+# The solve stops when the Schatten-alpha norm of an update falls below
+# _TOL, or after _MAX_ITER updates.  alpha = 2q/(q+1) at q = 3/2, the
+# exponent of the orthonormal Strichartz bound (``ExponentPair.alpha``).
+_SCHATTEN_EXPONENT = 6.0 / 5.0
+_TOL = 1e-8
+_MAX_ITER = 50
+
 
 def gaussian_interaction(basis: HermiteBasis, width: float):
     """(points, G): (w * rho)(x_k) = sum_l G[k, l] rho(points[l]) at the basis
@@ -83,9 +90,6 @@ class HartreeConfig:
     coupling: float = 1.0
     horizon: float = 0.1
     steps: int = 33
-    q: float = 1.5
-    tol: float = 1e-8
-    max_iter: int = 50
 
     def __post_init__(self):
         g = self.gamma0 = np.asarray(self.gamma0, dtype=complex)
@@ -102,10 +106,6 @@ class HartreeConfig:
             raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
         if self.steps < 2:
             raise ValueError(f"need at least 2 time steps, got {self.steps}")
-
-    @property
-    def schatten_exponent(self) -> float:
-        return 2.0 * self.q / (self.q + 1.0)
 
 
 def _potential_matrices(config: HartreeConfig, interaction, traj: np.ndarray) -> np.ndarray:
@@ -147,16 +147,15 @@ def solve_hartree(config: HartreeConfig):
     interaction = gaussian_interaction(basis, config.width)
     traj = conjugate(basis, config.gamma0, times)
     residuals = []
-    p = config.schatten_exponent
     converged = False
-    for _ in range(config.max_iter):
+    for _ in range(_MAX_ITER):
         new = picard_step(config, times, traj, interaction)
         if not np.isfinite(new).all():
             break
-        res = float(schatten_norm(new - traj, p).max())
+        res = float(schatten_norm(new - traj, _SCHATTEN_EXPONENT).max())
         residuals.append(res)
         traj = new
-        if res < config.tol:
+        if res < _TOL:
             converged = True
             break
     factors = [
@@ -170,6 +169,6 @@ def solve_hartree(config: HartreeConfig):
         "residuals": residuals,
         "contraction_factors": factors,
         "traces": np.trace(traj, axis1=1, axis2=2).real.tolist(),
-        "schatten": schatten_norm(traj, p).tolist(),
+        "schatten": schatten_norm(traj, _SCHATTEN_EXPONENT).tolist(),
     }
     return times, traj, diagnostics

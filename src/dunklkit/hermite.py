@@ -1,4 +1,5 @@
-"""Generalized (Dunkl) Hermite basis, Mehler kernel, and e^{-itH} machinery.
+"""Generalized (Dunkl) Hermite basis, the kernel of e^{-itH}, and the density
+of an evolved system.
 
 One-dimensional functions come from the ladder of the Z2 oscillator: with
 a_n = sqrt((n + 2 kappa [n odd]) / 2),
@@ -14,7 +15,9 @@ tensor products over a box truncation mu_j <= N, tabulated at any points
 coordinates.  The n-th function satisfies
 H phi = (2n + 1 + 2 kappa) phi in one dimension, hence eigenvalues
 2|mu| + d + 2 gamma_kappa.  A state is its complex (M,) coefficient array in
-a basis, and e^{-itH} multiplies it by e^{-it lambda_mu}.
+a basis, and e^{-itH} multiplies it by e^{-it lambda_mu}.  The kernel of
+e^{-itH} and that of the free flow (``freeprop.kernel_Lit``) share one
+Mehler-type body, ``_kernel_body``.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from itertools import product as _iproduct
 
 import numpy as np
 
-from .quadrature import TensorGrid, plain_rule
+from .quadrature import TensorGrid
 from .structure import DunklStructure, _kernel_product, as_point_list, as_points
 
 __all__ = [
@@ -33,10 +36,8 @@ __all__ = [
     "HermiteBasis",
     "build_basis",
     "hermite_functions_1d",
-    "mehler_closed_form",
     "kernel_Kit",
     "propagated_density",
-    "kernel_quadrature",
 ]
 
 
@@ -106,13 +107,6 @@ class HermiteBasis:
         pts = as_point_list(self.structure, points)
         return _table(self.structure, self.per_dim_degree, self.multi_indices, pts)
 
-    def project(self, samples: np.ndarray) -> np.ndarray:
-        """Coefficients of a function from grid samples by quadrature.
-
-        Accurate for Gaussian-enveloped samples (decay ~ e^{-|x|^2/2}).
-        """
-        return (self.eval_table * self.grid.weights) @ np.asarray(samples)
-
 
 def build_basis(s: DunklStructure, n_degree: int, grid: TensorGrid) -> HermiteBasis:
     if n_degree < 0:
@@ -149,14 +143,6 @@ def _kernel_body(s: DunklStructure, z: complex, c: complex, b: complex, x, y):
     return pref * np.exp(-c * r2 / (2.0 * z)) * _kernel_product(s, b / z, x, y)
 
 
-def mehler_closed_form(s: DunklStructure, w: complex, x, y):
-    """Closed form of sum_mu phi_mu(x) phi_mu(y) w^{|mu|} for |w| < 1."""
-    w = complex(w)
-    if abs(w * w - 1.0) < 1e-14:
-        raise ValueError(f"Mehler kernel undefined at w^2 = 1 (w={w!r})")
-    return _kernel_body(s, 0.5 * (1.0 - w * w), 0.5 * (1.0 + w * w), w, x, y)
-
-
 def singular_time_distance(t: float) -> float:
     half = np.pi / 2.0
     return float(abs(t - half * np.round(t / half)))
@@ -168,26 +154,3 @@ def kernel_Kit(s: DunklStructure, t: float, x, y):
     if dist < 1e-10:
         raise SingularTimeError(t, dist)
     return _kernel_body(s, 1j * np.sin(2.0 * t), np.cos(2.0 * t), 1.0, x, y)
-
-
-def kernel_quadrature(basis: HermiteBasis, coeffs, kernel, eval_points, order_factor: int = 6):
-    """integral of kernel(x, y) v(y) h^2(y) dy at x in eval_points, by quadrature,
-    for the state v with (M,) coefficients ``coeffs`` in ``basis``.
-
-    The kernel-quadrature oracle for both flows: ``kernel`` maps point arrays
-    (x, y) to kernel values, e.g. ``lambda x, y: kernel_Kit(s, t, x, y)`` for
-    e^{-itH} v or ``freeprop.kernel_Lit`` for e^{it Laplacian} v.  Independent
-    of the spectral and lens paths; d = 1 only, accurate for band-limited v
-    and t not too close to the kernel's singular set.  Integration uses a
-    half-Gaussian-matched plain rule since the oscillatory kernels do not
-    decay in y.
-    """
-    s = basis.structure
-    if s.d != 1:
-        raise NotImplementedError("kernel quadrature implemented for d = 1")
-    n = order_factor * (basis.per_dim_degree + 2)
-    ynodes, yweights = plain_rule(s.kappa[0], n, sigma=0.5)
-    fvals = coeffs @ basis.evaluate(ynodes)
-    pts = np.asarray(eval_points, dtype=float)
-    kern = kernel(pts[:, None], ynodes[None, :])
-    return kern @ (yweights * fvals)

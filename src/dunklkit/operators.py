@@ -64,10 +64,6 @@ class OrthonormalSystem:
         if dev > 1e-10:
             raise ValueError(f"system is not orthonormal (Gram deviation {dev:.3e})")
 
-    def operator(self) -> np.ndarray:
-        """The operator sum_j n_j |f_j><f_j|."""
-        return (self.states.T * self.coeffs) @ self.states.conj()
-
 
 def conjugate(basis: HermiteBasis, a, t) -> np.ndarray:
     """e^{-itH} A e^{itH} for H the oscillator, with A a matrix in the basis.

@@ -111,11 +111,6 @@ def tensor_grid(s: DunklStructure, orders) -> TensorGrid:
     return TensorGrid(tuple(orders), product(nodes), product(weights).prod(axis=-1))
 
 
-def gaussian_moment(kappa: float, m: int) -> float:
-    """Exact even moment: integral of x^{2m} |x|^{2 kappa} e^{-x^2} dx."""
-    return math.gamma(m + kappa + 0.5)
-
-
 def weighted_lp_norm(grid: TensorGrid, samples, p):
     """L^p_kappa norm of f from its node samples (Gaussian NOT pre-applied).
 

@@ -46,7 +46,8 @@ def admissible_p(q: float, d_eff: float) -> float:
 
 @dataclass(frozen=True)
 class ExponentPair:
-    """Exponents on the scaling line, with the admissibility window flag."""
+    """Exponents on the scaling line, with the admissibility window flag and
+    the Schatten exponent alpha = 2q/(q+1) of the matching rhs."""
 
     q: float
     d_eff: float
@@ -57,6 +58,10 @@ class ExponentPair:
         object.__setattr__(self, "p", admissible_p(self.q, self.d_eff))
         window = (self.d_eff + 1.0) / (self.d_eff - 1.0) if self.d_eff > 1 else np.inf
         object.__setattr__(self, "admissible", bool(1.0 <= self.q < window))
+
+    @property
+    def alpha(self) -> float:
+        return 2.0 * self.q / (self.q + 1.0)
 
 
 @dataclass
@@ -86,9 +91,9 @@ def generate_system(
     kind: str,
     j_count: int,
     seed: int = 0,
-    coeffs=None,
 ) -> OrthonormalSystem:
-    """Deterministic orthonormal family of j_count states in the basis.
+    """Deterministic orthonormal family of j_count states in the basis, each
+    with occupation 1.
 
     kinds: ``basis_subset`` (the first j_count basis functions),
     ``haar_rotation`` (rows of a Haar-random unitary restricted to the
@@ -118,9 +123,7 @@ def generate_system(
         c = qmat.T
     else:
         raise ValueError(f"unknown system kind {kind!r}")
-    if coeffs is None:
-        coeffs = np.ones(j_count)
-    return OrthonormalSystem(basis, c, coeffs)
+    return OrthonormalSystem(basis, c, np.ones(j_count))
 
 
 def strichartz_lhs(
@@ -164,12 +167,10 @@ def strichartz_lhs(
     return lhs[0] if q_arr.ndim == 0 else np.array(lhs)
 
 
-def schatten_rhs(coeffs, q: float) -> float:
-    """l^{2q/(q+1)} norm of the occupation coefficients."""
-    if not q >= 1:
-        raise ValueError(f"q must be >= 1, got {q}")
+def schatten_rhs(coeffs, pair: ExponentPair) -> float:
+    """l^alpha norm of the occupation coefficients, alpha = ``pair.alpha``."""
     n = np.abs(np.asarray(coeffs, dtype=complex))
-    r = 2.0 * q / (q + 1.0)
+    r = pair.alpha
     return float(np.sum(n**r) ** (1.0 / r))
 
 
@@ -181,7 +182,6 @@ def run_inequality(
     seed: int = 0,
     flow: str = "hermite",
     n_time: int = 256,
-    coeffs=None,
 ) -> list[StrichartzReport]:
     """Assemble one system, evaluate lhs and rhs at each q of the sequence
     ``qs``, and report the ratios: one report per q, in order.
@@ -195,10 +195,10 @@ def run_inequality(
     start = _time.perf_counter()
     s = basis.structure
     pairs = [ExponentPair(q, s.d_eff) for q in qs]
-    system = generate_system(basis, system_kind, j_count, seed, coeffs)
+    system = generate_system(basis, system_kind, j_count, seed)
     lhs = strichartz_lhs(system, [pr.q for pr in pairs], [pr.p for pr in pairs],
                          flow, n_time).tolist()
-    rhs = [schatten_rhs(system.coeffs, pr.q) for pr in pairs]
+    rhs = [schatten_rhs(system.coeffs, pr) for pr in pairs]
     wall_time = _time.perf_counter() - start
     return [
         StrichartzReport(
@@ -324,8 +324,7 @@ def inhomogeneous_check(
     evals, evecs = np.linalg.eigh(r0)
     rabs = (evecs * np.abs(evals)) @ evecs.conj().T
     harmonics = np.exp(2j * np.outer(np.arange(-top, top + 1), t)) @ rhs_weights
-    rhs = schatten_norm(rabs * harmonics[top + degree[:, None] - degree[None, :]],
-                        2.0 * q / (q + 1.0))
+    rhs = schatten_norm(rabs * harmonics[top + degree[:, None] - degree[None, :]], pair.alpha)
     return lhs, rhs
 
 

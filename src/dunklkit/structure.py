@@ -23,9 +23,7 @@ __all__ = [
     "DunklStructure",
     "as_points",
     "as_point_list",
-    "weight",
     "dunkl_kernel_1d",
-    "dunkl_kernel",
 ]
 
 
@@ -80,16 +78,6 @@ def as_point_list(s: DunklStructure, x) -> np.ndarray:
     if x.ndim != 2 or x.shape[1] != s.d:
         raise ValueError(f"expected an (n, {s.d}) array of points, got shape {x.shape}")
     return x
-
-
-def weight(s: DunklStructure, x) -> np.ndarray:
-    """Weight prod_j |x_j|^{2 kappa_j} at point(s) x (last axis = coordinate)."""
-    x = as_points(s, x)
-    out = np.ones(x.shape[:-1])
-    for j, k in enumerate(s.kappa):
-        if k > 0.0:
-            out = out * np.abs(x[..., j]) ** (2.0 * k)
-    return out
 
 
 # Switchover between the power series and the Bessel route.  Both split the
@@ -186,18 +174,11 @@ def dunkl_kernel_1d(kappa: float, a, y) -> np.ndarray | complex:
 
 
 def _kernel_product(s: DunklStructure, a, x: np.ndarray, y: np.ndarray):
-    """Coordinate product of 1-D kernels; x, y already canonical point arrays."""
+    """Product kernel E_kappa(a x, y) = prod_j E_{kappa_j}(a x_j, y_j) on Z2^d;
+    x, y canonical point arrays (last axis = coordinate), broadcast across
+    leading axes."""
     out = None
     for j, k in enumerate(s.kappa):
         factor = dunkl_kernel_1d(k, np.asarray(a, dtype=complex) * x[..., j], y[..., j])
         out = factor if out is None else out * factor
     return out
-
-
-def dunkl_kernel(s: DunklStructure, a, x, y) -> np.ndarray | complex:
-    """Product kernel E_kappa(a x, y) = prod_j E_{kappa_j}(a x_j, y_j) on Z2^d.
-
-    ``x`` and ``y`` are points in R^d (last axis = coordinate); broadcast
-    across leading axes.
-    """
-    return _kernel_product(s, a, as_points(s, x), as_points(s, y))

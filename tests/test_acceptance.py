@@ -8,19 +8,15 @@ from dunklkit import (
     HartreeConfig,
     admissible_p,
     build_basis,
-    free_evolve_via_lens,
     hamiltonian_matrix,
     hermite_functions_1d,
     inhomogeneous_check,
     kernel_Kit,
     kernel_Lit,
-    kernel_quadrature,
     kss_check,
     lens_relation_residual,
-    mehler_closed_form,
     mhls_check,
     multiplication_matrix,
-    norm_transport_check,
     run_inequality,
     schatten_norm,
     solve_hartree,
@@ -31,6 +27,8 @@ from dunklkit import (
 from dunklkit.strichartz import duhamel_solution
 
 from conftest import random_state
+from freeprop_oracle import free_evolve_via_lens, norm_transport_check
+from kernel_oracle import kernel_quadrature, mehler_closed_form
 
 CASES = [(1, (0.0,)), (1, (0.5,)), (1, (1.5,)), (2, (1.0, 0.5))]
 

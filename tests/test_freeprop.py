@@ -7,19 +7,16 @@ from dunklkit import (
     DunklStructure,
     LensMap,
     build_basis,
-    free_evolve_via_lens,
-    heat_kernel,
     kernel_Kit,
     kernel_Lit,
-    kernel_quadrature,
     lens_relation_residual,
-    norm_transport_check,
     plain_rule,
     tensor_grid,
 )
 
 from conftest import random_state
-from freeprop_oracle import free_propagator_matrix
+from freeprop_oracle import free_evolve_via_lens, free_propagator_matrix, norm_transport_check
+from kernel_oracle import heat_kernel, kernel_quadrature
 
 
 class TestHeatKernel:

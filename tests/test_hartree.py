@@ -15,7 +15,7 @@ from dunklkit import (
     solve_hartree,
     tensor_grid,
 )
-from dunklkit.hartree import _potential_matrices
+from dunklkit.hartree import _SCHATTEN_EXPONENT, _potential_matrices
 from transform_oracle import DunklTransform1D, interaction_potential
 
 
@@ -209,8 +209,7 @@ class TestPicard:
             horizon=0.1, steps=9,
         )
         _, traj, diag = solve_hartree(config)
-        p = config.schatten_exponent
-        base = schatten_norm(g0, p)
+        base = schatten_norm(g0, _SCHATTEN_EXPONENT)
         for val in diag["schatten"]:
             assert val == pytest.approx(base, rel=1e-12)
 

@@ -5,7 +5,10 @@ lists.  Only the modules in ``SCIPY_IMPORTS`` import scipy, only the names
 listed there and only inside function bodies, so the commands that never
 reach those functions never load scipy.  Each module imports from the
 package only the modules ``PACKAGE_IMPORTS`` lists for it.  The modules the
-benchmark's tracer wraps all exist."""
+benchmark's tracer wraps all exist.  Every public function, class and method
+of the package is reached from a command of the CLI, apart from those
+``UNREACHED`` keeps with their reasons: what only the tests call belongs in
+``tests/``."""
 
 import ast
 import json
@@ -30,7 +33,7 @@ PACKAGE_IMPORTS = {
     "cli.py": ["freeprop", "hartree", "hermite", "operators", "quadrature", "strichartz",
                "structure"],
     "dunklops.py": ["hermite"],
-    "freeprop.py": ["hermite", "quadrature", "structure"],
+    "freeprop.py": ["hermite", "structure"],
     "hartree.py": ["hermite", "operators", "quadrature"],
     "hermite.py": ["quadrature", "structure"],
     "operators.py": ["hermite", "quadrature"],
@@ -109,6 +112,96 @@ def test_traced_modules_exist():
     # module renamed or merged away would silently drop out of its spans
     modules = exported(TRACER.read_text(), "MODULES")
     assert modules and [m for m in modules if not (PACKAGE / f"{m}.py").is_file()] == []
+
+
+# Definitions that no command reaches, kept for the reason given; the check
+# counts them as reached, and so what they call.
+UNREACHED = {
+    "dunklops.hamiltonian_matrix": "the benchmark's tracer names the dunklops module "
+                                   "(test_traced_modules_exist), so it stays until the "
+                                   "benchmark changes",
+    "strichartz.duhamel_solution": "acceptance criterion 11 is stated on it",
+}
+
+
+def _names(nodes) -> set[str]:
+    """Every name and attribute the nodes and their children refer to."""
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for node in nodes for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def _is_command(node) -> bool:
+    """A click command or group: decorated by a call of ``.command`` or ``.group``."""
+    return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
+               and d.func.attr in ("command", "group") for d in node.decorator_list)
+
+
+def unreached(sources: dict[str, str], kept=()) -> list[str]:
+    """The public functions, classes and methods of the modules ``sources``
+    (name -> source) that no click command reaches, as ``module.name`` or
+    ``module.Class.method``.
+
+    A definition is reached when a reached one refers to its name, as a name
+    or an attribute; the commands, the names in ``kept`` and each module's
+    statements outside its definitions are reached to begin with.  A class
+    takes its non-public methods along, which run unnamed (``__post_init__``)
+    or from its other methods.
+    """
+    refers: dict[str, set[str]] = {}
+    reached = set(kept)
+    names = set()
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names |= _names([node])
+                continue
+            key = f"{module}.{node.name}"
+            if _is_command(node):
+                reached.add(key)
+            body = [node]
+            if isinstance(node, ast.ClassDef):
+                body = [*node.decorator_list, *node.bases]
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        refers[f"{key}.{item.name}"] = _names([item])
+                    else:
+                        body.append(item)
+            refers[key] = _names(body)
+    frontier = set(reached)
+    while frontier:
+        for key in frontier:
+            names |= refers.get(key, set())
+        frontier = {k for k in refers if k not in reached and k.rsplit(".", 1)[1] in names}
+        reached |= frontier
+    public = (k for k in refers if not k.rsplit(".", 1)[1].startswith("_"))
+    return sorted(k for k in public if k not in reached)
+
+
+def test_every_public_definition_is_reached_from_the_cli():
+    sources = {p.stem: p.read_text() for p in SOURCES}
+    assert unreached(sources, UNREACHED) == []
+    # each entry is a definition that no command reaches: else it needs no reason
+    assert set(UNREACHED) <= set(unreached(sources))
+
+
+def test_detects_an_unreached_definition():
+    cli = (
+        "import click\nfrom .core import used\n@click.group()\ndef main(): pass\n"
+        "@main.command()\ndef run():\n    used().go()\n"
+    )
+    core = (
+        "def used():\n    return Box()\ndef orphan():\n    helper()\n"
+        "def helper(): pass\ndef _private(): pass\ndef recursive():\n    recursive()\n"
+        "class Box:\n    def go(self): pass\n    def stop(self): pass\n"
+        "    def __post_init__(self): pass\n"
+    )
+    assert unreached({"cli": cli, "core": core}) == [
+        "core.Box.stop", "core.helper", "core.orphan", "core.recursive"
+    ]
+    assert unreached({"cli": cli, "core": core}, ["core.orphan"]) == [
+        "core.Box.stop", "core.recursive"
+    ]
 
 
 def _scipy_names(nodes) -> list[str]:

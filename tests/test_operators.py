@@ -161,7 +161,9 @@ class TestOrthonormalSystem:
             c = np.zeros(basis.size, dtype=complex)
             c[j] = 1.0
             vs.append(c)
-        op = OrthonormalSystem(basis, vs, np.ones(3)).operator()
+        system = OrthonormalSystem(basis, vs, np.ones(3))
+        # the operator sum_j n_j |f_j><f_j| of the system
+        op = (system.states.T * system.coeffs) @ system.states.conj()
         np.testing.assert_allclose(op @ op, op, atol=1e-14)
         assert np.trace(op) == pytest.approx(3.0)
 

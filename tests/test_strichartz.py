@@ -4,6 +4,7 @@ import pytest
 from dunklkit import (
     DunklStructure,
     ExponentPair,
+    OrthonormalSystem,
     admissible_p,
     build_basis,
     generate_system,
@@ -44,7 +45,15 @@ class TestExponents:
             with pytest.raises(ValueError):
                 admissible_p(q, 3.0)
         with pytest.raises(ValueError):
-            schatten_rhs(np.ones(3), np.nan)
+            ExponentPair(np.nan, 3.0)
+
+    def test_schatten_exponent(self):
+        # alpha = 2q/(q+1): the l^1 norm at q = 1, l^{6/5} at q = 3/2
+        assert ExponentPair(1.0, 2.0).alpha == 1.0
+        assert ExponentPair(1.5, 2.0).alpha == 6.0 / 5.0
+        assert schatten_rhs(np.ones(3), ExponentPair(1.0, 2.0)) == pytest.approx(3.0)
+        assert schatten_rhs([1.0, 0.5j], ExponentPair(1.5, 2.0)) == pytest.approx(
+            (1.0 + 0.5**1.2) ** (1.0 / 1.2))
 
 
 class TestSystems:
@@ -97,8 +106,6 @@ class TestInequality:
         # a permutation of equal-coefficient vectors leaves unchanged
         sys_a = generate_system(basis_1d_half, "basis_subset", 4)
         lhs_a = strichartz_lhs(sys_a, 1.5, admissible_p(1.5, 2.0), n_time=64)
-        from dunklkit import OrthonormalSystem
-
         sys_b = OrthonormalSystem(sys_a.basis, sys_a.states[::-1], sys_a.coeffs)
         lhs_b = strichartz_lhs(sys_b, 1.5, admissible_p(1.5, 2.0), n_time=64)
         assert lhs_a == pytest.approx(lhs_b, rel=1e-13)
@@ -124,8 +131,8 @@ class TestInequality:
         # oracle: per slice, |sec 2t|^expo times the L^q norm of the summed
         # propagated densities, then the L^p_t sum (the max at p = inf)
         basis = basis_1d_half
-        system = generate_system(basis, "gaussian_orthogonalized", 3, seed=4,
-                                 coeffs=[1.0, 0.6, 0.3])
+        states = generate_system(basis, "gaussian_orthogonalized", 3, seed=4).states
+        system = OrthonormalSystem(basis, states, [1.0, 0.6, 0.3])
         t, tau = time_grid(-np.pi / 4 + 1e-9, np.pi / 4 - 1e-9, 48)
         expo = 2.0 * (0.0 if np.isinf(p) else 1.0 / p) + basis.structure.d_eff * (1.0 / q - 1.0)
         inner = np.array([

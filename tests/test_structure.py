@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gamma
 
-from dunklkit import DunklStructure, dunkl_kernel, dunkl_kernel_1d, weight
+from dunklkit import DunklStructure, dunkl_kernel_1d
+from dunklkit.structure import _kernel_product
 
 
 class TestStructure:
@@ -30,12 +31,6 @@ class TestStructure:
     def test_invalid_input(self, d, kappa):
         with pytest.raises(ValueError):
             DunklStructure(d, kappa)
-
-    def test_weight(self):
-        s = DunklStructure(2, (1.0, 0.5))
-        assert weight(s, np.array([2.0, 3.0])) == pytest.approx(4.0 * 3.0)
-        s1 = DunklStructure(1, (0.0,))
-        assert np.all(weight(s1, np.linspace(-2, 2, 7)) == 1.0)
 
 
 class TestKernel1D:
@@ -167,11 +162,11 @@ class TestKernelProduct:
         x = np.array([1.1, -0.4])
         y = np.array([0.8, 2.0])
         expected = dunkl_kernel_1d(0.3, 1.1, 0.8) * dunkl_kernel_1d(1.2, -0.4, 2.0)
-        assert dunkl_kernel(s, 1.0, x, y) == pytest.approx(expected, rel=1e-14)
+        assert _kernel_product(s, 1.0, x, y) == pytest.approx(expected, rel=1e-14)
 
     def test_broadcasting_lattice(self):
         s = DunklStructure(1, (0.5,))
         x = np.linspace(-2, 2, 5)
-        out = dunkl_kernel(s, 1j, x[:, None], x[None, :])
+        out = _kernel_product(s, 1j, x[:, None, None], x[None, :, None])
         assert out.shape == (5, 5)
         assert np.all(np.abs(out) <= 1.0 + 1e-13)
