@@ -11,8 +11,9 @@ so phi_{n+1} = (x phi_n - a_n phi_{n-1}) / a_{n+1}.  The functions are
 orthonormal in L^2 against |x|^{2 kappa} dx and their leading coefficients
 are positive, so phi_n(x) > 0 as x -> +inf; d-dimensional functions are
 tensor products over a box truncation mu_j <= N, tabulated at any points
-(the basis grid included) as one product of 1-D tables at the points'
-coordinates.  The n-th function satisfies
+as one product of 1-D tables at the points' coordinates.  A basis keeps the
+1-D table of each axis at that axis's rule nodes, and its grid table is their
+product gathered at each grid point.  The n-th function satisfies
 H phi = (2n + 1 + 2 kappa) phi in one dimension, hence eigenvalues
 2|mu| + d + 2 gamma_kappa.  A state is its complex (M,) coefficient array in
 a basis, and e^{-itH} multiplies it by e^{-it lambda_mu}.  The kernel of
@@ -97,6 +98,7 @@ class HermiteBasis:
     multi_indices: np.ndarray   # (M, d)
     eigenvalues: np.ndarray     # (M,) values 2|mu| + d + 2 gamma
     eval_table: np.ndarray      # (M, K) phi_mu at grid nodes
+    axis_tables: tuple          # per axis j, (N + 1, 2 order_j) phi_n at that axis's nodes
 
     @property
     def size(self) -> int:
@@ -118,7 +120,21 @@ def build_basis(s: DunklStructure, n_degree: int, grid: TensorGrid) -> HermiteBa
             )
     mi = box_multi_indices(s.d, n_degree)
     eig = 2.0 * mi.sum(axis=1) + s.d_eff
-    return HermiteBasis(s, int(n_degree), grid, mi, eig, _table(s, n_degree, mi, grid.nodes))
+    # the grid is row-major over the axes' rules: grid point k sits at node
+    # positions[j][k] of axis j, whose nodes are the points at position 0 on
+    # every other axis, one every prod(sizes[j + 1:]) points
+    sizes = [2 * order for order in grid.orders]
+    positions = np.unravel_index(np.arange(grid.npoints), sizes)
+    strides = [math.prod(sizes[j + 1:]) for j in range(s.d)]
+    tables = tuple(
+        hermite_functions_1d(k, n_degree, grid.nodes[:size * stride:stride, j])
+        for j, (k, size, stride) in enumerate(zip(s.kappa, sizes, strides))
+    )
+    # the product of _table, from the same 1-D values: bit for bit evaluate(grid.nodes)
+    table = np.ones((mi.shape[0], grid.npoints))
+    for j, t in enumerate(tables):
+        table *= t.take(positions[j], axis=1)[mi[:, j]]
+    return HermiteBasis(s, int(n_degree), grid, mi, eig, table, tables)
 
 
 def propagated_density(basis: HermiteBasis, coeffs, occupations, t) -> np.ndarray:

@@ -15,10 +15,19 @@ so every f(alpha x + beta p) is one oscillator conjugate of a multiplication
 operator.  It is exact in the truncated basis: the projection onto the box
 commutes with H, so conjugating the projected f(r x) is projecting the
 conjugated one.
+
+The time-averaged operator and the shell densities never form the dense
+(M, K) table: the basis is a box of multi-indices on a tensor grid, so
+phi_mu(x_k) = prod_j phi_{mu_j}(x_{k_j}), and a sum over the grid of
+phi_mu phi_nu times a function of the shell |mu| - |nu| is contracted one
+axis at a time against the axis's 1-D pair table phi_m phi_l (sum
+factorization).  Each axis carries the degree offset that the later axes
+still owe and takes 2N + 1 products, one per value of mu_j - nu_j.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,37 +139,114 @@ def density(basis: HermiteBasis, a, points=None) -> np.ndarray:
 
 
 def _degree_shells(basis: HermiteBasis):
-    """(degree, top, shells): the total degree |mu| of each basis row, the
-    largest one, and the slice of rows of each shell |mu| = 0..top.  The
-    shells are contiguous only when the basis is ordered by total degree."""
+    """(degree, top): the total degree |mu| of each basis row and the largest
+    one.  The basis must be ordered by total degree."""
     degree = basis.multi_indices.sum(axis=1)
     if np.any(np.diff(degree) < 0):
         raise ValueError("basis multi-indices must be ordered by total degree")
-    top = int(degree[-1])
-    return degree, top, [slice(*np.searchsorted(degree, [a, a + 1])) for a in range(top + 1)]
+    return degree, int(degree[-1])
+
+
+def _diagonals(n: int):
+    """(delta, rows) for each per-axis offset delta = -n..n: the rows of a
+    ((n + 1)^2, ...) array of pairs (m, l), row m (n + 1) + l, with
+    m - l = delta.  Each is a plain slice, so the rows are a view."""
+    for delta in range(-n, n + 1):
+        start = delta * (n + 1) if delta >= 0 else -delta
+        yield delta, slice(start, start + (n - abs(delta)) * (n + 2) + 1, n + 2)
+
+
+def _pair_table(phi) -> np.ndarray:
+    """phi_m phi_l at the nodes of one axis from its (N + 1, nodes) table
+    phi: ((N + 1)^2, nodes), row m (N + 1) + l."""
+    return (phi[:, None] * phi).reshape(-1, phi.shape[1])
+
+
+def _box_positions(basis: HermiteBasis):
+    """(box, axes): the row-major place of each basis row in the box of
+    multi-indices, and the permutation that takes the axes (mu_0, nu_0, mu_1,
+    nu_1, ...) of the per-axis pairs to (mu_0, mu_1, ..., nu_0, nu_1, ...)."""
+    d = basis.structure.d
+    box = np.ravel_multi_index(basis.multi_indices.T, (basis.per_dim_degree + 1,) * d)
+    return box, [*range(0, 2 * d, 2), *range(1, 2 * d, 2)]
+
+
+def _shells_to_pairs(basis: HermiteBasis, h) -> np.ndarray:
+    """sum_k phi_mu(x_k) phi_nu(x_k) h_{|mu|-|nu|}(x_k) for real samples h of
+    the shells n = -dN..dN on the basis grid, (2 d N + 1, K): a real (M, M)
+    matrix, by sum factorization.
+
+    Axis j turns the pairs (mu_j, nu_j) and the offset n - sum_{i<=j}
+    (mu_i - nu_i) that the later axes still owe into one product per value of
+    mu_j - nu_j, 2N + 1 of them, each over the 2 order_j nodes of the axis:
+    about (N + 1)^2 (2 (d - 1) N + 1) K work for the first axis, less for
+    the others, against M^2 K from a dense table.  Every product reads a
+    view of the state and writes into the next one: no state is transposed
+    or copied.
+    """
+    n = basis.per_dim_degree
+    # before axis j: (offset, pairs_0, ..., pairs_{j-1}, K_j, ..., K_{d-1})
+    state = h.reshape(-1, *(phi.shape[1] for phi in basis.axis_tables))
+    for j, phi in enumerate(basis.axis_tables):
+        pairs = _pair_table(phi)
+        head, nodes, tail = state.shape[1:j + 1], state.shape[j + 1], state.shape[j + 2:]
+        width = state.shape[0] - 2 * n
+        out = np.empty((width, *head, pairs.shape[0], *tail))
+        flat = out.reshape(-1, pairs.shape[0], math.prod(tail))
+        for delta, rows in _diagonals(n):
+            # the view of the state is left unnamed, so the state is freed when replaced
+            flat[:, rows] = pairs[rows] @ state[n + delta:n + delta + width].reshape(
+                flat.shape[0], nodes, -1
+            )
+        state = out
+    box, axes = _box_positions(basis)
+    full = state.reshape((n + 1,) * len(axes)).transpose(axes).reshape(box.size, box.size)
+    return full[np.ix_(box, box)]
+
+
+def _pairs_to_shells(basis: HermiteBasis, a) -> np.ndarray:
+    """The adjoint of ``_shells_to_pairs``: sum over |mu| - |nu| = n of
+    a_{mu nu} phi_mu phi_nu on the basis grid, n = -dN..dN, for a real
+    (M, M) matrix a: (2 d N + 1, K), by the same per-axis products in
+    reverse."""
+    n = basis.per_dim_degree
+    box, axes = _box_positions(basis)
+    full = np.empty((box.size, box.size))
+    full[np.ix_(box, box)] = a
+    # after axis j: (offset, pairs_0, ..., pairs_{j-1}, K_j, ..., K_{d-1})
+    state = full.reshape((n + 1,) * len(axes)).transpose(np.argsort(axes))
+    state = state.reshape(1, *((n + 1) ** 2,) * basis.structure.d)
+    for j in reversed(range(basis.structure.d)):
+        pairs = _pair_table(basis.axis_tables[j])
+        head, tail = state.shape[1:j + 1], state.shape[j + 2:]
+        width, nodes = state.shape[0], pairs.shape[1]
+        out = np.zeros((width + 2 * n, *head, nodes, *tail))
+        part = state.reshape(-1, pairs.shape[0], math.prod(tail))
+        for delta, rows in _diagonals(n):
+            # a slice of whole offsets of a fresh array: the reshape is a view
+            target = out[n + delta:n + delta + width].reshape(part.shape[0], nodes, -1)
+            target += pairs[rows].T @ part[:, rows]
+        state = out
+    return state.reshape(state.shape[0], -1)
 
 
 def shell_densities(basis: HermiteBasis, a) -> np.ndarray:
     """G_n = sum over |mu| - |nu| = n of A_{mu nu} phi_mu phi_nu on the basis
     grid, n = -top..top: shape (2 top + 1, K), complex.
 
-    The adjoint of the shell blocks of ``time_averaged_operator``: as the
-    flow multiplies entry (mu, nu) by e^{-2it(|mu| - |nu|)}, the density of
-    e^{-itH} A e^{itH} is Re sum_n e^{-2int} G_n at every t, from one M^2 K
-    pass.
+    The adjoint of ``time_averaged_operator``: as the flow multiplies entry
+    (mu, nu) by e^{-2it(|mu| - |nu|)}, the density of e^{-itH} A e^{itH} is
+    Re sum_n e^{-2int} G_n at every t.  G comes one axis at a time from the
+    per-axis tables (sum factorization), the real and the imaginary part of
+    A in turn, with no M x K table.
     """
     a = np.asarray(a)
     if a.shape != (basis.size, basis.size):
         raise ValueError(f"expected a {basis.size} x {basis.size} operator, got {a.shape}")
-    _, top, shells = _degree_shells(basis)
-    table = basis.eval_table
-    g = np.zeros((2 * top + 1, basis.grid.npoints), dtype=complex)
-    for i, rows in enumerate(shells):
-        for j, cols in enumerate(shells):
-            # real and imaginary parts apart: a complex block would copy the table to complex
-            block = a[rows, cols]
-            g.real[top + i - j] += ((block.real @ table[cols]) * table[rows]).sum(axis=0)
-            g.imag[top + i - j] += ((block.imag @ table[cols]) * table[rows]).sum(axis=0)
+    _, top = _degree_shells(basis)
+    g = np.empty((2 * top + 1, basis.grid.npoints), dtype=complex)
+    g.real = _pairs_to_shells(basis, np.real(a))
+    g.imag = _pairs_to_shells(basis, np.imag(a))
     return g
 
 
@@ -172,7 +258,10 @@ def time_averaged_operator(basis: HermiteBasis, time_nodes, v_samples) -> np.nda
     lambda_mu = 2|mu| + d_eff, B_{mu nu} = sum_k w_k phi_mu(x_k) phi_nu(x_k)
     V_{|mu|-|nu|}(x_k) over the grid (w the grid weights) with time harmonics
     V_n = sum_t tau_t e^{2int} V_t, |n| <= max |mu|: one product over the T
-    nodes, then B by blocks of degree shells, M^2 K work, not T M^2 K.
+    nodes, then B one axis at a time from the per-axis tables (sum
+    factorization), the real and the imaginary harmonics in turn.  Each axis
+    takes 2N + 1 products, one per value of mu_j - nu_j, in place of the
+    M^2 K work of a dense table.
     """
     t, tau = (np.asarray(v, dtype=float) for v in time_nodes)
     if t.ndim != 1 or t.shape != tau.shape or not np.isfinite(t + tau).all():
@@ -184,16 +273,22 @@ def time_averaged_operator(basis: HermiteBasis, time_nodes, v_samples) -> np.nda
         )
     if not np.all(np.isfinite(v_samples)):
         raise ValueError("non-finite potential samples")
-    _, top, shells = _degree_shells(basis)
+    _, top = _degree_shells(basis)
     phases = tau * np.exp(2j * np.outer(np.arange(-top, top + 1), t))
-    # real and imaginary phases apart: a complex product would copy V to complex
-    harmonics = (phases.real @ v_samples + 1j * (phases.imag @ v_samples)) * basis.grid.weights
-    table = basis.eval_table
-    b = np.empty((basis.size, basis.size), dtype=complex)
-    for a, rows in enumerate(shells):
-        for c, cols in enumerate(shells):
-            b[rows, cols] = (table[rows] * harmonics[top + a - c]) @ table[cols].T
-    return b
+
+    def harmonics(c):
+        """Re sum_t c_{nt} V_t times the grid weights, from real products: a
+        complex product would copy a real V to complex."""
+        h = c.real @ v_samples.real
+        if np.iscomplexobj(v_samples):
+            h -= c.imag @ v_samples.imag
+        h *= basis.grid.weights
+        return h
+
+    # the real harmonics, then the imaginary ones as Im z = Re(-iz): one real
+    # intermediate is alive at a time
+    real = _shells_to_pairs(basis, harmonics(phases))
+    return real + 1j * _shells_to_pairs(basis, harmonics(-1j * phases))
 
 
 def mixed_xp_operator(basis: HermiteBasis, f, alpha: float, beta: float) -> np.ndarray:

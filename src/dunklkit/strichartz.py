@@ -14,7 +14,7 @@ a source of one fixed operator the integral over s is a scalar per shell.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -83,7 +83,9 @@ class StrichartzReport:
     wall_time: float
 
     def as_dict(self) -> dict:
-        return {**asdict(self), "kappa": " ".join(str(k) for k in self.kappa)}
+        # the fields as they are: ``dataclasses.asdict`` would deep-copy each one
+        row = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {**row, "kappa": " ".join(str(k) for k in self.kappa)}
 
 
 def generate_system(
@@ -274,7 +276,7 @@ def duhamel_solution(
     the sum of their solutions.
     """
     r0 = _source_operator(basis, r0)
-    degree, top, _ = _degree_shells(basis)
+    degree, top = _degree_shells(basis)
     phases = _shell_phases(r_of_s, t0, np.array([t], dtype=float), n_time, top)[0]
     return r0 * phases[top + degree[:, None] - degree[None, :]]
 
@@ -298,7 +300,7 @@ def inhomogeneous_check(
 
     Both sides go by degree shells, with no matrix work per time node: the
     density of gamma(t) is Re sum_n Phi_n(t) G_n with G the shell densities
-    of R0 (one M^2 K pass) and Phi the shell phases ((2 top + 1) T S
+    of R0 (one sum-factorized pass) and Phi the shell phases ((2 top + 1) T S
     scalars); |R(s)| = |r(s)| |R0| takes one eigendecomposition, and the rhs
     operator is |R0| times the shell sums sum_k tau_k |r(t_k)| e^{2int_k}.
     Everything is validated before any of this work.
@@ -311,7 +313,7 @@ def inhomogeneous_check(
         raise ValueError("source operator is not self-adjoint")
     t, tau = time_grid(-np.pi, np.pi, n_time)
     rhs_weights = tau * np.abs(_profile(r_of_s, t))
-    degree, top, _ = _degree_shells(basis)
+    degree, top = _degree_shells(basis)
     phases = _shell_phases(r_of_s, t0, t, n_source_time, top)
 
     g = shell_densities(basis, r0)

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 
@@ -8,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 from dunklkit.cli import EXIT_CONFIG, EXIT_IDENTITY, EXIT_OK, _context, load_config, main
-from dunklkit.strichartz import ExponentPair, run_inequality
+from dunklkit.strichartz import ExponentPair, StrichartzReport, run_inequality
 
 
 @pytest.fixture()
@@ -287,6 +288,26 @@ class TestSubcommands:
             curve.setdefault(row["q"], []).append(row["ratio"])
         dat = "".join(f"{q:.6f} {max(curve[q]):.8f}\n" for q in sorted(curve))
         assert (reports / "ratio_vs_q.dat").read_text() == dat
+
+    def test_sweep_files_match_deep_copied_rows(self, runner, small_config, tmp_path,
+                                                     monkeypatch):
+        # the rows are shallow copies of the reports' fields: the bytes of
+        # sweep.json and sweep.csv are those that dataclasses.asdict gives,
+        # on a frozen clock so that the wall times agree
+        monkeypatch.setattr("time.perf_counter", lambda: 0.0)
+        args = ["sweep", "--steps", "2", "--j-values", "1 2", "--seeds", "2"]
+        reports = tmp_path / "reports"
+
+        def written():
+            result = runner.invoke(main, ["-c", str(small_config), *args])
+            assert result.exit_code == EXIT_OK, result.output
+            return [(reports / name).read_bytes() for name in ("sweep.json", "sweep.csv")]
+
+        shallow = written()
+        monkeypatch.setattr(StrichartzReport, "as_dict", lambda self: {
+            **dataclasses.asdict(self), "kappa": " ".join(str(k) for k in self.kappa)
+        })
+        assert written() == shallow
 
     def test_hartree(self, runner, small_config, tmp_path):
         result = runner.invoke(

@@ -84,6 +84,20 @@ class TestBasis:
         coeffs = (basis_1d_half.eval_table * basis_1d_half.grid.weights) @ samples
         np.testing.assert_allclose(coeffs, u, atol=1e-10)
 
+    @pytest.mark.parametrize("d, orders", [(1, 20), (2, [12, 16]), (3, [5, 4, 6])])
+    def test_tables_from_the_axis_tables(self, d, orders):
+        # the grid table is the product of the per-axis tables, bit for bit
+        # the values at the grid's points, and each axis table holds the 1-D
+        # functions at that axis's rule nodes
+        s = DunklStructure(d, (0.5, 1.0, 0.0)[:d])
+        grid = tensor_grid(s, orders)
+        basis = build_basis(s, 3, grid)
+        np.testing.assert_array_equal(basis.eval_table, basis.evaluate(grid.nodes))
+        for j, (kappa, order, table) in enumerate(zip(s.kappa, grid.orders, basis.axis_tables)):
+            nodes = np.unique(grid.nodes[:, j])
+            assert nodes.size == 2 * order
+            np.testing.assert_array_equal(table, hermite_functions_1d(kappa, 3, nodes))
+
     def test_grid_order_guard(self):
         s = DunklStructure(1, (0.5,))
         with pytest.raises(ValueError):

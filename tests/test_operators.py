@@ -22,6 +22,7 @@ from dunklkit import (
 from dunklkit.quadrature import time_grid
 
 from conftest import random_state
+import shell_oracle
 from freeprop_oracle import free_propagator_matrix
 
 
@@ -387,6 +388,85 @@ class TestShellDensities:
     def test_rejects_wrong_shape(self, basis_1d_half):
         with pytest.raises(ValueError, match="operator"):
             shell_densities(basis_1d_half, np.eye(basis_1d_half.size - 1))
+
+
+def small_basis(d, orders):
+    """A basis of degree 3 with kappa (0.5, 1.0, 0.0)[:d] on the grid of the
+    given orders, which may differ by axis."""
+    s = DunklStructure(d, (0.5, 1.0, 0.0)[:d])
+    return build_basis(s, 3, tensor_grid(s, orders))
+
+
+SHELL_BASES = ["basis_1d_half", "basis_1d_classical", "basis_2d", "d3", "anisotropic"]
+
+
+@pytest.fixture(params=SHELL_BASES)
+def shell_basis(request):
+    # d = 3 with N = 3 on order 4, and d = 2 with rules of orders 12 and 16
+    if request.param == "d3":
+        return small_basis(3, 4)
+    if request.param == "anisotropic":
+        return small_basis(2, [12, 16])
+    return request.getfixturevalue(request.param)
+
+
+class TestShellContractions:
+    """The per-axis contractions against the block-by-block oracle."""
+
+    @pytest.mark.parametrize("complex_v", [False, True], ids=["real-v", "complex-v"])
+    @pytest.mark.parametrize("kind", ["trapezoid", "simpson", "midpoint", "random"])
+    def test_time_averaged_operator_matches_blocks(self, shell_basis, kind, complex_v):
+        basis = shell_basis
+        rng = np.random.default_rng(10)
+        tn = time_rule(kind, rng)
+        shape = (tn[0].size, basis.grid.npoints)
+        v = rng.normal(size=shape) + (1j * rng.normal(size=shape) if complex_v else 0.0)
+        v *= np.exp(-0.5 * (basis.grid.nodes**2).sum(axis=-1))
+        b = time_averaged_operator(basis, tn, v)
+        oracle = shell_oracle.time_averaged_operator(basis, tn, v)
+        np.testing.assert_allclose(b, oracle, rtol=0, atol=1e-13 * np.abs(oracle).max())
+
+    @pytest.mark.parametrize("complex_a", [False, True], ids=["real-a", "complex-a"])
+    def test_shell_densities_match_blocks(self, shell_basis, complex_a):
+        basis = shell_basis
+        rng = np.random.default_rng(11)
+        m = basis.size
+        a = rng.normal(size=(m, m)) + (1j * rng.normal(size=(m, m)) if complex_a else 0.0)
+        g = shell_densities(basis, a)
+        oracle = shell_oracle.shell_densities(basis, a)
+        np.testing.assert_allclose(g, oracle, rtol=0, atol=1e-13 * np.abs(oracle).max())
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_the_two_routines_are_adjoint(self, d):
+        # sum_{mu nu} B_{mu nu} A_{mu nu} = sum_t tau_t sum_k w_k V_t(x_k)
+        # sum_n e^{2int} G_n(x_k), with B of V and G of A
+        basis = small_basis(d, 5)
+        rng = np.random.default_rng(12 + d)
+        t, tau = time_rule("random", rng)
+        shape = (t.size, basis.grid.npoints)
+        v = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        m = basis.size
+        a = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+        lhs = np.sum(time_averaged_operator(basis, (t, tau), v) * a)
+        g = shell_densities(basis, a)
+        top = (g.shape[0] - 1) // 2
+        rho = np.exp(2j * np.outer(t, np.arange(-top, top + 1))) @ g
+        rhs = np.sum(tau[:, None] * basis.grid.weights * v * rho)
+        assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
+
+    def test_no_dense_table_on_the_path(self, shell_basis):
+        # the same arrays from a basis whose M x K table is all NaN
+        basis = shell_basis
+        blind = dataclasses.replace(basis, eval_table=np.full_like(basis.eval_table, np.nan))
+        rng = np.random.default_rng(13)
+        tn = time_rule("random", rng)
+        shape = (tn[0].size, basis.grid.npoints)
+        v = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        a = rng.normal(size=(basis.size, basis.size)) + 1j * rng.normal(size=(basis.size,) * 2)
+        np.testing.assert_array_equal(
+            time_averaged_operator(blind, tn, v), time_averaged_operator(basis, tn, v)
+        )
+        np.testing.assert_array_equal(shell_densities(blind, a), shell_densities(basis, a))
 
 
 class TestMixedOperators:
