@@ -25,7 +25,6 @@ from .hermite import (
     build_basis,
     hermite_functions_1d,
     kernel_Kit,
-    propagated_density,
 )
 from .operators import (
     OrthonormalSystem,
@@ -34,6 +33,7 @@ from .operators import (
     kss_check,
     mixed_xp_operator,
     multiplication_matrix,
+    propagated_density,
     schatten_norm,
     shell_densities,
     time_averaged_operator,

@@ -41,9 +41,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermite import HermiteBasis, _table, box_multi_indices
+from .hermite import HermiteBasis, _table, box_multi_indices, build_basis
 from .operators import conjugate, density, multiplication_matrix, schatten_norm
-from .quadrature import tensor_grid
+from .quadrature import TensorGrid, tensor_grid
 
 __all__ = [
     "gaussian_interaction",
@@ -61,9 +61,11 @@ _MAX_ITER = 50
 
 
 def gaussian_interaction(basis: HermiteBasis, width: float):
-    """(points, G): (w * rho)(x_k) = sum_l G[k, l] rho(points[l]) at the basis
+    """(basis_y, G): (w * rho)(x_k) = sum_l G[k, l] rho(y_l) at the basis
     grid nodes x_k, for w = e^{-|x|^2 / width^2} and rho any density of the
-    basis.  The points are the order-(N + 1) rule's nodes over sqrt 2."""
+    basis.  The y_l are the order-(N + 1) rule's nodes over sqrt 2, and
+    basis_y is the basis on their grid (with the weights of that rule for
+    e^{-2|x|^2}), so ``density(basis_y, A)`` samples rho_A at the y_l."""
     s = basis.structure
     a = math.hypot(1.0, width)
     n = 2 * basis.per_dim_degree
@@ -76,7 +78,9 @@ def gaussian_interaction(basis: HermiteBasis, width: float):
     t = (-1.0) ** (mi.sum(axis=1) // 2)[:, None]
     out = _table(s, n, mi, basis.grid.nodes * (math.sqrt(2.0) / a)) * t
     scale = (width / a) ** s.d_eff * 2.0 ** (-0.5 * s.d_eff) / s.m_kappa
-    return q / math.sqrt(2.0), scale * (out.T @ (proj @ damped.T) @ (proj * t))
+    grid_y = TensorGrid(rule.orders, q / math.sqrt(2.0), rule.weights * 2.0 ** (-0.5 * s.d_eff))
+    g = scale * (out.T @ (proj @ damped.T) @ (proj * t))
+    return build_basis(s, basis.per_dim_degree, grid_y), g
 
 
 @dataclass
@@ -111,8 +115,8 @@ class HartreeConfig:
 def _potential_matrices(config: HartreeConfig, interaction, traj: np.ndarray) -> np.ndarray:
     """Multiplication matrices of coupling * (w * rho_{gamma(t)}) per node;
     ``interaction`` is ``gaussian_interaction(config.basis, config.width)``."""
-    points, g = interaction
-    rho = density(config.basis, traj, points)
+    basis_y, g = interaction
+    rho = density(basis_y, traj)
     return multiplication_matrix(config.basis, config.coupling * rho @ g.T)
 
 

@@ -1,5 +1,4 @@
-"""Generalized (Dunkl) Hermite basis, the kernel of e^{-itH}, and the density
-of an evolved system.
+"""Generalized (Dunkl) Hermite basis and the kernel of e^{-itH}.
 
 One-dimensional functions come from the ladder of the Z2 oscillator: with
 a_n = sqrt((n + 2 kappa [n odd]) / 2),
@@ -10,11 +9,11 @@ a_n = sqrt((n + 2 kappa [n odd]) / 2),
 so phi_{n+1} = (x phi_n - a_n phi_{n-1}) / a_{n+1}.  The functions are
 orthonormal in L^2 against |x|^{2 kappa} dx and their leading coefficients
 are positive, so phi_n(x) > 0 as x -> +inf; d-dimensional functions are
-tensor products over a box truncation mu_j <= N, tabulated at any points
-as one product of 1-D tables at the points' coordinates.  A basis keeps the
-1-D table of each axis at that axis's rule nodes, and its grid table is their
-product gathered at each grid point.  The n-th function satisfies
-H phi = (2n + 1 + 2 kappa) phi in one dimension, hence eigenvalues
+tensor products over a box truncation mu_j <= N.  A basis keeps only the
+1-D table of each axis at that axis's rule nodes: every sum over the grid
+is contracted one axis at a time against them (``operators``), and no
+(M, K) table of the d-dimensional functions is formed.  The n-th function
+satisfies H phi = (2n + 1 + 2 kappa) phi in one dimension, hence eigenvalues
 2|mu| + d + 2 gamma_kappa.  A state is its complex (M,) coefficient array in
 a basis, and e^{-itH} multiplies it by e^{-it lambda_mu}.  The kernel of
 e^{-itH} and that of the free flow (``freeprop.kernel_Lit``) share one
@@ -30,7 +29,7 @@ from itertools import product as _iproduct
 import numpy as np
 
 from .quadrature import TensorGrid
-from .structure import DunklStructure, _kernel_product, as_point_list, as_points
+from .structure import DunklStructure, _kernel_product, as_points
 
 __all__ = [
     "SingularTimeError",
@@ -38,7 +37,6 @@ __all__ = [
     "build_basis",
     "hermite_functions_1d",
     "kernel_Kit",
-    "propagated_density",
 ]
 
 
@@ -90,24 +88,18 @@ def _table(s: DunklStructure, n_degree: int, multi_indices: np.ndarray, points) 
 
 @dataclass(frozen=True)
 class HermiteBasis:
-    """Truncated orthonormal generalized-Hermite basis with its grid table."""
+    """Truncated orthonormal generalized-Hermite basis with its per-axis tables."""
 
     structure: DunklStructure
     per_dim_degree: int
     grid: TensorGrid
     multi_indices: np.ndarray   # (M, d)
     eigenvalues: np.ndarray     # (M,) values 2|mu| + d + 2 gamma
-    eval_table: np.ndarray      # (M, K) phi_mu at grid nodes
     axis_tables: tuple          # per axis j, (N + 1, 2 order_j) phi_n at that axis's nodes
 
     @property
     def size(self) -> int:
         return self.multi_indices.shape[0]
-
-    def evaluate(self, points) -> np.ndarray:
-        """phi_mu at arbitrary points, shape (M, npts)."""
-        pts = as_point_list(self.structure, points)
-        return _table(self.structure, self.per_dim_degree, self.multi_indices, pts)
 
 
 def build_basis(s: DunklStructure, n_degree: int, grid: TensorGrid) -> HermiteBasis:
@@ -120,32 +112,15 @@ def build_basis(s: DunklStructure, n_degree: int, grid: TensorGrid) -> HermiteBa
             )
     mi = box_multi_indices(s.d, n_degree)
     eig = 2.0 * mi.sum(axis=1) + s.d_eff
-    # the grid is row-major over the axes' rules: grid point k sits at node
-    # positions[j][k] of axis j, whose nodes are the points at position 0 on
-    # every other axis, one every prod(sizes[j + 1:]) points
+    # the grid is row-major over the axes' rules: the nodes of axis j are the
+    # points at position 0 on every other axis, one every prod(sizes[j + 1:]) points
     sizes = [2 * order for order in grid.orders]
-    positions = np.unravel_index(np.arange(grid.npoints), sizes)
     strides = [math.prod(sizes[j + 1:]) for j in range(s.d)]
     tables = tuple(
         hermite_functions_1d(k, n_degree, grid.nodes[:size * stride:stride, j])
         for j, (k, size, stride) in enumerate(zip(s.kappa, sizes, strides))
     )
-    # the product of _table, from the same 1-D values: bit for bit evaluate(grid.nodes)
-    table = np.ones((mi.shape[0], grid.npoints))
-    for j, t in enumerate(tables):
-        table *= t.take(positions[j], axis=1)[mi[:, j]]
-    return HermiteBasis(s, int(n_degree), grid, mi, eig, table, tables)
-
-
-def propagated_density(basis: HermiteBasis, coeffs, occupations, t) -> np.ndarray:
-    """sum_j n_j |e^{-itH} f_j|^2 on the basis grid at each time in t, shape
-    (T, K); ``coeffs`` is (J, M), one state per row, and n_j = Re occupations.
-    The states are added one at a time: no (T, J, K) stack is formed."""
-    phases = np.exp(-1j * np.atleast_1d(t)[:, None] * basis.eigenvalues)
-    out = np.zeros((phases.shape[0], basis.grid.npoints))
-    for c, n in zip(coeffs, np.real(occupations)):
-        out += np.abs((phases * c) @ basis.eval_table) ** 2 * n
-    return out
+    return HermiteBasis(s, int(n_degree), grid, mi, eig, tables)
 
 
 def _kernel_body(s: DunklStructure, z: complex, c: complex, b: complex, x, y):

@@ -16,13 +16,15 @@ operator.  It is exact in the truncated basis: the projection onto the box
 commutes with H, so conjugating the projected f(r x) is projecting the
 conjugated one.
 
-The time-averaged operator and the shell densities never form the dense
-(M, K) table: the basis is a box of multi-indices on a tensor grid, so
-phi_mu(x_k) = prod_j phi_{mu_j}(x_{k_j}), and a sum over the grid of
-phi_mu phi_nu times a function of the shell |mu| - |nu| is contracted one
-axis at a time against the axis's 1-D pair table phi_m phi_l (sum
+No routine forms the dense (M, K) table of basis values on the grid: the
+basis is a box of multi-indices on a tensor grid, so phi_mu(x_k) =
+prod_j phi_{mu_j}(x_{k_j}), and every sum over the grid of phi_mu phi_nu
+times a function of the shell |mu| - |nu| is contracted one axis at a time
+against the products phi_m phi_l of the axis's 1-D functions (sum
 factorization).  Each axis carries the degree offset that the later axes
-still owe and takes 2N + 1 products, one per value of mu_j - nu_j.
+still owe and takes 2N + 1 products, one per value of mu_j - nu_j.  A
+static function, as in a multiplication matrix or a density, is the same on
+every shell.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ __all__ = [
     "schatten_norm",
     "multiplication_matrix",
     "density",
+    "propagated_density",
     "shell_densities",
     "time_averaged_operator",
     "mixed_xp_operator",
@@ -114,28 +117,49 @@ def multiplication_matrix(basis: HermiteBasis, samples) -> np.ndarray:
 
     Exact when V times two basis functions is integrated exactly by the grid
     rule, i.e. for polynomially-bounded V of modest degree.  Samples of shape
-    (T, K) give a (T, M, M) stack, one matrix per row.
+    (T, K) give a (T, M, M) stack, one matrix per row: ``_shells_to_pairs``
+    of w V on every shell, the real and the imaginary part in turn.
     """
     samples = np.asarray(samples)
     if samples.ndim not in (1, 2) or samples.shape[-1] != basis.grid.npoints:
         raise ValueError(
             f"expected {basis.grid.npoints} samples per row, got {samples.shape}"
         )
-    weighted = basis.eval_table * (basis.grid.weights * samples)[..., None, :]
-    return weighted @ basis.eval_table.T
+    shells = 2 * basis.structure.d * basis.per_dim_degree + 1
+
+    def contract(v):
+        h = (basis.grid.weights * v)[..., None, :]
+        return _shells_to_pairs(basis, np.broadcast_to(h, (*v.shape[:-1], shells, v.shape[-1])))
+
+    if not np.iscomplexobj(samples):
+        return contract(samples)
+    return contract(samples.real) + 1j * contract(samples.imag)
 
 
-def density(basis: HermiteBasis, a, points=None) -> np.ndarray:
-    """Samples of rho_A(x) = sum_{mu nu} A_{mu nu} phi_mu(x) phi_nu(x).
-
-    On the basis grid by default; real part returned (exact for self-adjoint
-    A since the basis is real).  A (T, M, M) stack gives (T, K) samples.  The
-    table T of basis values is real, so
-    Re sum_{mu nu} A_{mu nu} T_{mu k} T_{nu k} = sum_mu ((Re A) T)_{mu k} T_{mu k}:
-    one real matrix product and a column sum.
+def density(basis: HermiteBasis, a) -> np.ndarray:
+    """Samples of rho_A(x) = sum_{mu nu} A_{mu nu} phi_mu(x) phi_nu(x) on the
+    basis grid: the real part (exact for self-adjoint A since the basis is
+    real), the shell densities of Re A summed over the shells.  A (T, M, M)
+    stack gives (T, K) samples.
     """
-    table = basis.eval_table if points is None else basis.evaluate(points)
-    return ((np.real(a) @ table) * table).sum(axis=-2)
+    return _pairs_to_shells(basis, np.real(a)).sum(axis=-2)
+
+
+def propagated_density(basis: HermiteBasis, coeffs, occupations, t) -> np.ndarray:
+    """sum_j n_j |e^{-itH} f_j|^2 on the basis grid at each time in t, shape
+    (T, K); ``coeffs`` is (J, M), one state per row, and n_j = Re occupations.
+
+    The density of e^{-itH} A e^{itH}, A = sum_j n_j |f_j><f_j|, is
+    Re sum_n e^{-2int} G_n with G the shell densities of A, taken from the
+    real and the imaginary part of A in turn: one real G is alive at a time.
+    """
+    states = np.asarray(coeffs)
+    a = (states.T * np.real(occupations)) @ states.conj()
+    top = basis.structure.d * basis.per_dim_degree
+    angles = 2.0 * np.outer(np.atleast_1d(t), np.arange(-top, top + 1))
+    # Re(e^{-2int} G_n) = cos(2nt) Re G_n + sin(2nt) Im G_n
+    real = np.cos(angles) @ _pairs_to_shells(basis, a.real)
+    return real + np.sin(angles) @ _pairs_to_shells(basis, a.imag)
 
 
 def _degree_shells(basis: HermiteBasis):
@@ -147,19 +171,19 @@ def _degree_shells(basis: HermiteBasis):
     return degree, int(degree[-1])
 
 
-def _diagonals(n: int):
-    """(delta, rows) for each per-axis offset delta = -n..n: the rows of a
-    ((n + 1)^2, ...) array of pairs (m, l), row m (n + 1) + l, with
-    m - l = delta.  Each is a plain slice, so the rows are a view."""
+def _diagonals(phi):
+    """(delta, rows, pairs) for each per-axis offset delta = -N..N, from the
+    (N + 1, nodes) table phi of one axis: the rows of a ((N + 1)^2, ...)
+    array of pairs (m, l), row m (N + 1) + l, with m - l = delta, as a plain
+    slice (so the rows are a view), and phi_m phi_l at the nodes for those
+    pairs.  No (N + 1)^2 x nodes table of all the pairs is formed."""
+    n = phi.shape[0] - 1
     for delta in range(-n, n + 1):
-        start = delta * (n + 1) if delta >= 0 else -delta
-        yield delta, slice(start, start + (n - abs(delta)) * (n + 2) + 1, n + 2)
-
-
-def _pair_table(phi) -> np.ndarray:
-    """phi_m phi_l at the nodes of one axis from its (N + 1, nodes) table
-    phi: ((N + 1)^2, nodes), row m (N + 1) + l."""
-    return (phi[:, None] * phi).reshape(-1, phi.shape[1])
+        # the first pair on the diagonal
+        m, l = max(delta, 0), max(-delta, 0)
+        start = m * (n + 1) + l
+        rows = slice(start, start + (n - m - l) * (n + 2) + 1, n + 2)
+        yield delta, rows, phi[m:n + 1 - l] * phi[l:n + 1 - m]
 
 
 def _box_positions(basis: HermiteBasis):
@@ -173,61 +197,65 @@ def _box_positions(basis: HermiteBasis):
 
 def _shells_to_pairs(basis: HermiteBasis, h) -> np.ndarray:
     """sum_k phi_mu(x_k) phi_nu(x_k) h_{|mu|-|nu|}(x_k) for real samples h of
-    the shells n = -dN..dN on the basis grid, (2 d N + 1, K): a real (M, M)
-    matrix, by sum factorization.
+    the shells n = -dN..dN on the basis grid, (..., 2 d N + 1, K): a real
+    (..., M, M) stack, by sum factorization.
 
     Axis j turns the pairs (mu_j, nu_j) and the offset n - sum_{i<=j}
     (mu_i - nu_i) that the later axes still owe into one product per value of
     mu_j - nu_j, 2N + 1 of them, each over the 2 order_j nodes of the axis:
     about (N + 1)^2 (2 (d - 1) N + 1) K work for the first axis, less for
     the others, against M^2 K from a dense table.  Every product reads a
-    view of the state and writes into the next one: no state is transposed
-    or copied.
+    view of the state and writes into the next one.  The stack is the
+    outermost batch axis of every product, so each row takes the products it
+    would take alone.
     """
     n = basis.per_dim_degree
-    # before axis j: (offset, pairs_0, ..., pairs_{j-1}, K_j, ..., K_{d-1})
-    state = h.reshape(-1, *(phi.shape[1] for phi in basis.axis_tables))
+    # before axis j: (stack, offset, pairs_0, ..., pairs_{j-1}, K_j, ..., K_{d-1})
+    state = h.reshape(-1, h.shape[-2], *(phi.shape[1] for phi in basis.axis_tables))
+    stack = state.shape[0]
     for j, phi in enumerate(basis.axis_tables):
-        pairs = _pair_table(phi)
-        head, nodes, tail = state.shape[1:j + 1], state.shape[j + 1], state.shape[j + 2:]
-        width = state.shape[0] - 2 * n
-        out = np.empty((width, *head, pairs.shape[0], *tail))
-        flat = out.reshape(-1, pairs.shape[0], math.prod(tail))
-        for delta, rows in _diagonals(n):
+        nodes, tail = state.shape[j + 2], state.shape[j + 3:]
+        width = state.shape[1] - 2 * n
+        out = np.empty((stack, width, *state.shape[2:j + 2], (n + 1) ** 2, *tail))
+        flat = out.reshape(stack, -1, (n + 1) ** 2, math.prod(tail))
+        for delta, rows, pairs in _diagonals(phi):
             # the view of the state is left unnamed, so the state is freed when replaced
-            flat[:, rows] = pairs[rows] @ state[n + delta:n + delta + width].reshape(
-                flat.shape[0], nodes, -1
+            flat[:, :, rows] = pairs @ state[:, n + delta:n + delta + width].reshape(
+                *flat.shape[:2], nodes, -1
             )
         state = out
     box, axes = _box_positions(basis)
-    full = state.reshape((n + 1,) * len(axes)).transpose(axes).reshape(box.size, box.size)
-    return full[np.ix_(box, box)]
+    full = state.reshape(stack, *(n + 1,) * len(axes)).transpose(0, *np.add(axes, 1))
+    full = full.reshape(stack, box.size, box.size)[:, box[:, None], box]
+    return full.reshape(*h.shape[:-2], box.size, box.size)
 
 
 def _pairs_to_shells(basis: HermiteBasis, a) -> np.ndarray:
     """The adjoint of ``_shells_to_pairs``: sum over |mu| - |nu| = n of
     a_{mu nu} phi_mu phi_nu on the basis grid, n = -dN..dN, for a real
-    (M, M) matrix a: (2 d N + 1, K), by the same per-axis products in
-    reverse."""
+    (..., M, M) stack a: (..., 2 d N + 1, K), by the same per-axis products
+    in reverse."""
     n = basis.per_dim_degree
     box, axes = _box_positions(basis)
-    full = np.empty((box.size, box.size))
-    full[np.ix_(box, box)] = a
-    # after axis j: (offset, pairs_0, ..., pairs_{j-1}, K_j, ..., K_{d-1})
-    state = full.reshape((n + 1,) * len(axes)).transpose(np.argsort(axes))
-    state = state.reshape(1, *((n + 1) ** 2,) * basis.structure.d)
+    # box is a permutation of the rows: its inverse takes them to box order
+    inverse = np.argsort(box)
+    state = a.reshape(-1, box.size, box.size)[:, inverse[:, None], inverse]
+    stack = state.shape[0]
+    # after axis j: (stack, offset, pairs_0, ..., pairs_{j-1}, K_j, ..., K_{d-1})
+    state = state.reshape(stack, *(n + 1,) * len(axes)).transpose(0, *np.add(np.argsort(axes), 1))
+    state = state.reshape(stack, 1, *((n + 1) ** 2,) * basis.structure.d)
     for j in reversed(range(basis.structure.d)):
-        pairs = _pair_table(basis.axis_tables[j])
-        head, tail = state.shape[1:j + 1], state.shape[j + 2:]
-        width, nodes = state.shape[0], pairs.shape[1]
-        out = np.zeros((width + 2 * n, *head, nodes, *tail))
-        part = state.reshape(-1, pairs.shape[0], math.prod(tail))
-        for delta, rows in _diagonals(n):
+        phi = basis.axis_tables[j]
+        tail = state.shape[j + 3:]
+        width, nodes = state.shape[1], phi.shape[1]
+        out = np.zeros((stack, width + 2 * n, *state.shape[2:j + 2], nodes, *tail))
+        part = state.reshape(stack, -1, (n + 1) ** 2, math.prod(tail))
+        for delta, rows, pairs in _diagonals(phi):
             # a slice of whole offsets of a fresh array: the reshape is a view
-            target = out[n + delta:n + delta + width].reshape(part.shape[0], nodes, -1)
-            target += pairs[rows].T @ part[:, rows]
+            target = out[:, n + delta:n + delta + width].reshape(*part.shape[:2], nodes, -1)
+            target += pairs.T @ part[:, :, rows]
         state = out
-    return state.reshape(state.shape[0], -1)
+    return state.reshape(*a.shape[:-2], state.shape[1], -1)
 
 
 def shell_densities(basis: HermiteBasis, a) -> np.ndarray:
@@ -236,9 +264,8 @@ def shell_densities(basis: HermiteBasis, a) -> np.ndarray:
 
     The adjoint of ``time_averaged_operator``: as the flow multiplies entry
     (mu, nu) by e^{-2it(|mu| - |nu|)}, the density of e^{-itH} A e^{itH} is
-    Re sum_n e^{-2int} G_n at every t.  G comes one axis at a time from the
-    per-axis tables (sum factorization), the real and the imaginary part of
-    A in turn, with no M x K table.
+    Re sum_n e^{-2int} G_n at every t.  G is ``_pairs_to_shells`` of the
+    real and the imaginary part of A in turn.
     """
     a = np.asarray(a)
     if a.shape != (basis.size, basis.size):
@@ -258,10 +285,8 @@ def time_averaged_operator(basis: HermiteBasis, time_nodes, v_samples) -> np.nda
     lambda_mu = 2|mu| + d_eff, B_{mu nu} = sum_k w_k phi_mu(x_k) phi_nu(x_k)
     V_{|mu|-|nu|}(x_k) over the grid (w the grid weights) with time harmonics
     V_n = sum_t tau_t e^{2int} V_t, |n| <= max |mu|: one product over the T
-    nodes, then B one axis at a time from the per-axis tables (sum
-    factorization), the real and the imaginary harmonics in turn.  Each axis
-    takes 2N + 1 products, one per value of mu_j - nu_j, in place of the
-    M^2 K work of a dense table.
+    nodes, then B by ``_shells_to_pairs`` of the real and the imaginary
+    harmonics in turn.
     """
     t, tau = (np.asarray(v, dtype=float) for v in time_nodes)
     if t.ndim != 1 or t.shape != tau.shape or not np.isfinite(t + tau).all():

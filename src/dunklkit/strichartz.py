@@ -18,8 +18,9 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .hermite import HermiteBasis, propagated_density
-from .operators import OrthonormalSystem, _degree_shells, schatten_norm, shell_densities
+from .hermite import HermiteBasis
+from .operators import (OrthonormalSystem, _degree_shells, propagated_density, schatten_norm,
+                        shell_densities)
 from .quadrature import mixed_norm, time_grid
 
 __all__ = [

@@ -22,7 +22,6 @@ import numpy as np
 __all__ = [
     "DunklStructure",
     "as_points",
-    "as_point_list",
     "dunkl_kernel_1d",
 ]
 
@@ -67,16 +66,6 @@ def as_points(s: DunklStructure, x) -> np.ndarray:
         return x[..., None]
     if x.ndim == 0 or x.shape[-1] != s.d:
         raise ValueError(f"point has wrong dimension for d={s.d}: shape {x.shape}")
-    return x
-
-
-def as_point_list(s: DunklStructure, x) -> np.ndarray:
-    """Strict (n, d) list of points; accepts a flat array when d = 1."""
-    x = np.asarray(x, dtype=float)
-    if s.d == 1 and x.ndim == 1:
-        x = x[:, None]
-    if x.ndim != 2 or x.shape[1] != s.d:
-        raise ValueError(f"expected an (n, {s.d}) array of points, got shape {x.shape}")
     return x
 
 

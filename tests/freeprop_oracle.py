@@ -22,7 +22,8 @@ from dunklkit import (
     time_grid,
     weighted_lp_norm,
 )
-from dunklkit.structure import as_point_list
+
+from shell_oracle import as_point_list, evaluate
 
 
 def free_evolve_via_lens(basis: HermiteBasis, coeffs, v: float, x_eval) -> np.ndarray:
@@ -33,7 +34,7 @@ def free_evolve_via_lens(basis: HermiteBasis, coeffs, v: float, x_eval) -> np.nd
     the lens amplitude."""
     pts = as_point_list(basis.structure, x_eval)
     lens = LensMap(v, basis.structure.d_eff)
-    inner = basis.evaluate(pts / lens.scale)
+    inner = evaluate(basis, pts / lens.scale)
     phase = np.exp(0.5j * lens.v / (1.0 + lens.v**2) * (pts * pts).sum(axis=-1))
     spect = np.exp(-1j * lens.t_hermite * basis.eigenvalues)
     return coeffs @ ((spect[:, None] * inner) * phase / lens.amplitude)
@@ -53,7 +54,7 @@ def free_propagator_matrix(basis: HermiteBasis, tau: float) -> np.ndarray:
     # projects it to round-off, as closely as one matched to its decay.
     grid = tensor_grid(basis.structure, 2 * (basis.per_dim_degree + 2))
     columns = free_evolve_via_lens(basis, np.eye(basis.size), 2.0 * tau, grid.nodes)
-    return (basis.evaluate(grid.nodes) * grid.weights) @ columns.T
+    return (evaluate(basis, grid.nodes) * grid.weights) @ columns.T
 
 
 def norm_transport_check(basis: HermiteBasis, coeffs, p: float, q: float, n_time: int = 256):

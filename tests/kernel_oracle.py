@@ -14,6 +14,8 @@ import numpy as np
 from dunklkit import DunklStructure, HermiteBasis, plain_rule
 from dunklkit.hermite import _kernel_body
 
+from shell_oracle import evaluate
+
 
 def mehler_closed_form(s: DunklStructure, w: complex, x, y):
     """Closed form of sum_mu phi_mu(x) phi_mu(y) w^{|mu|} for |w| < 1."""
@@ -46,7 +48,7 @@ def kernel_quadrature(basis: HermiteBasis, coeffs, kernel, eval_points, order_fa
         raise NotImplementedError("kernel quadrature implemented for d = 1")
     n = order_factor * (basis.per_dim_degree + 2)
     ynodes, yweights = plain_rule(s.kappa[0], n, sigma=0.5)
-    fvals = coeffs @ basis.evaluate(ynodes)
+    fvals = coeffs @ evaluate(basis, ynodes)
     pts = np.asarray(eval_points, dtype=float)
     kern = kernel(pts[:, None], ynodes[None, :])
     return kern @ (yweights * fvals)

@@ -1,10 +1,13 @@
-"""The time-averaged operator and the shell densities block by block of degree
-shells: the oracle for ``operators.time_averaged_operator`` and
-``operators.shell_densities``.
+"""The dense (M, K) table of basis values on the grid, and the grid
+contractions on it: the oracle for the per-axis contractions of
+``operators``.
 
-Both read the dense (M, K) table of basis values on the grid and loop over
-all (top + 1)^2 pairs of degree shells |mu| = a, |nu| = c, one M_a x M_c
-block at a time: M^2 K work where the package contracts one axis at a time.
+``eval_table`` is the product over the axes of the 1-D functions at each
+grid point's coordinates, ``evaluate`` the same at arbitrary points.  On the
+table, the density, the multiplication matrix and the evolved density of a
+system are one dense product each (M^2 K work), and the time-averaged
+operator and the shell densities loop over all (top + 1)^2 pairs of degree
+shells |mu| = a, |nu| = c, one M_a x M_c block at a time.
 """
 
 from __future__ import annotations
@@ -12,6 +15,52 @@ from __future__ import annotations
 import numpy as np
 
 from dunklkit import HermiteBasis
+from dunklkit.hermite import _table
+
+
+def as_point_list(s, x) -> np.ndarray:
+    """Strict (n, d) list of points; accepts a flat array when d = 1."""
+    x = np.asarray(x, dtype=float)
+    if s.d == 1 and x.ndim == 1:
+        x = x[:, None]
+    if x.ndim != 2 or x.shape[1] != s.d:
+        raise ValueError(f"expected an (n, {s.d}) array of points, got shape {x.shape}")
+    return x
+
+
+def evaluate(basis: HermiteBasis, points) -> np.ndarray:
+    """phi_mu at arbitrary points, shape (M, npts)."""
+    pts = as_point_list(basis.structure, points)
+    return _table(basis.structure, basis.per_dim_degree, basis.multi_indices, pts)
+
+
+def eval_table(basis: HermiteBasis) -> np.ndarray:
+    """phi_mu at the grid nodes, shape (M, K)."""
+    return evaluate(basis, basis.grid.nodes)
+
+
+def density(basis: HermiteBasis, a, points=None) -> np.ndarray:
+    """Re sum_{mu nu} A_{mu nu} phi_mu phi_nu on the grid, or at the points;
+    a (T, M, M) stack gives (T, K)."""
+    table = eval_table(basis) if points is None else evaluate(basis, points)
+    return ((np.real(a) @ table) * table).sum(axis=-2)
+
+
+def multiplication_matrix(basis: HermiteBasis, samples) -> np.ndarray:
+    """sum_k w_k V(x_k) phi_mu(x_k) phi_nu(x_k); (T, K) samples give (T, M, M)."""
+    table = eval_table(basis)
+    return (table * (basis.grid.weights * np.asarray(samples))[..., None, :]) @ table.T
+
+
+def propagated_density(basis: HermiteBasis, coeffs, occupations, t) -> np.ndarray:
+    """sum_j n_j |e^{-itH} f_j|^2 on the grid at each time in t, one state at
+    a time: (T, K)."""
+    table = eval_table(basis)
+    phases = np.exp(-1j * np.atleast_1d(t)[:, None] * basis.eigenvalues)
+    out = np.zeros((phases.shape[0], basis.grid.npoints))
+    for c, n in zip(coeffs, np.real(occupations)):
+        out += np.abs((phases * c) @ table) ** 2 * n
+    return out
 
 
 def degree_shells(basis: HermiteBasis):
@@ -28,7 +77,7 @@ def shell_densities(basis: HermiteBasis, a) -> np.ndarray:
     grid, n = -top..top: shape (2 top + 1, K), complex."""
     a = np.asarray(a)
     top, shells = degree_shells(basis)
-    table = basis.eval_table
+    table = eval_table(basis)
     g = np.zeros((2 * top + 1, basis.grid.npoints), dtype=complex)
     for i, rows in enumerate(shells):
         for j, cols in enumerate(shells):
@@ -46,7 +95,7 @@ def time_averaged_operator(basis: HermiteBasis, time_nodes, v_samples) -> np.nda
     top, shells = degree_shells(basis)
     phases = tau * np.exp(2j * np.outer(np.arange(-top, top + 1), t))
     harmonics = (phases.real @ v_samples + 1j * (phases.imag @ v_samples)) * basis.grid.weights
-    table = basis.eval_table
+    table = eval_table(basis)
     b = np.empty((basis.size, basis.size), dtype=complex)
     for a, rows in enumerate(shells):
         for c, cols in enumerate(shells):

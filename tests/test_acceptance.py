@@ -27,6 +27,7 @@ from dunklkit import (
 from dunklkit.strichartz import duhamel_solution
 
 from conftest import random_state
+from shell_oracle import eval_table
 from freeprop_oracle import free_evolve_via_lens, norm_transport_check
 from kernel_oracle import kernel_quadrature, mehler_closed_form
 
@@ -127,7 +128,7 @@ def test_criterion_05_dual_method_propagation(basis_1d_half):
     for seed in range(3):
         u = random_state(basis, seed=seed, band=basis.per_dim_degree // 2)
         for t in (0.3, 0.7):
-            spect = (np.exp(-1j * t * basis.eigenvalues) * u) @ basis.eval_table
+            spect = (np.exp(-1j * t * basis.eigenvalues) * u) @ eval_table(basis)
             direct = kernel_quadrature(
                 basis, u, lambda x, y: kernel_Kit(s, t, x, y), grid_x, order_factor=10
             )

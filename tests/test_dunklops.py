@@ -11,6 +11,8 @@ from dunklkit import (
     tensor_grid,
 )
 
+from shell_oracle import eval_table
+
 
 def dunkl_action(kappa, nmax, x):
     """Values of T phi_n at x for n = 0..nmax, shape (nmax + 1, len(x)): the
@@ -56,7 +58,7 @@ class TestMatrices:
         basis = request.getfixturevalue(fixture)
         kappa = basis.structure.kappa[0]
         x = basis.grid.nodes[:, 0]
-        table = basis.eval_table
+        table = eval_table(basis)
         weighted = table * basis.grid.weights
         np.testing.assert_allclose(
             position_operator_matrix(basis, 1), weighted @ (table * x).T, rtol=0, atol=1e-12

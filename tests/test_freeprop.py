@@ -17,6 +17,7 @@ from dunklkit import (
 from conftest import random_state
 from freeprop_oracle import free_evolve_via_lens, free_propagator_matrix, norm_transport_check
 from kernel_oracle import heat_kernel, kernel_quadrature
+from shell_oracle import eval_table, evaluate
 
 
 class TestHeatKernel:
@@ -154,7 +155,7 @@ class TestFreeEvolution:
         u = random_state(basis_1d_half, seed=8, band=16)
         x = np.linspace(-2, 2, 9)
         evolved = free_evolve_via_lens(basis_1d_half, u, 1e-4, x[:, None])
-        np.testing.assert_allclose(evolved, u @ basis_1d_half.evaluate(x[:, None]), atol=1e-3)
+        np.testing.assert_allclose(evolved, u @ evaluate(basis_1d_half, x[:, None]), atol=1e-3)
 
     def test_mass_conservation(self, basis_1d_half):
         # L^2_kappa norm preserved; evaluate on a dilated grid to capture the
@@ -226,7 +227,7 @@ class TestFreeEvolution:
         tau = 0.15
         coeffs = free_propagator_matrix(basis, tau) @ u
         x = np.linspace(-2.5, 2.5, 15)
-        via_matrix = coeffs @ basis.evaluate(x[:, None])
+        via_matrix = coeffs @ evaluate(basis, x[:, None])
         via_lens = free_evolve_via_lens(basis, u, 2 * tau, x[:, None])
         np.testing.assert_allclose(via_matrix, via_lens, atol=1e-5)
 
@@ -250,7 +251,7 @@ class TestNormTransport:
         p = 2.0 * q / (basis.structure.d_eff * (q - 1.0))
         lhs, rhs, full, quarter4 = norm_transport_check(basis, c, p, q, n_time=64)
         # |e^{-itH} phi_0| is t-independent: lhs = (pi/4) * ||phi_0^2||_q^p
-        dens = np.abs(c @ basis.eval_table) ** 2
+        dens = np.abs(c @ eval_table(basis)) ** 2
         from dunklkit import weighted_lp_norm
 
         expected = (np.pi / 4) * weighted_lp_norm(basis.grid, dens, q) ** p

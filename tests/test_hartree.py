@@ -11,11 +11,13 @@ from dunklkit import (
     hermite_functions_1d,
     multiplication_matrix,
     picard_step,
+    plain_rule,
     schatten_norm,
     solve_hartree,
     tensor_grid,
 )
 from dunklkit.hartree import _SCHATTEN_EXPONENT, _potential_matrices
+import shell_oracle
 from transform_oracle import DunklTransform1D, interaction_potential
 
 
@@ -38,9 +40,9 @@ def ground_state_operator(basis):
 def loop_potentials(config, traj):
     """The potential matrices one time node at a time."""
     basis = config.basis
-    points, g = gaussian_interaction(basis, config.width)
+    basis_y, g = gaussian_interaction(basis, config.width)
     return np.stack([
-        multiplication_matrix(basis, config.coupling * (g @ density(basis, gamma, points)))
+        multiplication_matrix(basis, config.coupling * (g @ density(basis_y, gamma)))
         for gamma in traj
     ])
 
@@ -138,8 +140,8 @@ class TestInteraction:
         s = DunklStructure(d, (0.0,) * d)
         basis = build_basis(s, n_degree, tensor_grid(s, order))
         gamma = full_degree_operator(basis, seed=d)
-        points, g = gaussian_interaction(basis, width)
-        got = g @ density(basis, gamma, points)
+        basis_y, g = gaussian_interaction(basis, width)
+        got = g @ density(basis_y, gamma)
         expected = direct_convolution(basis, gamma, width)
         assert np.abs(got - expected).max() <= 1e-9 * np.abs(expected).max()
 
@@ -151,11 +153,11 @@ class TestInteraction:
         s = DunklStructure(1, (kappa,))
         basis = build_basis(s, 32, tensor_grid(s, 48))
         gamma = full_degree_operator(basis, seed=7)
-        points, g = gaussian_interaction(basis, width)
-        got = g @ density(basis, gamma, points)
+        basis_y, g = gaussian_interaction(basis, width)
+        got = g @ density(basis_y, gamma)
         tr = DunklTransform1D(kappa, order=120)
         expected = np.real(interaction_potential(
-            tr, np.exp(-((tr.nodes / width) ** 2)), density(basis, gamma, tr.nodes),
+            tr, np.exp(-((tr.nodes / width) ** 2)), shell_oracle.density(basis, gamma, tr.nodes),
             basis.grid.nodes[:, 0],
         ))
         assert np.abs(got - expected).max() <= tol * np.abs(expected).max()
@@ -165,18 +167,41 @@ class TestInteraction:
         # nodes reach |x| = 39.5 at order 400, where e^{|x|^2 / 2} overflows
         s = DunklStructure(1, (0.5,))
         basis = build_basis(s, 16, tensor_grid(s, 400))
-        points, g = gaussian_interaction(basis, width)
+        basis_y, g = gaussian_interaction(basis, width)
         assert np.isfinite(g).all()
-        w = g @ density(basis, full_degree_operator(basis, seed=1), points)
+        w = g @ density(basis_y, full_degree_operator(basis, seed=1))
         assert np.isfinite(w).all() and w.min() >= -1e-12 * w.max() and w.max() > 0.0
+
+    @pytest.mark.parametrize("fixture", ["basis_1d_half", "basis_2d"])
+    def test_interaction_basis(self, request, fixture):
+        # the basis on the order-(N + 1) rule for e^{-2|x|^2}, whose nodes are
+        # those of the rule for e^{-|x|^2} over sqrt 2: its density is the
+        # dense table's at those nodes
+        basis = request.getfixturevalue(fixture)
+        s, n = basis.structure, basis.per_dim_degree
+        basis_y, _ = gaussian_interaction(basis, 0.7)
+        rules = [plain_rule(kappa, n + 1, sigma=2.0) for kappa in s.kappa]
+        nodes = np.meshgrid(*(r[0] for r in rules), indexing="ij")
+        weights = np.meshgrid(*(r[1] for r in rules), indexing="ij")
+        np.testing.assert_allclose(
+            basis_y.grid.nodes, np.stack([x.ravel() for x in nodes], axis=-1), rtol=1e-15
+        )
+        np.testing.assert_allclose(basis_y.grid.weights, np.prod(weights, axis=0).ravel(),
+                                   rtol=1e-13)
+        gamma = full_degree_operator(basis, seed=5)
+        points = tensor_grid(s, n + 1).nodes / np.sqrt(2.0)
+        oracle = shell_oracle.density(basis, gamma, points)
+        np.testing.assert_allclose(
+            density(basis_y, gamma), oracle, rtol=0, atol=1e-13 * np.abs(oracle).max()
+        )
 
     def test_heat_route_is_positive_and_covariant(self, basis_1d_half):
         # the kernel of w * . is positive, and rho(-x) gives W(-x)
         gamma = full_degree_operator(basis_1d_half, seed=3)
-        points, g = gaussian_interaction(basis_1d_half, 0.7)
-        w = g @ density(basis_1d_half, gamma, points)
+        basis_y, g = gaussian_interaction(basis_1d_half, 0.7)
+        w = g @ density(basis_y, gamma)
         parity = (-1.0) ** basis_1d_half.multi_indices[:, 0]
-        w_flip = g @ density(basis_1d_half, parity[:, None] * gamma * parity, points)
+        w_flip = g @ density(basis_y, parity[:, None] * gamma * parity)
         assert w.min() >= -1e-13 * w.max()
         np.testing.assert_allclose(w_flip, w[::-1], rtol=0, atol=1e-13 * w.max())
 

@@ -17,6 +17,7 @@ from dunklkit.hermite import box_multi_indices
 
 from conftest import random_state
 from kernel_oracle import kernel_quadrature, mehler_closed_form
+from shell_oracle import eval_table, evaluate
 
 
 class TestBasis:
@@ -67,7 +68,7 @@ class TestBasis:
         assert np.abs(table - ref).max() <= 1e-13 * np.abs(table).max()
 
     def test_positive_at_infinity_sign_convention(self, basis_1d_one):
-        vals = basis_1d_one.evaluate(np.array([[6.0]]))
+        vals = evaluate(basis_1d_one, np.array([[6.0]]))
         # e^{-18} suppressed but the sign of every function is + at large x
         assert np.all(vals[:20] > 0)
 
@@ -80,19 +81,23 @@ class TestBasis:
     def test_project_roundtrip(self, basis_1d_half):
         u = random_state(basis_1d_half, seed=3, band=20)
         # quadrature projection of Gaussian-enveloped samples onto the basis
-        samples = u @ basis_1d_half.eval_table
-        coeffs = (basis_1d_half.eval_table * basis_1d_half.grid.weights) @ samples
+        samples = u @ eval_table(basis_1d_half)
+        coeffs = (eval_table(basis_1d_half) * basis_1d_half.grid.weights) @ samples
         np.testing.assert_allclose(coeffs, u, atol=1e-10)
 
     @pytest.mark.parametrize("d, orders", [(1, 20), (2, [12, 16]), (3, [5, 4, 6])])
     def test_tables_from_the_axis_tables(self, d, orders):
-        # the grid table is the product of the per-axis tables, bit for bit
-        # the values at the grid's points, and each axis table holds the 1-D
-        # functions at that axis's rule nodes
+        # the product of the per-axis tables, gathered at each grid point, is
+        # bit for bit the values at the grid's points, and each axis table
+        # holds the 1-D functions at that axis's rule nodes
         s = DunklStructure(d, (0.5, 1.0, 0.0)[:d])
         grid = tensor_grid(s, orders)
         basis = build_basis(s, 3, grid)
-        np.testing.assert_array_equal(basis.eval_table, basis.evaluate(grid.nodes))
+        positions = np.unravel_index(np.arange(grid.npoints), [2 * o for o in grid.orders])
+        table = np.ones((basis.size, grid.npoints))
+        for j, axis_table in enumerate(basis.axis_tables):
+            table *= axis_table[:, positions[j]][basis.multi_indices[:, j]]
+        np.testing.assert_array_equal(table, evaluate(basis, grid.nodes))
         for j, (kappa, order, table) in enumerate(zip(s.kappa, grid.orders, basis.axis_tables)):
             nodes = np.unique(grid.nodes[:, j])
             assert nodes.size == 2 * order
@@ -197,7 +202,7 @@ class TestPropagation:
         u = random_state(basis_1d_half, seed=5, band=16)
         x = np.linspace(-3, 3, 21)
         basis = basis_1d_half
-        spectral = (np.exp(-1j * t * basis.eigenvalues) * u) @ basis.evaluate(x[:, None])
+        spectral = (np.exp(-1j * t * basis.eigenvalues) * u) @ evaluate(basis, x[:, None])
         s = basis.structure
         direct = kernel_quadrature(basis, u, lambda x, y: kernel_Kit(s, t, x, y), x)
         np.testing.assert_allclose(direct, spectral, atol=1e-8)
@@ -224,7 +229,7 @@ class TestPropagation:
         occupations = np.linspace(1.0, 0.2, j_count)
         times = np.array([-2.1, 0.0, 0.4, np.pi / 2 + 1e-9])
         oracle = np.stack([
-            sum(n * np.abs((np.exp(-1j * t * basis.eigenvalues) * u) @ basis.eval_table) ** 2
+            sum(n * np.abs((np.exp(-1j * t * basis.eigenvalues) * u) @ eval_table(basis)) ** 2
                 for n, u in zip(occupations, states))
             for t in times
         ])

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from dunklkit import (
     kss_check,
     mixed_xp_operator,
     multiplication_matrix,
+    propagated_density,
     schatten_norm,
     shell_densities,
     tensor_grid,
@@ -23,6 +25,7 @@ from dunklkit.quadrature import time_grid
 
 from conftest import random_state
 import shell_oracle
+from shell_oracle import eval_table
 from freeprop_oracle import free_propagator_matrix
 
 
@@ -174,7 +177,7 @@ class TestDensity:
         u = random_state(basis_1d_half, seed=4)
         gam = np.outer(u, u.conj())
         np.testing.assert_allclose(
-            density(basis_1d_half, gam), np.abs(u @ basis_1d_half.eval_table) ** 2, atol=1e-12
+            density(basis_1d_half, gam), np.abs(u @ eval_table(basis_1d_half)) ** 2, atol=1e-12
         )
 
     def test_trace_duality(self, basis_1d_half):
@@ -202,8 +205,8 @@ class TestDensity:
     @pytest.mark.parametrize("hermitian", [False, True])
     @pytest.mark.parametrize("fixture", ["basis_1d_half", "basis_2d"])
     def test_matches_three_operand_einsum(self, request, fixture, hermitian):
-        # oracle: the complex contraction Re sum_{mu nu} T_mk A_mn T_nk,
-        # on the grid and at arbitrary points
+        # oracle: the complex contraction Re sum_{mu nu} T_mk A_mn T_nk on
+        # the grid
         basis = request.getfixturevalue(fixture)
         rng = np.random.default_rng(12)
         m = basis.size
@@ -211,10 +214,9 @@ class TestDensity:
         if hermitian:
             a = a + a.conj().T
         a = a / m
-        points = rng.uniform(-2.5, 2.5, size=(37, basis.structure.d))
-        for pts, table in ((None, basis.eval_table), (points, basis.evaluate(points))):
-            oracle = np.real(np.einsum("mk,mn,nk->k", table, a, table))
-            np.testing.assert_allclose(density(basis, a, pts), oracle, rtol=0, atol=1e-12)
+        table = eval_table(basis)
+        oracle = np.real(np.einsum("mk,mn,nk->k", table, a, table))
+        np.testing.assert_allclose(density(basis, a), oracle, rtol=0, atol=1e-12)
 
 
 class TestStacks:
@@ -239,11 +241,7 @@ class TestStacks:
         rng = np.random.default_rng(6)
         m = basis.size
         a = (rng.normal(size=(3, m, m)) + 1j * rng.normal(size=(3, m, m))) / m
-        points = rng.uniform(-2.5, 2.5, size=(37, basis.structure.d))
-        for pts in (None, points):
-            np.testing.assert_array_equal(
-                density(basis, a, pts), np.stack([density(basis, g, pts) for g in a])
-            )
+        np.testing.assert_array_equal(density(basis, a), np.stack([density(basis, g) for g in a]))
 
 
 def dual_functional(basis, time_nodes, v_samples, qprime):
@@ -273,6 +271,24 @@ class TestDualFunctional:
         got = dual_functional(basis, (np.array([0.0]), np.array([2.0])), v[None, :], 2.0)
         direct = schatten_norm(2.0 * multiplication_matrix(basis, v), 4.0)
         assert got == pytest.approx(direct, rel=1e-12)
+
+    def test_time_rule_resolution(self, basis_1d_half):
+        # V = e^{-x^2/2} (1 + 0.3 cos 110t): with the shell phases e^{2int},
+        # |n| <= 32, the integrand holds frequencies up to 174.  The 64-node
+        # trapezoid rule on (-pi, pi) takes frequency 126 (shell n = 8) for a
+        # constant and moves the value beyond criterion 9's 1e-4; the 128-
+        # and 256-node rules integrate every frequency exactly and agree
+        basis = basis_1d_half
+        envelope = np.exp(-0.5 * basis.grid.nodes[:, 0] ** 2)
+        qprime = 1.0 + basis.structure.d_eff / 2.0
+        values = []
+        for n in (64, 128, 256):
+            t, tau = time_grid(-np.pi, np.pi, n)
+            v = envelope * (1.0 + 0.3 * np.cos(110.0 * t))[:, None]
+            values.append(dual_functional(basis, (t, tau), v, qprime))
+        v64, v128, v256 = values
+        assert abs(v64 - v128) > 1e-4 * v128
+        assert abs(v128 - v256) <= 1e-13 * v256
 
     def test_shape_validation(self, basis_1d_half):
         with pytest.raises(ValueError):
@@ -358,7 +374,6 @@ class TestTimeAveragedOperator:
             basis,
             multi_indices=basis.multi_indices[order],
             eigenvalues=basis.eigenvalues[order],
-            eval_table=basis.eval_table[order],
         )
         assert np.any(np.diff(shuffled.multi_indices.sum(axis=1)) < 0)
         tn = time_grid(-np.pi, np.pi, 16)
@@ -411,7 +426,7 @@ def shell_basis(request):
 
 
 class TestShellContractions:
-    """The per-axis contractions against the block-by-block oracle."""
+    """The per-axis contractions against the dense and block-by-block oracles."""
 
     @pytest.mark.parametrize("complex_v", [False, True], ids=["real-v", "complex-v"])
     @pytest.mark.parametrize("kind", ["trapezoid", "simpson", "midpoint", "random"])
@@ -454,19 +469,64 @@ class TestShellContractions:
         rhs = np.sum(tau[:, None] * basis.grid.weights * v * rho)
         assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
 
-    def test_no_dense_table_on_the_path(self, shell_basis):
-        # the same arrays from a basis whose M x K table is all NaN
+    @pytest.mark.parametrize("complex_v", [False, True], ids=["real-v", "complex-v"])
+    def test_multiplication_matrix_matches_table(self, shell_basis, complex_v):
+        # a (3, K) stack of potentials, and each row alone
         basis = shell_basis
-        blind = dataclasses.replace(basis, eval_table=np.full_like(basis.eval_table, np.nan))
-        rng = np.random.default_rng(13)
-        tn = time_rule("random", rng)
-        shape = (tn[0].size, basis.grid.npoints)
-        v = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        a = rng.normal(size=(basis.size, basis.size)) + 1j * rng.normal(size=(basis.size,) * 2)
-        np.testing.assert_array_equal(
-            time_averaged_operator(blind, tn, v), time_averaged_operator(basis, tn, v)
-        )
-        np.testing.assert_array_equal(shell_densities(blind, a), shell_densities(basis, a))
+        rng = np.random.default_rng(14)
+        shape = (3, basis.grid.npoints)
+        v = rng.normal(size=shape) + (1j * rng.normal(size=shape) if complex_v else 0.0)
+        v *= np.exp(-0.5 * (basis.grid.nodes**2).sum(axis=-1))
+        got = multiplication_matrix(basis, v)
+        oracle = shell_oracle.multiplication_matrix(basis, v)
+        np.testing.assert_allclose(got, oracle, rtol=0, atol=1e-13 * np.abs(oracle).max())
+        np.testing.assert_array_equal(got, np.stack([multiplication_matrix(basis, r) for r in v]))
+
+    @pytest.mark.parametrize("complex_a", [False, True], ids=["real-a", "complex-a"])
+    def test_density_matches_table(self, shell_basis, complex_a):
+        # a (3, M, M) stack of operators, and each one alone
+        basis = shell_basis
+        rng = np.random.default_rng(15)
+        shape = (3, basis.size, basis.size)
+        a = rng.normal(size=shape) + (1j * rng.normal(size=shape) if complex_a else 0.0)
+        got = density(basis, a)
+        oracle = shell_oracle.density(basis, a)
+        np.testing.assert_allclose(got, oracle, rtol=0, atol=1e-13 * np.abs(oracle).max())
+        np.testing.assert_array_equal(got, np.stack([density(basis, g) for g in a]))
+
+    def test_propagated_density_matches_states(self, shell_basis):
+        # the shell route against the states' values, one state at a time
+        basis = shell_basis
+        rng = np.random.default_rng(16)
+        states = np.stack([random_state(basis, seed=20 + j) for j in range(3)])
+        occupations = [1.0, 0.6, 0.3]
+        t = rng.uniform(-np.pi, np.pi, 5)
+        got = propagated_density(basis, states, occupations, t)
+        oracle = shell_oracle.propagated_density(basis, states, occupations, t)
+        np.testing.assert_allclose(got, oracle, rtol=0, atol=1e-13 * np.abs(oracle).max())
+
+    def test_memory_below_the_dense_table(self):
+        # building the basis and one density, multiplication matrix and
+        # evolved density take less memory than the (M, K) table alone would:
+        # about 0.69 of it at d = 3, N = 4, grid order 8 (M = 125, K = 4096)
+        s = DunklStructure(3, (0.5, 1.0, 0.0))
+        grid = tensor_grid(s, 8)
+        m, k = 5**3, grid.npoints
+        rng = np.random.default_rng(17)
+        a = rng.normal(size=(m, m))
+        v = rng.normal(size=k)
+        states = rng.normal(size=(2, m)) + 1j * rng.normal(size=(2, m))
+        tracemalloc.start()
+        try:
+            basis = build_basis(s, 4, grid)
+            density(basis, a)
+            multiplication_matrix(basis, v)
+            propagated_density(basis, states, np.ones(2), np.linspace(0.0, 1.0, 4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert basis.size == m
+        assert peak < m * k * 8
 
 
 class TestMixedOperators:

@@ -19,6 +19,7 @@ from dunklkit.strichartz import duhamel_solution
 from dunklkit.quadrature import time_grid, weighted_lp_norm
 
 import duhamel_oracle
+from shell_oracle import eval_table
 
 
 class TestExponents:
@@ -95,7 +96,7 @@ class TestInequality:
         basis = basis_1d_one
         q = 1.5
         [rep] = run_inequality(basis, [q], "basis_subset", 1, n_time=32)
-        dens = np.abs(basis.eval_table[0]) ** 2
+        dens = np.abs(eval_table(basis)[0]) ** 2
         tnorm = (2 * np.pi) ** (1.0 / rep.p)
         expected = tnorm * weighted_lp_norm(basis.grid, dens, q)
         assert rep.lhs == pytest.approx(expected, rel=1e-10)
@@ -139,7 +140,7 @@ class TestInequality:
             np.abs(1.0 / np.cos(2.0 * tv)) ** expo * weighted_lp_norm(
                 basis.grid,
                 sum(n.real * np.abs((np.exp(-1j * tv * basis.eigenvalues) * c)
-                                    @ basis.eval_table) ** 2
+                                    @ eval_table(basis)) ** 2
                     for n, c in zip(system.coeffs, system.states)),
                 q,
             )
