@@ -33,9 +33,7 @@ from .operators import (
     kss_check,
     mixed_xp_operator,
     multiplication_matrix,
-    propagated_density,
     schatten_norm,
-    shell_densities,
     time_averaged_operator,
 )
 from .quadrature import (

@@ -67,6 +67,10 @@ def load_config(path: str | None) -> dict:
         elif key == "kappa":
             cfg[key] = tuple(float(v) for v in value.replace(",", " ").split())
         elif key == "output":
+            # the report is written after all the work: its directory must be creatable
+            existing = next(p for p in (Path(value), *Path(value).parents) if p.exists())
+            if not existing.is_dir():
+                raise ValueError(f"line {lineno}: output {value!r}: {existing} is not a directory")
             cfg[key] = value
         else:
             raise ValueError(f"line {lineno}: unknown key {key!r}")

@@ -23,8 +23,9 @@ times a function of the shell |mu| - |nu| is contracted one axis at a time
 against the products phi_m phi_l of the axis's 1-D functions (sum
 factorization).  Each axis carries the degree offset that the later axes
 still owe and takes 2N + 1 products, one per value of mu_j - nu_j.  A
-static function, as in a multiplication matrix or a density, is the same on
-every shell.
+static function, as in a multiplication matrix or a static density, is the
+same on every shell: its shell axis is one wide, as in numpy broadcasting,
+and every product reads or writes that one shell, so no offset is carried.
 """
 
 from __future__ import annotations
@@ -43,8 +44,6 @@ __all__ = [
     "schatten_norm",
     "multiplication_matrix",
     "density",
-    "propagated_density",
-    "shell_densities",
     "time_averaged_operator",
     "mixed_xp_operator",
     "kss_check",
@@ -118,57 +117,54 @@ def multiplication_matrix(basis: HermiteBasis, samples) -> np.ndarray:
     Exact when V times two basis functions is integrated exactly by the grid
     rule, i.e. for polynomially-bounded V of modest degree.  Samples of shape
     (T, K) give a (T, M, M) stack, one matrix per row: ``_shells_to_pairs``
-    of w V on every shell, the real and the imaginary part in turn.
+    of w V on a one-wide shell axis, the real and the imaginary part in turn.
     """
     samples = np.asarray(samples)
     if samples.ndim not in (1, 2) or samples.shape[-1] != basis.grid.npoints:
         raise ValueError(
             f"expected {basis.grid.npoints} samples per row, got {samples.shape}"
         )
-    shells = 2 * basis.structure.d * basis.per_dim_degree + 1
 
     def contract(v):
-        h = (basis.grid.weights * v)[..., None, :]
-        return _shells_to_pairs(basis, np.broadcast_to(h, (*v.shape[:-1], shells, v.shape[-1])))
+        return _shells_to_pairs(basis, (basis.grid.weights * v)[..., None, :])
 
     if not np.iscomplexobj(samples):
         return contract(samples)
     return contract(samples.real) + 1j * contract(samples.imag)
 
 
-def density(basis: HermiteBasis, a) -> np.ndarray:
-    """Samples of rho_A(x) = sum_{mu nu} A_{mu nu} phi_mu(x) phi_nu(x) on the
-    basis grid: the real part (exact for self-adjoint A since the basis is
-    real), the shell densities of Re A summed over the shells.  A (T, M, M)
-    stack gives (T, K) samples.
+def density(basis: HermiteBasis, a, phases=None) -> np.ndarray:
+    """Samples on the basis grid of Re sum_n c_n G_n, with the shell
+    densities G_n = sum over |mu| - |nu| = n of a_{mu nu} phi_mu phi_nu,
+    n = -dN..dN, and c = ``phases``.
+
+    Without phases, every c_n is 1: this is rho_A(x) = Re sum_{mu nu}
+    A_{mu nu} phi_mu(x) phi_nu(x) (exact for self-adjoint A since the basis
+    is real), and a (T, M, M) stack gives (T, K) samples.  With phases,
+    ``a`` is one (M, M) operator and (..., 2 d N + 1) phases give (..., K)
+    samples.  As the flow multiplies entry (mu, nu) by e^{-2it(|mu| - |nu|)},
+    the density of e^{-itH} A e^{itH} takes the phases e^{-2int}; the
+    adjoint of ``time_averaged_operator``.  G is taken from the real and the
+    imaginary part of A in turn, Re(c G) = c' G' - c'' G'', so one real G is
+    alive at a time; the second pass is skipped when A or c is real.
     """
-    return _pairs_to_shells(basis, np.real(a)).sum(axis=-2)
-
-
-def propagated_density(basis: HermiteBasis, coeffs, occupations, t) -> np.ndarray:
-    """sum_j n_j |e^{-itH} f_j|^2 on the basis grid at each time in t, shape
-    (T, K); ``coeffs`` is (J, M), one state per row, and n_j = Re occupations.
-
-    The density of e^{-itH} A e^{itH}, A = sum_j n_j |f_j><f_j|, is
-    Re sum_n e^{-2int} G_n with G the shell densities of A, taken from the
-    real and the imaginary part of A in turn: one real G is alive at a time.
-    """
-    states = np.asarray(coeffs)
-    a = (states.T * np.real(occupations)) @ states.conj()
-    top = basis.structure.d * basis.per_dim_degree
-    angles = 2.0 * np.outer(np.atleast_1d(t), np.arange(-top, top + 1))
-    # Re(e^{-2int} G_n) = cos(2nt) Re G_n + sin(2nt) Im G_n
-    real = np.cos(angles) @ _pairs_to_shells(basis, a.real)
-    return real + np.sin(angles) @ _pairs_to_shells(basis, a.imag)
+    if phases is None:
+        return _pairs_to_shells(basis, np.real(a), static=True)[..., 0, :]
+    a = np.asarray(a)
+    if a.shape != (basis.size, basis.size):
+        raise ValueError(f"expected a {basis.size} x {basis.size} operator, got {a.shape}")
+    rho = np.real(phases) @ _pairs_to_shells(basis, a.real)
+    if np.iscomplexobj(a) and np.iscomplexobj(phases):
+        # not in place: with -= the heap kept too little room for the norms
+        # that follow, and R1 ``sweep`` took 3.5 times the page faults
+        rho = rho - np.imag(phases) @ _pairs_to_shells(basis, a.imag)
+    return rho
 
 
 def _degree_shells(basis: HermiteBasis):
-    """(degree, top): the total degree |mu| of each basis row and the largest
-    one.  The basis must be ordered by total degree."""
-    degree = basis.multi_indices.sum(axis=1)
-    if np.any(np.diff(degree) < 0):
-        raise ValueError("basis multi-indices must be ordered by total degree")
-    return degree, int(degree[-1])
+    """(degree, top): the total degree |mu| of each basis row, and the
+    largest one of the box, d N."""
+    return basis.multi_indices.sum(axis=1), basis.structure.d * basis.per_dim_degree
 
 
 def _diagonals(phi):
@@ -197,30 +193,33 @@ def _box_positions(basis: HermiteBasis):
 
 def _shells_to_pairs(basis: HermiteBasis, h) -> np.ndarray:
     """sum_k phi_mu(x_k) phi_nu(x_k) h_{|mu|-|nu|}(x_k) for real samples h of
-    the shells n = -dN..dN on the basis grid, (..., 2 d N + 1, K): a real
-    (..., M, M) stack, by sum factorization.
+    the shells n = -dN..dN on the basis grid, (..., 2 d N + 1, K), or of one
+    function on every shell, (..., 1, K): a real (..., M, M) stack, by sum
+    factorization.
 
     Axis j turns the pairs (mu_j, nu_j) and the offset n - sum_{i<=j}
     (mu_i - nu_i) that the later axes still owe into one product per value of
     mu_j - nu_j, 2N + 1 of them, each over the 2 order_j nodes of the axis:
     about (N + 1)^2 (2 (d - 1) N + 1) K work for the first axis, less for
-    the others, against M^2 K from a dense table.  Every product reads a
-    view of the state and writes into the next one.  The stack is the
-    outermost batch axis of every product, so each row takes the products it
-    would take alone.
+    the others, against M^2 K from a dense table; a one-wide shell axis owes
+    no offset and stays one wide.  Every product reads a view of the state
+    and writes into the next one.  The stack is the outermost batch axis of
+    every product, so each row takes the products it would take alone.
     """
     n = basis.per_dim_degree
+    shift = int(h.shape[-2] > 1)
     # before axis j: (stack, offset, pairs_0, ..., pairs_{j-1}, K_j, ..., K_{d-1})
     state = h.reshape(-1, h.shape[-2], *(phi.shape[1] for phi in basis.axis_tables))
     stack = state.shape[0]
     for j, phi in enumerate(basis.axis_tables):
         nodes, tail = state.shape[j + 2], state.shape[j + 3:]
-        width = state.shape[1] - 2 * n
+        width = state.shape[1] - 2 * n * shift
         out = np.empty((stack, width, *state.shape[2:j + 2], (n + 1) ** 2, *tail))
         flat = out.reshape(stack, -1, (n + 1) ** 2, math.prod(tail))
         for delta, rows, pairs in _diagonals(phi):
             # the view of the state is left unnamed, so the state is freed when replaced
-            flat[:, :, rows] = pairs @ state[:, n + delta:n + delta + width].reshape(
+            first = shift * (n + delta)
+            flat[:, :, rows] = pairs @ state[:, first:first + width].reshape(
                 *flat.shape[:2], nodes, -1
             )
         state = out
@@ -230,12 +229,13 @@ def _shells_to_pairs(basis: HermiteBasis, h) -> np.ndarray:
     return full.reshape(*h.shape[:-2], box.size, box.size)
 
 
-def _pairs_to_shells(basis: HermiteBasis, a) -> np.ndarray:
+def _pairs_to_shells(basis: HermiteBasis, a, static=False) -> np.ndarray:
     """The adjoint of ``_shells_to_pairs``: sum over |mu| - |nu| = n of
     a_{mu nu} phi_mu phi_nu on the basis grid, n = -dN..dN, for a real
     (..., M, M) stack a: (..., 2 d N + 1, K), by the same per-axis products
-    in reverse."""
+    in reverse.  ``static`` sums over the shells as it goes: (..., 1, K)."""
     n = basis.per_dim_degree
+    shift = 0 if static else 1
     box, axes = _box_positions(basis)
     # box is a permutation of the rows: its inverse takes them to box order
     inverse = np.argsort(box)
@@ -248,33 +248,15 @@ def _pairs_to_shells(basis: HermiteBasis, a) -> np.ndarray:
         phi = basis.axis_tables[j]
         tail = state.shape[j + 3:]
         width, nodes = state.shape[1], phi.shape[1]
-        out = np.zeros((stack, width + 2 * n, *state.shape[2:j + 2], nodes, *tail))
+        out = np.zeros((stack, width + 2 * n * shift, *state.shape[2:j + 2], nodes, *tail))
         part = state.reshape(stack, -1, (n + 1) ** 2, math.prod(tail))
         for delta, rows, pairs in _diagonals(phi):
             # a slice of whole offsets of a fresh array: the reshape is a view
-            target = out[:, n + delta:n + delta + width].reshape(*part.shape[:2], nodes, -1)
+            first = shift * (n + delta)
+            target = out[:, first:first + width].reshape(*part.shape[:2], nodes, -1)
             target += pairs.T @ part[:, :, rows]
         state = out
     return state.reshape(*a.shape[:-2], state.shape[1], -1)
-
-
-def shell_densities(basis: HermiteBasis, a) -> np.ndarray:
-    """G_n = sum over |mu| - |nu| = n of A_{mu nu} phi_mu phi_nu on the basis
-    grid, n = -top..top: shape (2 top + 1, K), complex.
-
-    The adjoint of ``time_averaged_operator``: as the flow multiplies entry
-    (mu, nu) by e^{-2it(|mu| - |nu|)}, the density of e^{-itH} A e^{itH} is
-    Re sum_n e^{-2int} G_n at every t.  G is ``_pairs_to_shells`` of the
-    real and the imaginary part of A in turn.
-    """
-    a = np.asarray(a)
-    if a.shape != (basis.size, basis.size):
-        raise ValueError(f"expected a {basis.size} x {basis.size} operator, got {a.shape}")
-    _, top = _degree_shells(basis)
-    g = np.empty((2 * top + 1, basis.grid.npoints), dtype=complex)
-    g.real = _pairs_to_shells(basis, np.real(a))
-    g.imag = _pairs_to_shells(basis, np.imag(a))
-    return g
 
 
 def time_averaged_operator(basis: HermiteBasis, time_nodes, v_samples) -> np.ndarray:

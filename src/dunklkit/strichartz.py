@@ -19,8 +19,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .hermite import HermiteBasis
-from .operators import (OrthonormalSystem, _degree_shells, propagated_density, schatten_norm,
-                        shell_densities)
+from .operators import OrthonormalSystem, _degree_shells, density, schatten_norm
 from .quadrature import mixed_norm, time_grid
 
 __all__ = [
@@ -164,7 +163,10 @@ def strichartz_lhs(
         weights = [sec ** (2.0 / pk + d_eff * (1.0 / qk - 1.0)) for qk, pk in pairs]
     else:
         raise ValueError(f"unknown flow {flow!r}")
-    rho = propagated_density(basis, system.states, system.coeffs, t)
+    # the density of e^{-itH} A e^{itH}, A = sum_j n_j |f_j><f_j|
+    a = (system.states.T * system.coeffs.real) @ system.states.conj()
+    _, top = _degree_shells(basis)
+    rho = density(basis, a, np.exp(-2j * np.outer(t, np.arange(-top, top + 1))))
     lhs = [mixed_norm((t, tau), basis.grid, w * rho, pk, qk)
            for w, (qk, pk) in zip(weights, pairs)]
     return lhs[0] if q_arr.ndim == 0 else np.array(lhs)
@@ -301,8 +303,8 @@ def inhomogeneous_check(
 
     Both sides go by degree shells, with no matrix work per time node: the
     density of gamma(t) is Re sum_n Phi_n(t) G_n with G the shell densities
-    of R0 (one sum-factorized pass) and Phi the shell phases ((2 top + 1) T S
-    scalars); |R(s)| = |r(s)| |R0| takes one eigendecomposition, and the rhs
+    of R0 and Phi the shell phases ((2 top + 1) T S scalars), one ``density``
+    call; |R(s)| = |r(s)| |R0| takes one eigendecomposition, and the rhs
     operator is |R0| times the shell sums sum_k tau_k |r(t_k)| e^{2int_k}.
     Everything is validated before any of this work.
     """
@@ -316,13 +318,7 @@ def inhomogeneous_check(
     rhs_weights = tau * np.abs(_profile(r_of_s, t))
     degree, top = _degree_shells(basis)
     phases = _shell_phases(r_of_s, t0, t, n_source_time, top)
-
-    g = shell_densities(basis, r0)
-    # real samples from real products, Re(Phi G) = Phi' G' - Phi'' G'', and G
-    # released before the norm: either complex array would set the peak memory
-    samples = phases.real @ g.real - phases.imag @ g.imag
-    del g
-    lhs = mixed_norm((t, tau), basis.grid, samples, pair.p, pair.q)
+    lhs = mixed_norm((t, tau), basis.grid, density(basis, r0, phases), pair.p, pair.q)
 
     evals, evecs = np.linalg.eigh(r0)
     rabs = (evecs * np.abs(evals)) @ evecs.conj().T

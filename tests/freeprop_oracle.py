@@ -17,7 +17,7 @@ import numpy as np
 from dunklkit import (
     HermiteBasis,
     LensMap,
-    propagated_density,
+    density,
     tensor_grid,
     time_grid,
     weighted_lp_norm,
@@ -71,8 +71,11 @@ def norm_transport_check(basis: HermiteBasis, coeffs, p: float, q: float, n_time
     grid = basis.grid
     t, tau = time_grid(1e-9, np.pi / 4.0 - 1e-9, n_time)
 
+    top = s.d * basis.per_dim_degree
+    a = np.outer(coeffs, np.conj(coeffs))
+
     def phi_p(times):
-        dens = propagated_density(basis, coeffs[None], np.ones(1), times)
+        dens = density(basis, a, np.exp(-2j * np.outer(times, np.arange(-top, top + 1))))
         return weighted_lp_norm(grid, dens, q) ** p
 
     lhs = float(np.sum(tau * phi_p(t)))

@@ -61,6 +61,18 @@ class TestConfig:
         )
         assert result.exit_code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("inside", ["", "sub"])
+    def test_output_names_a_file_exit_code(self, runner, small_config, tmp_path, inside):
+        # the report directory would fail at the end, after all the work
+        taken = tmp_path / "taken.txt"
+        taken.write_text("keep\n")
+        path = small_config
+        path.write_text(path.read_text().replace(str(tmp_path / "reports"), str(taken / inside)))
+        result = runner.invoke(main, ["-c", str(path), "mhls", "--n", "2", "--beta", "0.5"])
+        assert result.exit_code == EXIT_CONFIG
+        assert "CONFIG ERROR" in result.output
+        assert taken.read_text() == "keep\n"
+
     def test_non_numeric_kappa_exit_code(self, runner, small_config):
         path = small_config
         path.write_text(path.read_text().replace("kappa = 0.5", "kappa = half"))

@@ -7,10 +7,10 @@ from dunklkit import (
     DunklStructure,
     SingularTimeError,
     build_basis,
+    density,
     hermite_functions_1d,
     kernel_Kit,
     multiplication_matrix,
-    propagated_density,
     tensor_grid,
 )
 from dunklkit.hermite import box_multi_indices
@@ -233,7 +233,9 @@ class TestPropagation:
                 for n, u in zip(occupations, states))
             for t in times
         ])
-        got = propagated_density(basis, np.stack(states), occupations, times)
+        a = (np.stack(states).T * occupations) @ np.stack(states).conj()
+        top = basis.structure.d * basis.per_dim_degree
+        got = density(basis, a, np.exp(-2j * np.outer(times, np.arange(-top, top + 1))))
         assert got.shape == (times.size, basis.grid.npoints)
         tol = basis.size * np.finfo(float).eps * np.abs(oracle).max()
         np.testing.assert_allclose(got, oracle, rtol=0, atol=tol)

@@ -15,9 +15,7 @@ from dunklkit import (
     kss_check,
     mixed_xp_operator,
     multiplication_matrix,
-    propagated_density,
     schatten_norm,
-    shell_densities,
     tensor_grid,
     time_averaged_operator,
 )
@@ -32,6 +30,20 @@ from freeprop_oracle import free_propagator_matrix
 def rank_one(basis, seed=0, band=None):
     u = random_state(basis, seed=seed, band=band)
     return np.outer(u, u.conj())
+
+
+def shell_phases(basis, t):
+    """e^{-2int} for n = -dN..dN, one row per time: the phases of the
+    density of e^{-itH} A e^{itH}."""
+    top = basis.structure.d * basis.per_dim_degree
+    return np.exp(-2j * np.outer(t, np.arange(-top, top + 1)))
+
+
+def shells(basis, a):
+    """The complex shell densities G_n as rows, from ``density`` with the
+    unit-vector phases: Re G_n with c_n = 1, Im G_n with c_n = -i."""
+    unit = np.eye(2 * basis.structure.d * basis.per_dim_degree + 1)
+    return density(basis, a, unit) + 1j * density(basis, a, -1j * unit)
 
 
 class TestSchattenNorm:
@@ -365,9 +377,9 @@ class TestTimeAveragedOperator:
             time_averaged_operator(basis_1d_half, (t, tau), v)
 
     @pytest.mark.parametrize("fixture", ["basis_1d_half", "basis_2d"])
-    def test_rejects_basis_not_ordered_by_degree(self, request, fixture):
-        # a consistent basis whose modes are shuffled: the degree shells are
-        # no longer contiguous slices, so the shell form would give a wrong B
+    def test_shuffled_basis_is_equivariant(self, request, fixture):
+        # entries are placed by the multi-indices, so a basis whose modes are
+        # shuffled gives the permuted operator and the same density
         basis = request.getfixturevalue(fixture)
         order = np.random.default_rng(3).permutation(basis.size)
         shuffled = dataclasses.replace(
@@ -376,12 +388,15 @@ class TestTimeAveragedOperator:
             eigenvalues=basis.eigenvalues[order],
         )
         assert np.any(np.diff(shuffled.multi_indices.sum(axis=1)) < 0)
-        tn = time_grid(-np.pi, np.pi, 16)
-        v = np.ones((16, basis.grid.npoints))
-        with pytest.raises(ValueError, match="ordered by total degree"):
-            time_averaged_operator(shuffled, tn, v)
-        with pytest.raises(ValueError, match="ordered by total degree"):
-            shell_densities(shuffled, np.eye(basis.size))
+        rng = np.random.default_rng(8)
+        tn = time_rule("random", rng)
+        shape = (tn[0].size, basis.grid.npoints)
+        v = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        b = time_averaged_operator(basis, tn, v)
+        np.testing.assert_array_equal(time_averaged_operator(shuffled, tn, v), b[order][:, order])
+        m = basis.size
+        a = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+        np.testing.assert_array_equal(density(shuffled, a[order][:, order]), density(basis, a))
 
 
 class TestShellDensities:
@@ -393,16 +408,14 @@ class TestShellDensities:
         m = basis.size
         a = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
         t = rng.uniform(-np.pi, np.pi, 7)
-        g = shell_densities(basis, a)
-        top = (g.shape[0] - 1) // 2
-        assert g.shape == (2 * top + 1, basis.grid.npoints)
-        rho = (np.exp(-2j * np.outer(t, np.arange(-top, top + 1))) @ g).real
+        rho = density(basis, a, shell_phases(basis, t))
+        assert rho.shape == (t.size, basis.grid.npoints)
         oracle = density(basis, conjugate(basis, a, t))
         np.testing.assert_allclose(rho, oracle, rtol=0, atol=1e-13 * np.abs(oracle).max())
 
     def test_rejects_wrong_shape(self, basis_1d_half):
         with pytest.raises(ValueError, match="operator"):
-            shell_densities(basis_1d_half, np.eye(basis_1d_half.size - 1))
+            density(basis_1d_half, np.eye(basis_1d_half.size - 1), shell_phases(basis_1d_half, 0.3))
 
 
 def small_basis(d, orders):
@@ -447,7 +460,7 @@ class TestShellContractions:
         rng = np.random.default_rng(11)
         m = basis.size
         a = rng.normal(size=(m, m)) + (1j * rng.normal(size=(m, m)) if complex_a else 0.0)
-        g = shell_densities(basis, a)
+        g = shells(basis, a)
         oracle = shell_oracle.shell_densities(basis, a)
         np.testing.assert_allclose(g, oracle, rtol=0, atol=1e-13 * np.abs(oracle).max())
 
@@ -463,9 +476,8 @@ class TestShellContractions:
         m = basis.size
         a = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
         lhs = np.sum(time_averaged_operator(basis, (t, tau), v) * a)
-        g = shell_densities(basis, a)
-        top = (g.shape[0] - 1) // 2
-        rho = np.exp(2j * np.outer(t, np.arange(-top, top + 1))) @ g
+        g = shells(basis, a)
+        rho = shell_phases(basis, -t) @ g
         rhs = np.sum(tau[:, None] * basis.grid.weights * v * rho)
         assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
 
@@ -495,20 +507,25 @@ class TestShellContractions:
         np.testing.assert_array_equal(got, np.stack([density(basis, g) for g in a]))
 
     def test_propagated_density_matches_states(self, shell_basis):
-        # the shell route against the states' values, one state at a time
+        # the density of e^{-itH} A e^{itH}, A = sum_j n_j |f_j><f_j|, against
+        # the states' values one state at a time, and against the density of
+        # the conjugated operator one time at a time
         basis = shell_basis
         rng = np.random.default_rng(16)
         states = np.stack([random_state(basis, seed=20 + j) for j in range(3)])
         occupations = [1.0, 0.6, 0.3]
         t = rng.uniform(-np.pi, np.pi, 5)
-        got = propagated_density(basis, states, occupations, t)
+        a = (states.T * occupations) @ states.conj()
+        got = density(basis, a, shell_phases(basis, t))
         oracle = shell_oracle.propagated_density(basis, states, occupations, t)
         np.testing.assert_allclose(got, oracle, rtol=0, atol=1e-13 * np.abs(oracle).max())
+        per_time = np.stack([density(basis, conjugate(basis, a, tv)) for tv in t])
+        np.testing.assert_allclose(got, per_time, rtol=0, atol=1e-13 * np.abs(oracle).max())
 
     def test_memory_below_the_dense_table(self):
         # building the basis and one density, multiplication matrix and
         # evolved density take less memory than the (M, K) table alone would:
-        # about 0.69 of it at d = 3, N = 4, grid order 8 (M = 125, K = 4096)
+        # about 0.63 of it at d = 3, N = 4, grid order 8 (M = 125, K = 4096)
         s = DunklStructure(3, (0.5, 1.0, 0.0))
         grid = tensor_grid(s, 8)
         m, k = 5**3, grid.npoints
@@ -516,17 +533,38 @@ class TestShellContractions:
         a = rng.normal(size=(m, m))
         v = rng.normal(size=k)
         states = rng.normal(size=(2, m)) + 1j * rng.normal(size=(2, m))
+        evolved = states.T @ states.conj()
         tracemalloc.start()
         try:
             basis = build_basis(s, 4, grid)
             density(basis, a)
             multiplication_matrix(basis, v)
-            propagated_density(basis, states, np.ones(2), np.linspace(0.0, 1.0, 4))
+            density(basis, evolved, shell_phases(basis, np.linspace(0.0, 1.0, 4)))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert basis.size == m
         assert peak < m * k * 8
+
+    def test_static_path_takes_one_shell(self):
+        # a static density or multiplication matrix carries a one-wide shell
+        # axis: each of a 3-row stack peaks below the (3, 2 d N + 1, K) array
+        # of all the shells (2.46 MB at d = 3, N = 4, grid order 8)
+        s = DunklStructure(3, (0.5, 1.0, 0.0))
+        basis = build_basis(s, 4, tensor_grid(s, 8))
+        m, k = basis.size, basis.grid.npoints
+        rng = np.random.default_rng(18)
+        a = rng.normal(size=(3, m, m))
+        v = rng.normal(size=(3, k))
+        shell_array = 3 * (2 * 3 * 4 + 1) * k * 8
+        for call in (lambda: density(basis, a), lambda: multiplication_matrix(basis, v)):
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < shell_array
 
 
 class TestMixedOperators:
