@@ -26,6 +26,9 @@ still owe and takes 2N + 1 products, one per value of mu_j - nu_j.  A
 static function, as in a multiplication matrix or a static density, is the
 same on every shell: its shell axis is one wide, as in numpy broadcasting,
 and every product reads or writes that one shell, so no offset is carried.
+The density of an evolved self-adjoint operator is one real pass too: its
+shell densities satisfy G_{-n} = conj G_n, so real weights on the shells of
+Re A + Im A give it.
 """
 
 from __future__ import annotations
@@ -136,29 +139,29 @@ def multiplication_matrix(basis: HermiteBasis, samples) -> np.ndarray:
 def density(basis: HermiteBasis, a, phases=None) -> np.ndarray:
     """Samples on the basis grid of Re sum_n c_n G_n, with the shell
     densities G_n = sum over |mu| - |nu| = n of a_{mu nu} phi_mu phi_nu,
-    n = -dN..dN, and c = ``phases``.
+    n = -dN..dN.
 
     Without phases, every c_n is 1: this is rho_A(x) = Re sum_{mu nu}
     A_{mu nu} phi_mu(x) phi_nu(x) (exact for self-adjoint A since the basis
     is real), and a (T, M, M) stack gives (T, K) samples.  With phases,
-    ``a`` is one (M, M) operator and (..., 2 d N + 1) phases give (..., K)
-    samples.  As the flow multiplies entry (mu, nu) by e^{-2it(|mu| - |nu|)},
-    the density of e^{-itH} A e^{itH} takes the phases e^{-2int}; the
-    adjoint of ``time_averaged_operator``.  G is taken from the real and the
-    imaginary part of A in turn, Re(c G) = c' G' - c'' G'', so one real G is
-    alive at a time; the second pass is skipped when A or c is real.
+    ``a`` is one self-adjoint (M, M) operator and the real (..., 2 d N + 1)
+    ``phases`` are h = Re c - Im c for phases with c_{-n} = conj c_n; they
+    give (..., K) samples.  As G_{-n} = conj G_n for self-adjoint A, the odd
+    parts cancel and Re sum_n c_n G_n = sum_n h_n G_n(Re A + Im A): one real
+    shell pass.  As the flow multiplies entry (mu, nu) by
+    e^{-2it(|mu| - |nu|)}, the density of e^{-itH} A e^{itH} takes
+    h_n = cos 2nt + sin 2nt; the adjoint of ``time_averaged_operator``.
     """
     if phases is None:
         return _pairs_to_shells(basis, np.real(a), static=True)[..., 0, :]
-    a = np.asarray(a)
+    a, phases = np.asarray(a), np.asarray(phases)
     if a.shape != (basis.size, basis.size):
         raise ValueError(f"expected a {basis.size} x {basis.size} operator, got {a.shape}")
-    rho = np.real(phases) @ _pairs_to_shells(basis, a.real)
-    if np.iscomplexobj(a) and np.iscomplexobj(phases):
-        # not in place: with -= the heap kept too little room for the norms
-        # that follow, and R1 ``sweep`` took 3.5 times the page faults
-        rho = rho - np.imag(phases) @ _pairs_to_shells(basis, a.imag)
-    return rho
+    if np.iscomplexobj(phases):
+        raise ValueError("phases must be real: h = Re c - Im c")
+    if np.abs(a - a.conj().T).max() > 1e-10 * np.abs(a).max():
+        raise ValueError("operator is not self-adjoint")
+    return phases @ _pairs_to_shells(basis, a.real + a.imag)
 
 
 def _degree_shells(basis: HermiteBasis):

@@ -116,41 +116,82 @@ def weighted_lp_norm(grid: TensorGrid, samples, p):
 
     The samples are plain values f(x_k); accuracy requires f to decay like
     exp(-c |x|^2).  p = inf returns the max over nodes.  Samples of shape
-    (T, K) -- one function per time node -- give one norm per row.
+    (T, K) -- one function per time node -- give one norm per row.  A 1-D
+    sequence of exponents gives one norm per exponent, on a leading axis.
+
+    Every exponent comes from one log|f|: |f|^p = e^{p log|f|}, one ``exp``
+    per exponent into one reused work array, so no array the size of the
+    samples is allocated per exponent.
     """
     samples = np.asarray(samples)
     if samples.ndim not in (1, 2) or samples.shape[-1] != grid.npoints:
         raise ValueError(f"expected {grid.npoints} samples per row, got {samples.shape}")
     if not np.all(np.isfinite(samples)):
         raise ValueError("non-finite samples")
-    if not p >= 1:
-        raise ValueError(f"p must be >= 1 or inf, got {p}")
+    exponents = _exponents(p)
     # one function is a one-row stack, so that both shapes run the same
     # array code: numpy's scalar and array powers may differ in the last bit
-    a = np.abs(np.atleast_2d(samples))
-    if np.isinf(p):
-        norms = a.max(axis=-1)
-    else:
-        norms = np.sum(grid.weights * a**p, axis=-1) ** (1.0 / p)
-    return float(norms[0]) if samples.ndim == 1 else norms
+    a = np.abs(np.atleast_2d(samples)).astype(float, copy=False)
+    top = a.max(axis=-1)
+    with np.errstate(divide="ignore"):  # log 0 = -inf, and e^{-inf} = 0
+        log_a = np.log(a, out=a)
+    work = np.empty_like(log_a)
+    norms = []
+    for pk in np.atleast_1d(exponents).tolist():
+        if np.isinf(pk):
+            norms.append(top)
+            continue
+        np.multiply(log_a, pk, out=work)
+        np.exp(work, out=work)
+        work *= grid.weights
+        norms.append(work.sum(axis=-1) ** (1.0 / pk))
+    norms = np.array(norms)
+    if samples.ndim == 1:
+        norms = norms[:, 0]
+    if exponents.ndim == 0:
+        return float(norms[0]) if samples.ndim == 1 else norms[0]
+    return norms
 
 
-def mixed_norm(time_nodes, grid: TensorGrid, samples, p, q) -> float:
+def mixed_norm(time_nodes, grid: TensorGrid, samples, p, q):
     """Mixed norm || ||F(t,.)||_{L^q_kappa} ||_{L^p_t}.
 
     ``time_nodes`` is a pair (t, tau) of node and weight arrays; ``samples``
-    has shape (len(t), grid.npoints).
+    has shape (len(t), grid.npoints).  p and q are scalars, or equal-length
+    1-D arrays with one norm per pair, all from one ``weighted_lp_norm``.
     """
     t, tau = (np.asarray(v, dtype=float) for v in time_nodes)
     samples = np.asarray(samples)
     if samples.shape != (t.size, grid.npoints):
         raise ValueError(f"samples shape {samples.shape} does not match {t.size} x {grid.npoints}")
-    if not p >= 1:
-        raise ValueError(f"p must be >= 1 or inf, got {p}")
-    inner = weighted_lp_norm(grid, samples, q)
-    if np.isinf(p):
-        return float(inner.max())
-    return float(np.sum(tau * inner**p) ** (1.0 / p))
+    p_arr, q_arr = _exponents(p), np.asarray(q, dtype=float)
+    if p_arr.shape != q_arr.shape:
+        raise ValueError(f"p and q must be scalars or equal-length 1-D arrays, "
+                         f"got shapes {p_arr.shape} and {q_arr.shape}")
+    norms = _time_norms(tau, weighted_lp_norm(grid, samples, np.atleast_1d(q_arr)), p_arr)
+    return float(norms[0]) if p_arr.ndim == 0 else norms
+
+
+def _time_norms(tau, inner, p) -> np.ndarray:
+    """The L^p_t norm of each row of ``inner`` (Q, T) on the time weights tau,
+    with the checked exponent p[i] for row i (one p for a single row): the
+    outer norm of ``mixed_norm``, from inner norms already formed."""
+    rows = []
+    for row, pk in zip(inner, np.atleast_1d(p).tolist()):
+        rows.append(row.max() if np.isinf(pk) else np.sum(tau * row**pk) ** (1.0 / pk))
+    return np.array(rows)
+
+
+def _exponents(p) -> np.ndarray:
+    """p as a float array, a scalar or a 1-D sequence, each entry >= 1 or inf;
+    the error names the first entry that is not."""
+    exponents = np.asarray(p, dtype=float)
+    if exponents.ndim > 1:
+        raise ValueError(f"expected a scalar or a 1-D sequence of exponents, got {p}")
+    bad = exponents[~(exponents >= 1)]
+    if bad.size:
+        raise ValueError(f"p must be >= 1 or inf, got {bad[0]}")
+    return exponents
 
 
 def time_grid(a: float, b: float, n: int, kind: str = "trapezoid"):

@@ -20,7 +20,7 @@ import numpy as np
 
 from .hermite import HermiteBasis
 from .operators import OrthonormalSystem, _degree_shells, density, schatten_norm
-from .quadrature import mixed_norm, time_grid
+from .quadrature import _exponents, _time_norms, mixed_norm, time_grid, weighted_lp_norm
 
 __all__ = [
     "ExponentPair",
@@ -140,36 +140,41 @@ def strichartz_lhs(
     Oscillator flow: t over (-pi, pi).  Free flow: the whole-line integral
     transformed onto (-pi/4, pi/4), each slice carrying the factor
     s^{2/p + d_eff(1/q - 1)} with s = sec 2t (identically 1 on the scaling
-    line); the factor multiplies the slice's density, since the L^q norm is
-    positively homogeneous.
+    line); the factor multiplies the slice's L^q norm, which is positively
+    homogeneous.
 
     q and p are scalars or equal-length 1-D arrays, one pair per entry; an
     array pair gives one lhs per entry.  The evolved density does not depend
-    on the exponents, so it is propagated once for all pairs.
+    on the exponents, so it is propagated once, and its L^q norms for every
+    q come from one ``weighted_lp_norm``.
     """
-    q_arr, p_arr = np.asarray(q, dtype=float), np.asarray(p, dtype=float)
-    if q_arr.ndim > 1 or q_arr.shape != p_arr.shape:
+    q_arr, p_arr = np.asarray(q, dtype=float), _exponents(p)
+    if q_arr.shape != p_arr.shape:
         raise ValueError(f"q and p must be scalars or equal-length 1-D arrays, "
                          f"got shapes {q_arr.shape} and {p_arr.shape}")
-    pairs = list(zip(np.atleast_1d(q_arr).tolist(), np.atleast_1d(p_arr).tolist()))
+    qs, ps = np.atleast_1d(q_arr), np.atleast_1d(p_arr)
     basis = system.basis
     if flow == "hermite":
         t, tau = time_grid(-np.pi, np.pi, n_time)
-        weights = [1.0] * len(pairs)
     elif flow == "laplacian":
         t, tau = time_grid(-np.pi / 4 + 1e-9, np.pi / 4 - 1e-9, n_time)
-        sec = np.abs(1.0 / np.cos(2.0 * t))[:, None]
-        d_eff = basis.structure.d_eff
-        weights = [sec ** (2.0 / pk + d_eff * (1.0 / qk - 1.0)) for qk, pk in pairs]
     else:
         raise ValueError(f"unknown flow {flow!r}")
-    # the density of e^{-itH} A e^{itH}, A = sum_j n_j |f_j><f_j|
+    # the density of e^{-itH} A e^{itH}, A = sum_j n_j |f_j><f_j|, from the
+    # phases h_n = cos 2nt + sin 2nt, formed for n >= 0: h_{-n} = cos 2nt - sin 2nt
     a = (system.states.T * system.coeffs.real) @ system.states.conj()
     _, top = _degree_shells(basis)
-    rho = density(basis, a, np.exp(-2j * np.outer(t, np.arange(-top, top + 1))))
-    lhs = [mixed_norm((t, tau), basis.grid, w * rho, pk, qk)
-           for w, (qk, pk) in zip(weights, pairs)]
-    return lhs[0] if q_arr.ndim == 0 else np.array(lhs)
+    angle = 2.0 * np.outer(t, np.arange(top + 1))
+    cos, sin = np.cos(angle), np.sin(angle)
+    rho = density(basis, a, np.concatenate([(cos - sin)[:, :0:-1], cos + sin], axis=1))
+    inner = weighted_lp_norm(basis.grid, rho, qs)
+    if flow == "laplacian":
+        sec = np.abs(1.0 / np.cos(2.0 * t))
+        d_eff = basis.structure.d_eff
+        for row, qk, pk in zip(inner, qs, ps):
+            row *= sec ** (2.0 / pk + d_eff * (1.0 / qk - 1.0))
+    lhs = _time_norms(tau, inner, ps)
+    return float(lhs[0]) if q_arr.ndim == 0 else lhs
 
 
 def schatten_rhs(coeffs, pair: ExponentPair) -> float:
@@ -248,15 +253,16 @@ def _shell_phases(r_of_s, t0: float, t: np.ndarray, n_time: int, top: int) -> np
     each time of t: shape (len(t), 2 top + 1).  (s, w) is the composite Simpson
     rule of n_time nodes (made odd) on the interval between t0 and t, and the
     sign is that of t - t0.  The profile is called once, on every node of
-    every rule."""
+    every rule.  As r is real, Phi_{-n} = conj Phi_n: only n >= 0 is summed."""
     if n_time % 2 == 0:
         n_time += 1
     s, w = (np.array(v) for v in zip(*(
         time_grid(min(t0, tv), max(t0, tv), n_time, kind="simpson") for tv in t)))
     w *= np.where(t >= t0, 1.0, -1.0)[:, None] * _profile(r_of_s, s)
-    n = np.arange(-top, top + 1)
-    # one time at a time: a (T, S, 2 top + 1) phase stack would set the peak memory
-    return np.array([np.exp(2j * np.outer(n, tv - sv)) @ wv for tv, sv, wv in zip(t, s, w)])
+    n = np.arange(top + 1)
+    # one time at a time: a (T, S, top + 1) phase stack would set the peak memory
+    phi = np.array([np.exp(2j * np.outer(n, tv - sv)) @ wv for tv, sv, wv in zip(t, s, w)])
+    return np.concatenate([phi[:, :0:-1].conj(), phi], axis=1)
 
 
 def duhamel_solution(
@@ -303,9 +309,10 @@ def inhomogeneous_check(
 
     Both sides go by degree shells, with no matrix work per time node: the
     density of gamma(t) is Re sum_n Phi_n(t) G_n with G the shell densities
-    of R0 and Phi the shell phases ((2 top + 1) T S scalars), one ``density``
-    call; |R(s)| = |r(s)| |R0| takes one eigendecomposition, and the rhs
-    operator is |R0| times the shell sums sum_k tau_k |r(t_k)| e^{2int_k}.
+    of R0 and Phi the shell phases ((top + 1) T S scalars), one ``density``
+    call with the real weights Re Phi - Im Phi; |R(s)| = |r(s)| |R0| takes
+    one eigendecomposition, and the rhs operator is |R0| times the shell
+    sums sum_k tau_k |r(t_k)| e^{2int_k}.
     Everything is validated before any of this work.
     """
     pair = ExponentPair(q, basis.structure.d_eff)
@@ -318,7 +325,8 @@ def inhomogeneous_check(
     rhs_weights = tau * np.abs(_profile(r_of_s, t))
     degree, top = _degree_shells(basis)
     phases = _shell_phases(r_of_s, t0, t, n_source_time, top)
-    lhs = mixed_norm((t, tau), basis.grid, density(basis, r0, phases), pair.p, pair.q)
+    lhs = mixed_norm((t, tau), basis.grid, density(basis, r0, phases.real - phases.imag),
+                     pair.p, pair.q)
 
     evals, evecs = np.linalg.eigh(r0)
     rabs = (evecs * np.abs(evals)) @ evecs.conj().T

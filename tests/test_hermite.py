@@ -235,7 +235,8 @@ class TestPropagation:
         ])
         a = (np.stack(states).T * occupations) @ np.stack(states).conj()
         top = basis.structure.d * basis.per_dim_degree
-        got = density(basis, a, np.exp(-2j * np.outer(times, np.arange(-top, top + 1))))
+        angle = 2.0 * np.outer(times, np.arange(-top, top + 1))
+        got = density(basis, a, np.cos(angle) + np.sin(angle))
         assert got.shape == (times.size, basis.grid.npoints)
         tol = basis.size * np.finfo(float).eps * np.abs(oracle).max()
         np.testing.assert_allclose(got, oracle, rtol=0, atol=tol)

@@ -19,6 +19,7 @@ from dunklkit import (
     tensor_grid,
     time_averaged_operator,
 )
+from dunklkit.operators import _pairs_to_shells
 from dunklkit.quadrature import time_grid
 
 from conftest import random_state
@@ -33,17 +34,19 @@ def rank_one(basis, seed=0, band=None):
 
 
 def shell_phases(basis, t):
-    """e^{-2int} for n = -dN..dN, one row per time: the phases of the
-    density of e^{-itH} A e^{itH}."""
+    """h_n = cos 2nt + sin 2nt for n = -dN..dN, one row per time: the real
+    weights Re c - Im c of the phases c_n = e^{-2int} of the density of
+    e^{-itH} A e^{itH}."""
     top = basis.structure.d * basis.per_dim_degree
-    return np.exp(-2j * np.outer(t, np.arange(-top, top + 1)))
+    angle = 2.0 * np.outer(t, np.arange(-top, top + 1))
+    return np.cos(angle) + np.sin(angle)
 
 
 def shells(basis, a):
-    """The complex shell densities G_n as rows, from ``density`` with the
-    unit-vector phases: Re G_n with c_n = 1, Im G_n with c_n = -i."""
-    unit = np.eye(2 * basis.structure.d * basis.per_dim_degree + 1)
-    return density(basis, a, unit) + 1j * density(basis, a, -1j * unit)
+    """The complex shell densities G_n as rows, from the real shell pass of
+    Re A and of Im A (unit-vector phases are not conjugate-symmetric, so
+    ``density`` does not give them)."""
+    return _pairs_to_shells(basis, a.real) + 1j * _pairs_to_shells(basis, a.imag)
 
 
 class TestSchattenNorm:
@@ -402,11 +405,10 @@ class TestTimeAveragedOperator:
 class TestShellDensities:
     @pytest.mark.parametrize("fixture", ["basis_1d_half", "basis_2d"])
     def test_densities_of_the_evolved_operator(self, request, fixture):
-        # rho of e^{-itH} A e^{itH} is Re sum_n e^{-2int} G_n, for any A
+        # rho of e^{-itH} A e^{itH} is Re sum_n e^{-2int} G_n, for self-adjoint A
         basis = request.getfixturevalue(fixture)
         rng = np.random.default_rng(4)
-        m = basis.size
-        a = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+        a = hermitian(basis.size, 4)
         t = rng.uniform(-np.pi, np.pi, 7)
         rho = density(basis, a, shell_phases(basis, t))
         assert rho.shape == (t.size, basis.grid.npoints)
@@ -477,7 +479,8 @@ class TestShellContractions:
         a = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
         lhs = np.sum(time_averaged_operator(basis, (t, tau), v) * a)
         g = shells(basis, a)
-        rho = shell_phases(basis, -t) @ g
+        top = basis.structure.d * basis.per_dim_degree
+        rho = np.exp(2j * np.outer(t, np.arange(-top, top + 1))) @ g
         rhs = np.sum(tau[:, None] * basis.grid.weights * v * rho)
         assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
 
@@ -505,6 +508,34 @@ class TestShellContractions:
         oracle = shell_oracle.density(basis, a)
         np.testing.assert_allclose(got, oracle, rtol=0, atol=1e-13 * np.abs(oracle).max())
         np.testing.assert_array_equal(got, np.stack([density(basis, g) for g in a]))
+
+    @pytest.mark.parametrize("kind", ["flow", "random"])
+    def test_one_real_pass_is_the_two_pass_sum(self, shell_basis, kind):
+        # for self-adjoint A and c_{-n} = conj c_n, Re sum_n c_n G_n(A) =
+        # sum_n h_n G_n(Re A + Im A) with h = Re c - Im c; the oracle sums
+        # Re c Re G - Im c Im G over the complex G of the dense blocks
+        basis = shell_basis
+        rng = np.random.default_rng(19)
+        a = hermitian(basis.size, 19)
+        top = basis.structure.d * basis.per_dim_degree
+        if kind == "flow":
+            c = np.exp(-2j * np.outer(rng.uniform(-np.pi, np.pi, 6), np.arange(-top, top + 1)))
+        else:
+            half = rng.normal(size=(6, top + 1)) + 1j * rng.normal(size=(6, top + 1))
+            half[:, 0] = half[:, 0].real
+            c = np.concatenate([half[:, :0:-1].conj(), half], axis=1)
+        g = shell_oracle.shell_densities(basis, a)
+        oracle = c.real @ g.real - c.imag @ g.imag
+        got = density(basis, a, c.real - c.imag)
+        np.testing.assert_allclose(got, oracle, rtol=0, atol=1e-13 * np.abs(oracle).max())
+
+    def test_phases_need_a_self_adjoint_operator_and_real_weights(self, basis_2d):
+        h = shell_phases(basis_2d, np.array([0.3, 1.1]))
+        a = hermitian(basis_2d.size, 20)
+        with pytest.raises(ValueError, match="self-adjoint"):
+            density(basis_2d, a + 1e-3j * np.eye(basis_2d.size), h)
+        with pytest.raises(ValueError, match="real"):
+            density(basis_2d, a, h + 0j)
 
     def test_propagated_density_matches_states(self, shell_basis):
         # the density of e^{-itH} A e^{itH}, A = sum_j n_j |f_j><f_j|, against

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -205,6 +207,69 @@ class TestNorms:
             samples = rng.normal(size=(5, grid.npoints)) * np.exp(-(grid.nodes**2).sum(axis=-1))
             got = weighted_lp_norm(grid, samples, p)
             np.testing.assert_array_equal(got, [weighted_lp_norm(grid, row, p) for row in samples])
+
+    def test_exponent_array_is_each_scalar_call(self, basis_2d):
+        # bitwise, for one function and for a stack
+        grid = basis_2d.grid
+        rng = np.random.default_rng(21)
+        samples = rng.normal(size=(4, grid.npoints)) * np.exp(-(grid.nodes**2).sum(axis=-1))
+        exponents = [1.0, 1.37, 2.0, 6.0, np.inf]
+        for f in (samples, samples[0]):
+            got = weighted_lp_norm(grid, f, exponents)
+            assert got.shape == (len(exponents), *f.shape[:-1])
+            np.testing.assert_array_equal(got, [weighted_lp_norm(grid, f, p) for p in exponents])
+
+    @pytest.mark.parametrize("p", [1.0, 1.37, 2.0, 6.0, np.inf])
+    def test_matches_the_power_sum(self, basis_1d_half, p):
+        # exact zeros (log 0 = -inf, with no RuntimeWarning) and values near
+        # 1e-300 among ordinary ones, against sum w |f|^p directly
+        grid = basis_1d_half.grid
+        rng = np.random.default_rng(22)
+        samples = rng.normal(size=(3, grid.npoints)) * np.exp(-0.5 * grid.nodes[:, 0] ** 2)
+        samples[:, ::7] = 0.0
+        samples[:, 1::5] = rng.uniform(0.5, 2.0, size=samples[:, 1::5].shape) * 1e-300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = weighted_lp_norm(grid, samples, p)
+        a = np.abs(samples)
+        want = a.max(axis=-1) if np.isinf(p) else np.sum(grid.weights * a**p, axis=-1) ** (1 / p)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+    def test_exponents_share_one_work_array(self, basis_2d):
+        # nine exponents take as much memory as one: |f| (then log|f| in
+        # place) and one work array, about 2.14 times the samples (three
+        # temporaries per call, as |f|, |f|^p and w |f|^p, would be 3 times)
+        grid = basis_2d.grid
+        samples = np.random.default_rng(23).normal(size=(64, grid.npoints))
+        exponents = np.linspace(1.1, 1.9, 9)
+        tracemalloc.start()
+        try:
+            weighted_lp_norm(grid, samples, exponents)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * samples.nbytes
+
+    def test_bad_exponent_is_named(self, basis_1d_half):
+        # the message the sweep traceback carries when p(q_max) < 1
+        grid = basis_1d_half.grid
+        samples = np.ones((3, grid.npoints))
+        with pytest.raises(ValueError, match="p must be >= 1 or inf, got 0.5"):
+            weighted_lp_norm(grid, samples, [2.0, 0.5])
+        with pytest.raises(ValueError, match="p must be >= 1 or inf, got 0.5"):
+            mixed_norm(time_grid(0.0, 1.0, 3), grid, samples, [2.0, 0.5], [2.0, 2.0])
+        with pytest.raises(ValueError, match="equal-length"):
+            mixed_norm(time_grid(0.0, 1.0, 3), grid, samples, [2.0, 3.0], 2.0)
+
+    def test_mixed_norm_pairs_are_each_pair_call(self, basis_1d_half):
+        grid = basis_1d_half.grid
+        t, tau = time_grid(0.0, 1.0, 11)
+        rng = np.random.default_rng(24)
+        samples = rng.normal(size=(t.size, grid.npoints)) * np.exp(-0.5 * grid.nodes[:, 0] ** 2)
+        ps, qs = [4.0, 1.0, np.inf], [2.0, 1.5, 3.0]
+        got = mixed_norm((t, tau), grid, samples, ps, qs)
+        np.testing.assert_array_equal(
+            got, [mixed_norm((t, tau), grid, samples, p, q) for p, q in zip(ps, qs)])
 
     def test_mixed_norm_separable(self, basis_1d_half):
         grid = basis_1d_half.grid

@@ -178,6 +178,12 @@ class TestInequality:
         with pytest.raises(ValueError):
             strichartz_lhs(system, np.array([1.5, 1.2]), np.array([2.0]), n_time=16)
 
+    def test_time_exponent_below_one_is_named(self, basis_2d):
+        # d_eff = 5: q = 1.9 lies on the scaling line at p = 0.84 < 1, the
+        # error that ``sweep`` at such a config ends in
+        with pytest.raises(ValueError, match=r"p must be >= 1 or inf, got 0\.844"):
+            run_inequality(basis_2d, [1.1, 1.9], "haar_rotation", 1, n_time=8)
+
     @pytest.mark.parametrize("flow", ["hermite", "laplacian"])
     def test_run_inequality_sequence_matches_one_q_calls(self, basis_1d_half, flow):
         qs = [1.0, 1.2, 1.5, 1.9]
