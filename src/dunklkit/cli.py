@@ -64,6 +64,8 @@ def load_config(path: str | None) -> dict:
         key, _, value = (part.strip() for part in line.partition("="))
         if key in ("d", "n_degree", "grid_order", "time_nodes", "seed"):
             cfg[key] = int(value)
+            if key == "seed" and cfg[key] < 0:
+                raise ValueError(f"line {lineno}: seed must be non-negative, got {value}")
         elif key == "kappa":
             cfg[key] = tuple(float(v) for v in value.replace(",", " ").split())
         elif key == "output":

@@ -28,7 +28,9 @@ same on every shell: its shell axis is one wide, as in numpy broadcasting,
 and every product reads or writes that one shell, so no offset is carried.
 The density of an evolved self-adjoint operator is one real pass too: its
 shell densities satisfy G_{-n} = conj G_n, so real weights on the shells of
-Re A + Im A give it.
+Re A + Im A give it.  The flow goes by shells too: e^{-itH} A e^{itH}
+multiplies entry (mu, nu) by the phase e^{-2int} of n = |mu| - |nu| alone
+(``flow_phases``, put on an operator by ``apply_shells``).
 """
 
 from __future__ import annotations
@@ -43,6 +45,8 @@ from .quadrature import weighted_lp_norm
 
 __all__ = [
     "OrthonormalSystem",
+    "flow_phases",
+    "apply_shells",
     "conjugate",
     "schatten_norm",
     "multiplication_matrix",
@@ -79,17 +83,38 @@ class OrthonormalSystem:
             raise ValueError(f"system is not orthonormal (Gram deviation {dev:.3e})")
 
 
+def flow_phases(basis: HermiteBasis, t) -> np.ndarray:
+    """The phases c_n = e^{-2int} that e^{-itH} . e^{itH} puts on the shell
+    n = |mu| - |nu|, n = -dN..dN: shape (*t.shape, 2 d N + 1).  They are
+    formed for n >= 0 and mirrored by conjugation, c_{-n} = conj c_n."""
+    top = basis.structure.d * basis.per_dim_degree
+    half = np.exp(-2j * np.multiply.outer(np.asarray(t, dtype=float), np.arange(top + 1)))
+    return np.concatenate([half[..., :0:-1].conj(), half], axis=-1)
+
+
+def apply_shells(basis: HermiteBasis, a, c) -> np.ndarray:
+    """a_{mu nu} c_{|mu| - |nu|} for shell values c (..., 2 d N + 1),
+    n = -dN..dN, and an (M, M) operator or a matching (..., M, M) stack."""
+    degree = basis.multi_indices.sum(axis=1)
+    top = basis.structure.d * basis.per_dim_degree
+    # in place at every size: numpy reuses a temporary above 256 KiB as the
+    # output, and its in-place loop can round differently, so a stack would
+    # not match its single calls bit for bit
+    out = np.take(c, top + degree[:, None] - degree[None, :], axis=-1)
+    out *= a
+    return out
+
+
 def conjugate(basis: HermiteBasis, a, t) -> np.ndarray:
     """e^{-itH} A e^{itH} for H the oscillator, with A a matrix in the basis.
 
-    Exact: entry (mu, nu) is multiplied by e_mu conj(e_nu) with
-    e = e^{-it lambda}.  A multiplication operator f(x) goes to
+    Exact: entry (mu, nu) is multiplied by the flow phase of its shell,
+    e^{-2it(|mu| - |nu|)}.  A multiplication operator f(x) goes to
     f(x cos 2t - p sin 2t), a rotation of phase space by the angle -2t.  An
     array of times gives one conjugate per time on a leading axis, of one
     matrix or of a matching stack.
     """
-    phase = np.exp(-1j * np.asarray(t)[..., None] * basis.eigenvalues)
-    return (phase[..., :, None] * a) * phase.conj()[..., None, :]
+    return apply_shells(basis, a, flow_phases(basis, t))
 
 
 def schatten_norm(a, p):
@@ -144,30 +169,26 @@ def density(basis: HermiteBasis, a, phases=None) -> np.ndarray:
     Without phases, every c_n is 1: this is rho_A(x) = Re sum_{mu nu}
     A_{mu nu} phi_mu(x) phi_nu(x) (exact for self-adjoint A since the basis
     is real), and a (T, M, M) stack gives (T, K) samples.  With phases,
-    ``a`` is one self-adjoint (M, M) operator and the real (..., 2 d N + 1)
-    ``phases`` are h = Re c - Im c for phases with c_{-n} = conj c_n; they
-    give (..., K) samples.  As G_{-n} = conj G_n for self-adjoint A, the odd
-    parts cancel and Re sum_n c_n G_n = sum_n h_n G_n(Re A + Im A): one real
-    shell pass.  As the flow multiplies entry (mu, nu) by
-    e^{-2it(|mu| - |nu|)}, the density of e^{-itH} A e^{itH} takes
-    h_n = cos 2nt + sin 2nt; the adjoint of ``time_averaged_operator``.
+    ``a`` is one self-adjoint (M, M) operator and the (..., 2 d N + 1)
+    ``phases`` are c with c_{-n} = conj c_n; they give (..., K) samples.  As
+    G_{-n} = conj G_n for self-adjoint A, the odd parts cancel and
+    Re sum_n c_n G_n = sum_n h_n G_n(Re A + Im A) with the real h = Re c -
+    Im c: one real shell pass.  ``flow_phases`` at t give the density of
+    e^{-itH} A e^{itH}; the adjoint of ``time_averaged_operator``.
     """
     if phases is None:
         return _pairs_to_shells(basis, np.real(a), static=True)[..., 0, :]
-    a, phases = np.asarray(a), np.asarray(phases)
+    a, c = np.asarray(a), np.asarray(phases)
     if a.shape != (basis.size, basis.size):
         raise ValueError(f"expected a {basis.size} x {basis.size} operator, got {a.shape}")
-    if np.iscomplexobj(phases):
-        raise ValueError("phases must be real: h = Re c - Im c")
+    shells = 2 * basis.structure.d * basis.per_dim_degree + 1
+    # c_{-n} = conj c_n for every n is h_{-n} = Re c_n + Im c_n for every n
+    h, mirror = c.real - c.imag, c.real + c.imag
+    if c.shape[-1:] != (shells,) or np.abs(h[..., ::-1] - mirror).max() > 1e-10 * abs(h).max():
+        raise ValueError(f"phases must be {shells} per row with c_(-n) = conj c_n")
     if np.abs(a - a.conj().T).max() > 1e-10 * np.abs(a).max():
         raise ValueError("operator is not self-adjoint")
-    return phases @ _pairs_to_shells(basis, a.real + a.imag)
-
-
-def _degree_shells(basis: HermiteBasis):
-    """(degree, top): the total degree |mu| of each basis row, and the
-    largest one of the box, d N."""
-    return basis.multi_indices.sum(axis=1), basis.structure.d * basis.per_dim_degree
+    return h @ _pairs_to_shells(basis, a.real + a.imag)
 
 
 def _diagonals(phi):
@@ -269,9 +290,9 @@ def time_averaged_operator(basis: HermiteBasis, time_nodes, v_samples) -> np.nda
     rule (t, tau); the Schatten-2q' norm of B is the dual functional.  As
     lambda_mu = 2|mu| + d_eff, B_{mu nu} = sum_k w_k phi_mu(x_k) phi_nu(x_k)
     V_{|mu|-|nu|}(x_k) over the grid (w the grid weights) with time harmonics
-    V_n = sum_t tau_t e^{2int} V_t, |n| <= max |mu|: one product over the T
-    nodes, then B by ``_shells_to_pairs`` of the real and the imaginary
-    harmonics in turn.
+    V_n = sum_t tau_t e^{2int} V_t, |n| <= max |mu|, with e^{2int} the flow
+    phases at -t: one product over the T nodes, then B by
+    ``_shells_to_pairs`` of the real and the imaginary harmonics in turn.
     """
     t, tau = (np.asarray(v, dtype=float) for v in time_nodes)
     if t.ndim != 1 or t.shape != tau.shape or not np.isfinite(t + tau).all():
@@ -283,8 +304,7 @@ def time_averaged_operator(basis: HermiteBasis, time_nodes, v_samples) -> np.nda
         )
     if not np.all(np.isfinite(v_samples)):
         raise ValueError("non-finite potential samples")
-    _, top = _degree_shells(basis)
-    phases = tau * np.exp(2j * np.outer(np.arange(-top, top + 1), t))
+    phases = tau * flow_phases(basis, -t).T
 
     def harmonics(c):
         """Re sum_t c_{nt} V_t times the grid weights, from real products: a

@@ -119,9 +119,9 @@ def weighted_lp_norm(grid: TensorGrid, samples, p):
     (T, K) -- one function per time node -- give one norm per row.  A 1-D
     sequence of exponents gives one norm per exponent, on a leading axis.
 
-    Every exponent comes from one log|f|: |f|^p = e^{p log|f|}, one ``exp``
-    per exponent into one reused work array, so no array the size of the
-    samples is allocated per exponent.
+    Each row is scaled by its largest |f|, m (sum w (|f|/m)^p)^{1/p}, so no p
+    overflows, and every exponent comes from one log(|f|/m): one ``exp`` of
+    p log(|f|/m) per exponent into one reused work array.
     """
     samples = np.asarray(samples)
     if samples.ndim not in (1, 2) or samples.shape[-1] != grid.npoints:
@@ -133,6 +133,8 @@ def weighted_lp_norm(grid: TensorGrid, samples, p):
     # array code: numpy's scalar and array powers may differ in the last bit
     a = np.abs(np.atleast_2d(samples)).astype(float, copy=False)
     top = a.max(axis=-1)
+    scale = np.where(top > 0, top, 1.0)
+    a /= scale[:, None]
     with np.errstate(divide="ignore"):  # log 0 = -inf, and e^{-inf} = 0
         log_a = np.log(a, out=a)
     work = np.empty_like(log_a)
@@ -144,7 +146,7 @@ def weighted_lp_norm(grid: TensorGrid, samples, p):
         np.multiply(log_a, pk, out=work)
         np.exp(work, out=work)
         work *= grid.weights
-        norms.append(work.sum(axis=-1) ** (1.0 / pk))
+        norms.append(scale * work.sum(axis=-1) ** (1.0 / pk))
     norms = np.array(norms)
     if samples.ndim == 1:
         norms = norms[:, 0]
@@ -158,7 +160,8 @@ def mixed_norm(time_nodes, grid: TensorGrid, samples, p, q):
 
     ``time_nodes`` is a pair (t, tau) of node and weight arrays; ``samples``
     has shape (len(t), grid.npoints).  p and q are scalars, or equal-length
-    1-D arrays with one norm per pair, all from one ``weighted_lp_norm``.
+    1-D arrays with one norm per pair, all from one ``weighted_lp_norm``;
+    the time norm is scaled by its largest inner norm as that one is.
     """
     t, tau = (np.asarray(v, dtype=float) for v in time_nodes)
     samples = np.asarray(samples)
@@ -168,18 +171,13 @@ def mixed_norm(time_nodes, grid: TensorGrid, samples, p, q):
     if p_arr.shape != q_arr.shape:
         raise ValueError(f"p and q must be scalars or equal-length 1-D arrays, "
                          f"got shapes {p_arr.shape} and {q_arr.shape}")
-    norms = _time_norms(tau, weighted_lp_norm(grid, samples, np.atleast_1d(q_arr)), p_arr)
-    return float(norms[0]) if p_arr.ndim == 0 else norms
-
-
-def _time_norms(tau, inner, p) -> np.ndarray:
-    """The L^p_t norm of each row of ``inner`` (Q, T) on the time weights tau,
-    with the checked exponent p[i] for row i (one p for a single row): the
-    outer norm of ``mixed_norm``, from inner norms already formed."""
-    rows = []
-    for row, pk in zip(inner, np.atleast_1d(p).tolist()):
-        rows.append(row.max() if np.isinf(pk) else np.sum(tau * row**pk) ** (1.0 / pk))
-    return np.array(rows)
+    norms = []
+    for row, pk in zip(weighted_lp_norm(grid, samples, np.atleast_1d(q_arr)),
+                       np.atleast_1d(p_arr).tolist()):
+        top = row.max()
+        norms.append(top if np.isinf(pk) or top == 0
+                     else top * np.sum(tau * (row / top) ** pk) ** (1.0 / pk))
+    return float(norms[0]) if p_arr.ndim == 0 else np.array(norms)
 
 
 def _exponents(p) -> np.ndarray:

@@ -5,9 +5,10 @@ weights.
 
 The time side lives on (-pi, pi) for the oscillator flow; the free flow is
 integrated over the whole line through the substitution v = tan 2t, which
-maps it onto (-pi/4, pi/4) with an explicit power of s(t) = sec 2t -- the
-power vanishes exactly on the scaling line 2/p + d_eff/q = d_eff.  The
-Duhamel integral goes by degree shells: the oscillator flow multiplies entry
+maps it onto (-pi/4, pi/4) with a power of sec 2t that vanishes on the
+scaling line 2/p + d_eff/q = d_eff, where every exponent pair lies: there
+the free-flow norm is the oscillator norm on (-pi/4, pi/4).  The Duhamel
+integral goes by degree shells: the oscillator flow multiplies entry
 (mu, nu) of an operator by a phase that depends on |mu| - |nu| alone, so for
 a source of one fixed operator the integral over s is a scalar per shell.
 """
@@ -19,8 +20,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .hermite import HermiteBasis
-from .operators import OrthonormalSystem, _degree_shells, density, schatten_norm
-from .quadrature import _exponents, _time_norms, mixed_norm, time_grid, weighted_lp_norm
+from .operators import OrthonormalSystem, apply_shells, density, flow_phases, schatten_norm
+from .quadrature import mixed_norm, time_grid
 
 __all__ = [
     "ExponentPair",
@@ -130,51 +131,30 @@ def generate_system(
 
 def strichartz_lhs(
     system: OrthonormalSystem,
-    q,
-    p,
+    qs,
     flow: str = "hermite",
     n_time: int = 256,
-) -> float | np.ndarray:
-    """|| sum_j n_j |e^{-itP} f_j|^2 ||_{L^p_t L^q_kappa}.
+) -> np.ndarray:
+    """|| sum_j n_j |e^{-itP} f_j|^2 ||_{L^p_t L^q_kappa} for each q of the
+    sequence ``qs``, with p on the scaling line (``ExponentPair``).
 
     Oscillator flow: t over (-pi, pi).  Free flow: the whole-line integral
-    transformed onto (-pi/4, pi/4), each slice carrying the factor
-    s^{2/p + d_eff(1/q - 1)} with s = sec 2t (identically 1 on the scaling
-    line); the factor multiplies the slice's L^q norm, which is positively
-    homogeneous.
-
-    q and p are scalars or equal-length 1-D arrays, one pair per entry; an
-    array pair gives one lhs per entry.  The evolved density does not depend
-    on the exponents, so it is propagated once, and its L^q norms for every
-    q come from one ``weighted_lp_norm``.
+    transformed onto (-pi/4, pi/4), where on the scaling line it is the
+    oscillator norm.  The evolved density does not depend on the exponents,
+    so it is propagated once for every q, as one ``mixed_norm``.
     """
-    q_arr, p_arr = np.asarray(q, dtype=float), _exponents(p)
-    if q_arr.shape != p_arr.shape:
-        raise ValueError(f"q and p must be scalars or equal-length 1-D arrays, "
-                         f"got shapes {q_arr.shape} and {p_arr.shape}")
-    qs, ps = np.atleast_1d(q_arr), np.atleast_1d(p_arr)
     basis = system.basis
+    pairs = [ExponentPair(q, basis.structure.d_eff) for q in qs]
     if flow == "hermite":
         t, tau = time_grid(-np.pi, np.pi, n_time)
     elif flow == "laplacian":
         t, tau = time_grid(-np.pi / 4 + 1e-9, np.pi / 4 - 1e-9, n_time)
     else:
         raise ValueError(f"unknown flow {flow!r}")
-    # the density of e^{-itH} A e^{itH}, A = sum_j n_j |f_j><f_j|, from the
-    # phases h_n = cos 2nt + sin 2nt, formed for n >= 0: h_{-n} = cos 2nt - sin 2nt
+    # the density of e^{-itH} A e^{itH}, A = sum_j n_j |f_j><f_j|
     a = (system.states.T * system.coeffs.real) @ system.states.conj()
-    _, top = _degree_shells(basis)
-    angle = 2.0 * np.outer(t, np.arange(top + 1))
-    cos, sin = np.cos(angle), np.sin(angle)
-    rho = density(basis, a, np.concatenate([(cos - sin)[:, :0:-1], cos + sin], axis=1))
-    inner = weighted_lp_norm(basis.grid, rho, qs)
-    if flow == "laplacian":
-        sec = np.abs(1.0 / np.cos(2.0 * t))
-        d_eff = basis.structure.d_eff
-        for row, qk, pk in zip(inner, qs, ps):
-            row *= sec ** (2.0 / pk + d_eff * (1.0 / qk - 1.0))
-    lhs = _time_norms(tau, inner, ps)
-    return float(lhs[0]) if q_arr.ndim == 0 else lhs
+    rho = density(basis, a, flow_phases(basis, t))
+    return mixed_norm((t, tau), basis.grid, rho, [pr.p for pr in pairs], [pr.q for pr in pairs])
 
 
 def schatten_rhs(coeffs, pair: ExponentPair) -> float:
@@ -206,8 +186,7 @@ def run_inequality(
     s = basis.structure
     pairs = [ExponentPair(q, s.d_eff) for q in qs]
     system = generate_system(basis, system_kind, j_count, seed)
-    lhs = strichartz_lhs(system, [pr.q for pr in pairs], [pr.p for pr in pairs],
-                         flow, n_time).tolist()
+    lhs = strichartz_lhs(system, qs, flow, n_time).tolist()
     rhs = [schatten_rhs(system.coeffs, pr) for pr in pairs]
     wall_time = _time.perf_counter() - start
     return [
@@ -248,21 +227,21 @@ def _source_operator(basis: HermiteBasis, r0) -> np.ndarray:
     return r0
 
 
-def _shell_phases(r_of_s, t0: float, t: np.ndarray, n_time: int, top: int) -> np.ndarray:
-    """Phi_n(t) = sign * sum_k w_k r(s_k) e^{2in(t - s_k)}, n = -top..top, at
-    each time of t: shape (len(t), 2 top + 1).  (s, w) is the composite Simpson
-    rule of n_time nodes (made odd) on the interval between t0 and t, and the
-    sign is that of t - t0.  The profile is called once, on every node of
-    every rule.  As r is real, Phi_{-n} = conj Phi_n: only n >= 0 is summed."""
+def _shell_phases(basis: HermiteBasis, r_of_s, t0: float, t: np.ndarray,
+                  n_time: int) -> np.ndarray:
+    """Phi_n(t) = sign * sum_k w_k r(s_k) e^{2in(t - s_k)}, n = -dN..dN, at
+    each time of t: shape (len(t), 2 d N + 1).  (s, w) is the composite
+    Simpson rule of n_time nodes (made odd) on the interval between t0 and t,
+    and the sign is that of t - t0; e^{2in(t - s_k)} are the flow phases at
+    s_k - t.  The profile is called once, on every node of every rule.  As r
+    is real, Phi_{-n} = conj Phi_n."""
     if n_time % 2 == 0:
         n_time += 1
     s, w = (np.array(v) for v in zip(*(
         time_grid(min(t0, tv), max(t0, tv), n_time, kind="simpson") for tv in t)))
     w *= np.where(t >= t0, 1.0, -1.0)[:, None] * _profile(r_of_s, s)
-    n = np.arange(top + 1)
-    # one time at a time: a (T, S, top + 1) phase stack would set the peak memory
-    phi = np.array([np.exp(2j * np.outer(n, tv - sv)) @ wv for tv, sv, wv in zip(t, s, w)])
-    return np.concatenate([phi[:, :0:-1].conj(), phi], axis=1)
+    # one time at a time: a (T, S, 2 d N + 1) phase stack would set the peak memory
+    return np.array([wv @ flow_phases(basis, sv - tv) for tv, sv, wv in zip(t, s, w)])
 
 
 def duhamel_solution(
@@ -281,13 +260,11 @@ def duhamel_solution(
     default).  As lambda_mu = 2|mu| + d_eff, the flow multiplies entry
     (mu, nu) by e^{2in(t-s)} with n = |mu| - |nu|, so gamma(t) is R0 times
     the scalar shell phase Phi_n(t) = sum_k w_k r(s_k) e^{2in(t - s_k)}:
-    (2 top + 1) S scalars and one M x M product.  A sum of such sources is
+    (2 d N + 1) S scalars and one M x M product.  A sum of such sources is
     the sum of their solutions.
     """
     r0 = _source_operator(basis, r0)
-    degree, top = _degree_shells(basis)
-    phases = _shell_phases(r_of_s, t0, np.array([t], dtype=float), n_time, top)[0]
-    return r0 * phases[top + degree[:, None] - degree[None, :]]
+    return apply_shells(basis, r0, _shell_phases(basis, r_of_s, t0, np.array([t]), n_time)[0])
 
 
 def inhomogeneous_check(
@@ -309,10 +286,10 @@ def inhomogeneous_check(
 
     Both sides go by degree shells, with no matrix work per time node: the
     density of gamma(t) is Re sum_n Phi_n(t) G_n with G the shell densities
-    of R0 and Phi the shell phases ((top + 1) T S scalars), one ``density``
-    call with the real weights Re Phi - Im Phi; |R(s)| = |r(s)| |R0| takes
-    one eigendecomposition, and the rhs operator is |R0| times the shell
-    sums sum_k tau_k |r(t_k)| e^{2int_k}.
+    of R0 and Phi the shell phases ((d N + 1) T S complex exponentials), one
+    ``density`` call; |R(s)| = |r(s)| |R0| takes one eigendecomposition, and
+    the rhs operator is |R0| times the shell sums sum_k tau_k |r(t_k)|
+    e^{2int_k}, the flow phases at -t_k.
     Everything is validated before any of this work.
     """
     pair = ExponentPair(q, basis.structure.d_eff)
@@ -323,15 +300,13 @@ def inhomogeneous_check(
         raise ValueError("source operator is not self-adjoint")
     t, tau = time_grid(-np.pi, np.pi, n_time)
     rhs_weights = tau * np.abs(_profile(r_of_s, t))
-    degree, top = _degree_shells(basis)
-    phases = _shell_phases(r_of_s, t0, t, n_source_time, top)
-    lhs = mixed_norm((t, tau), basis.grid, density(basis, r0, phases.real - phases.imag),
-                     pair.p, pair.q)
+    phases = _shell_phases(basis, r_of_s, t0, t, n_source_time)
+    lhs = mixed_norm((t, tau), basis.grid, density(basis, r0, phases), pair.p, pair.q)
 
     evals, evecs = np.linalg.eigh(r0)
     rabs = (evecs * np.abs(evals)) @ evecs.conj().T
-    harmonics = np.exp(2j * np.outer(np.arange(-top, top + 1), t)) @ rhs_weights
-    rhs = schatten_norm(rabs * harmonics[top + degree[:, None] - degree[None, :]], pair.alpha)
+    rhs = schatten_norm(apply_shells(basis, rabs, rhs_weights @ flow_phases(basis, -t)),
+                        pair.alpha)
     return lhs, rhs
 
 

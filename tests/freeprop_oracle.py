@@ -75,9 +75,8 @@ def norm_transport_check(basis: HermiteBasis, coeffs, p: float, q: float, n_time
     a = np.outer(coeffs, np.conj(coeffs))
 
     def phi_p(times):
-        # the real weights cos 2nt + sin 2nt of the phases e^{-2int}
-        angle = 2.0 * np.outer(times, np.arange(-top, top + 1))
-        dens = density(basis, a, np.cos(angle) + np.sin(angle))
+        # the phases e^{-2int} of the density of e^{-itH} A e^{itH}
+        dens = density(basis, a, np.exp(-2j * np.outer(times, np.arange(-top, top + 1))))
         return weighted_lp_norm(grid, dens, q) ** p
 
     lhs = float(np.sum(tau * phi_p(t)))

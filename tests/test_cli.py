@@ -1,4 +1,3 @@
-import contextlib
 import csv
 import dataclasses
 import io
@@ -130,6 +129,17 @@ class TestConfig:
         assert not (tmp_path / "reports").exists()
 
 
+    @pytest.mark.parametrize("command", ["strichartz", "dual-schatten", "inhomogeneous"])
+    def test_negative_seed_exit_code(self, runner, small_config, tmp_path, command):
+        # dual-schatten draws from the seed after its config block
+        path = small_config
+        path.write_text(path.read_text() + "seed = -1\n")
+        result = runner.invoke(main, ["-c", str(path), command])
+        assert result.exit_code == EXIT_CONFIG
+        assert "CONFIG ERROR: line 8: seed must be non-negative, got -1" in result.output
+        assert not (tmp_path / "reports").exists()
+
+
 class TestSubcommands:
     def test_verify_kernels(self, runner, small_config, tmp_path):
         result = runner.invoke(main, ["-c", str(small_config), "verify-kernels"])
@@ -180,16 +190,26 @@ class TestSubcommands:
         assert "CONFIG ERROR" in result.output
         assert "p must be >= 1" in result.output
 
-    def test_inhomogeneous_non_finite_fails(self, runner, small_config, tmp_path):
-        # at q = 1000 the q-th power of the density overflows: lhs = inf
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            result = runner.invoke(
-                main, ["-c", str(small_config), "inhomogeneous", "--q", "1000"]
-            )
+    def test_inhomogeneous_non_finite_fails(self, runner, small_config, tmp_path, monkeypatch):
+        # no input overflows the scaled norms: a check returning inf stands in
+        monkeypatch.setattr("dunklkit.cli.inhomogeneous_check", lambda *args, **kw: (np.inf, 1.0))
+        result = runner.invoke(main, ["-c", str(small_config), "inhomogeneous"])
         assert result.exit_code == EXIT_IDENTITY
         assert "IDENTITY FAILURE" in result.output
         report = json.loads((tmp_path / "reports" / "inhomogeneous.json").read_text())
         assert report["rows"][0]["lhs"] == float("inf")
+
+    @pytest.mark.parametrize("args, figure", [
+        (["inhomogeneous", "--q", "1000"], lambda report: report["rows"][0]["lhs"]),
+        (["sweep", "--q-min", "1000", "--q-max", "1000", "--steps", "1", "--seeds", "1",
+          "--j-values", "8"], lambda report: report["max_ratio"]),
+    ], ids=["inhomogeneous", "sweep"])
+    def test_large_q_is_finite(self, runner, small_config, tmp_path, args, figure):
+        # |f|^1000 overflows for |f| > 2.03, the norm scaled by max |f| does not
+        result = runner.invoke(main, ["-c", str(small_config), *args])
+        assert result.exit_code == EXIT_OK, result.output
+        report = json.loads((tmp_path / "reports" / f"{args[0]}.json").read_text())
+        assert np.isfinite(figure(report))
 
     def test_kss(self, runner, small_config, tmp_path):
         result = runner.invoke(main, ["-c", str(small_config), "kss"])
@@ -419,7 +439,7 @@ class TestBadOptions:
         (["sweep", "--q-max", "nan"], EXIT_CONFIG),
         (["sweep", "--q-max", "inf"], EXIT_CONFIG),
         (["sweep", "--q-min", "nan"], EXIT_CONFIG),
-        # the q-th power of the density overflows at q = 1000: lhs = inf
+        # evaluations patched to return inf: no input overflows the scaled norms
         (["sweep", "--q-min", "1000", "--q-max", "1000", "--steps", "1", "--seeds", "1",
           "--j-values", "8"], EXIT_IDENTITY),
         (["mhls", "--beta", "nan"], EXIT_CONFIG),
@@ -433,12 +453,12 @@ class TestBadOptions:
         (["hartree", "--width", "0", "--steps", "5"], EXIT_CONFIG),
         (["hartree", "--width", "inf", "--steps", "5"], EXIT_CONFIG),
     ])
-    def test_no_false_success(self, runner, small_config, tmp_path, args, code):
-        # the one numerical failure here, at q = 1000, overflows on purpose
-        expected = (pytest.warns(RuntimeWarning, match="overflow") if code == EXIT_IDENTITY
-                    else contextlib.nullcontext())
-        with expected:
-            result = runner.invoke(main, ["-c", str(small_config), *args])
+    def test_no_false_success(self, runner, small_config, tmp_path, monkeypatch, args, code):
+        if code == EXIT_IDENTITY:
+            monkeypatch.setattr("dunklkit.cli.run_inequality", lambda *a, **kw: [
+                dataclasses.replace(r, lhs=np.inf, ratio=np.inf) for r in run_inequality(*a, **kw)
+            ])
+        result = runner.invoke(main, ["-c", str(small_config), *args])
         assert result.exit_code == code, result.output
         reports = list((tmp_path / "reports").glob("*.json"))
         assert bool(reports) == (code == EXIT_IDENTITY)

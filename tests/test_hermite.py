@@ -235,8 +235,7 @@ class TestPropagation:
         ])
         a = (np.stack(states).T * occupations) @ np.stack(states).conj()
         top = basis.structure.d * basis.per_dim_degree
-        angle = 2.0 * np.outer(times, np.arange(-top, top + 1))
-        got = density(basis, a, np.cos(angle) + np.sin(angle))
+        got = density(basis, a, np.exp(-2j * np.outer(times, np.arange(-top, top + 1))))
         assert got.shape == (times.size, basis.grid.npoints)
         tol = basis.size * np.finfo(float).eps * np.abs(oracle).max()
         np.testing.assert_allclose(got, oracle, rtol=0, atol=tol)

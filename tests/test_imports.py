@@ -8,7 +8,8 @@ package only the modules ``PACKAGE_IMPORTS`` lists for it.  The modules the
 benchmark's tracer wraps all exist.  Every public function, class and method
 of the package is reached from a command of the CLI, apart from those
 ``UNREACHED`` keeps with their reasons: what only the tests call belongs in
-``tests/``."""
+``tests/``.  The private names a module imports from another module of the
+package are the ones ``PRIVATE_IMPORTS`` lists for it."""
 
 import ast
 import json
@@ -272,8 +273,53 @@ def package_imports(source: str) -> list[str]:
     return sorted(modules)
 
 
+# the private names each module imports from other package modules; the
+# oscillator flow's shell layout stays inside operators, so strichartz has none
+PRIVATE_IMPORTS = {
+    "cli.py": [],
+    "dunklops.py": ["hermite._ladder"],
+    "freeprop.py": ["hermite._kernel_body"],
+    "hartree.py": ["hermite._table"],
+    "hermite.py": ["structure._kernel_product"],
+    "operators.py": [],
+    "quadrature.py": [],
+    "strichartz.py": [],
+    "structure.py": [],
+}
+
+
+def private_imports(source: str) -> list[str]:
+    """The private names (leading underscore) a module imports from the
+    package, at any depth, as ``module.name``."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").startswith("dunklkit.")
+        ):
+            module = (node.module or "").removeprefix("dunklkit.").split(".")[0]
+            names.update(f"{module}.{a.name}" for a in node.names if a.name.startswith("_"))
+    return sorted(names)
+
+
 def test_import_table_covers_the_package():
     assert sorted(PACKAGE_IMPORTS) == [p.name for p in SOURCES]
+    assert sorted(PRIVATE_IMPORTS) == [p.name for p in SOURCES]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_private_import_boundary(path):
+    assert private_imports(path.read_text()) == PRIVATE_IMPORTS[path.name]
+
+
+def test_detects_a_private_import():
+    source = (
+        "from .operators import density, _pairs_to_shells\n"
+        "from dunklkit.quadrature import _exponents\nfrom numpy import _core\n"
+        "def f():\n    from .hermite import _table\n"
+    )
+    assert private_imports(source) == [
+        "hermite._table", "operators._pairs_to_shells", "quadrature._exponents"
+    ]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)

@@ -34,12 +34,10 @@ def rank_one(basis, seed=0, band=None):
 
 
 def shell_phases(basis, t):
-    """h_n = cos 2nt + sin 2nt for n = -dN..dN, one row per time: the real
-    weights Re c - Im c of the phases c_n = e^{-2int} of the density of
-    e^{-itH} A e^{itH}."""
+    """c_n = e^{-2int} for n = -dN..dN, one row per time, formed for every n
+    from the shell numbers: the phases of the density of e^{-itH} A e^{itH}."""
     top = basis.structure.d * basis.per_dim_degree
-    angle = 2.0 * np.outer(t, np.arange(-top, top + 1))
-    return np.cos(angle) + np.sin(angle)
+    return np.exp(-2j * np.outer(t, np.arange(-top, top + 1)))
 
 
 def shells(basis, a):
@@ -526,16 +524,21 @@ class TestShellContractions:
             c = np.concatenate([half[:, :0:-1].conj(), half], axis=1)
         g = shell_oracle.shell_densities(basis, a)
         oracle = c.real @ g.real - c.imag @ g.imag
-        got = density(basis, a, c.real - c.imag)
+        got = density(basis, a, c)
         np.testing.assert_allclose(got, oracle, rtol=0, atol=1e-13 * np.abs(oracle).max())
 
-    def test_phases_need_a_self_adjoint_operator_and_real_weights(self, basis_2d):
-        h = shell_phases(basis_2d, np.array([0.3, 1.1]))
+    def test_phases_need_a_self_adjoint_operator_and_symmetric_phases(self, basis_2d):
+        c = shell_phases(basis_2d, np.array([0.3, 1.1]))
         a = hermitian(basis_2d.size, 20)
         with pytest.raises(ValueError, match="self-adjoint"):
-            density(basis_2d, a + 1e-3j * np.eye(basis_2d.size), h)
-        with pytest.raises(ValueError, match="real"):
-            density(basis_2d, a, h + 0j)
+            density(basis_2d, a + 1e-3j * np.eye(basis_2d.size), c)
+        # c_{-n} != conj c_n: the one-pass fold h = Re c - Im c would be wrong
+        lopsided = c.copy()
+        lopsided[:, 0] *= 1j
+        with pytest.raises(ValueError, match="conj"):
+            density(basis_2d, a, lopsided)
+        with pytest.raises(ValueError, match="conj"):
+            density(basis_2d, a, c[:, 1:])
 
     def test_propagated_density_matches_states(self, shell_basis):
         # the density of e^{-itH} A e^{itH}, A = sum_j n_j |f_j><f_j|, against
@@ -552,6 +555,29 @@ class TestShellContractions:
         np.testing.assert_allclose(got, oracle, rtol=0, atol=1e-13 * np.abs(oracle).max())
         per_time = np.stack([density(basis, conjugate(basis, a, tv)) for tv in t])
         np.testing.assert_allclose(got, per_time, rtol=0, atol=1e-13 * np.abs(oracle).max())
+
+    def test_conjugate_matches_the_eigenvalue_phases(self, shell_basis):
+        # the shell phases e^{-2it(|mu| - |nu|)} against the independent route
+        # e^{-it lambda_mu} a_{mu nu} e^{it lambda_nu}: one matrix at one time,
+        # one matrix at an array of times, and a stack with one time per matrix;
+        # |t| <= 0.3 keeps the rounding of t lambda_mu (at most 66 here) below
+        # the tolerance
+        basis = shell_basis
+        rng = np.random.default_rng(25)
+        m = basis.size
+        times = rng.uniform(-0.3, 0.3, 4)
+        stack = rng.normal(size=(4, m, m)) + 1j * rng.normal(size=(4, m, m))
+        e = np.exp(-1j * times[:, None] * basis.eigenvalues)
+        tol = 1e-14 * np.abs(stack).max()
+
+        def oracle(a):
+            return e[:, :, None] * a * e.conj()[:, None, :]
+
+        np.testing.assert_allclose(conjugate(basis, stack[0], times[0]), oracle(stack[0])[0],
+                                   rtol=0, atol=tol)
+        np.testing.assert_allclose(conjugate(basis, stack[0], times), oracle(stack[0]),
+                                   rtol=0, atol=tol)
+        np.testing.assert_allclose(conjugate(basis, stack, times), oracle(stack), rtol=0, atol=tol)
 
     def test_memory_below_the_dense_table(self):
         # building the basis and one density, multiplication matrix and

@@ -235,6 +235,24 @@ class TestNorms:
         want = a.max(axis=-1) if np.isinf(p) else np.sum(grid.weights * a**p, axis=-1) ** (1 / p)
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
+    def test_large_exponents_stay_finite(self, basis_1d_half):
+        # |f|^1000 overflows once |f| > 2.03; the norms scaled by the largest
+        # value do not, in space and in time, against log-sum-exp sums
+        grid = basis_1d_half.grid
+        t, tau = time_grid(0.0, 1.0, 5)
+        samples = np.outer(np.linspace(1.0, 2.0, 5), 3.0 * np.exp(-0.5 * grid.nodes[:, 0] ** 2))
+        with np.errstate(divide="ignore"):  # the far nodes underflow to 0
+            log_f = np.log(samples)
+
+        def log_norm(log_w, log_values, p):
+            return np.logaddexp.reduce(log_w + p * log_values, axis=-1) / p
+
+        inner = np.exp(log_norm(np.log(grid.weights), log_f, 1000.0))
+        np.testing.assert_allclose(weighted_lp_norm(grid, samples, 1000.0), inner, rtol=1e-12)
+        outer = np.exp(log_norm(np.log(tau), np.log(inner), 1000.0))
+        assert mixed_norm((t, tau), grid, samples, 1000.0, 1000.0) == pytest.approx(outer,
+                                                                                   rel=1e-12)
+
     def test_exponents_share_one_work_array(self, basis_2d):
         # nine exponents take as much memory as one: |f| (then log|f| in
         # place) and one work array, about 2.14 times the samples (three

@@ -106,9 +106,9 @@ class TestInequality:
         # the lhs depends on the system only through the operator sum, which
         # a permutation of equal-coefficient vectors leaves unchanged
         sys_a = generate_system(basis_1d_half, "basis_subset", 4)
-        lhs_a = strichartz_lhs(sys_a, 1.5, admissible_p(1.5, 2.0), n_time=64)
+        [lhs_a] = strichartz_lhs(sys_a, [1.5], n_time=64)
         sys_b = OrthonormalSystem(sys_a.basis, sys_a.states[::-1], sys_a.coeffs)
-        lhs_b = strichartz_lhs(sys_b, 1.5, admissible_p(1.5, 2.0), n_time=64)
+        [lhs_b] = strichartz_lhs(sys_b, [1.5], n_time=64)
         assert lhs_a == pytest.approx(lhs_b, rel=1e-13)
 
     def test_hermite_vs_laplacian_scaling_line(self, basis_1d_half):
@@ -119,19 +119,21 @@ class TestInequality:
         q = 1.2
         p = admissible_p(q, s.d_eff)
         system = generate_system(basis_1d_half, "haar_rotation", 4, seed=2)
-        lap = strichartz_lhs(system, q, p, flow="laplacian", n_time=128)
-        her = strichartz_lhs(system, q, p, flow="hermite", n_time=512)
+        [lap] = strichartz_lhs(system, [q], flow="laplacian", n_time=128)
+        [her] = strichartz_lhs(system, [q], flow="hermite", n_time=512)
         quarter = (0.25) ** (1.0 / p) * her  # (-pi,pi) vs (-pi/4,pi/4) scaling only
         # densities are pi/2-periodic in t for the oscillator flow, so the
         # full-window norm is exactly 4^{1/p} times the quarter-window norm
         assert lap == pytest.approx(quarter, rel=1e-3)
 
-    @pytest.mark.parametrize("q, p", [(1.5, 2.0), (1.2, 7.0), (2.5, 1.3), (1.0, np.inf)])
-    def test_laplacian_matches_per_slice_loop(self, basis_1d_half, q, p):
-        # off the scaling line (d_eff = 2: p = 3, 6, 5/3 there) and at q = 1;
-        # oracle: per slice, |sec 2t|^expo times the L^q norm of the summed
-        # propagated densities, then the L^p_t sum (the max at p = inf)
+    @pytest.mark.parametrize("q", [1.5, 1.2, 2.5, 1.0])
+    def test_laplacian_matches_per_slice_loop(self, basis_1d_half, q):
+        # on the scaling line (d_eff = 2: p = 3, 6, 5/3, and inf at q = 1);
+        # oracle: per slice, |sec 2t|^expo (expo = 0 up to rounding there)
+        # times the L^q norm of the summed propagated densities, then the
+        # L^p_t sum (the max at p = inf)
         basis = basis_1d_half
+        p = admissible_p(q, basis.structure.d_eff)
         states = generate_system(basis, "gaussian_orthogonalized", 3, seed=4).states
         system = OrthonormalSystem(basis, states, [1.0, 0.6, 0.3])
         t, tau = time_grid(-np.pi / 4 + 1e-9, np.pi / 4 - 1e-9, 48)
@@ -147,7 +149,7 @@ class TestInequality:
             for tv in t
         ])
         oracle = inner.max() if np.isinf(p) else np.sum(tau * inner**p) ** (1.0 / p)
-        got = strichartz_lhs(system, q, p, flow="laplacian", n_time=48)
+        [got] = strichartz_lhs(system, [q], flow="laplacian", n_time=48)
         assert got == pytest.approx(oracle, rel=1e-13)
 
     def test_report_fields(self, basis_1d_half):
@@ -159,24 +161,24 @@ class TestInequality:
 
 
     @pytest.mark.parametrize("flow", ["hermite", "laplacian"])
-    def test_exponent_arrays_match_one_pair_calls(self, basis_1d_half, flow):
-        # q = 1 gives p = inf; one propagation for all pairs changes no bit
+    def test_q_sequence_matches_one_q_calls(self, basis_1d_half, flow):
+        # q = 1 gives p = inf; one propagation for all q changes no bit
         system = generate_system(basis_1d_half, "haar_rotation", 4, seed=7)
         qs = [1.0, 1.2, 1.5, 1.9]
-        ps = [admissible_p(q, basis_1d_half.structure.d_eff) for q in qs]
-        got = strichartz_lhs(system, np.array(qs), np.array(ps), flow, n_time=48)
+        got = strichartz_lhs(system, np.array(qs), flow, n_time=48)
         assert got.shape == (4,)
-        for g, q, p in zip(got, qs, ps):
-            one = strichartz_lhs(system, q, p, flow, n_time=48)
-            assert isinstance(one, float)
-            assert g == one
+        for g, q in zip(got, qs):
+            one = strichartz_lhs(system, [q], flow, n_time=48)
+            assert one.shape == (1,)
+            assert g == one[0]
 
-    def test_exponent_arrays_reject_bad_pairs(self, basis_1d_half):
+    def test_rejects_bad_q_and_flow(self, basis_1d_half):
         system = generate_system(basis_1d_half, "basis_subset", 2)
-        with pytest.raises(ValueError):
-            strichartz_lhs(system, np.array([1.5, 1.5]), np.array([2.0, 0.5]), n_time=16)
-        with pytest.raises(ValueError):
-            strichartz_lhs(system, np.array([1.5, 1.2]), np.array([2.0]), n_time=16)
+        for q in (0.5, np.inf, np.nan):
+            with pytest.raises(ValueError, match="q must be finite and >= 1"):
+                strichartz_lhs(system, [1.5, q], n_time=16)
+        with pytest.raises(ValueError, match="unknown flow"):
+            strichartz_lhs(system, [1.5], "heat", n_time=16)
 
     def test_time_exponent_below_one_is_named(self, basis_2d):
         # d_eff = 5: q = 1.9 lies on the scaling line at p = 0.84 < 1, the
