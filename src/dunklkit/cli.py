@@ -3,7 +3,8 @@ functionals, Schatten duals, the Hartree solver, and exponent sweeps.
 
 Configuration is a flat key = value file (see ``load_config``); every report
 embeds the configuration echo.  Exit codes: 0 all checks pass, 2 an identity
-check failed or the Hartree solve did not converge, 64 configuration error.
+check failed, a reported figure is inf or NaN, or the Hartree solve did not
+converge, 64 configuration error.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .hartree import HartreeConfig, solve_hartree
 from .hermite import build_basis, kernel_Kit
 from .freeprop import lens_relation_residual
 from .operators import kss_check, schatten_norm, time_averaged_operator
-from .quadrature import tensor_grid, time_grid
+from .quadrature import mixed_norm, tensor_grid, time_grid
 from .strichartz import (
     ExponentPair,
     inhomogeneous_check,
@@ -121,6 +122,13 @@ def _fail_identity(message: str):
     sys.exit(EXIT_IDENTITY)
 
 
+def _require_finite(**figures):
+    """Exit 2 when a reported figure, or an entry of a list of them, is inf or NaN."""
+    bad = [name for name, value in figures.items() if not np.isfinite(value).all()]
+    if bad:
+        _fail_identity(f"non-finite {', '.join(bad)}")
+
+
 @click.group()
 @click.option("--config", "-c", "config_path", type=str, default=None,
               help="key = value configuration file")
@@ -136,8 +144,7 @@ def main(ctx, config_path):
 def verify_kernels(cfg):
     """Propagator-kernel identities on sample lattices (pass/fail)."""
     cases = [(1, (0.0,)), (1, (0.5,)), (1, (1.5,)), (2, (1.0, 0.5))]
-    rows = []
-    worst = 0.0
+    rows, residuals = [], []
     for d, kappa in cases:
         s = DunklStructure(d, kappa)
         pts = np.linspace(-2.0, 2.0, 5)
@@ -153,7 +160,7 @@ def verify_kernels(cfg):
             res = float((lens_relation_residual(s, v, x, y) / mag).max())
             rows.append({"d": d, "kappa": " ".join(map(str, kappa)), "check": "lens",
                          "parameter": v, "residual": res})
-            worst = max(worst, res)
+            residuals.append(res)
         for t in (0.3, 0.7, 1.2):
             k = kernel_Kit(s, t, x, y)
             sym = float(np.abs(k - kernel_Kit(s, t, y, x)).max())
@@ -164,9 +171,11 @@ def verify_kernels(cfg):
                          "parameter": t, "residual": max(sym, conj)})
             rows.append({"d": d, "kappa": " ".join(map(str, kappa)), "check": "magnitude",
                          "parameter": t, "residual": max(mag - bound, 0.0)})
-            worst = max(worst, sym, conj, max(mag - bound, 0.0) / bound)
+            residuals += [sym, conj, max(mag - bound, 0.0) / bound]
+    worst = float(np.max(residuals))  # NaN if any residual is
     _report(cfg, "verify_kernels", rows, {"worst_residual": worst, "passed": worst < 1e-10})
     click.echo(f"worst relative residual {worst:.3e}")
+    _require_finite(worst_residual=worst)
     if worst >= 1e-10:
         _fail_identity(f"kernel identity residual {worst:.3e} >= 1e-10")
 
@@ -189,6 +198,7 @@ def strichartz(cfg, q, group, j_count, flow):
     _report(cfg, "strichartz", [report.as_dict()], {"report": report.as_dict()})
     click.echo(f"q={q} p={report.p:.4g} lhs={report.lhs:.6g} rhs={report.rhs:.6g} "
                f"ratio={report.ratio:.6g}")
+    _require_finite(lhs=report.lhs, rhs=report.rhs, ratio=report.ratio)
     if q == 1.0 and report.ratio > 1.0 + 1e-8:
         _fail_identity(f"q=1 ratio {report.ratio} exceeds 1")
 
@@ -211,11 +221,12 @@ def dual_schatten(cfg, qprime):
     v = envelope * (1.0 + 0.3 * np.cos(rng.integers(1, 4, tn[0].size) * tn[0]))[:, None]
     b = time_averaged_operator(basis, tn, v)
     value, opnorm = schatten_norm(b, [2.0 * qprime, np.inf]).tolist()
-    l1linf = float(np.sum(tn[1] * np.abs(v).max(axis=1)))
+    l1linf = mixed_norm(tn, grid, v, 1.0, np.inf)
     _report(cfg, "dual_schatten", [{"qprime": qprime, "value": value, "operator_norm": opnorm,
                                     "l1_linf_bound": l1linf}])
     click.echo(f"q'={qprime:.4g}: Schatten-2q' value {value:.6g}; "
                f"operator norm {opnorm:.6g} <= {l1linf:.6g}")
+    _require_finite(value=value, operator_norm=opnorm, l1_linf_bound=l1linf)
     if opnorm > l1linf + 1e-8:
         _fail_identity("triangle bound violated for the dual functional")
 
@@ -243,8 +254,7 @@ def inhomogeneous(cfg, q, t0, rank):
     _report(cfg, "inhomogeneous", [{"q": q, "t0": t0, "rank": rank, "lhs": lhs, "rhs": rhs,
                                     "ratio": lhs / rhs}])
     click.echo(f"lhs={lhs:.6g} rhs={rhs:.6g} ratio={lhs / rhs:.6g}")
-    if not (np.isfinite(lhs) and np.isfinite(rhs)):
-        _fail_identity(f"non-finite Duhamel figures lhs={lhs} rhs={rhs}")
+    _require_finite(lhs=lhs, rhs=rhs, ratio=lhs / rhs)
 
 
 @main.command()
@@ -269,6 +279,7 @@ def kss(cfg, r, params):
     _report(cfg, "kss", [{"r": r, "alpha": quad[0], "beta": quad[1], "gamma": quad[2],
                           "delta": quad[3], "lhs": lhs, "rhs": rhs, "ratio": lhs / rhs}])
     click.echo(f"lhs={lhs:.6g} rhs={rhs:.6g} ratio={lhs / rhs:.6g}")
+    _require_finite(lhs=lhs, rhs=rhs, ratio=lhs / rhs)
     if lhs > rhs * (1.0 + 1e-3):
         _fail_identity(f"Schatten product bound violated: ratio {lhs / rhs}")
 
@@ -299,8 +310,7 @@ def mhls(cfg, n_factors, beta):
         lhs, rhs = mhls_check(profiles, supports, bmat, rs)
     _report(cfg, "mhls", [{"n": n, "beta": beta, "lhs": lhs, "rhs": rhs, "ratio": lhs / rhs}])
     click.echo(f"lhs={lhs:.6g} rhs={rhs:.6g} empirical constant {lhs / rhs:.6g}")
-    if not np.isfinite(lhs):
-        _fail_identity("singular integral diverged")
+    _require_finite(lhs=lhs, rhs=rhs, ratio=lhs / rhs)
 
 
 @main.command()
@@ -348,9 +358,7 @@ def sweep(cfg, q_min, q_max, steps, j_values, seeds):
     click.echo(f"{len(rows)} evaluations; ratio range "
                f"[{min(r['ratio'] for r in rows):.4g}, "
                f"{max(r['ratio'] for r in rows):.4g}]")
-    bad = [r for r in rows if not np.isfinite([r["lhs"], r["rhs"], r["ratio"]]).all()]
-    if bad:
-        _fail_identity(f"{len(bad)} of {len(rows)} evaluations are not finite")
+    _require_finite(**{key: [r[key] for r in rows] for key in ("lhs", "rhs", "ratio")})
 
 
 @main.command()

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hermite import HermiteBasis
-from .quadrature import weighted_lp_norm
+from .quadrature import lp_norm, weighted_lp_norm
 
 __all__ = [
     "OrthonormalSystem",
@@ -118,25 +118,11 @@ def conjugate(basis: HermiteBasis, a, t) -> np.ndarray:
 
 
 def schatten_norm(a, p):
-    """Schatten p-norm (sum of sigma^p)^{1/p}; p = inf gives the largest
-    singular value.  A (T, M, M) stack gives one norm per matrix.  A 1-D
+    """Schatten p-norm, the ``lp_norm`` of the singular values; p = inf gives
+    the largest.  A (T, M, M) stack gives one norm per matrix.  A 1-D
     sequence of exponents gives one norm per exponent, on a leading axis,
     all from one SVD."""
-    exponents = np.asarray(p, dtype=float)
-    if exponents.ndim > 1 or not np.all(exponents >= 1):
-        raise ValueError(f"Schatten exponent must be >= 1 or inf, got {p}")
-    sigma = np.linalg.svd(a, compute_uv=False)
-
-    def norm(pk):
-        if np.isinf(pk):
-            norms = np.max(sigma, axis=-1, initial=0.0)
-        else:
-            norms = np.sum(sigma**pk, axis=-1) ** (1.0 / pk)
-        return float(norms) if norms.ndim == 0 else norms
-
-    if exponents.ndim == 0:
-        return norm(p)
-    return np.array([norm(pk) for pk in exponents.tolist()])
+    return lp_norm(np.linalg.svd(a, compute_uv=False), 1.0, p)
 
 
 def multiplication_matrix(basis: HermiteBasis, samples) -> np.ndarray:

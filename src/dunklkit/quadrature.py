@@ -23,6 +23,7 @@ __all__ = [
     "TensorGrid",
     "plain_rule",
     "tensor_grid",
+    "lp_norm",
     "weighted_lp_norm",
     "mixed_norm",
     "time_grid",
@@ -111,48 +112,52 @@ def tensor_grid(s: DunklStructure, orders) -> TensorGrid:
     return TensorGrid(tuple(orders), product(nodes), product(weights).prod(axis=-1))
 
 
-def weighted_lp_norm(grid: TensorGrid, samples, p):
-    """L^p_kappa norm of f from its node samples (Gaussian NOT pre-applied).
+def lp_norm(values, weights, p):
+    """(sum w |v|^p)^{1/p} over the last axis of ``values``, weights ``w``
+    broadcast against it; p = inf gives max |v|.  A stack gives one norm per
+    row, a 1-D sequence of exponents one norm per exponent on a leading axis.
 
-    The samples are plain values f(x_k); accuracy requires f to decay like
-    exp(-c |x|^2).  p = inf returns the max over nodes.  Samples of shape
-    (T, K) -- one function per time node -- give one norm per row.  A 1-D
-    sequence of exponents gives one norm per exponent, on a leading axis.
-
-    Each row is scaled by its largest |f|, m (sum w (|f|/m)^p)^{1/p}, so no p
-    overflows, and every exponent comes from one log(|f|/m): one ``exp`` of
-    p log(|f|/m) per exponent into one reused work array.
+    Each row is scaled by its largest |v|, m (sum w (|v|/m)^p)^{1/p}, so no p
+    overflows, and every exponent comes from one log(|v|/m): one ``exp`` of
+    p log(|v|/m) per exponent into one reused work array.
     """
-    samples = np.asarray(samples)
-    if samples.ndim not in (1, 2) or samples.shape[-1] != grid.npoints:
-        raise ValueError(f"expected {grid.npoints} samples per row, got {samples.shape}")
-    if not np.all(np.isfinite(samples)):
-        raise ValueError("non-finite samples")
     exponents = _exponents(p)
-    # one function is a one-row stack, so that both shapes run the same
-    # array code: numpy's scalar and array powers may differ in the last bit
-    a = np.abs(np.atleast_2d(samples)).astype(float, copy=False)
+    # one row is a one-row stack, so that both shapes run the same array
+    # code: numpy's scalar and array powers may differ in the last bit
+    a = np.abs(np.atleast_2d(values)).astype(float, copy=False)
     top = a.max(axis=-1)
     scale = np.where(top > 0, top, 1.0)
-    a /= scale[:, None]
+    a /= scale[..., None]
     with np.errstate(divide="ignore"):  # log 0 = -inf, and e^{-inf} = 0
         log_a = np.log(a, out=a)
     work = np.empty_like(log_a)
     norms = []
     for pk in np.atleast_1d(exponents).tolist():
-        if np.isinf(pk):
+        if math.isinf(pk):
             norms.append(top)
             continue
         np.multiply(log_a, pk, out=work)
         np.exp(work, out=work)
-        work *= grid.weights
+        work *= weights
         norms.append(scale * work.sum(axis=-1) ** (1.0 / pk))
     norms = np.array(norms)
-    if samples.ndim == 1:
+    if np.ndim(values) == 1:
         norms = norms[:, 0]
     if exponents.ndim == 0:
-        return float(norms[0]) if samples.ndim == 1 else norms[0]
+        return norms[0] if norms.ndim > 1 else float(norms[0])
     return norms
+
+
+def weighted_lp_norm(grid: TensorGrid, samples, p):
+    """L^p_kappa norm of f from its plain node samples f(x_k), one per row of
+    (T, K) samples: ``lp_norm`` with the grid weights.  Accuracy requires f
+    to decay like exp(-c |x|^2)."""
+    samples = np.asarray(samples)
+    if samples.ndim not in (1, 2) or samples.shape[-1] != grid.npoints:
+        raise ValueError(f"expected {grid.npoints} samples per row, got {samples.shape}")
+    if not np.all(np.isfinite(samples)):
+        raise ValueError("non-finite samples")
+    return lp_norm(samples, grid.weights, p)
 
 
 def mixed_norm(time_nodes, grid: TensorGrid, samples, p, q):
@@ -160,8 +165,8 @@ def mixed_norm(time_nodes, grid: TensorGrid, samples, p, q):
 
     ``time_nodes`` is a pair (t, tau) of node and weight arrays; ``samples``
     has shape (len(t), grid.npoints).  p and q are scalars, or equal-length
-    1-D arrays with one norm per pair, all from one ``weighted_lp_norm``;
-    the time norm is scaled by its largest inner norm as that one is.
+    1-D arrays with one norm per pair, all inner norms from one
+    ``weighted_lp_norm``, each time norm an ``lp_norm`` with weights tau.
     """
     t, tau = (np.asarray(v, dtype=float) for v in time_nodes)
     samples = np.asarray(samples)
@@ -171,13 +176,9 @@ def mixed_norm(time_nodes, grid: TensorGrid, samples, p, q):
     if p_arr.shape != q_arr.shape:
         raise ValueError(f"p and q must be scalars or equal-length 1-D arrays, "
                          f"got shapes {p_arr.shape} and {q_arr.shape}")
-    norms = []
-    for row, pk in zip(weighted_lp_norm(grid, samples, np.atleast_1d(q_arr)),
-                       np.atleast_1d(p_arr).tolist()):
-        top = row.max()
-        norms.append(top if np.isinf(pk) or top == 0
-                     else top * np.sum(tau * (row / top) ** pk) ** (1.0 / pk))
-    return float(norms[0]) if p_arr.ndim == 0 else np.array(norms)
+    norms = [lp_norm(row, tau, pk) for row, pk in zip(
+        weighted_lp_norm(grid, samples, np.atleast_1d(q_arr)), np.atleast_1d(p_arr).tolist())]
+    return norms[0] if p_arr.ndim == 0 else np.array(norms)
 
 
 def _exponents(p) -> np.ndarray:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .hermite import HermiteBasis
 from .operators import OrthonormalSystem, apply_shells, density, flow_phases, schatten_norm
-from .quadrature import mixed_norm, time_grid
+from .quadrature import lp_norm, mixed_norm, time_grid
 
 __all__ = [
     "ExponentPair",
@@ -159,9 +159,7 @@ def strichartz_lhs(
 
 def schatten_rhs(coeffs, pair: ExponentPair) -> float:
     """l^alpha norm of the occupation coefficients, alpha = ``pair.alpha``."""
-    n = np.abs(np.asarray(coeffs, dtype=complex))
-    r = pair.alpha
-    return float(np.sum(n**r) ** (1.0 / r))
+    return lp_norm(np.asarray(coeffs, dtype=complex), 1.0, pair.alpha)
 
 
 def run_inequality(
@@ -347,7 +345,8 @@ def mhls_check(profiles, supports, beta, r_exponents, n_base: int = 200):
         t, tau = time_grid(a, b, nk, kind="midpoint")
         nodes.append(t)
         weights.append(tau)
-        fvals.append(np.asarray(f(t), dtype=float))
+        # a profile may return one value for every node
+        fvals.append(np.broadcast_to(np.asarray(f(t), dtype=float), t.shape))
 
     lhs = 0.0
     if n == 2:
@@ -365,6 +364,6 @@ def mhls_check(profiles, supports, beta, r_exponents, n_base: int = 200):
             )
         lhs = float(lhs)
     rhs = 1.0
-    for f, tau, vals, r in zip(profiles, weights, fvals, r_exponents):
-        rhs *= float(np.sum(tau * np.abs(vals) ** r) ** (1.0 / r))
+    for tau, vals, r in zip(weights, fvals, r_exponents):
+        rhs *= lp_norm(vals, tau, r)
     return lhs, rhs

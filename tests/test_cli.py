@@ -8,6 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 from dunklkit.cli import EXIT_CONFIG, EXIT_IDENTITY, EXIT_OK, _context, load_config, main
+from dunklkit.operators import schatten_norm
 from dunklkit.strichartz import ExponentPair, StrichartzReport, run_inequality
 
 
@@ -140,6 +141,15 @@ class TestConfig:
         assert not (tmp_path / "reports").exists()
 
 
+def dual_value(report):
+    """The Schatten-2q' value of a dual-schatten report, checked to be the
+    operator norm to the printed digits (at q' = 400, sigma^800 overflows
+    for sigma > 2.43)."""
+    row = report["rows"][0]
+    assert f"{row['value']:.6g}" == f"{row['operator_norm']:.6g}"
+    return row["value"]
+
+
 class TestSubcommands:
     def test_verify_kernels(self, runner, small_config, tmp_path):
         result = runner.invoke(main, ["-c", str(small_config), "verify-kernels"])
@@ -203,12 +213,14 @@ class TestSubcommands:
         (["inhomogeneous", "--q", "1000"], lambda report: report["rows"][0]["lhs"]),
         (["sweep", "--q-min", "1000", "--q-max", "1000", "--steps", "1", "--seeds", "1",
           "--j-values", "8"], lambda report: report["max_ratio"]),
-    ], ids=["inhomogeneous", "sweep"])
+        (["dual-schatten", "--qprime", "400"], dual_value),
+    ], ids=["inhomogeneous", "sweep", "dual-schatten"])
     def test_large_q_is_finite(self, runner, small_config, tmp_path, args, figure):
         # |f|^1000 overflows for |f| > 2.03, the norm scaled by max |f| does not
         result = runner.invoke(main, ["-c", str(small_config), *args])
         assert result.exit_code == EXIT_OK, result.output
-        report = json.loads((tmp_path / "reports" / f"{args[0]}.json").read_text())
+        name = args[0].replace("-", "_")
+        report = json.loads((tmp_path / "reports" / f"{name}.json").read_text())
         assert np.isfinite(figure(report))
 
     def test_kss(self, runner, small_config, tmp_path):
@@ -407,6 +419,23 @@ class TestHartreeRobustness:
         assert not summary["converged"]
 
 
+# The evaluation each command reports, replaced by one that returns inf or NaN
+# for the exit-2 cases of test_no_false_success.
+NON_FINITE = {
+    "sweep": ("run_inequality", lambda *a, **kw: [
+        dataclasses.replace(r, lhs=np.inf, ratio=np.inf) for r in run_inequality(*a, **kw)
+    ]),
+    "strichartz": ("run_inequality", lambda *a, **kw: [
+        dataclasses.replace(r, lhs=np.nan, ratio=np.nan) for r in run_inequality(*a, **kw)
+    ]),
+    # the Schatten-2q' value inf, as the unscaled sum gave at q' = 400
+    "dual-schatten": ("schatten_norm", lambda a, p: schatten_norm(a, p) * np.array([np.inf, 1.0])),
+    "kss": ("kss_check", lambda *a: (np.nan, 1.0)),
+    # max(worst, nan) kept worst: a NaN residual passed
+    "verify-kernels": ("lens_relation_residual", lambda *a: np.nan),
+}
+
+
 class TestBadOptions:
     @pytest.mark.parametrize(
         "args",
@@ -439,7 +468,8 @@ class TestBadOptions:
         (["sweep", "--q-max", "nan"], EXIT_CONFIG),
         (["sweep", "--q-max", "inf"], EXIT_CONFIG),
         (["sweep", "--q-min", "nan"], EXIT_CONFIG),
-        # evaluations patched to return inf: no input overflows the scaled norms
+        # evaluations patched to return inf or NaN (NON_FINITE): no input
+        # overflows the scaled norms
         (["sweep", "--q-min", "1000", "--q-max", "1000", "--steps", "1", "--seeds", "1",
           "--j-values", "8"], EXIT_IDENTITY),
         (["mhls", "--beta", "nan"], EXIT_CONFIG),
@@ -452,12 +482,14 @@ class TestBadOptions:
         # a zero width makes the interaction vanish: a solve would "converge"
         (["hartree", "--width", "0", "--steps", "5"], EXIT_CONFIG),
         (["hartree", "--width", "inf", "--steps", "5"], EXIT_CONFIG),
+        (["strichartz"], EXIT_IDENTITY),
+        (["dual-schatten"], EXIT_IDENTITY),
+        (["kss"], EXIT_IDENTITY),
+        (["verify-kernels"], EXIT_IDENTITY),
     ])
     def test_no_false_success(self, runner, small_config, tmp_path, monkeypatch, args, code):
         if code == EXIT_IDENTITY:
-            monkeypatch.setattr("dunklkit.cli.run_inequality", lambda *a, **kw: [
-                dataclasses.replace(r, lhs=np.inf, ratio=np.inf) for r in run_inequality(*a, **kw)
-            ])
+            monkeypatch.setattr(f"dunklkit.cli.{NON_FINITE[args[0]][0]}", NON_FINITE[args[0]][1])
         result = runner.invoke(main, ["-c", str(small_config), *args])
         assert result.exit_code == code, result.output
         reports = list((tmp_path / "reports").glob("*.json"))

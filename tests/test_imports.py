@@ -4,7 +4,9 @@ what it defines, and the package ``__init__`` imports only names in those
 lists.  Only the modules in ``SCIPY_IMPORTS`` import scipy, only the names
 listed there and only inside function bodies, so the commands that never
 reach those functions never load scipy.  Each module imports from the
-package only the modules ``PACKAGE_IMPORTS`` lists for it.  The modules the
+package only the modules ``PACKAGE_IMPORTS`` lists for it.  The one
+power-sum root of the package, ``x ** (1 / p)``, is in
+``quadrature.lp_norm``, so every norm is scaled as that one is.  The modules the
 benchmark's tracer wraps all exist.  Every public function, class and method
 of the package is reached from a command of the CLI, apart from those
 ``UNREACHED`` keeps with their reasons: what only the tests call belongs in
@@ -113,6 +115,41 @@ def test_traced_modules_exist():
     # module renamed or merged away would silently drop out of its spans
     modules = exported(TRACER.read_text(), "MODULES")
     assert modules and [m for m in modules if not (PACKAGE / f"{m}.py").is_file()] == []
+
+
+def power_roots(source: str) -> list[str]:
+    """The definitions, as ``name`` or ``Class.method``, that raise something
+    to the power ``1 / x`` or ``1.0 / x``: one entry per such power."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if (isinstance(child, ast.BinOp) and isinstance(child.op, ast.Pow)
+                    and isinstance(child.right, ast.BinOp) and isinstance(child.right.op, ast.Div)
+                    and isinstance(child.right.left, ast.Constant)
+                    and child.right.left.value == 1):
+                found.append(scope or "<module>")
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_one_power_sum_root(path):
+    assert power_roots(path.read_text()) == (["lp_norm"] if path.name == "quadrature.py" else [])
+
+
+def test_detects_a_power_root():
+    source = (
+        "y = 2 ** (1 / 3)\ndef f(v, p):\n    return sum(v ** p) ** (1.0 / p)\n"
+        "def g(v, r):\n    return v ** (2.0 / r) + v ** -(1 / r)\n"
+        "class C:\n    def h(self, r):\n        def inner(x):\n            return x ** (1 / r)\n"
+    )
+    assert power_roots(source) == ["<module>", "f", "C.h.inner"]
 
 
 # Definitions that no command reaches, kept for the reason given; the check

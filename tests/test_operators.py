@@ -90,10 +90,22 @@ class TestSchattenNorm:
             assert tr <= schatten_norm(a, p) * schatten_norm(b, pp) * (1 + 1e-12)
 
     def test_rejects_small_exponent(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="p must be >= 1 or inf"):
             schatten_norm(np.eye(3), 0.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="p must be >= 1 or inf"):
             schatten_norm(np.eye(3), np.nan)
+
+    def test_large_exponent_stays_finite(self):
+        # sigma^2000 overflows once sigma > 1.43; the sum scaled by the
+        # largest singular value does not, against a log-sum-exp sum
+        rng = np.random.default_rng(6)
+        a = 3.0 * rng.normal(size=(12, 12))
+        sigma = np.linalg.svd(a, compute_uv=False)
+        assert sigma.max() > 2.0
+        want = np.exp(np.logaddexp.reduce(2000.0 * np.log(sigma)) / 2000.0)
+        got = schatten_norm(a, 2000.0)
+        assert np.isfinite(got)
+        assert got == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("p", [1, 1.5, 2, np.inf])
     def test_stack_is_one_norm_per_matrix(self, p):
@@ -110,7 +122,7 @@ class TestSchattenNorm:
         value, opnorm = schatten_norm(a, [2.0 * qprime, np.inf])
         assert value == schatten_norm(a, 2.0 * qprime)
         assert opnorm == schatten_norm(a, np.inf)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="p must be >= 1 or inf"):
             schatten_norm(a, [2.0, 0.5])
 
 

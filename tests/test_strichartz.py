@@ -394,6 +394,11 @@ class TestMhls:
         assert lhs == pytest.approx(exact, rel=2e-3)
         assert rhs == pytest.approx(1.0, rel=1e-12)
 
+    def test_scalar_profile_is_its_array(self):
+        # a profile may return one value for every node
+        args = [[(0.0, 1.0)] * 2, self.beta_symmetric(2, 0.5), [4.0 / 3.0] * 2]
+        assert mhls_check([lambda t: 1.0] * 2, *args) == mhls_check([np.ones_like] * 2, *args)
+
     def test_three_factor_finite_and_bounded_shape(self):
         beta = 0.4
         r = 1.0 / (1.0 - beta)
