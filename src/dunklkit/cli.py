@@ -193,8 +193,8 @@ def strichartz(cfg, q, group, j_count, flow):
     """One orthonormal-system inequality evaluation."""
     with _config_errors():
         s, grid, basis = _context(cfg)
-        [report] = run_inequality(basis, [q], group, j_count, cfg["seed"], flow,
-                                  cfg["time_nodes"])
+        [[report]] = run_inequality(basis, [q], group, [j_count], cfg["seed"], flow,
+                                    cfg["time_nodes"])
     _report(cfg, "strichartz", [report.as_dict()], {"report": report.as_dict()})
     click.echo(f"q={q} p={report.p:.4g} lhs={report.lhs:.6g} rhs={report.rhs:.6g} "
                f"ratio={report.ratio:.6g}")
@@ -334,10 +334,12 @@ def sweep(cfg, q_min, q_max, steps, j_values, seeds):
             raise ValueError(f"j values must lie in [1, {basis.size}], got {j_values!r}")
     qs = np.linspace(q_min, q_max, steps).tolist()
     start = time.perf_counter()
-    # one system and one propagation per (J, seed) for every q; rows stay q-major
-    per_system = [run_inequality(basis, qs, "haar_rotation", j_count, seed,
-                                 "hermite", cfg["time_nodes"])
-                  for j_count in j_list for seed in range(seeds)]
+    # one stacked propagation per seed for every J and q; rows stay q-major,
+    # then J, then seed
+    per_seed = [run_inequality(basis, qs, "haar_rotation", j_list, seed,
+                               "hermite", cfg["time_nodes"])
+                for seed in range(seeds)]
+    per_system = [reports for by_seed in zip(*per_seed) for reports in by_seed]
     rows = []
     for i, q in enumerate(qs):
         admissible = ExponentPair(q, s.d_eff).admissible

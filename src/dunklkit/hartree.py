@@ -173,6 +173,5 @@ def solve_hartree(config: HartreeConfig):
         "residuals": residuals,
         "contraction_factors": factors,
         "traces": np.trace(traj, axis1=1, axis2=2).real.tolist(),
-        "schatten": schatten_norm(traj, _SCHATTEN_EXPONENT).tolist(),
     }
     return times, traj, diagnostics

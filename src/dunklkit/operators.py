@@ -155,26 +155,34 @@ def density(basis: HermiteBasis, a, phases=None) -> np.ndarray:
     Without phases, every c_n is 1: this is rho_A(x) = Re sum_{mu nu}
     A_{mu nu} phi_mu(x) phi_nu(x) (exact for self-adjoint A since the basis
     is real), and a (T, M, M) stack gives (T, K) samples.  With phases,
-    ``a`` is one self-adjoint (M, M) operator and the (..., 2 d N + 1)
-    ``phases`` are c with c_{-n} = conj c_n; they give (..., K) samples.  As
-    G_{-n} = conj G_n for self-adjoint A, the odd parts cancel and
-    Re sum_n c_n G_n = sum_n h_n G_n(Re A + Im A) with the real h = Re c -
-    Im c: one real shell pass.  ``flow_phases`` at t give the density of
-    e^{-itH} A e^{itH}; the adjoint of ``time_averaged_operator``.
+    ``a`` is one self-adjoint (M, M) operator, or an (S, M, M) stack of them
+    each checked on its own scale, and the (..., 2 d N + 1) ``phases`` are c
+    with c_{-n} = conj c_n; they give (..., K) samples, (S, ..., K) for a
+    stack.  As G_{-n} = conj G_n for self-adjoint A, the odd parts cancel
+    and Re sum_n c_n G_n = sum_n h_n G_n(Re A + Im A) with the real
+    h = Re c - Im c: one real shell pass of the stack and one broadcast
+    product, each slice bit for bit its own call.  ``flow_phases`` at t give
+    the density of e^{-itH} A e^{itH}; the adjoint of
+    ``time_averaged_operator``.
     """
     if phases is None:
         return _pairs_to_shells(basis, np.real(a), static=True)[..., 0, :]
     a, c = np.asarray(a), np.asarray(phases)
-    if a.shape != (basis.size, basis.size):
-        raise ValueError(f"expected a {basis.size} x {basis.size} operator, got {a.shape}")
+    if a.ndim not in (2, 3) or a.shape[-2:] != (basis.size, basis.size):
+        raise ValueError(f"expected a {basis.size} x {basis.size} operator or stack, "
+                         f"got {a.shape}")
     shells = 2 * basis.structure.d * basis.per_dim_degree + 1
     # c_{-n} = conj c_n for every n is h_{-n} = Re c_n + Im c_n for every n
-    h, mirror = c.real - c.imag, c.real + c.imag
-    if c.shape[-1:] != (shells,) or np.abs(h[..., ::-1] - mirror).max() > 1e-10 * abs(h).max():
+    h = c.real - c.imag
+    if c.shape[-1:] != (shells,) or (
+            np.abs(h[..., ::-1] - (c.real + c.imag)).max() > 1e-10 * abs(h).max()):
         raise ValueError(f"phases must be {shells} per row with c_(-n) = conj c_n")
-    if np.abs(a - a.conj().T).max() > 1e-10 * np.abs(a).max():
+    skew = np.abs(a - np.swapaxes(a, -1, -2).conj()).max(axis=(-2, -1))
+    if np.any(skew > 1e-10 * np.abs(a).max(axis=(-2, -1))):
         raise ValueError("operator is not self-adjoint")
-    return h @ _pairs_to_shells(basis, a.real + a.imag)
+    g = _pairs_to_shells(basis, a.real + a.imag)
+    # each operator's shells meet every row of phases: (S, 1, ..., 2 d N + 1, K)
+    return h @ g.reshape(*a.shape[:-2], *(1,) * (c.ndim - 2), *g.shape[-2:])
 
 
 def _diagonals(phi):

@@ -118,29 +118,29 @@ def lp_norm(values, weights, p):
     row, a 1-D sequence of exponents one norm per exponent on a leading axis.
 
     Each row is scaled by its largest |v|, m (sum w (|v|/m)^p)^{1/p}, so no p
-    overflows, and every exponent comes from one log(|v|/m): one ``exp`` of
-    p log(|v|/m) per exponent into one reused work array.
+    overflows, and every finite exponent comes from one log(|v|/m): one
+    ``exp`` of p log(|v|/m) per exponent into one reused work array.  When
+    every exponent is inf, the row maxima are the norms, and no log is taken.
     """
     exponents = _exponents(p)
     # one row is a one-row stack, so that both shapes run the same array
     # code: numpy's scalar and array powers may differ in the last bit
     a = np.abs(np.atleast_2d(values)).astype(float, copy=False)
     top = a.max(axis=-1)
-    scale = np.where(top > 0, top, 1.0)
-    a /= scale[..., None]
-    with np.errstate(divide="ignore"):  # log 0 = -inf, and e^{-inf} = 0
-        log_a = np.log(a, out=a)
-    work = np.empty_like(log_a)
-    norms = []
-    for pk in np.atleast_1d(exponents).tolist():
-        if math.isinf(pk):
-            norms.append(top)
-            continue
-        np.multiply(log_a, pk, out=work)
-        np.exp(work, out=work)
-        work *= weights
-        norms.append(scale * work.sum(axis=-1) ** (1.0 / pk))
-    norms = np.array(norms)
+    flat = np.atleast_1d(exponents).tolist()
+    norms = np.array([top] * len(flat))
+    finite = [(k, pk) for k, pk in enumerate(flat) if not math.isinf(pk)]
+    if finite:
+        scale = np.where(top > 0, top, 1.0)
+        a /= scale[..., None]
+        with np.errstate(divide="ignore"):  # log 0 = -inf, and e^{-inf} = 0
+            log_a = np.log(a, out=a)
+        work = np.empty_like(log_a)
+        for k, pk in finite:
+            np.multiply(log_a, pk, out=work)
+            np.exp(work, out=work)
+            work *= weights
+            norms[k] = scale * work.sum(axis=-1) ** (1.0 / pk)
     if np.ndim(values) == 1:
         norms = norms[:, 0]
     if exponents.ndim == 0:
@@ -166,7 +166,8 @@ def mixed_norm(time_nodes, grid: TensorGrid, samples, p, q):
     ``time_nodes`` is a pair (t, tau) of node and weight arrays; ``samples``
     has shape (len(t), grid.npoints).  p and q are scalars, or equal-length
     1-D arrays with one norm per pair, all inner norms from one
-    ``weighted_lp_norm``, each time norm an ``lp_norm`` with weights tau.
+    ``weighted_lp_norm`` and all time norms from one ``lp_norm`` with
+    weights tau.
     """
     t, tau = (np.asarray(v, dtype=float) for v in time_nodes)
     samples = np.asarray(samples)
@@ -176,9 +177,10 @@ def mixed_norm(time_nodes, grid: TensorGrid, samples, p, q):
     if p_arr.shape != q_arr.shape:
         raise ValueError(f"p and q must be scalars or equal-length 1-D arrays, "
                          f"got shapes {p_arr.shape} and {q_arr.shape}")
-    norms = [lp_norm(row, tau, pk) for row, pk in zip(
-        weighted_lp_norm(grid, samples, np.atleast_1d(q_arr)), np.atleast_1d(p_arr).tolist())]
-    return norms[0] if p_arr.ndim == 0 else np.array(norms)
+    # every time norm of every inner row in one call; pair k is entry (k, k)
+    inner = weighted_lp_norm(grid, samples, np.atleast_1d(q_arr))
+    norms = np.diagonal(lp_norm(inner, tau, np.atleast_1d(p_arr))).copy()
+    return float(norms[0]) if p_arr.ndim == 0 else norms
 
 
 def _exponents(p) -> np.ndarray:

@@ -130,20 +130,28 @@ def generate_system(
 
 
 def strichartz_lhs(
-    system: OrthonormalSystem,
+    systems,
     qs,
     flow: str = "hermite",
     n_time: int = 256,
 ) -> np.ndarray:
-    """|| sum_j n_j |e^{-itP} f_j|^2 ||_{L^p_t L^q_kappa} for each q of the
-    sequence ``qs``, with p on the scaling line (``ExponentPair``).
+    """|| sum_j n_j |e^{-itP} f_j|^2 ||_{L^p_t L^q_kappa} for each system of
+    the sequence ``systems``, all on one basis, and each q of the sequence
+    ``qs``, with p on the scaling line (``ExponentPair``): shape
+    (len(systems), len(qs)).
 
     Oscillator flow: t over (-pi, pi).  Free flow: the whole-line integral
     transformed onto (-pi/4, pi/4), where on the scaling line it is the
-    oscillator norm.  The evolved density does not depend on the exponents,
-    so it is propagated once for every q, as one ``mixed_norm``.
+    oscillator norm.  The evolved densities do not depend on the exponents:
+    the systems' operators are propagated together, as one stacked
+    ``density``, then each takes one ``mixed_norm`` for every q.
     """
-    basis = system.basis
+    systems = list(systems)
+    if not systems:
+        raise ValueError("expected at least one system")
+    basis = systems[0].basis
+    if any(system.basis is not basis for system in systems):
+        raise ValueError("the systems must share one basis")
     pairs = [ExponentPair(q, basis.structure.d_eff) for q in qs]
     if flow == "hermite":
         t, tau = time_grid(-np.pi, np.pi, n_time)
@@ -151,60 +159,53 @@ def strichartz_lhs(
         t, tau = time_grid(-np.pi / 4 + 1e-9, np.pi / 4 - 1e-9, n_time)
     else:
         raise ValueError(f"unknown flow {flow!r}")
-    # the density of e^{-itH} A e^{itH}, A = sum_j n_j |f_j><f_j|
-    a = (system.states.T * system.coeffs.real) @ system.states.conj()
+    # the densities of e^{-itH} A e^{itH}, A = sum_j n_j |f_j><f_j| per system
+    a = np.stack([(system.states.T * system.coeffs.real) @ system.states.conj()
+                  for system in systems])
     rho = density(basis, a, flow_phases(basis, t))
-    return mixed_norm((t, tau), basis.grid, rho, [pr.p for pr in pairs], [pr.q for pr in pairs])
+    exponents = [pr.p for pr in pairs], [pr.q for pr in pairs]
+    return np.array([mixed_norm((t, tau), basis.grid, r, *exponents) for r in rho])
 
 
-def schatten_rhs(coeffs, pair: ExponentPair) -> float:
-    """l^alpha norm of the occupation coefficients, alpha = ``pair.alpha``."""
-    return lp_norm(np.asarray(coeffs, dtype=complex), 1.0, pair.alpha)
+def schatten_rhs(coeffs, pairs) -> np.ndarray:
+    """l^alpha norm of the occupation coefficients for each ``ExponentPair``
+    of the sequence ``pairs`` (alpha = ``pair.alpha``), from one ``lp_norm``."""
+    return lp_norm(np.asarray(coeffs, dtype=complex), 1.0, [pr.alpha for pr in pairs])
 
 
 def run_inequality(
     basis: HermiteBasis,
     qs,
     system_kind: str = "haar_rotation",
-    j_count: int = 8,
+    j_counts=(8,),
     seed: int = 0,
     flow: str = "hermite",
     n_time: int = 256,
-) -> list[StrichartzReport]:
-    """Assemble one system, evaluate lhs and rhs at each q of the sequence
-    ``qs``, and report the ratios: one report per q, in order.
+) -> list[list[StrichartzReport]]:
+    """Assemble one system per size J of ``j_counts``, all from ``seed``,
+    evaluate lhs and rhs at each q of the sequence ``qs``, and report the
+    ratios: one list of reports per J, in order, each with one report per
+    q, in order.
 
-    The system is generated and propagated once for all q.  Each report's
-    ``wall_time`` is the elapsed time of the whole call, shared by its
-    reports, not a per-q time.
+    The systems are propagated together, once for all q (``strichartz_lhs``).
+    Each report's ``wall_time`` is the elapsed time of the whole call, shared
+    by every report of every J, not a per-q or per-J time.
     """
     import time as _time
 
     start = _time.perf_counter()
     s = basis.structure
     pairs = [ExponentPair(q, s.d_eff) for q in qs]
-    system = generate_system(basis, system_kind, j_count, seed)
-    lhs = strichartz_lhs(system, qs, flow, n_time).tolist()
-    rhs = [schatten_rhs(system.coeffs, pr) for pr in pairs]
+    systems = [generate_system(basis, system_kind, j_count, seed) for j_count in j_counts]
+    lhs = strichartz_lhs(systems, qs, flow, n_time).tolist()
+    rhs = [schatten_rhs(system.coeffs, pairs).tolist() for system in systems]
     wall_time = _time.perf_counter() - start
-    return [
-        StrichartzReport(
-            d=s.d,
-            kappa=s.kappa,
-            n_degree=basis.per_dim_degree,
-            flow=flow,
-            q=pr.q,
-            p=pr.p,
-            system_kind=system_kind,
-            system_size=j_count,
-            seed=seed,
-            lhs=lk,
-            rhs=rk,
-            ratio=lk / rk if rk > 0 else np.nan,
-            wall_time=wall_time,
-        )
-        for pr, lk, rk in zip(pairs, lhs, rhs)
-    ]
+    echo = dict(d=s.d, kappa=s.kappa, n_degree=basis.per_dim_degree, flow=flow,
+                system_kind=system_kind, seed=seed, wall_time=wall_time)
+    return [[StrichartzReport(q=pr.q, p=pr.p, system_size=j_count, lhs=lk, rhs=rk,
+                              ratio=lk / rk if rk > 0 else np.nan, **echo)
+             for pr, lk, rk in zip(pairs, lhs_j, rhs_j)]
+            for j_count, lhs_j, rhs_j in zip(j_counts, lhs, rhs)]
 
 
 def _profile(r_of_s, s: np.ndarray) -> np.ndarray:

@@ -164,8 +164,8 @@ def test_criterion_07_q1_exact_regime(basis_1d_half):
     worst = 0.0
     for seed in range(20):
         j_count = 1 + (seed * 7) % 32
-        [rep] = run_inequality(
-            basis_1d_half, [1.0], "haar_rotation", j_count, seed=seed, n_time=48
+        [[rep]] = run_inequality(
+            basis_1d_half, [1.0], "haar_rotation", [j_count], seed=seed, n_time=48
         )
         worst = max(worst, rep.ratio)
     announce(7, "q = 1 exact regime", worst <= 1 + 1e-8,
@@ -181,9 +181,10 @@ def test_criterion_08_boundedness_sweep(basis_1d_half, tmp_path):
     for j_count in j_values:
         for seed in range(5):
             # one system and one density per (J, seed) for all three q
-            for rep in run_inequality(
-                basis, (1.2, 1.5, 1.8), "haar_rotation", j_count, seed=seed, n_time=96
-            ):
+            [reports] = run_inequality(
+                basis, (1.2, 1.5, 1.8), "haar_rotation", [j_count], seed=seed, n_time=96
+            )
+            for rep in reports:
                 rows.append(rep.as_dict())
     out = tmp_path / "acceptance_sweep.csv"
     with out.open("w", newline="") as fh:

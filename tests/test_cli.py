@@ -298,8 +298,9 @@ class TestSubcommands:
         assert summary["rows"] == 4
 
     def test_sweep_rows_match_one_q_evaluations(self, runner, small_config, tmp_path):
-        # one propagation per (J, seed) serves every q: the rows stay q-major
-        # and equal, in every column but wall_time, one-q evaluations
+        # one stacked propagation per seed serves every J and q: the rows stay
+        # q-major and equal, in every column but wall_time, one-J, one-q
+        # evaluations
         result = runner.invoke(
             main,
             ["-c", str(small_config), "sweep", "--steps", "3",
@@ -312,8 +313,8 @@ class TestSubcommands:
         for q in np.linspace(1.1, 1.9, 3).tolist():
             for j_count in (1, 2):
                 for seed in range(2):
-                    [rep] = run_inequality(basis, [q], "haar_rotation", j_count, seed,
-                                           "hermite", cfg["time_nodes"])
+                    [[rep]] = run_inequality(basis, [q], "haar_rotation", [j_count], seed,
+                                             "hermite", cfg["time_nodes"])
                     expected.append({**rep.as_dict(),
                                      "admissible": ExponentPair(q, s.d_eff).admissible})
         buf = io.StringIO()
@@ -423,10 +424,12 @@ class TestHartreeRobustness:
 # for the exit-2 cases of test_no_false_success.
 NON_FINITE = {
     "sweep": ("run_inequality", lambda *a, **kw: [
-        dataclasses.replace(r, lhs=np.inf, ratio=np.inf) for r in run_inequality(*a, **kw)
+        [dataclasses.replace(r, lhs=np.inf, ratio=np.inf) for r in reports]
+        for reports in run_inequality(*a, **kw)
     ]),
     "strichartz": ("run_inequality", lambda *a, **kw: [
-        dataclasses.replace(r, lhs=np.nan, ratio=np.nan) for r in run_inequality(*a, **kw)
+        [dataclasses.replace(r, lhs=np.nan, ratio=np.nan) for r in reports]
+        for reports in run_inequality(*a, **kw)
     ]),
     # the Schatten-2q' value inf, as the unscaled sum gave at q' = 400
     "dual-schatten": ("schatten_norm", lambda a, p: schatten_norm(a, p) * np.array([np.inf, 1.0])),

@@ -233,9 +233,9 @@ class TestPicard:
             basis=basis, gamma0=g0, width=1.0, coupling=0.0,
             horizon=0.1, steps=9,
         )
-        _, traj, diag = solve_hartree(config)
+        _, traj, _ = solve_hartree(config)
         base = schatten_norm(g0, _SCHATTEN_EXPONENT)
-        for val in diag["schatten"]:
+        for val in schatten_norm(traj, _SCHATTEN_EXPONENT):
             assert val == pytest.approx(base, rel=1e-12)
 
     def test_step_preserves_self_adjointness_and_trace(self, basis_1d_half):

@@ -19,7 +19,7 @@ from dunklkit import (
     tensor_grid,
     time_averaged_operator,
 )
-from dunklkit.operators import _pairs_to_shells
+from dunklkit.operators import _pairs_to_shells, flow_phases
 from dunklkit.quadrature import time_grid
 
 from conftest import random_state
@@ -551,6 +551,43 @@ class TestShellContractions:
             density(basis_2d, a, lopsided)
         with pytest.raises(ValueError, match="conj"):
             density(basis_2d, a, c[:, 1:])
+
+    def test_phases_stack_is_its_single_calls(self, shell_basis):
+        # an (S, M, M) stack of self-adjoint operators gives (S, T, K), and
+        # each slice is the operator's own call, bit for bit
+        basis = shell_basis
+        rng = np.random.default_rng(26)
+        stack = np.stack([hermitian(basis.size, 30 + s) * 10.0 ** -s for s in range(3)])
+        c = flow_phases(basis, rng.uniform(-np.pi, np.pi, 5))
+        got = density(basis, stack, c)
+        assert got.shape == (3, 5, basis.grid.npoints)
+        np.testing.assert_array_equal(got, np.stack([density(basis, a, c) for a in stack]))
+        assert density(basis, stack, c[0]).shape == (3, basis.grid.npoints)
+
+    def test_phases_stack_needs_every_operator_self_adjoint(self, basis_2d):
+        c = shell_phases(basis_2d, np.array([0.3, 1.1]))
+        stack = np.stack([hermitian(basis_2d.size, 31 + s) for s in range(3)])
+        stack[1] += 1e-3j * np.eye(basis_2d.size)
+        with pytest.raises(ValueError, match="self-adjoint"):
+            density(basis_2d, stack, c)
+        with pytest.raises(ValueError, match="operator"):
+            density(basis_2d, stack[None], c)
+
+    def test_phases_stack_judges_each_operator_on_its_own_scale(self, basis_1d_half):
+        # beside an O(1) operator, a 1e-8-scale one with a skew part of 1e-6
+        # of its own size is not self-adjoint, and an O(1) one with a 1e-13
+        # skew part of round-off size still is, next to the 1e-8 one
+        basis = basis_1d_half
+        m = basis.size
+        c = flow_phases(basis, np.array([0.2, 0.7]))
+        skew = 1j * np.eye(m)
+        small, large = 1e-8 * hermitian(m, 32), hermitian(m, 33)
+        scale = np.abs(small).max()
+        with pytest.raises(ValueError, match="self-adjoint"):
+            density(basis, np.stack([small + 1e-6 * scale * skew, large]), c)
+        rounded = large + 1e-13 * np.abs(large).max() * skew
+        got = density(basis, np.stack([small, rounded]), c)
+        np.testing.assert_array_equal(got[1], density(basis, rounded, c))
 
     def test_propagated_density_matches_states(self, shell_basis):
         # the density of e^{-itH} A e^{itH}, A = sum_j n_j |f_j><f_j|, against

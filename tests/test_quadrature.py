@@ -268,6 +268,26 @@ class TestNorms:
             tracemalloc.stop()
         assert peak <= 2.5 * samples.nbytes
 
+    def test_all_inf_exponents_take_the_row_maxima(self, basis_2d):
+        # the row maxima, bit for bit, for one row and for a stack, as the
+        # inf entry of a call that takes the log; and with no log or work
+        # array, only |f|: the general path would peak at 2 times the samples
+        grid = basis_2d.grid
+        samples = np.random.default_rng(24).normal(size=(64, grid.npoints))
+        for values in (samples[0], samples):
+            top = np.abs(values).max(axis=-1)
+            np.testing.assert_array_equal(weighted_lp_norm(grid, values, np.inf), top)
+            np.testing.assert_array_equal(weighted_lp_norm(grid, values, [np.inf] * 2), [top] * 2)
+            np.testing.assert_array_equal(weighted_lp_norm(grid, values, [2.0, np.inf])[1], top)
+        assert isinstance(weighted_lp_norm(grid, samples[0], np.inf), float)
+        tracemalloc.start()
+        try:
+            weighted_lp_norm(grid, samples, [np.inf, np.inf])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * samples.nbytes
+
     def test_bad_exponent_is_named(self, basis_1d_half):
         # the message the sweep traceback carries when p(q_max) < 1
         grid = basis_1d_half.grid

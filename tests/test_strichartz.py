@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -52,10 +54,20 @@ class TestExponents:
         # alpha = 2q/(q+1): the l^1 norm at q = 1, l^{6/5} at q = 3/2
         assert ExponentPair(1.0, 2.0).alpha == 1.0
         assert ExponentPair(1.5, 2.0).alpha == 6.0 / 5.0
-        assert schatten_rhs(np.ones(3), ExponentPair(1.0, 2.0)) == pytest.approx(3.0)
-        assert schatten_rhs([1.0, 0.5j], ExponentPair(1.5, 2.0)) == pytest.approx(
+        [rhs] = schatten_rhs(np.ones(3), [ExponentPair(1.0, 2.0)])
+        assert rhs == pytest.approx(3.0)
+        [rhs] = schatten_rhs([1.0, 0.5j], [ExponentPair(1.5, 2.0)])
+        assert rhs == pytest.approx(
             (1.0 + 0.5**1.2) ** (1.0 / 1.2))
 
+
+    def test_schatten_rhs_takes_every_alpha_at_once(self):
+        # one lp_norm call with every alpha gives the one-alpha calls' bits
+        pairs = [ExponentPair(q, 2.0) for q in (1.0, 1.2, 1.5, 2.5)]
+        coeffs = [1.0, 0.6, 0.3j]
+        got = schatten_rhs(coeffs, pairs)
+        assert got.shape == (4,)
+        np.testing.assert_array_equal(got, [schatten_rhs(coeffs, [pr])[0] for pr in pairs])
 
 class TestSystems:
     @pytest.mark.parametrize(
@@ -86,8 +98,8 @@ class TestInequality:
         # q = 1, p = inf: lhs = sup_t || sum |f_j|^2 ||_1 = J by unitarity,
         # rhs = l^1 norm of the coefficients = J; ratio exactly 1
         for seed in range(3):
-            [rep] = run_inequality(
-                basis_1d_half, [1.0], "haar_rotation", 6, seed=seed, n_time=64
+            [[rep]] = run_inequality(
+                basis_1d_half, [1.0], "haar_rotation", [6], seed=seed, n_time=64
             )
             assert rep.ratio == pytest.approx(1.0, abs=1e-8)
 
@@ -95,7 +107,7 @@ class TestInequality:
         # single eigenstate: density is t-independent, lhs = || phi_0^2 ||_q
         basis = basis_1d_one
         q = 1.5
-        [rep] = run_inequality(basis, [q], "basis_subset", 1, n_time=32)
+        [[rep]] = run_inequality(basis, [q], "basis_subset", [1], n_time=32)
         dens = np.abs(eval_table(basis)[0]) ** 2
         tnorm = (2 * np.pi) ** (1.0 / rep.p)
         expected = tnorm * weighted_lp_norm(basis.grid, dens, q)
@@ -106,9 +118,9 @@ class TestInequality:
         # the lhs depends on the system only through the operator sum, which
         # a permutation of equal-coefficient vectors leaves unchanged
         sys_a = generate_system(basis_1d_half, "basis_subset", 4)
-        [lhs_a] = strichartz_lhs(sys_a, [1.5], n_time=64)
+        [[lhs_a]] = strichartz_lhs([sys_a], [1.5], n_time=64)
         sys_b = OrthonormalSystem(sys_a.basis, sys_a.states[::-1], sys_a.coeffs)
-        [lhs_b] = strichartz_lhs(sys_b, [1.5], n_time=64)
+        [[lhs_b]] = strichartz_lhs([sys_b], [1.5], n_time=64)
         assert lhs_a == pytest.approx(lhs_b, rel=1e-13)
 
     def test_hermite_vs_laplacian_scaling_line(self, basis_1d_half):
@@ -119,8 +131,8 @@ class TestInequality:
         q = 1.2
         p = admissible_p(q, s.d_eff)
         system = generate_system(basis_1d_half, "haar_rotation", 4, seed=2)
-        [lap] = strichartz_lhs(system, [q], flow="laplacian", n_time=128)
-        [her] = strichartz_lhs(system, [q], flow="hermite", n_time=512)
+        [[lap]] = strichartz_lhs([system], [q], flow="laplacian", n_time=128)
+        [[her]] = strichartz_lhs([system], [q], flow="hermite", n_time=512)
         quarter = (0.25) ** (1.0 / p) * her  # (-pi,pi) vs (-pi/4,pi/4) scaling only
         # densities are pi/2-periodic in t for the oscillator flow, so the
         # full-window norm is exactly 4^{1/p} times the quarter-window norm
@@ -149,11 +161,11 @@ class TestInequality:
             for tv in t
         ])
         oracle = inner.max() if np.isinf(p) else np.sum(tau * inner**p) ** (1.0 / p)
-        [got] = strichartz_lhs(system, [q], flow="laplacian", n_time=48)
+        [[got]] = strichartz_lhs([system], [q], flow="laplacian", n_time=48)
         assert got == pytest.approx(oracle, rel=1e-13)
 
     def test_report_fields(self, basis_1d_half):
-        [rep] = run_inequality(basis_1d_half, [1.5], "basis_subset", 2, n_time=32)
+        [[rep]] = run_inequality(basis_1d_half, [1.5], "basis_subset", [2], n_time=32)
         d = rep.as_dict()
         assert d["q"] == 1.5
         assert d["system_size"] == 2
@@ -165,10 +177,10 @@ class TestInequality:
         # q = 1 gives p = inf; one propagation for all q changes no bit
         system = generate_system(basis_1d_half, "haar_rotation", 4, seed=7)
         qs = [1.0, 1.2, 1.5, 1.9]
-        got = strichartz_lhs(system, np.array(qs), flow, n_time=48)
+        [got] = strichartz_lhs([system], np.array(qs), flow, n_time=48)
         assert got.shape == (4,)
         for g, q in zip(got, qs):
-            one = strichartz_lhs(system, [q], flow, n_time=48)
+            [one] = strichartz_lhs([system], [q], flow, n_time=48)
             assert one.shape == (1,)
             assert g == one[0]
 
@@ -176,27 +188,78 @@ class TestInequality:
         system = generate_system(basis_1d_half, "basis_subset", 2)
         for q in (0.5, np.inf, np.nan):
             with pytest.raises(ValueError, match="q must be finite and >= 1"):
-                strichartz_lhs(system, [1.5, q], n_time=16)
+                strichartz_lhs([system], [1.5, q], n_time=16)
         with pytest.raises(ValueError, match="unknown flow"):
-            strichartz_lhs(system, [1.5], "heat", n_time=16)
+            strichartz_lhs([system], [1.5], "heat", n_time=16)
+
+    @pytest.mark.parametrize("flow", ["hermite", "laplacian"])
+    def test_systems_match_single_system_calls(self, basis_1d_half, flow):
+        # several systems propagated as one stack: each row is the system's
+        # own call, bit for bit
+        systems = [generate_system(basis_1d_half, "haar_rotation", j, seed=6) for j in (1, 3, 8)]
+        systems.append(generate_system(basis_1d_half, "gaussian_orthogonalized", 2, seed=6))
+        qs = [1.0, 1.3, 1.9]
+        got = strichartz_lhs(systems, qs, flow, n_time=48)
+        assert got.shape == (4, 3)
+        np.testing.assert_array_equal(
+            got, np.concatenate([strichartz_lhs([system], qs, flow, n_time=48)
+                                 for system in systems]))
+
+    def test_rejects_mixed_bases_and_no_systems(self, basis_1d_half, basis_1d_one):
+        a = generate_system(basis_1d_half, "basis_subset", 2)
+        b = generate_system(basis_1d_one, "basis_subset", 2)
+        with pytest.raises(ValueError, match="one basis"):
+            strichartz_lhs([a, b], [1.5], n_time=16)
+        with pytest.raises(ValueError, match="at least one system"):
+            strichartz_lhs([], [1.5], n_time=16)
+
+    def test_stacked_densities_are_not_copied(self, basis_1d_half):
+        # the peak is a small multiple of the (S, T, K) densities: about 1.6
+        # times at S = 8, T = 256; stacking per-system products would copy
+        # them and pass 2
+        systems = [generate_system(basis_1d_half, "haar_rotation", j, seed=5)
+                   for j in range(1, 9)]
+        tracemalloc.start()
+        try:
+            strichartz_lhs(systems, np.linspace(1.1, 1.9, 9), n_time=256)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.0 * len(systems) * 256 * basis_1d_half.grid.npoints * 8
 
     def test_time_exponent_below_one_is_named(self, basis_2d):
         # d_eff = 5: q = 1.9 lies on the scaling line at p = 0.84 < 1, the
         # error that ``sweep`` at such a config ends in
         with pytest.raises(ValueError, match=r"p must be >= 1 or inf, got 0\.844"):
-            run_inequality(basis_2d, [1.1, 1.9], "haar_rotation", 1, n_time=8)
+            run_inequality(basis_2d, [1.1, 1.9], "haar_rotation", [1], n_time=8)
 
     @pytest.mark.parametrize("flow", ["hermite", "laplacian"])
     def test_run_inequality_sequence_matches_one_q_calls(self, basis_1d_half, flow):
         qs = [1.0, 1.2, 1.5, 1.9]
-        reps = run_inequality(basis_1d_half, qs, "haar_rotation", 5, seed=3,
-                              flow=flow, n_time=48)
+        [reps] = run_inequality(basis_1d_half, qs, "haar_rotation", [5], seed=3,
+                                flow=flow, n_time=48)
         assert [r.q for r in reps] == qs
         assert len({r.wall_time for r in reps}) == 1
         for rep, q in zip(reps, qs):
-            [one] = run_inequality(basis_1d_half, [q], "haar_rotation", 5, seed=3,
-                                   flow=flow, n_time=48)
+            [[one]] = run_inequality(basis_1d_half, [q], "haar_rotation", [5], seed=3,
+                                     flow=flow, n_time=48)
             assert (rep.p, rep.lhs, rep.rhs, rep.ratio) == (one.p, one.lhs, one.rhs, one.ratio)
+
+    @pytest.mark.parametrize("flow", ["hermite", "laplacian"])
+    def test_run_inequality_j_counts_match_one_j_calls(self, basis_1d_half, flow):
+        # every J of one seed in one call: one list of reports per J, each
+        # equal to the one-J call in every field but the shared wall_time
+        qs = [1.0, 1.5, 1.9]
+        j_counts = [1, 2, 4, 8]
+        per_j = run_inequality(basis_1d_half, qs, "haar_rotation", j_counts, seed=4,
+                               flow=flow, n_time=48)
+        assert [[r.system_size for r in reps] for reps in per_j] == [[j] * 3 for j in j_counts]
+        assert len({r.wall_time for reps in per_j for r in reps}) == 1
+        for j_count, reps in zip(j_counts, per_j):
+            [one] = run_inequality(basis_1d_half, qs, "haar_rotation", [j_count], seed=4,
+                                   flow=flow, n_time=48)
+            for rep, single in zip(reps, one):
+                assert {**rep.as_dict(), "wall_time": 0} == {**single.as_dict(), "wall_time": 0}
 
 
 class TestDuhamel:
