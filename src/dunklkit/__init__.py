@@ -27,7 +27,6 @@ from .hermite import (
     kernel_Kit,
 )
 from .operators import (
-    OrthonormalSystem,
     conjugate,
     density,
     kss_check,

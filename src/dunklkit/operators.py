@@ -36,7 +36,6 @@ multiplies entry (mu, nu) by the phase e^{-2int} of n = |mu| - |nu| alone
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +43,6 @@ from .hermite import HermiteBasis
 from .quadrature import lp_norm, weighted_lp_norm
 
 __all__ = [
-    "OrthonormalSystem",
     "flow_phases",
     "apply_shells",
     "conjugate",
@@ -55,32 +53,6 @@ __all__ = [
     "mixed_xp_operator",
     "kss_check",
 ]
-
-
-@dataclass
-class OrthonormalSystem:
-    """Orthonormal family f_j with occupation coefficients n_j; row j of
-    ``states`` holds the spectral coefficients of f_j."""
-
-    basis: HermiteBasis
-    states: np.ndarray
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        self.states = np.asarray(self.states, dtype=complex)
-        self.coeffs = np.asarray(self.coeffs, dtype=complex)
-        if self.states.shape[1:] != (self.basis.size,):
-            raise ValueError(
-                f"expected (J, {self.basis.size}) states, got {self.states.shape}"
-            )
-        if len(self.states) != self.coeffs.size:
-            raise ValueError(
-                f"{len(self.states)} states but {self.coeffs.size} coefficients"
-            )
-        gram = self.states.conj() @ self.states.T
-        dev = np.abs(gram - np.eye(len(self.states))).max(initial=0.0)
-        if dev > 1e-10:
-            raise ValueError(f"system is not orthonormal (Gram deviation {dev:.3e})")
 
 
 def flow_phases(basis: HermiteBasis, t) -> np.ndarray:

@@ -15,12 +15,13 @@ a source of one fixed operator the integral over s is a scalar per shell.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .hermite import HermiteBasis
-from .operators import OrthonormalSystem, apply_shells, density, flow_phases, schatten_norm
+from .operators import apply_shells, density, flow_phases, schatten_norm
 from .quadrature import lp_norm, mixed_norm, time_grid
 
 __all__ = [
@@ -94,9 +95,9 @@ def generate_system(
     kind: str,
     j_count: int,
     seed: int = 0,
-) -> OrthonormalSystem:
-    """Deterministic orthonormal family of j_count states in the basis, each
-    with occupation 1.
+) -> np.ndarray:
+    """Deterministic orthonormal family of j_count states in the basis: the
+    (j_count, M) array of their spectral coefficients, one row per state.
 
     kinds: ``basis_subset`` (the first j_count basis functions),
     ``haar_rotation`` (rows of a Haar-random unitary restricted to the
@@ -126,32 +127,31 @@ def generate_system(
         c = qmat.T
     else:
         raise ValueError(f"unknown system kind {kind!r}")
-    return OrthonormalSystem(basis, c, np.ones(j_count))
+    return c
 
 
 def strichartz_lhs(
-    systems,
+    basis: HermiteBasis,
+    gamma,
     qs,
     flow: str = "hermite",
     n_time: int = 256,
 ) -> np.ndarray:
-    """|| sum_j n_j |e^{-itP} f_j|^2 ||_{L^p_t L^q_kappa} for each system of
-    the sequence ``systems``, all on one basis, and each q of the sequence
-    ``qs``, with p on the scaling line (``ExponentPair``): shape
-    (len(systems), len(qs)).
+    """||rho_{e^{-itP} gamma e^{itP}}||_{L^p_t L^q_kappa} for each self-adjoint
+    operator of the (S, M, M) stack ``gamma`` and each q of the sequence
+    ``qs``, with p on the scaling line (``ExponentPair``): shape (S, len(qs)).
+    A system of states f_j (rows of f) with occupations n_j is its operator
+    gamma = sum_j n_j |f_j><f_j|, ``f.T @ (n[:, None] * f).conj()``.
 
     Oscillator flow: t over (-pi, pi).  Free flow: the whole-line integral
     transformed onto (-pi/4, pi/4), where on the scaling line it is the
     oscillator norm.  The evolved densities do not depend on the exponents:
-    the systems' operators are propagated together, as one stacked
-    ``density``, then each takes one ``mixed_norm`` for every q.
+    the stack is propagated as one ``density``, then each operator takes one
+    ``mixed_norm`` for every q.
     """
-    systems = list(systems)
-    if not systems:
-        raise ValueError("expected at least one system")
-    basis = systems[0].basis
-    if any(system.basis is not basis for system in systems):
-        raise ValueError("the systems must share one basis")
+    gamma = np.asarray(gamma)
+    if gamma.ndim != 3 or not len(gamma):
+        raise ValueError(f"expected an (S, M, M) stack of operators, S >= 1, got {gamma.shape}")
     pairs = [ExponentPair(q, basis.structure.d_eff) for q in qs]
     if flow == "hermite":
         t, tau = time_grid(-np.pi, np.pi, n_time)
@@ -159,10 +159,7 @@ def strichartz_lhs(
         t, tau = time_grid(-np.pi / 4 + 1e-9, np.pi / 4 - 1e-9, n_time)
     else:
         raise ValueError(f"unknown flow {flow!r}")
-    # the densities of e^{-itH} A e^{itH}, A = sum_j n_j |f_j><f_j| per system
-    a = np.stack([(system.states.T * system.coeffs.real) @ system.states.conj()
-                  for system in systems])
-    rho = density(basis, a, flow_phases(basis, t))
+    rho = density(basis, gamma, flow_phases(basis, t))
     exponents = [pr.p for pr in pairs], [pr.q for pr in pairs]
     return np.array([mixed_norm((t, tau), basis.grid, r, *exponents) for r in rho])
 
@@ -182,24 +179,23 @@ def run_inequality(
     flow: str = "hermite",
     n_time: int = 256,
 ) -> list[list[StrichartzReport]]:
-    """Assemble one system per size J of ``j_counts``, all from ``seed``,
-    evaluate lhs and rhs at each q of the sequence ``qs``, and report the
-    ratios: one list of reports per J, in order, each with one report per
-    q, in order.
+    """Assemble one system per size J of ``j_counts``, all from ``seed`` and
+    each with unit occupations, evaluate lhs and rhs at each q of the
+    sequence ``qs``, and report the ratios: one list of reports per J, in
+    order, each with one report per q, in order.
 
     The systems are propagated together, once for all q (``strichartz_lhs``).
     Each report's ``wall_time`` is the elapsed time of the whole call, shared
     by every report of every J, not a per-q or per-J time.
     """
-    import time as _time
-
-    start = _time.perf_counter()
+    start = time.perf_counter()
     s = basis.structure
     pairs = [ExponentPair(q, s.d_eff) for q in qs]
-    systems = [generate_system(basis, system_kind, j_count, seed) for j_count in j_counts]
-    lhs = strichartz_lhs(systems, qs, flow, n_time).tolist()
-    rhs = [schatten_rhs(system.coeffs, pairs).tolist() for system in systems]
-    wall_time = _time.perf_counter() - start
+    states = [generate_system(basis, system_kind, j_count, seed) for j_count in j_counts]
+    gammas = np.stack([f.T @ f.conj() for f in states])
+    lhs = strichartz_lhs(basis, gammas, qs, flow, n_time).tolist()
+    rhs = [schatten_rhs(np.ones(j_count), pairs).tolist() for j_count in j_counts]
+    wall_time = time.perf_counter() - start
     echo = dict(d=s.d, kappa=s.kappa, n_degree=basis.per_dim_degree, flow=flow,
                 system_kind=system_kind, seed=seed, wall_time=wall_time)
     return [[StrichartzReport(q=pr.q, p=pr.p, system_size=j_count, lhs=lk, rhs=rk,

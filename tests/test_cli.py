@@ -166,6 +166,22 @@ class TestSubcommands:
         assert "ratio=" in result.output
         assert (tmp_path / "reports" / "strichartz.csv").exists()
 
+    @pytest.mark.parametrize("args, line", [
+        (["strichartz"], "q=1.5 p=3 lhs=5.82443 rhs=5.65685 ratio=1.02962"),
+        (["strichartz", "--flow", "laplacian"],
+         "q=1.5 p=3 lhs=3.66916 rhs=5.65685 ratio=0.648622"),
+        (["strichartz", "--group", "gaussian_orthogonalized", "--j", "3", "--q", "1.2"],
+         "q=1.2 p=6 lhs=2.49094 rhs=2.73754 ratio=0.909917"),
+        (["sweep", "--steps", "2", "--seeds", "2", "--j-values", "1 2"],
+         "8 evaluations; ratio range [1.021, 1.668]"),
+    ])
+    def test_printed_figures(self, runner, small_config, args, line):
+        # the printed figures are pinned: a change of the functionals' code
+        # that keeps their values keeps these lines
+        result = runner.invoke(main, ["-c", str(small_config), *args])
+        assert result.exit_code == EXIT_OK, result.output
+        assert result.output == line + "\n"
+
     def test_strichartz_q1_identity(self, runner, small_config):
         result = runner.invoke(
             main, ["-c", str(small_config), "strichartz", "--q", "1.0", "--j", "4"]

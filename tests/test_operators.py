@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from dunklkit import (
     DunklStructure,
-    OrthonormalSystem,
     build_basis,
     conjugate,
     density,
@@ -169,32 +168,6 @@ class TestConjugate:
         for k, t in enumerate(times):
             np.testing.assert_array_equal(one[k], conjugate(basis, a, t))
             np.testing.assert_array_equal(many[k], conjugate(basis, stack[k], t))
-
-
-class TestOrthonormalSystem:
-    def test_rejects_non_orthonormal(self, basis_1d_half):
-        u = random_state(basis_1d_half, seed=0)
-        with pytest.raises(ValueError):
-            OrthonormalSystem(basis_1d_half, [u, u], np.ones(2))
-
-    def test_rejects_shape_or_count_mismatch(self, basis_1d_half):
-        m = basis_1d_half.size
-        for states, count in [(np.eye(3, m - 1), 3), (np.eye(m)[0], 1), (np.eye(2, m), 3)]:
-            with pytest.raises(ValueError, match="states"):
-                OrthonormalSystem(basis_1d_half, states, np.ones(count))
-
-    def test_operator_is_projection_for_unit_coeffs(self, basis_1d_half):
-        basis = basis_1d_half
-        vs = []
-        for j in range(3):
-            c = np.zeros(basis.size, dtype=complex)
-            c[j] = 1.0
-            vs.append(c)
-        system = OrthonormalSystem(basis, vs, np.ones(3))
-        # the operator sum_j n_j |f_j><f_j| of the system
-        op = (system.states.T * system.coeffs) @ system.states.conj()
-        np.testing.assert_allclose(op @ op, op, atol=1e-14)
-        assert np.trace(op) == pytest.approx(3.0)
 
 
 class TestDensity:

@@ -6,7 +6,6 @@ import pytest
 from dunklkit import (
     DunklStructure,
     ExponentPair,
-    OrthonormalSystem,
     admissible_p,
     build_basis,
     generate_system,
@@ -22,6 +21,32 @@ from dunklkit.quadrature import time_grid, weighted_lp_norm
 
 import duhamel_oracle
 from shell_oracle import eval_table
+
+
+def operator(f, occupations=None):
+    """gamma = sum_j n_j |f_j><f_j| of the rows f_j of f, unit n_j by default."""
+    n = np.ones(len(f)) if occupations is None else np.asarray(occupations)
+    return f.T @ (n[:, None] * f).conj()
+
+
+def laplacian_slice_loop(basis, occupations, states, q, n_time):
+    """The free-flow lhs of sum_j n_j |f_j><f_j| on the scaling line, per
+    slice: |sec 2t|^expo (expo = 0 up to rounding there) times the L^q norm
+    of the summed propagated densities, then the L^p_t sum (the max at
+    p = inf)."""
+    p = admissible_p(q, basis.structure.d_eff)
+    t, tau = time_grid(-np.pi / 4 + 1e-9, np.pi / 4 - 1e-9, n_time)
+    expo = 2.0 * (0.0 if np.isinf(p) else 1.0 / p) + basis.structure.d_eff * (1.0 / q - 1.0)
+    inner = np.array([
+        np.abs(1.0 / np.cos(2.0 * tv)) ** expo * weighted_lp_norm(
+            basis.grid,
+            sum(n * np.abs((np.exp(-1j * tv * basis.eigenvalues) * c) @ eval_table(basis)) ** 2
+                for n, c in zip(occupations, states)),
+            q,
+        )
+        for tv in t
+    ])
+    return inner.max() if np.isinf(p) else np.sum(tau * inner**p) ** (1.0 / p)
 
 
 class TestExponents:
@@ -73,16 +98,23 @@ class TestSystems:
     @pytest.mark.parametrize(
         "kind", ["basis_subset", "haar_rotation", "gaussian_orthogonalized"]
     )
-    def test_orthonormal(self, basis_1d_half, kind):
-        system = generate_system(basis_1d_half, kind, 6, seed=3)
-        c = system.states
+    @pytest.mark.parametrize("j_count", [1, 3, 6, "M"])
+    def test_orthonormal(self, basis_1d_half, kind, j_count):
+        # rows orthonormal, so their operator is a projection of rank J
+        m = basis_1d_half.size
+        j_count = m if j_count == "M" else j_count
+        c = generate_system(basis_1d_half, kind, j_count, seed=3)
+        assert c.shape == (j_count, m)
         gram = c.conj() @ c.T
-        assert np.abs(gram - np.eye(6)).max() < 1e-12
+        assert np.abs(gram - np.eye(j_count)).max() < 1e-12
+        gamma = operator(c)
+        np.testing.assert_allclose(gamma @ gamma, gamma, atol=1e-13)
+        assert np.trace(gamma) == pytest.approx(j_count)
 
     def test_deterministic(self, basis_1d_half):
         a = generate_system(basis_1d_half, "haar_rotation", 5, seed=11)
         b = generate_system(basis_1d_half, "haar_rotation", 5, seed=11)
-        assert np.array_equal(a.states, b.states)
+        assert np.array_equal(a, b)
 
     def test_too_large_rejected(self, basis_1d_half):
         with pytest.raises(ValueError):
@@ -117,10 +149,9 @@ class TestInequality:
     def test_rearrangement_invariance(self, basis_1d_half):
         # the lhs depends on the system only through the operator sum, which
         # a permutation of equal-coefficient vectors leaves unchanged
-        sys_a = generate_system(basis_1d_half, "basis_subset", 4)
-        [[lhs_a]] = strichartz_lhs([sys_a], [1.5], n_time=64)
-        sys_b = OrthonormalSystem(sys_a.basis, sys_a.states[::-1], sys_a.coeffs)
-        [[lhs_b]] = strichartz_lhs([sys_b], [1.5], n_time=64)
+        f = generate_system(basis_1d_half, "basis_subset", 4)
+        [[lhs_a]] = strichartz_lhs(basis_1d_half, operator(f)[None], [1.5], n_time=64)
+        [[lhs_b]] = strichartz_lhs(basis_1d_half, operator(f[::-1])[None], [1.5], n_time=64)
         assert lhs_a == pytest.approx(lhs_b, rel=1e-13)
 
     def test_hermite_vs_laplacian_scaling_line(self, basis_1d_half):
@@ -130,9 +161,9 @@ class TestInequality:
         s = basis_1d_half.structure
         q = 1.2
         p = admissible_p(q, s.d_eff)
-        system = generate_system(basis_1d_half, "haar_rotation", 4, seed=2)
-        [[lap]] = strichartz_lhs([system], [q], flow="laplacian", n_time=128)
-        [[her]] = strichartz_lhs([system], [q], flow="hermite", n_time=512)
+        gamma = operator(generate_system(basis_1d_half, "haar_rotation", 4, seed=2))[None]
+        [[lap]] = strichartz_lhs(basis_1d_half, gamma, [q], flow="laplacian", n_time=128)
+        [[her]] = strichartz_lhs(basis_1d_half, gamma, [q], flow="hermite", n_time=512)
         quarter = (0.25) ** (1.0 / p) * her  # (-pi,pi) vs (-pi/4,pi/4) scaling only
         # densities are pi/2-periodic in t for the oscillator flow, so the
         # full-window norm is exactly 4^{1/p} times the quarter-window norm
@@ -140,29 +171,46 @@ class TestInequality:
 
     @pytest.mark.parametrize("q", [1.5, 1.2, 2.5, 1.0])
     def test_laplacian_matches_per_slice_loop(self, basis_1d_half, q):
-        # on the scaling line (d_eff = 2: p = 3, 6, 5/3, and inf at q = 1);
-        # oracle: per slice, |sec 2t|^expo (expo = 0 up to rounding there)
-        # times the L^q norm of the summed propagated densities, then the
-        # L^p_t sum (the max at p = inf)
+        # on the scaling line (d_eff = 2: p = 3, 6, 5/3, and inf at q = 1)
         basis = basis_1d_half
-        p = admissible_p(q, basis.structure.d_eff)
-        states = generate_system(basis, "gaussian_orthogonalized", 3, seed=4).states
-        system = OrthonormalSystem(basis, states, [1.0, 0.6, 0.3])
-        t, tau = time_grid(-np.pi / 4 + 1e-9, np.pi / 4 - 1e-9, 48)
-        expo = 2.0 * (0.0 if np.isinf(p) else 1.0 / p) + basis.structure.d_eff * (1.0 / q - 1.0)
-        inner = np.array([
-            np.abs(1.0 / np.cos(2.0 * tv)) ** expo * weighted_lp_norm(
-                basis.grid,
-                sum(n.real * np.abs((np.exp(-1j * tv * basis.eigenvalues) * c)
-                                    @ eval_table(basis)) ** 2
-                    for n, c in zip(system.coeffs, system.states)),
-                q,
-            )
-            for tv in t
-        ])
-        oracle = inner.max() if np.isinf(p) else np.sum(tau * inner**p) ** (1.0 / p)
-        [[got]] = strichartz_lhs([system], [q], flow="laplacian", n_time=48)
+        states = generate_system(basis, "gaussian_orthogonalized", 3, seed=4)
+        occupations = [1.0, 0.6, 0.3]
+        [[got]] = strichartz_lhs(basis, operator(states, occupations)[None], [q],
+                                 flow="laplacian", n_time=48)
+        oracle = laplacian_slice_loop(basis, occupations, states, q, 48)
         assert got == pytest.approx(oracle, rel=1e-13)
+
+    @pytest.mark.parametrize("flow", ["hermite", "laplacian"])
+    def test_full_rank_operator(self, basis_1d_half, flow):
+        # gamma proportional to e^{-H/2}: diagonal in the basis, of full rank
+        # and not a projection.  In a stack each slice is its own call bit
+        # for bit, and the free flow matches the per-slice loop
+        basis = basis_1d_half
+        weights = np.exp(-basis.eigenvalues / 2.0)
+        full = np.diag(weights / weights.sum())
+        system = operator(generate_system(basis, "haar_rotation", 4, seed=9))
+        qs = [1.0, 1.2, 1.5, 2.5]
+        got = strichartz_lhs(basis, np.stack([full, system]), qs, flow, n_time=48)
+        assert got.shape == (2, 4)
+        np.testing.assert_array_equal(got[0], strichartz_lhs(basis, full[None], qs, flow,
+                                                             n_time=48)[0])
+        np.testing.assert_array_equal(got[1], strichartz_lhs(basis, system[None], qs, flow,
+                                                             n_time=48)[0])
+        if flow == "laplacian":
+            for g, q in zip(got[0], qs):
+                oracle = laplacian_slice_loop(basis, np.diag(full), np.eye(basis.size), q, 48)
+                assert g == pytest.approx(oracle, rel=1e-13)
+
+    def test_rejects_non_self_adjoint_and_non_stacks(self, basis_1d_half):
+        basis = basis_1d_half
+        gamma = operator(generate_system(basis, "haar_rotation", 3, seed=1))
+        skew = gamma.copy()
+        skew[0, 1] += 1e-3
+        with pytest.raises(ValueError, match="self-adjoint"):
+            strichartz_lhs(basis, np.stack([gamma, skew]), [1.5], n_time=16)
+        for bad in (gamma, gamma[None, None], np.empty((0, basis.size, basis.size))):
+            with pytest.raises(ValueError, match="stack of operators"):
+                strichartz_lhs(basis, bad, [1.5], n_time=16)
 
     def test_report_fields(self, basis_1d_half):
         [[rep]] = run_inequality(basis_1d_half, [1.5], "basis_subset", [2], n_time=32)
@@ -175,43 +223,37 @@ class TestInequality:
     @pytest.mark.parametrize("flow", ["hermite", "laplacian"])
     def test_q_sequence_matches_one_q_calls(self, basis_1d_half, flow):
         # q = 1 gives p = inf; one propagation for all q changes no bit
-        system = generate_system(basis_1d_half, "haar_rotation", 4, seed=7)
+        gamma = operator(generate_system(basis_1d_half, "haar_rotation", 4, seed=7))[None]
         qs = [1.0, 1.2, 1.5, 1.9]
-        [got] = strichartz_lhs([system], np.array(qs), flow, n_time=48)
+        [got] = strichartz_lhs(basis_1d_half, gamma, np.array(qs), flow, n_time=48)
         assert got.shape == (4,)
         for g, q in zip(got, qs):
-            [one] = strichartz_lhs([system], [q], flow, n_time=48)
+            [one] = strichartz_lhs(basis_1d_half, gamma, [q], flow, n_time=48)
             assert one.shape == (1,)
             assert g == one[0]
 
     def test_rejects_bad_q_and_flow(self, basis_1d_half):
-        system = generate_system(basis_1d_half, "basis_subset", 2)
+        gamma = operator(generate_system(basis_1d_half, "basis_subset", 2))[None]
         for q in (0.5, np.inf, np.nan):
             with pytest.raises(ValueError, match="q must be finite and >= 1"):
-                strichartz_lhs([system], [1.5, q], n_time=16)
+                strichartz_lhs(basis_1d_half, gamma, [1.5, q], n_time=16)
         with pytest.raises(ValueError, match="unknown flow"):
-            strichartz_lhs([system], [1.5], "heat", n_time=16)
+            strichartz_lhs(basis_1d_half, gamma, [1.5], "heat", n_time=16)
 
     @pytest.mark.parametrize("flow", ["hermite", "laplacian"])
     def test_systems_match_single_system_calls(self, basis_1d_half, flow):
         # several systems propagated as one stack: each row is the system's
         # own call, bit for bit
-        systems = [generate_system(basis_1d_half, "haar_rotation", j, seed=6) for j in (1, 3, 8)]
-        systems.append(generate_system(basis_1d_half, "gaussian_orthogonalized", 2, seed=6))
+        basis = basis_1d_half
+        systems = [generate_system(basis, "haar_rotation", j, seed=6) for j in (1, 3, 8)]
+        systems.append(generate_system(basis, "gaussian_orthogonalized", 2, seed=6))
+        gammas = np.stack([operator(f) for f in systems])
         qs = [1.0, 1.3, 1.9]
-        got = strichartz_lhs(systems, qs, flow, n_time=48)
+        got = strichartz_lhs(basis, gammas, qs, flow, n_time=48)
         assert got.shape == (4, 3)
         np.testing.assert_array_equal(
-            got, np.concatenate([strichartz_lhs([system], qs, flow, n_time=48)
-                                 for system in systems]))
-
-    def test_rejects_mixed_bases_and_no_systems(self, basis_1d_half, basis_1d_one):
-        a = generate_system(basis_1d_half, "basis_subset", 2)
-        b = generate_system(basis_1d_one, "basis_subset", 2)
-        with pytest.raises(ValueError, match="one basis"):
-            strichartz_lhs([a, b], [1.5], n_time=16)
-        with pytest.raises(ValueError, match="at least one system"):
-            strichartz_lhs([], [1.5], n_time=16)
+            got, np.concatenate([strichartz_lhs(basis, gamma[None], qs, flow, n_time=48)
+                                 for gamma in gammas]))
 
     def test_stacked_densities_are_not_copied(self, basis_1d_half):
         # the peak is a small multiple of the (S, T, K) densities: about 1.6
@@ -219,9 +261,10 @@ class TestInequality:
         # them and pass 2
         systems = [generate_system(basis_1d_half, "haar_rotation", j, seed=5)
                    for j in range(1, 9)]
+        gammas = np.stack([operator(f) for f in systems])
         tracemalloc.start()
         try:
-            strichartz_lhs(systems, np.linspace(1.1, 1.9, 9), n_time=256)
+            strichartz_lhs(basis_1d_half, gammas, np.linspace(1.1, 1.9, 9), n_time=256)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
