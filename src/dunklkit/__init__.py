@@ -33,7 +33,6 @@ from .operators import (
     mixed_xp_operator,
     multiplication_matrix,
     schatten_norm,
-    time_averaged_operator,
 )
 from .quadrature import (
     TensorGrid,

@@ -22,7 +22,7 @@ import numpy as np
 from .hartree import HartreeConfig, solve_hartree
 from .hermite import build_basis, kernel_Kit
 from .freeprop import lens_relation_residual
-from .operators import kss_check, schatten_norm, time_averaged_operator
+from .operators import flow_phases, kss_check, multiplication_matrix, schatten_norm
 from .quadrature import mixed_norm, tensor_grid, time_grid
 from .strichartz import (
     ExponentPair,
@@ -50,10 +50,8 @@ _DEFAULTS = {
 def load_config(path: str | None) -> dict:
     """Flat key = value file; '#' comments; kappa is a space/comma list."""
     cfg = dict(_DEFAULTS)
-    if path is None:
-        return cfg
     try:
-        text = Path(path).read_text()
+        text = "" if path is None else Path(path).read_text()
     except OSError as exc:
         raise ValueError(f"cannot read config: {exc}") from exc
     for lineno, line in enumerate(text.splitlines(), 1):
@@ -70,13 +68,14 @@ def load_config(path: str | None) -> dict:
         elif key == "kappa":
             cfg[key] = tuple(float(v) for v in value.replace(",", " ").split())
         elif key == "output":
-            # the report is written after all the work: its directory must be creatable
-            existing = next(p for p in (Path(value), *Path(value).parents) if p.exists())
-            if not existing.is_dir():
-                raise ValueError(f"line {lineno}: output {value!r}: {existing} is not a directory")
             cfg[key] = value
         else:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
+    # the report is written after all the work: its directory must be creatable
+    output = Path(cfg["output"])
+    existing = next(p for p in (output, *output.parents) if p.exists())
+    if not existing.is_dir():
+        raise ValueError(f"output {cfg['output']!r}: {existing} is not a directory")
     return cfg
 
 
@@ -211,17 +210,17 @@ def dual_schatten(cfg, qprime):
     """Schatten norm of the time-averaged conjugated potential."""
     with _config_errors():
         s, grid, basis = _context(cfg)
-        tn = time_grid(-np.pi, np.pi, cfg["time_nodes"])
+        t, tau = time_grid(-np.pi, np.pi, cfg["time_nodes"])
         if qprime is None:
             qprime = 1.0 + s.d_eff / 2.0
         if not 0.5 <= qprime < np.inf:
             raise ValueError(f"q' must be finite and >= 1/2, got {qprime}")
     rng = np.random.default_rng(cfg["seed"])
     envelope = np.exp(-0.5 * (grid.nodes**2).sum(axis=-1))
-    v = envelope * (1.0 + 0.3 * np.cos(rng.integers(1, 4, tn[0].size) * tn[0]))[:, None]
-    b = time_averaged_operator(basis, tn, v)
+    v = envelope * (1.0 + 0.3 * np.cos(rng.integers(1, 4, t.size) * t))[:, None]
+    b = multiplication_matrix(basis, v, tau[:, None] * flow_phases(basis, -t))
     value, opnorm = schatten_norm(b, [2.0 * qprime, np.inf]).tolist()
-    l1linf = mixed_norm(tn, grid, v, 1.0, np.inf)
+    l1linf = mixed_norm((t, tau), grid, v, 1.0, np.inf)
     _report(cfg, "dual_schatten", [{"qprime": qprime, "value": value, "operator_norm": opnorm,
                                     "l1_linf_bound": l1linf}])
     click.echo(f"q'={qprime:.4g}: Schatten-2q' value {value:.6g}; "

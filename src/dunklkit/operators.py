@@ -1,7 +1,11 @@
 """Compact operators in the spectral basis: conjugation by the oscillator
-flow, Schatten norms, densities and their degree-shell parts, the
-time-averaged operator of the dual functional from the potential's time
-harmonics, and mixed position-momentum operators.
+flow, Schatten norms, one adjoint pair between operators and grid functions,
+and mixed position-momentum operators.
+
+The pair is ``density`` and ``multiplication_matrix``, each with optional
+shell phases.  At ``flow_phases`` of t and tau times those of -t, for a time
+rule (t, tau), tr(gamma B_V) = sum_t tau_t sum_k w_k V_t rho_{gamma(t)}, with
+B_V = sum_t tau_t e^{itH} V_t e^{-itH} and gamma(t) = e^{-itH} gamma e^{itH}.
 
 Everything is dense: operators are square matrices A with entries
 A_{mu nu} = <A phi_nu, phi_mu>_kappa in the truncated orthonormal basis, and
@@ -49,7 +53,6 @@ __all__ = [
     "schatten_norm",
     "multiplication_matrix",
     "density",
-    "time_averaged_operator",
     "mixed_xp_operator",
     "kss_check",
 ]
@@ -97,26 +100,50 @@ def schatten_norm(a, p):
     return lp_norm(np.linalg.svd(a, compute_uv=False), 1.0, p)
 
 
-def multiplication_matrix(basis: HermiteBasis, samples) -> np.ndarray:
-    """Matrix of multiplication by V from its samples on the basis grid.
+def multiplication_matrix(basis: HermiteBasis, samples, phases=None) -> np.ndarray:
+    """Matrix of multiplication by V from its samples on the basis grid,
+    sum_k w_k V(x_k) phi_mu(x_k) phi_nu(x_k), with the grid weights w.
 
     Exact when V times two basis functions is integrated exactly by the grid
-    rule, i.e. for polynomially-bounded V of modest degree.  Samples of shape
-    (T, K) give a (T, M, M) stack, one matrix per row: ``_shells_to_pairs``
-    of w V on a one-wide shell axis, the real and the imaginary part in turn.
+    rule, i.e. for polynomially-bounded V of modest degree.  Without phases,
+    samples of shape (T, K) give a (T, M, M) stack, one matrix per row: w V
+    on a one-wide shell axis.  With (T, 2 d N + 1) phases c, (T, K) samples
+    V give one (M, M) operator, sum_t ``apply_shells`` of c_t on the matrix
+    of V_t: the harmonics sum_t c_{tn} V_t times w on the shells n.  With
+    c = tau ``flow_phases`` at -t, for a time rule (t, tau), this is
+    B_V = sum_t tau_t e^{itH} V_t e^{-itH}, whose Schatten-2q' norm is the
+    dual functional, and the adjoint of ``density`` (module docstring).
+    Either way ``_shells_to_pairs`` takes the real and then the imaginary
+    part, so one real intermediate is alive at a time.
     """
-    samples = np.asarray(samples)
-    if samples.ndim not in (1, 2) or samples.shape[-1] != basis.grid.npoints:
-        raise ValueError(
-            f"expected {basis.grid.npoints} samples per row, got {samples.shape}"
-        )
+    v = np.asarray(samples)
+    if v.ndim not in (1, 2) or v.shape[-1] != basis.grid.npoints:
+        raise ValueError(f"expected {basis.grid.npoints} samples per row, got {v.shape}")
+    w = basis.grid.weights
+    if phases is None:
+        # every shell alike: one shell wide, and no imaginary part for a real V
+        parts = ((w * p)[..., None, :] for p in ((v.real, v.imag) if np.iscomplexobj(v) else (v,)))
+    else:
+        c = np.asarray(phases).T
+        shells = 2 * basis.structure.d * basis.per_dim_degree + 1
+        if v.ndim != 2 or c.shape != (shells, v.shape[0]) or not (
+                np.isfinite(c).all() and np.isfinite(v).all()):
+            raise ValueError(f"phases must be finite, one row of {shells} per row of finite "
+                             f"(T, K) samples: got {np.shape(phases)} and {v.shape}")
 
-    def contract(v):
-        return _shells_to_pairs(basis, (basis.grid.weights * v)[..., None, :])
+        def harmonics(c):
+            """Re sum_t c_{nt} V_t times w, from real products: a complex
+            product would copy a real V to complex."""
+            h = c.real @ v.real
+            if np.iscomplexobj(v):
+                h -= c.imag @ v.imag
+            h *= w
+            return h
 
-    if not np.iscomplexobj(samples):
-        return contract(samples)
-    return contract(samples.real) + 1j * contract(samples.imag)
+        # the real harmonics, then the imaginary ones as Im z = Re(-iz)
+        parts = (harmonics(z * c) for z in (1, -1j))
+    real, *imag = (_shells_to_pairs(basis, h) for h in parts)
+    return real + 1j * imag[0] if imag else real
 
 
 def density(basis: HermiteBasis, a, phases=None) -> np.ndarray:
@@ -135,7 +162,7 @@ def density(basis: HermiteBasis, a, phases=None) -> np.ndarray:
     h = Re c - Im c: one real shell pass of the stack and one broadcast
     product, each slice bit for bit its own call.  ``flow_phases`` at t give
     the density of e^{-itH} A e^{itH}; the adjoint of
-    ``time_averaged_operator``.
+    ``multiplication_matrix`` with phases.
     """
     if phases is None:
         return _pairs_to_shells(basis, np.real(a), static=True)[..., 0, :]
@@ -247,44 +274,6 @@ def _pairs_to_shells(basis: HermiteBasis, a, static=False) -> np.ndarray:
             target += pairs.T @ part[:, :, rows]
         state = out
     return state.reshape(*a.shape[:-2], state.shape[1], -1)
-
-
-def time_averaged_operator(basis: HermiteBasis, time_nodes, v_samples) -> np.ndarray:
-    """B = integral over t of e^{itH} V(t,.) e^{-itH} dt, as a dense matrix.
-
-    ``v_samples`` (T, K) samples V on the basis grid at the nodes of the time
-    rule (t, tau); the Schatten-2q' norm of B is the dual functional.  As
-    lambda_mu = 2|mu| + d_eff, B_{mu nu} = sum_k w_k phi_mu(x_k) phi_nu(x_k)
-    V_{|mu|-|nu|}(x_k) over the grid (w the grid weights) with time harmonics
-    V_n = sum_t tau_t e^{2int} V_t, |n| <= max |mu|, with e^{2int} the flow
-    phases at -t: one product over the T nodes, then B by
-    ``_shells_to_pairs`` of the real and the imaginary harmonics in turn.
-    """
-    t, tau = (np.asarray(v, dtype=float) for v in time_nodes)
-    if t.ndim != 1 or t.shape != tau.shape or not np.isfinite(t + tau).all():
-        raise ValueError("time nodes and weights must be finite, 1-D and of equal length")
-    v_samples = np.asarray(v_samples)
-    if v_samples.shape != (t.size, basis.grid.npoints):
-        raise ValueError(
-            f"samples shape {v_samples.shape} does not match {t.size} x {basis.grid.npoints}"
-        )
-    if not np.all(np.isfinite(v_samples)):
-        raise ValueError("non-finite potential samples")
-    phases = tau * flow_phases(basis, -t).T
-
-    def harmonics(c):
-        """Re sum_t c_{nt} V_t times the grid weights, from real products: a
-        complex product would copy a real V to complex."""
-        h = c.real @ v_samples.real
-        if np.iscomplexobj(v_samples):
-            h -= c.imag @ v_samples.imag
-        h *= basis.grid.weights
-        return h
-
-    # the real harmonics, then the imaginary ones as Im z = Re(-iz): one real
-    # intermediate is alive at a time
-    real = _shells_to_pairs(basis, harmonics(phases))
-    return real + 1j * _shells_to_pairs(basis, harmonics(-1j * phases))
 
 
 def mixed_xp_operator(basis: HermiteBasis, f, alpha: float, beta: float) -> np.ndarray:

@@ -21,9 +21,9 @@ from dunklkit import (
     schatten_norm,
     solve_hartree,
     tensor_grid,
-    time_averaged_operator,
     time_grid,
 )
+from dunklkit.operators import flow_phases
 from dunklkit.strichartz import duhamel_solution
 
 from conftest import random_state
@@ -217,7 +217,9 @@ def test_criterion_09_dual_functional(basis_1d_half):
         return envelope[None, :] * (1.0 + 0.3 * np.cos(2.0 * t))[:, None]
 
     def dual_functional(tn, qprime):
-        return schatten_norm(time_averaged_operator(basis, tn, samples(tn)), 2.0 * qprime)
+        t, tau = tn
+        b = multiplication_matrix(basis, samples(tn), tau[:, None] * flow_phases(basis, -t))
+        return schatten_norm(b, 2.0 * qprime)
 
     tn = time_grid(-np.pi, np.pi, 64)
     opnorm = dual_functional(tn, np.inf)

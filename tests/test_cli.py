@@ -61,13 +61,21 @@ class TestConfig:
         )
         assert result.exit_code == EXIT_CONFIG
 
-    @pytest.mark.parametrize("inside", ["", "sub"])
-    def test_output_names_a_file_exit_code(self, runner, small_config, tmp_path, inside):
-        # the report directory would fail at the end, after all the work
-        taken = tmp_path / "taken.txt"
-        taken.write_text("keep\n")
+    @pytest.mark.parametrize("inside", ["", "sub", None])
+    def test_output_names_a_file_exit_code(self, runner, small_config, tmp_path, monkeypatch,
+                                           inside):
+        # the report directory would fail at the end, after all the work;
+        # inside=None drops the output key, so the default ./reports is a file
         path = small_config
-        path.write_text(path.read_text().replace(str(tmp_path / "reports"), str(taken / inside)))
+        output = f"output = {tmp_path / 'reports'}\n"
+        if inside is None:
+            taken = tmp_path / "reports"
+            monkeypatch.chdir(tmp_path)
+            path.write_text(path.read_text().replace(output, ""))
+        else:
+            taken = tmp_path / "taken.txt"
+            path.write_text(path.read_text().replace(output, f"output = {taken / inside}\n"))
+        taken.write_text("keep\n")
         result = runner.invoke(main, ["-c", str(path), "mhls", "--n", "2", "--beta", "0.5"])
         assert result.exit_code == EXIT_CONFIG
         assert "CONFIG ERROR" in result.output
@@ -174,6 +182,9 @@ class TestSubcommands:
          "q=1.2 p=6 lhs=2.49094 rhs=2.73754 ratio=0.909917"),
         (["sweep", "--steps", "2", "--seeds", "2", "--j-values", "1 2"],
          "8 evaluations; ratio range [1.021, 1.668]"),
+        (["dual-schatten"], "q'=2: Schatten-2q' value 4.44257; operator norm 4.06114 <= 5.91249"),
+        (["dual-schatten", "--qprime", "400"],
+         "q'=400: Schatten-2q' value 4.06114; operator norm 4.06114 <= 5.91249"),
     ])
     def test_printed_figures(self, runner, small_config, args, line):
         # the printed figures are pinned: a change of the functionals' code

@@ -16,7 +16,6 @@ from dunklkit import (
     multiplication_matrix,
     schatten_norm,
     tensor_grid,
-    time_averaged_operator,
 )
 from dunklkit.operators import _pairs_to_shells, flow_phases
 from dunklkit.quadrature import time_grid
@@ -242,8 +241,15 @@ class TestStacks:
         np.testing.assert_array_equal(density(basis, a), np.stack([density(basis, g) for g in a]))
 
 
+def time_averaged(basis, time_nodes, v_samples):
+    """B = sum_t tau_t e^{itH} V_t e^{-itH}: the multiplication matrix of the
+    samples with tau_t times the flow phases of -t on their shells."""
+    t, tau = time_nodes
+    return multiplication_matrix(basis, v_samples, tau[:, None] * flow_phases(basis, -t))
+
+
 def dual_functional(basis, time_nodes, v_samples, qprime):
-    return schatten_norm(time_averaged_operator(basis, time_nodes, v_samples), 2.0 * qprime)
+    return schatten_norm(time_averaged(basis, time_nodes, v_samples), 2.0 * qprime)
 
 
 class TestDualFunctional:
@@ -290,9 +296,7 @@ class TestDualFunctional:
 
     def test_shape_validation(self, basis_1d_half):
         with pytest.raises(ValueError):
-            time_averaged_operator(
-                basis_1d_half, (np.zeros(3), np.ones(3)), np.zeros((2, 5))
-            )
+            time_averaged(basis_1d_half, (np.zeros(3), np.ones(3)), np.zeros((2, 5)))
 
 
 def node_loop(basis, time_nodes, v_samples):
@@ -322,7 +326,7 @@ class TestTimeAveragedOperator:
         envelope = np.exp(-0.5 * (basis.grid.nodes**2).sum(axis=-1))
         shape = (tn[0].size, basis.grid.npoints)
         v = envelope * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
-        b = time_averaged_operator(basis, tn, v)
+        b = time_averaged(basis, tn, v)
         oracle = node_loop(basis, tn, v)
         np.testing.assert_allclose(b, oracle, rtol=0, atol=1e-13 * np.abs(oracle).max())
 
@@ -332,7 +336,7 @@ class TestTimeAveragedOperator:
         rng = np.random.default_rng(9)
         tn = time_rule("random", rng)
         v = rng.normal(size=(tn[0].size, basis.grid.npoints))
-        b = time_averaged_operator(basis, tn, v)
+        b = time_averaged(basis, tn, v)
         assert np.abs(b - b.conj().T).max() <= 1e-14 * np.abs(b).max()
 
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -347,20 +351,33 @@ class TestTimeAveragedOperator:
         np.testing.assert_array_equal(basis.eigenvalues, 2 * degree + s.d_eff)
 
     @pytest.mark.parametrize(
-        "t, tau",
+        "t, tau, edit",
         [
-            (np.linspace(-1, 1, 5), np.ones(4)),
-            (np.linspace(-1, 1, 5), np.ones(6)),
-            (np.array([0.0, np.nan, 0.5, 1.0, 1.5]), np.ones(5)),
-            (np.linspace(-1, 1, 5), np.array([1.0, 1.0, np.inf, 1.0, 1.0])),
-            (np.zeros((5, 1)), np.ones((5, 1))),
+            (np.linspace(-1, 1, 4), np.ones(4), None),
+            (np.linspace(-1, 1, 6), np.ones(6), None),
+            (np.array([0.0, np.nan, 0.5, 1.0, 1.5]), np.ones(5), None),
+            (np.linspace(-1, 1, 5), np.array([1.0, 1.0, np.inf, 1.0, 1.0]), None),
+            (np.zeros((5, 1)), np.ones((5, 1)), None),
+            (np.linspace(-1, 1, 5), np.ones(5), "shell-count"),
+            (np.linspace(-1, 1, 5), np.ones(5), "nan-sample"),
         ],
-        ids=["short-weights", "long-weights", "nan-time", "infinite-weight", "two-d"],
+        ids=["short-weights", "long-weights", "nan-time", "infinite-weight", "two-d",
+             "shell-count", "nan-sample"],
     )
-    def test_rejects_bad_time_rule(self, basis_1d_half, t, tau):
-        v = np.ones((5, basis_1d_half.grid.npoints))
-        with pytest.raises(ValueError, match="time nodes"):
-            time_averaged_operator(basis_1d_half, (t, tau), v)
+    def test_rejects_bad_phases(self, basis_1d_half, t, tau, edit):
+        # the time rule reaches the operator as its phases, one row per row of
+        # the (5, K) samples
+        basis = basis_1d_half
+        v = np.ones((5, basis.grid.npoints))
+        # an infinite weight times a phase with a zero part is NaN there
+        with np.errstate(invalid="ignore"):
+            c = tau[..., None] * flow_phases(basis, -t)
+        if edit == "shell-count":
+            c = c[:, 1:-1]
+        elif edit == "nan-sample":
+            v[2, 3] = np.nan
+        with pytest.raises(ValueError, match="phases"):
+            multiplication_matrix(basis, v, c)
 
     @pytest.mark.parametrize("fixture", ["basis_1d_half", "basis_2d"])
     def test_shuffled_basis_is_equivariant(self, request, fixture):
@@ -378,8 +395,8 @@ class TestTimeAveragedOperator:
         tn = time_rule("random", rng)
         shape = (tn[0].size, basis.grid.npoints)
         v = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        b = time_averaged_operator(basis, tn, v)
-        np.testing.assert_array_equal(time_averaged_operator(shuffled, tn, v), b[order][:, order])
+        b = time_averaged(basis, tn, v)
+        np.testing.assert_array_equal(time_averaged(shuffled, tn, v), b[order][:, order])
         m = basis.size
         a = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
         np.testing.assert_array_equal(density(shuffled, a[order][:, order]), density(basis, a))
@@ -435,7 +452,7 @@ class TestShellContractions:
         shape = (tn[0].size, basis.grid.npoints)
         v = rng.normal(size=shape) + (1j * rng.normal(size=shape) if complex_v else 0.0)
         v *= np.exp(-0.5 * (basis.grid.nodes**2).sum(axis=-1))
-        b = time_averaged_operator(basis, tn, v)
+        b = time_averaged(basis, tn, v)
         oracle = shell_oracle.time_averaged_operator(basis, tn, v)
         np.testing.assert_allclose(b, oracle, rtol=0, atol=1e-13 * np.abs(oracle).max())
 
@@ -460,10 +477,19 @@ class TestShellContractions:
         v = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         m = basis.size
         a = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
-        lhs = np.sum(time_averaged_operator(basis, (t, tau), v) * a)
+        lhs = np.sum(time_averaged(basis, (t, tau), v) * a)
         g = shells(basis, a)
         top = basis.structure.d * basis.per_dim_degree
         rho = np.exp(2j * np.outer(t, np.arange(-top, top + 1))) @ g
+        rhs = np.sum(tau[:, None] * basis.grid.weights * v * rho)
+        assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
+        # the public pair, for self-adjoint gamma and real V: tr(gamma B_V) =
+        # sum_t tau_t sum_k w_k V_t rho_t, rho_t the density of e^{-itH} gamma e^{itH}
+        gamma = hermitian(m, 12 + d)
+        v = v.real
+        b = multiplication_matrix(basis, v, tau[:, None] * flow_phases(basis, -t))
+        lhs = np.trace(gamma @ b)
+        rho = density(basis, gamma, flow_phases(basis, t))
         rhs = np.sum(tau[:, None] * basis.grid.weights * v * rho)
         assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
 
