@@ -22,7 +22,7 @@ import numpy as np
 from .hartree import HartreeConfig, solve_hartree
 from .hermite import build_basis, kernel_Kit
 from .freeprop import lens_relation_residual
-from .operators import flow_phases, kss_check, multiplication_matrix, schatten_norm
+from .operators import flow_phases, kss_check, multiplication_matrix, parity_blocks, schatten_norm
 from .quadrature import mixed_norm, tensor_grid, time_grid
 from .strichartz import (
     ExponentPair,
@@ -219,7 +219,8 @@ def dual_schatten(cfg, qprime):
     envelope = np.exp(-0.5 * (grid.nodes**2).sum(axis=-1))
     v = envelope * (1.0 + 0.3 * np.cos(rng.integers(1, 4, t.size) * t))[:, None]
     b = multiplication_matrix(basis, v, tau[:, None] * flow_phases(basis, -t))
-    value, opnorm = schatten_norm(b, [2.0 * qprime, np.inf]).tolist()
+    # V is even in every x_j, so B commutes with the reflections
+    value, opnorm = schatten_norm(b, [2.0 * qprime, np.inf], parity_blocks(basis)).tolist()
     l1linf = mixed_norm((t, tau), grid, v, 1.0, np.inf)
     _report(cfg, "dual_schatten", [{"qprime": qprime, "value": value, "operator_norm": opnorm,
                                     "l1_linf_bound": l1linf}])
@@ -391,6 +392,7 @@ def hartree(cfg, coupling, horizon, steps, width):
         "iterations": diag["iterations"],
         "trace_drift": drift,
         "contraction_factors": diag["contraction_factors"],
+        "blocks": diag["blocks"],
     })
     click.echo(f"converged={diag['converged']} iterations={diag['iterations']} "
                f"trace drift={drift:.3e}")

@@ -31,7 +31,23 @@ The fixed-point map is
                     - i integral_0^t e^{i(s-t)H} [W(s), gamma(s)] e^{-i(s-t)H} ds,
 
 discretized on a uniform time grid with trapezoid partial integrals; the
-conjugations are the exact oscillator ones of ``operators.conjugate``.
+conjugations are the exact oscillator ones of ``operators.apply_shells`` at
+the ``flow_phases`` of the grid, formed once per solve.
+
+The map keeps the parity blocks of ``operators.parity_blocks``.  The
+reflection x_j -> -x_j multiplies phi_mu by (-1)^{mu_j}, so an operator
+commutes with every reflection exactly when its entries between rows of
+different mu mod 2 vanish.  Let gamma(s) commute with them at every s.
+Then rho_gamma is even in every x_j; the Dunkl transform commutes with the
+reflections and w is even, so W = w * rho is even too, and multiplication
+by it commutes with them, as H does.  Phi(gamma) is built from gamma_0, W
+and H by products, the flow and time integrals, so it commutes with them
+when gamma_0 does.  From a gamma_0 that is zero off the blocks, as
+|phi_0><phi_0| is, the step works one block at a time and writes exact
+zeros off them: [W, gamma] is X - X^H with X = W gamma formed per block, as
+W is real symmetric and gamma self-adjoint, and the Schatten residual takes
+one ``eigvalsh`` per block.  A gamma_0 or an input trajectory with an entry
+off the blocks runs as one block of every row, so no entry is dropped.
 """
 
 from __future__ import annotations
@@ -42,7 +58,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hermite import HermiteBasis, _table, box_multi_indices, build_basis
-from .operators import conjugate, density, multiplication_matrix, schatten_norm
+from .operators import (
+    apply_shells,
+    density,
+    flow_phases,
+    multiplication_matrix,
+    parity_blocks,
+    schatten_norm,
+)
 from .quadrature import TensorGrid, tensor_grid
 
 __all__ = [
@@ -120,28 +143,55 @@ def _potential_matrices(config: HartreeConfig, interaction, traj: np.ndarray) ->
     return multiplication_matrix(config.basis, config.coupling * rho @ g.T)
 
 
-def picard_step(config: HartreeConfig, times: np.ndarray, traj: np.ndarray, interaction=None):
-    """One application of the fixed-point map to a sampled trajectory;
-    ``interaction`` defaults to ``gaussian_interaction(config.basis, config.width)``."""
+def _invariant_blocks(basis: HermiteBasis, *operators) -> list[np.ndarray]:
+    """``parity_blocks(basis)`` when every operator, an (M, M) matrix or a
+    stack, is exactly zero off them; else one block of every row."""
+    parity = basis.multi_indices % 2
+    off = (parity[:, None] != parity).any(axis=-1)
+    if any(np.any(a[..., off]) for a in operators):
+        return [np.arange(basis.size)]
+    return parity_blocks(basis)
+
+
+def picard_step(config: HartreeConfig, times: np.ndarray, traj: np.ndarray,
+                interaction=None, phases=None, blocks=None):
+    """One application of the fixed-point map to a sampled trajectory, a
+    (T, M, M) stack of self-adjoint operators; the result is zero off
+    ``blocks``.  The constants of a solve default to ``interaction =
+    gaussian_interaction(config.basis, config.width)``, ``phases =
+    flow_phases(config.basis, times)`` and ``blocks`` the parity blocks
+    when ``config.gamma0`` and ``traj`` are zero off them, else one block
+    of every row."""
     basis = config.basis
     if interaction is None:
         interaction = gaussian_interaction(basis, config.width)
+    if phases is None:
+        phases = flow_phases(basis, times)
+    if blocks is None:
+        blocks = _invariant_blocks(basis, config.gamma0, traj)
     pots = _potential_matrices(config, interaction, traj)
     h = times[1] - times[0]
-    # rotated commutators e^{isH} [W(s), gamma(s)] e^{-isH}, overwritten by
-    # their trapezoid integrals from 0 to each node; reusing buffers keeps
-    # the (T, M, M) temporaries, which set the solve's peak memory, few
-    acc = conjugate(basis, pots @ traj - traj @ pots, -times)
-    acc[1:] = np.cumsum(0.5 * h * (acc[:-1] + acc[1:]), axis=0)
-    acc[0] = 0.0
-    new = -1j * conjugate(basis, acc, times)
-    new += conjugate(basis, config.gamma0, times)
+    new = np.zeros_like(traj)
+    for rows in blocks:
+        block = (slice(None), rows[:, None], rows)
+        # [W, gamma] = X - X^H with X = W gamma, rotated to e^{isH} [W(s),
+        # gamma(s)] e^{-isH} (the phases at -s are the conjugates), then
+        # overwritten by its trapezoid integrals from 0 to each node
+        x = pots[block] @ traj[block]
+        acc = apply_shells(basis, x - x.conj().swapaxes(-1, -2), phases.conj(), rows)
+        acc[1:] = np.cumsum(0.5 * h * (acc[:-1] + acc[1:]), axis=0)
+        acc[0] = 0.0
+        # e^{-itH} (gamma_0 - i acc(t)) e^{itH}
+        acc *= -1j
+        acc += config.gamma0[rows[:, None], rows]
+        new[block] = apply_shells(basis, acc, phases, rows)
     return new
 
 
 def solve_hartree(config: HartreeConfig):
     """Iterate the fixed-point map to tolerance; returns (times, trajectory,
-    diagnostics dict with per-iteration residuals and contraction factors).
+    diagnostics dict with per-iteration residuals, contraction factors and
+    the sizes of the blocks the solve ran on).
 
     An iterate with a non-finite entry ends the solve as not converged; the
     trajectory returned is then the last finite iterate.
@@ -149,14 +199,16 @@ def solve_hartree(config: HartreeConfig):
     basis = config.basis
     times = np.linspace(0.0, config.horizon, config.steps)
     interaction = gaussian_interaction(basis, config.width)
-    traj = conjugate(basis, config.gamma0, times)
+    phases = flow_phases(basis, times)
+    blocks = _invariant_blocks(basis, config.gamma0)
+    traj = apply_shells(basis, config.gamma0, phases)
     residuals = []
     converged = False
     for _ in range(_MAX_ITER):
-        new = picard_step(config, times, traj, interaction)
+        new = picard_step(config, times, traj, interaction, phases, blocks)
         if not np.isfinite(new).all():
             break
-        res = float(schatten_norm(new - traj, _SCHATTEN_EXPONENT).max())
+        res = float(schatten_norm(new - traj, _SCHATTEN_EXPONENT, blocks).max())
         residuals.append(res)
         traj = new
         if res < _TOL:
@@ -173,5 +225,6 @@ def solve_hartree(config: HartreeConfig):
         "residuals": residuals,
         "contraction_factors": factors,
         "traces": np.trace(traj, axis1=1, axis2=2).real.tolist(),
+        "blocks": [rows.size for rows in blocks],
     }
     return times, traj, diagnostics

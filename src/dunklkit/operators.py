@@ -8,10 +8,16 @@ rule (t, tau), tr(gamma B_V) = sum_t tau_t sum_k w_k V_t rho_{gamma(t)}, with
 B_V = sum_t tau_t e^{itH} V_t e^{-itH} and gamma(t) = e^{-itH} gamma e^{itH}.
 
 Everything is dense: operators are square matrices A with entries
-A_{mu nu} = <A phi_nu, phi_mu>_kappa in the truncated orthonormal basis, and
-Schatten norms come from full SVDs.  The momentum operator is p = -iT (T the
-Dunkl gradient).  As i[H, x_j] = 2 p_j and i[H, p_j] = -2 x_j, the oscillator
-flow rotates phase space,
+A_{mu nu} = <A phi_nu, phi_mu>_kappa in the truncated orthonormal basis.
+Schatten norms come from one SVD, or, for a self-adjoint operator that
+commutes with the reflections x_j -> -x_j of the group Z_2^d, from the
+eigenvalues of its parity blocks: phi_mu has parity (-1)^{mu_j} in x_j, so
+such an operator is zero between rows of different mu mod 2
+(``parity_blocks``).  The oscillator flow, multiplication by a function
+even in every x_j, and their products and time averages are such
+operators.  The momentum operator is p = -iT (T the Dunkl gradient).  As
+i[H, x_j] = 2 p_j and i[H, p_j] = -2 x_j, the oscillator flow rotates phase
+space,
 
     e^{-itH} f(x) e^{itH} = f(x cos 2t - p sin 2t),
 
@@ -50,6 +56,7 @@ __all__ = [
     "flow_phases",
     "apply_shells",
     "conjugate",
+    "parity_blocks",
     "schatten_norm",
     "multiplication_matrix",
     "density",
@@ -67,10 +74,14 @@ def flow_phases(basis: HermiteBasis, t) -> np.ndarray:
     return np.concatenate([half[..., :0:-1].conj(), half], axis=-1)
 
 
-def apply_shells(basis: HermiteBasis, a, c) -> np.ndarray:
+def apply_shells(basis: HermiteBasis, a, c, rows=None) -> np.ndarray:
     """a_{mu nu} c_{|mu| - |nu|} for shell values c (..., 2 d N + 1),
-    n = -dN..dN, and an (M, M) operator or a matching (..., M, M) stack."""
+    n = -dN..dN, and an (M, M) operator or a matching (..., M, M) stack.
+    With ``rows``, an index array of basis rows, ``a`` is the diagonal block
+    of those rows, such as one of ``parity_blocks``."""
     degree = basis.multi_indices.sum(axis=1)
+    if rows is not None:
+        degree = degree[rows]
     top = basis.structure.d * basis.per_dim_degree
     # in place at every size: numpy reuses a temporary above 256 KiB as the
     # output, and its in-place loop can round differently, so a stack would
@@ -92,12 +103,37 @@ def conjugate(basis: HermiteBasis, a, t) -> np.ndarray:
     return apply_shells(basis, a, flow_phases(basis, t))
 
 
-def schatten_norm(a, p):
+def parity_blocks(basis: HermiteBasis) -> list[np.ndarray]:
+    """The basis rows grouped by mu mod 2 on every axis: up to 2^d index
+    arrays, in ascending order, with the empty ones left out.  An operator
+    that commutes with every axis reflection x_j -> -x_j is zero off the
+    diagonal blocks they index."""
+    d = basis.structure.d
+    parity = (basis.multi_indices % 2) @ (1 << np.arange(d))
+    blocks = (np.flatnonzero(parity == k) for k in range(2 ** d))
+    return [rows for rows in blocks if rows.size]
+
+
+def schatten_norm(a, p, blocks=None):
     """Schatten p-norm, the ``lp_norm`` of the singular values; p = inf gives
     the largest.  A (T, M, M) stack gives one norm per matrix.  A 1-D
     sequence of exponents gives one norm per exponent, on a leading axis,
-    all from one SVD."""
-    return lp_norm(np.linalg.svd(a, compute_uv=False), 1.0, p)
+    all from one decomposition.
+
+    Without ``blocks`` the singular values come from one SVD.  With
+    ``blocks``, index arrays of the rows such as ``parity_blocks``, ``a``
+    must be self-adjoint and zero off the diagonal blocks they index, as
+    the caller knows from the operator's symmetry (nothing here infers it
+    from the data): the singular values are then the |eigenvalues| of those
+    blocks, one ``eigvalsh`` each.
+    """
+    if blocks is None:
+        sv = np.linalg.svd(a, compute_uv=False)
+    else:
+        a = np.asarray(a)
+        sv = np.abs(np.concatenate(
+            [np.linalg.eigvalsh(a[..., rows[:, None], rows]) for rows in blocks], axis=-1))
+    return lp_norm(sv, 1.0, p)
 
 
 def multiplication_matrix(basis: HermiteBasis, samples, phases=None) -> np.ndarray:

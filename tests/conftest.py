@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dunklkit import DunklStructure, build_basis, tensor_grid
+from dunklkit.operators import parity_blocks
 
 
 @pytest.fixture(scope="session")
@@ -38,3 +39,11 @@ def random_state(basis, seed=0, band=None):
         c[basis.multi_indices.sum(axis=1) > band] = 0.0
     c /= np.linalg.norm(c)
     return c
+
+
+def off_blocks(basis):
+    """True at the entries between rows of different parity blocks."""
+    key = np.empty(basis.size, dtype=int)
+    for i, rows in enumerate(parity_blocks(basis)):
+        key[rows] = i
+    return key[:, None] != key

@@ -389,6 +389,8 @@ class TestSubcommands:
         summary = json.loads((tmp_path / "reports" / "hartree.json").read_text())
         assert summary["converged"]
         assert summary["trace_drift"] < 1e-8
+        # |phi_0><phi_0| is even: the solve ran on the even and odd modes of N = 16
+        assert summary["blocks"] == [9, 8]
 
 
 class TestHartreeRobustness:
@@ -409,6 +411,7 @@ class TestHartreeRobustness:
         summary = json.loads((tmp_path / "reports" / "hartree.json").read_text())
         assert summary["converged"]
         assert summary["trace_drift"] < 1e-8
+        assert summary["blocks"] == [16, 12, 12, 9]
 
     def test_narrow_width_converges(self, runner, small_config, tmp_path):
         # every positive finite width is exact: 0.05 is an interaction, not a
@@ -459,7 +462,8 @@ NON_FINITE = {
         for reports in run_inequality(*a, **kw)
     ]),
     # the Schatten-2q' value inf, as the unscaled sum gave at q' = 400
-    "dual-schatten": ("schatten_norm", lambda a, p: schatten_norm(a, p) * np.array([np.inf, 1.0])),
+    "dual-schatten": ("schatten_norm", lambda a, p, blocks=None:
+                      schatten_norm(a, p, blocks) * np.array([np.inf, 1.0])),
     "kss": ("kss_check", lambda *a: (np.nan, 1.0)),
     # max(worst, nan) kept worst: a NaN residual passed
     "verify-kernels": ("lens_relation_residual", lambda *a: np.nan),

@@ -16,7 +16,9 @@ from dunklkit import (
     solve_hartree,
     tensor_grid,
 )
-from dunklkit.hartree import _SCHATTEN_EXPONENT, _potential_matrices
+from dunklkit.hartree import _SCHATTEN_EXPONENT, _TOL, _potential_matrices
+from dunklkit.operators import parity_blocks
+from conftest import off_blocks
 import shell_oracle
 from transform_oracle import DunklTransform1D, interaction_potential
 
@@ -45,6 +47,56 @@ def loop_potentials(config, traj):
         multiplication_matrix(basis, config.coupling * (g @ density(basis_y, gamma)))
         for gamma in traj
     ])
+
+
+def odd_mixed_operator(basis):
+    """|u><u| for u = (phi_0 + phi_1) / sqrt 2, with phi_1 odd in x_1: its
+    entries (0, 1) and (1, 0) lie off the parity blocks."""
+    u = np.zeros(basis.size)
+    u[np.flatnonzero(basis.multi_indices.sum(axis=1) == 1)[0]] = 1.0
+    u[0] = 1.0
+    return np.outer(u, u) / 2.0
+
+
+def loop_step(config, times, traj):
+    """The fixed-point map written node by node: full commutators W gamma -
+    gamma W, rotated, running trapezoid sums, and diagonal-phase
+    conjugations."""
+    lam = config.basis.eigenvalues
+
+    def conj(a, t):
+        phase = np.exp(-1j * t * lam)
+        return (phase[:, None] * a) * phase.conj()[None, :]
+
+    pots = loop_potentials(config, traj)
+    rotated = [conj(w @ g - g @ w, -t) for w, g, t in zip(pots, traj, times)]
+    h = times[1] - times[0]
+    expected = [conj(config.gamma0, times[0])]
+    acc = np.zeros_like(traj[0])
+    for i in range(1, times.size):
+        acc = acc + 0.5 * h * (rotated[i - 1] + rotated[i])
+        expected.append(conj(config.gamma0, times[i]) - 1j * conj(acc, times[i]))
+    return np.stack(expected)
+
+
+def full_route_residuals(config, iterations):
+    """The residuals of the fixed-point iteration on the whole matrices: the
+    full commutator W gamma - gamma W, and Schatten norms from SVDs."""
+    basis = config.basis
+    times = np.linspace(0.0, config.horizon, config.steps)
+    interaction = gaussian_interaction(basis, config.width)
+    h = times[1] - times[0]
+    traj = conjugate(basis, config.gamma0, times)
+    residuals = []
+    for _ in range(iterations):
+        pots = _potential_matrices(config, interaction, traj)
+        acc = conjugate(basis, pots @ traj - traj @ pots, -times)
+        acc[1:] = np.cumsum(0.5 * h * (acc[:-1] + acc[1:]), axis=0)
+        acc[0] = 0.0
+        new = conjugate(basis, config.gamma0, times) - 1j * conjugate(basis, acc, times)
+        residuals.append(float(schatten_norm(new - traj, _SCHATTEN_EXPONENT).max()))
+        traj = new
+    return residuals
 
 
 def full_degree_operator(basis, seed, rank=3):
@@ -255,35 +307,60 @@ class TestPicard:
             assert abs(np.trace(new[i]).real - 1.0) < 1e-10
             assert abs(np.trace(new[i]).imag) < 1e-10
 
-    def test_step_matches_loop_form(self, basis_1d_half):
-        # the fixed-point map written node by node: rotated commutators,
-        # running trapezoid sums, and diagonal-phase conjugations
+    @pytest.mark.parametrize("initial", [ground_state_operator, odd_mixed_operator])
+    def test_step_matches_loop_form(self, basis_1d_half, initial):
+        # an initial operator with an entry off the parity blocks runs as one
+        # block of every row
         basis = basis_1d_half
-        lam = basis.eigenvalues
         config = HartreeConfig(
-            basis=basis, gamma0=ground_state_operator(basis),
+            basis=basis, gamma0=initial(basis),
             width=1.0,
             coupling=0.5,
             horizon=0.1,
             steps=9,
         )
         times = np.linspace(0.0, config.horizon, config.steps)
-        _, traj, _ = solve_hartree(config)
-
-        def conj(a, t):
-            phase = np.exp(-1j * t * lam)
-            return (phase[:, None] * a) * phase.conj()[None, :]
-
-        pots = loop_potentials(config, traj)
-        rotated = [conj(w @ g - g @ w, -t) for w, g, t in zip(pots, traj, times)]
-        h = times[1] - times[0]
-        expected = [conj(config.gamma0, times[0])]
-        acc = np.zeros_like(traj[0])
-        for i in range(1, times.size):
-            acc = acc + 0.5 * h * (rotated[i - 1] + rotated[i])
-            expected.append(conj(config.gamma0, times[i]) - 1j * conj(acc, times[i]))
+        _, traj, diag = solve_hartree(config)
+        if initial is odd_mixed_operator:
+            assert diag["blocks"] == [basis.size]
+            assert np.abs(traj[:, off_blocks(basis)]).max() > 0.1
+        else:
+            assert diag["blocks"] == [rows.size for rows in parity_blocks(basis)]
         got = picard_step(config, times, traj)
-        np.testing.assert_allclose(got, np.stack(expected), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(got, loop_step(config, times, traj), rtol=0, atol=1e-14)
+
+    def test_trajectory_off_the_blocks_is_kept(self, basis_1d_half):
+        # gamma_0 on the blocks, but an input trajectory off them: no entry
+        # of the step is dropped
+        basis = basis_1d_half
+        config = HartreeConfig(basis=basis, gamma0=ground_state_operator(basis),
+                               width=1.0, coupling=0.5, horizon=0.1, steps=9)
+        times = np.linspace(0.0, config.horizon, config.steps)
+        traj = conjugate(basis, odd_mixed_operator(basis), times)
+        got = picard_step(config, times, traj)
+        assert np.abs(got[1:, off_blocks(basis)]).max() > 0.0
+        np.testing.assert_allclose(got, loop_step(config, times, traj), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("fixture", ["basis_1d_half", "basis_2d"])
+    def test_parity_block_route(self, request, fixture):
+        # from phi_0 the trajectory is exactly zero off the parity blocks and
+        # exactly self-adjoint, and its residuals are those of the full route.
+        # The last one, below the solve's tolerance, is the norm of a
+        # difference of iterates 1e-11 apart: threaded BLAS moves it by 6e-12
+        # of itself, so it is compared to 1e-12 of the tolerance instead
+        basis = request.getfixturevalue(fixture)
+        config = HartreeConfig(basis=basis, gamma0=ground_state_operator(basis),
+                               width=1.0, coupling=0.5, horizon=0.1, steps=9)
+        _, traj, diag = solve_hartree(config)
+        assert diag["converged"]
+        assert diag["blocks"] == [rows.size for rows in parity_blocks(basis)]
+        assert len(diag["blocks"]) == 2 ** basis.structure.d
+        assert not np.any(traj[:, off_blocks(basis)])
+        assert np.array_equal(traj, traj.conj().swapaxes(-1, -2))
+        np.testing.assert_allclose(
+            diag["residuals"], full_route_residuals(config, diag["iterations"]),
+            rtol=1e-12, atol=1e-12 * _TOL,
+        )
 
     def test_potentials_match_loop_form(self, basis_1d_half):
         basis = basis_1d_half

@@ -6,12 +6,14 @@ listed there and only inside function bodies, so the commands that never
 reach those functions never load scipy.  Each module imports from the
 package only the modules ``PACKAGE_IMPORTS`` lists for it.  The one
 power-sum root of the package, ``x ** (1 / p)``, is in
-``quadrature.lp_norm``, so every norm is scaled as that one is.  The modules the
-benchmark's tracer wraps all exist.  Every public function, class and method
-of the package is reached from a command of the CLI, apart from those
-``UNREACHED`` keeps with their reasons: what only the tests call belongs in
-``tests/``.  The private names a module imports from another module of the
-package are the ones ``PRIVATE_IMPORTS`` lists for it."""
+``quadrature.lp_norm``, so every norm is scaled as that one is, and the one
+SVD is in ``operators.schatten_norm``, so one spectral route serves every
+Schatten norm.  The modules the benchmark's tracer wraps all exist.  Every
+public function, class and method of the package is reached from a command
+of the CLI, apart from those ``UNREACHED`` keeps with their reasons: what
+only the tests call belongs in ``tests/``.  The private names a module
+imports from another module of the package are the ones ``PRIVATE_IMPORTS``
+lists for it."""
 
 import ast
 import json
@@ -117,9 +119,9 @@ def test_traced_modules_exist():
     assert modules and [m for m in modules if not (PACKAGE / f"{m}.py").is_file()] == []
 
 
-def power_roots(source: str) -> list[str]:
-    """The definitions, as ``name`` or ``Class.method``, that raise something
-    to the power ``1 / x`` or ``1.0 / x``: one entry per such power."""
+def scopes_of(source: str, match) -> list[str]:
+    """The definitions, as ``name`` or ``Class.method``, that hold a node for
+    which ``match`` is true: one entry per such node."""
     found = []
 
     def visit(node, scope):
@@ -127,15 +129,31 @@ def power_roots(source: str) -> list[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, f"{scope}.{child.name}" if scope else child.name)
                 continue
-            if (isinstance(child, ast.BinOp) and isinstance(child.op, ast.Pow)
-                    and isinstance(child.right, ast.BinOp) and isinstance(child.right.op, ast.Div)
-                    and isinstance(child.right.left, ast.Constant)
-                    and child.right.left.value == 1):
+            if match(child):
                 found.append(scope or "<module>")
             visit(child, scope)
 
     visit(ast.parse(source), "")
     return found
+
+
+def power_roots(source: str) -> list[str]:
+    """The definitions that raise something to the power ``1 / x`` or
+    ``1.0 / x``: one entry per such power."""
+    return scopes_of(source, lambda node: (
+        isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+        and isinstance(node.right, ast.BinOp) and isinstance(node.right.op, ast.Div)
+        and isinstance(node.right.left, ast.Constant) and node.right.left.value == 1
+    ))
+
+
+def svd_uses(source: str) -> list[str]:
+    """The definitions that name ``svd``, as an attribute (``np.linalg.svd``)
+    or as a name: one entry per use."""
+    return scopes_of(source, lambda node: (
+        isinstance(node, ast.Attribute) and node.attr == "svd"
+        or isinstance(node, ast.Name) and node.id == "svd"
+    ))
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -150,6 +168,22 @@ def test_detects_a_power_root():
         "class C:\n    def h(self, r):\n        def inner(x):\n            return x ** (1 / r)\n"
     )
     assert power_roots(source) == ["<module>", "f", "C.h.inner"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_one_singular_value_route(path):
+    assert svd_uses(path.read_text()) == (
+        ["schatten_norm"] if path.name == "operators.py" else []
+    )
+
+
+def test_detects_an_svd():
+    source = (
+        "import numpy as np\nfrom numpy.linalg import svd\ns = np.linalg.svd(a)\n"
+        "def f(a):\n    return svd(a)\n"
+        "class C:\n    def g(self, a):\n        return scipy.linalg.svd(a, compute_uv=False)\n"
+    )
+    assert svd_uses(source) == ["<module>", "f", "C.g"]
 
 
 # Definitions that no command reaches, kept for the reason given; the check

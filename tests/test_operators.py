@@ -17,10 +17,10 @@ from dunklkit import (
     schatten_norm,
     tensor_grid,
 )
-from dunklkit.operators import _pairs_to_shells, flow_phases
+from dunklkit.operators import _pairs_to_shells, flow_phases, parity_blocks
 from dunklkit.quadrature import time_grid
 
-from conftest import random_state
+from conftest import off_blocks, random_state
 import shell_oracle
 from shell_oracle import eval_table
 from freeprop_oracle import free_propagator_matrix
@@ -297,6 +297,70 @@ class TestDualFunctional:
     def test_shape_validation(self, basis_1d_half):
         with pytest.raises(ValueError):
             time_averaged(basis_1d_half, (np.zeros(3), np.ones(3)), np.zeros((2, 5)))
+
+
+def even_potential(basis, t, seed):
+    """(T, K) samples of e^{-|x|^2 / 2} (1 + a_t prod_j cos x_j), even in
+    every x_j, with random amplitudes a_t."""
+    x = basis.grid.nodes
+    amp = np.random.default_rng(seed).normal(size=(t.size, 1))
+    return np.exp(-0.5 * (x**2).sum(axis=-1)) * (1.0 + amp * np.cos(x).prod(axis=-1))
+
+
+PARITY_BASES = {
+    1: ((0.5,), 32, 48),
+    2: ((1.0, 0.5), 10, 16),
+    3: ((0.5, 1.0, 0.0), 4, 8),
+}
+
+
+class TestParityBlocks:
+    @pytest.fixture(params=sorted(PARITY_BASES), ids=lambda d: f"d{d}")
+    def basis(self, request):
+        kappa, n_degree, order = PARITY_BASES[request.param]
+        s = DunklStructure(request.param, kappa)
+        return build_basis(s, n_degree, tensor_grid(s, order))
+
+    @pytest.fixture
+    def operator(self, basis):
+        """B_V of an even V on the dual-schatten time rule."""
+        t, tau = time_grid(-np.pi, np.pi, 64)
+        return time_averaged(basis, (t, tau), even_potential(basis, t, seed=3))
+
+    def test_blocks_partition_the_rows_by_parity(self, basis):
+        blocks = parity_blocks(basis)
+        assert len(blocks) == 2 ** basis.structure.d
+        np.testing.assert_array_equal(np.sort(np.concatenate(blocks)), np.arange(basis.size))
+        for rows in blocks:
+            parity = basis.multi_indices[rows] % 2
+            assert (parity == parity[0]).all()
+        assert len({tuple(basis.multi_indices[rows[0]] % 2) for rows in blocks}) == len(blocks)
+
+    def test_constant_basis_is_one_block(self):
+        s = DunklStructure(2, (1.0, 0.5))
+        [rows] = parity_blocks(build_basis(s, 0, tensor_grid(s, 2)))
+        np.testing.assert_array_equal(rows, [0])
+
+    def test_even_potential_is_zero_off_the_blocks(self, basis, operator):
+        off = operator[off_blocks(basis)]
+        assert np.abs(off).max() <= 1e-15 * np.abs(operator).max()
+
+    def test_block_norms_match_svd(self, basis, operator):
+        # each exponent alone and all of them at once
+        ps = [1.0, 1.2, 2.0, 4.0, np.inf]
+        got = schatten_norm(operator, ps, parity_blocks(basis))
+        np.testing.assert_allclose(got, schatten_norm(operator, ps), rtol=1e-13)
+        np.testing.assert_array_equal(got, [schatten_norm(operator, p, parity_blocks(basis))
+                                            for p in ps])
+
+    def test_stack_is_one_norm_per_matrix(self, basis):
+        t, tau = time_grid(-np.pi, np.pi, 64)
+        stack = np.stack([time_averaged(basis, (t, scale * tau), even_potential(basis, t, seed))
+                          for seed, scale in enumerate([1.0, 0.1, 3.0])])
+        blocks = parity_blocks(basis)
+        got = schatten_norm(stack, 1.2, blocks)
+        np.testing.assert_array_equal(got, [schatten_norm(b, 1.2, blocks) for b in stack])
+        np.testing.assert_allclose(got, schatten_norm(stack, 1.2), rtol=1e-13)
 
 
 def node_loop(basis, time_nodes, v_samples):
