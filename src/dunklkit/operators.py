@@ -32,10 +32,24 @@ prod_j phi_{mu_j}(x_{k_j}), and every sum over the grid of phi_mu phi_nu
 times a function of the shell |mu| - |nu| is contracted one axis at a time
 against the products phi_m phi_l of the axis's 1-D functions (sum
 factorization).  Each axis carries the degree offset that the later axes
-still owe and takes 2N + 1 products, one per value of mu_j - nu_j.  A
-static function, as in a multiplication matrix or a static density, is the
-same on every shell: its shell axis is one wide, as in numpy broadcasting,
-and every product reads or writes that one shell, so no offset is carried.
+still owe and takes 2N + 1 products, one per value of mu_j - nu_j.  The
+step that widens, (N + 1)^2 pairs of an axis for its 2 order nodes with
+all 2N + 1 offsets still carried, is the last axis of ``_shells_to_pairs``
+and the first axis contracted by ``_pairs_to_shells``: held whole it is
+4.6 times the (M, M) operator at d = 3, N = 16, grid order 20.  Both
+kernels form it in chunks instead, each carried on before the next is
+formed and each sized from the arrays so that it stays within the larger
+of the kernel's input and output: ``_shells_to_pairs`` goes depth first by
+chunks of whole diagonals mu_0 - nu_0 of the first axis, and
+``_pairs_to_shells`` forms windows of offsets, highest first, and adds each
+into the whole state after the next axis.  Every product and every sum
+over the diagonals is the one the whole state would take, in the same
+order, so the chunks change no bit.
+
+A static function, as in a multiplication matrix or a static density, is
+the same on every shell: its shell axis is one wide, as in numpy
+broadcasting, and every product reads or writes that one shell, so no
+offset is carried.
 The density of an evolved self-adjoint operator is one real pass too: its
 shell densities satisfy G_{-n} = conj G_n, so real weights on the shells of
 Re A + Im A give it.  The flow goes by shells too: e^{-itH} A e^{itH}
@@ -45,6 +59,7 @@ multiplies entry (mu, nu) by the phase e^{-2int} of n = |mu| - |nu| alone
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -150,7 +165,7 @@ def multiplication_matrix(basis: HermiteBasis, samples, phases=None) -> np.ndarr
     B_V = sum_t tau_t e^{itH} V_t e^{-itH}, whose Schatten-2q' norm is the
     dual functional, and the adjoint of ``density`` (module docstring).
     Either way ``_shells_to_pairs`` takes the real and then the imaginary
-    part, so one real intermediate is alive at a time.
+    part and writes each straight into B.
     """
     v = np.asarray(samples)
     if v.ndim not in (1, 2) or v.shape[-1] != basis.grid.npoints:
@@ -158,6 +173,8 @@ def multiplication_matrix(basis: HermiteBasis, samples, phases=None) -> np.ndarr
     w = basis.grid.weights
     if phases is None:
         # every shell alike: one shell wide, and no imaginary part for a real V
+        b = np.empty((*v.shape[:-1], basis.size, basis.size),
+                     dtype=complex if np.iscomplexobj(v) else float)
         parts = ((w * p)[..., None, :] for p in ((v.real, v.imag) if np.iscomplexobj(v) else (v,)))
     else:
         c = np.asarray(phases).T
@@ -177,9 +194,11 @@ def multiplication_matrix(basis: HermiteBasis, samples, phases=None) -> np.ndarr
             return h
 
         # the real harmonics, then the imaginary ones as Im z = Re(-iz)
+        b = np.empty((basis.size, basis.size), dtype=complex)
         parts = (harmonics(z * c) for z in (1, -1j))
-    real, *imag = (_shells_to_pairs(basis, h) for h in parts)
-    return real + 1j * imag[0] if imag else real
+    for out, h in zip((b.real, b.imag) if np.iscomplexobj(b) else (b,), parts):
+        _shells_to_pairs(basis, h, out)
+    return b
 
 
 def density(basis: HermiteBasis, a, phases=None) -> np.ndarray:
@@ -212,7 +231,8 @@ def density(basis: HermiteBasis, a, phases=None) -> np.ndarray:
     if c.shape[-1:] != (shells,) or (
             np.abs(h[..., ::-1] - (c.real + c.imag)).max() > 1e-10 * abs(h).max()):
         raise ValueError(f"phases must be {shells} per row with c_(-n) = conj c_n")
-    skew = np.abs(a - np.swapaxes(a, -1, -2).conj()).max(axis=(-2, -1))
+    # a^H - a, not a - a^H: numpy then reuses the temporary a^H for the difference
+    skew = np.abs(np.swapaxes(a, -1, -2).conj() - a).max(axis=(-2, -1))
     if np.any(skew > 1e-10 * np.abs(a).max(axis=(-2, -1))):
         raise ValueError("operator is not self-adjoint")
     g = _pairs_to_shells(basis, a.real + a.imag)
@@ -235,81 +255,156 @@ def _diagonals(phi):
         yield delta, rows, phi[m:n + 1 - l] * phi[l:n + 1 - m]
 
 
-def _box_positions(basis: HermiteBasis):
-    """(box, axes): the row-major place of each basis row in the box of
-    multi-indices, and the permutation that takes the axes (mu_0, nu_0, mu_1,
-    nu_1, ...) of the per-axis pairs to (mu_0, mu_1, ..., nu_0, nu_1, ...)."""
-    d = basis.structure.d
-    box = np.ravel_multi_index(basis.multi_indices.T, (basis.per_dim_degree + 1,) * d)
-    return box, [*range(0, 2 * d, 2), *range(1, 2 * d, 2)]
+def _box_index(basis: HermiteBasis):
+    """(rows, cols): the basis row of each multi-index of the box, an (N + 1,
+    ..., N + 1) array, with a unit axis after (rows) or before (cols) each of
+    its later axes.  Indexing a (..., M, M) array by slices (mu_0 + i) of
+    rows and (nu_0 + i) of cols, i < k, picks the entries of those pairs of
+    the first axis, laid out as (..., k, mu_1, nu_1, ..., mu_{d-1},
+    nu_{d-1}); the index arrays broadcast, so no array of indices the size
+    of the entries is formed."""
+    size, d = basis.per_dim_degree + 1, basis.structure.d
+    place = np.empty((size,) * d, dtype=np.intp)
+    place[tuple(basis.multi_indices.T)] = np.arange(basis.size)
+    return place.reshape(size, *(size, 1) * (d - 1)), place.reshape(size, *(1, size) * (d - 1))
 
 
-def _shells_to_pairs(basis: HermiteBasis, h) -> np.ndarray:
+def _shells_to_pairs(basis: HermiteBasis, h, out=None) -> np.ndarray:
     """sum_k phi_mu(x_k) phi_nu(x_k) h_{|mu|-|nu|}(x_k) for real samples h of
     the shells n = -dN..dN on the basis grid, (..., 2 d N + 1, K), or of one
     function on every shell, (..., 1, K): a real (..., M, M) stack, by sum
-    factorization.
+    factorization, written into ``out`` (such as the real or imaginary part
+    of a complex array) when it is given.
 
     Axis j turns the pairs (mu_j, nu_j) and the offset n - sum_{i<=j}
     (mu_i - nu_i) that the later axes still owe into one product per value of
     mu_j - nu_j, 2N + 1 of them, each over the 2 order_j nodes of the axis:
     about (N + 1)^2 (2 (d - 1) N + 1) K work for the first axis, less for
     the others, against M^2 K from a dense table; a one-wide shell axis owes
-    no offset and stays one wide.  Every product reads a view of the state
-    and writes into the next one.  The stack is the outermost batch axis of
-    every product, so each row takes the products it would take alone.
+    no offset and stays one wide.  Each axis widens the state, (N + 1)^2
+    pairs for 2 order_j nodes, while the offsets shrink by 2N only: before
+    the last axis it is (2N + 1) (N + 1)^{2(d-1)} K_{d-1} entries, 4.6 times
+    the output at d = 3, N = 16, grid order 20.  So the kernel goes depth
+    first, by the diagonals mu_0 - nu_0 of the first axis: a chunk of whole
+    diagonals is carried through every later axis and put at its entries
+    (mu, nu) before the next chunk is formed.  A chunk takes as many pairs
+    of the first axis as keep its widest state within the larger of the
+    input and the output, or one diagonal if even that does not fit.  Each
+    product is the one the whole state would take, so the result does not
+    depend on the chunks.  The stack is the outermost batch axis of every
+    product, so each row takes the products it would take alone.
     """
     n = basis.per_dim_degree
     shift = int(h.shape[-2] > 1)
+    first_axis, *later = basis.axis_tables
     # before axis j: (stack, offset, pairs_0, ..., pairs_{j-1}, K_j, ..., K_{d-1})
     state = h.reshape(-1, h.shape[-2], *(phi.shape[1] for phi in basis.axis_tables))
-    stack = state.shape[0]
-    for j, phi in enumerate(basis.axis_tables):
-        nodes, tail = state.shape[j + 2], state.shape[j + 3:]
-        width = state.shape[1] - 2 * n * shift
-        out = np.empty((stack, width, *state.shape[2:j + 2], (n + 1) ** 2, *tail))
-        flat = out.reshape(stack, -1, (n + 1) ** 2, math.prod(tail))
-        for delta, rows, pairs in _diagonals(phi):
-            # the view of the state is left unnamed, so the state is freed when replaced
+    stack, width, tail = state.shape[0], state.shape[1] - 2 * n * shift, state.shape[3:]
+    if out is None:
+        out = np.empty((*h.shape[:-2], basis.size, basis.size))
+    # whole diagonals to a chunk, as many pairs of the first axis as keep the
+    # chunk's widest state, after some axis j, within the larger of the input
+    # and the output (one diagonal, if even that does not fit)
+    widest = max((width - 2 * n * shift * j) * (n + 1) ** (2 * j) * math.prod(tail[j:])
+                 for j in range(len(tail) + 1))
+    fit, chunks, count = max(state.size, out.size) // (stack * widest), [], 0
+    for delta in range(-n, n + 1):
+        count += n + 1 - abs(delta)
+        if not chunks or count > fit:
+            chunks.append([])
+            count = n + 1 - abs(delta)
+        chunks[-1].append(delta)
+    src = state.reshape(stack, state.shape[1], first_axis.shape[1], -1)
+    index = _box_index(basis)
+    # one pass over the diagonals, each formed as its chunk comes
+    diagonals = _diagonals(first_axis)
+    for deltas in chunks:
+        chunk = np.empty((stack, width, sum(n + 1 - abs(delta) for delta in deltas),
+                          math.prod(tail)))
+        count = 0
+        for delta, _, pairs in itertools.islice(diagonals, len(deltas)):
             first = shift * (n + delta)
-            flat[:, :, rows] = pairs @ state[:, first:first + width].reshape(
-                *flat.shape[:2], nodes, -1
-            )
-        state = out
-    box, axes = _box_positions(basis)
-    full = state.reshape(stack, *(n + 1,) * len(axes)).transpose(0, *np.add(axes, 1))
-    full = full.reshape(stack, box.size, box.size)[:, box[:, None], box]
-    return full.reshape(*h.shape[:-2], box.size, box.size)
+            np.matmul(pairs, src[:, first:first + width], out=chunk[:, :, count:count + len(pairs)])
+            count += len(pairs)
+        chunk = chunk.reshape(stack, width, count, *tail)
+        for j, phi in enumerate(later, 1):
+            step_tail = chunk.shape[j + 3:]
+            step_width = chunk.shape[1] - 2 * n * shift
+            step = np.empty((stack, step_width, *chunk.shape[2:j + 2], (n + 1) ** 2, *step_tail))
+            flat = step.reshape(stack, -1, (n + 1) ** 2, math.prod(step_tail))
+            for delta, rows, pairs in _diagonals(phi):
+                first = shift * (n + delta)
+                flat[:, :, rows] = pairs @ chunk[:, first:first + step_width].reshape(
+                    *flat.shape[:2], chunk.shape[j + 2], -1
+                )
+            chunk = step
+        # the pairs (m + i, l + i) of each diagonal m - l to their entries
+        entries = [np.concatenate([side[max(sign * delta, 0):][:n + 1 - abs(delta)]
+                                   for delta in deltas])
+                   for side, sign in zip(index, (1, -1))]
+        out[(..., *entries)] = chunk.reshape(*h.shape[:-2], *np.broadcast_shapes(*(
+            e.shape for e in entries)))
+    return out
 
 
 def _pairs_to_shells(basis: HermiteBasis, a, static=False) -> np.ndarray:
     """The adjoint of ``_shells_to_pairs``: sum over |mu| - |nu| = n of
     a_{mu nu} phi_mu phi_nu on the basis grid, n = -dN..dN, for a real
     (..., M, M) stack a: (..., 2 d N + 1, K), by the same per-axis products
-    in reverse.  ``static`` sums over the shells as it goes: (..., 1, K)."""
+    in reverse.  ``static`` sums over the shells as it goes: (..., 1, K).
+
+    The last axis, the first contracted, widens the one offset of the input
+    to 2N + 1 while it turns (N + 1)^2 pairs into 2 order nodes: 4.6 times
+    the input at d = 3, N = 16, grid order 20.  Its offsets are formed in
+    windows, highest first, each as many offsets as fit in the larger of the
+    input and the output, and each window is carried through the next axis
+    into that axis's whole state before the next window is formed.  Each
+    entry of that state then takes its sum over the next axis's diagonals in
+    the order the whole state would, so the windows change no bit.
+    """
     n = basis.per_dim_degree
     shift = 0 if static else 1
-    box, axes = _box_positions(basis)
-    # box is a permutation of the rows: its inverse takes them to box order
-    inverse = np.argsort(box)
-    state = a.reshape(-1, box.size, box.size)[:, inverse[:, None], inverse]
-    stack = state.shape[0]
+    tables = basis.axis_tables
+    d = len(tables)
+    # one gather lays the entries out by their per-axis pairs
+    rows, cols = _box_index(basis)
+    state = np.reshape(a, (-1, basis.size, basis.size))[:, rows[:, None], cols[None]]
+    stack, grow = state.shape[0], 2 * n * shift
     # after axis j: (stack, offset, pairs_0, ..., pairs_{j-1}, K_j, ..., K_{d-1})
-    state = state.reshape(stack, *(n + 1,) * len(axes)).transpose(0, *np.add(np.argsort(axes), 1))
-    state = state.reshape(stack, 1, *((n + 1) ** 2,) * basis.structure.d)
-    for j in reversed(range(basis.structure.d)):
-        phi = basis.axis_tables[j]
-        tail = state.shape[j + 3:]
-        width, nodes = state.shape[1], phi.shape[1]
-        out = np.zeros((stack, width + 2 * n * shift, *state.shape[2:j + 2], nodes, *tail))
-        part = state.reshape(stack, -1, (n + 1) ** 2, math.prod(tail))
-        for delta, rows, pairs in _diagonals(phi):
-            # a slice of whole offsets of a fresh array: the reshape is a view
-            first = shift * (n + delta)
-            target = out[:, first:first + width].reshape(*part.shape[:2], nodes, -1)
-            target += pairs.T @ part[:, :, rows]
-        state = out
-    return state.reshape(*a.shape[:-2], state.shape[1], -1)
+    state = state.reshape(stack, 1, *((n + 1) ** 2,) * d)
+
+    def add(out, base, src, j):
+        """out plus the products of axis j on src, whose offset 0 is offset
+        ``base`` of out; the offsets that fall outside out are left out."""
+        tail = math.prod(src.shape[j + 3:])
+        # whole arrays of contiguous entries: the reshapes are views
+        part = src.reshape(stack, src.shape[1], -1, (n + 1) ** 2, tail)
+        target = out.reshape(stack, out.shape[1], -1, tables[j].shape[1], tail)
+        for delta, rows, pairs in _diagonals(tables[j]):
+            start = base + shift * (n + delta)
+            lo, hi = max(-start, 0), min(out.shape[1] - start, src.shape[1])
+            if lo < hi:
+                target[:, start + lo:start + hi] += pairs.T @ part[:, lo:hi, :, rows]
+        return out
+
+    axes = range(d)
+    if d > 1:
+        # offsets to a window: as many as fit in the larger of input and output
+        output = stack * (1 + d * grow) * basis.grid.npoints
+        size = max(1, max(state.size, output) // (state.size // (n + 1) ** 2 * tables[-1].shape[1]))
+        widened = np.zeros((stack, 1 + 2 * grow, *state.shape[2:-2],
+                            tables[-2].shape[1], tables[-1].shape[1]))
+        for hi in range(1 + grow, 0, -size):
+            lo = max(hi - size, 0)
+            # the window is left unnamed, so it is freed before the next is formed
+            shape = (stack, hi - lo, *state.shape[2:-1], tables[-1].shape[1])
+            add(widened, lo, add(np.zeros(shape), -lo, state, d - 1), d - 2)
+        state, axes = widened, range(d - 2)
+    for j in reversed(axes):
+        out = np.zeros((stack, state.shape[1] + grow, *state.shape[2:j + 2],
+                        tables[j].shape[1], *state.shape[j + 3:]))
+        state = add(out, 0, state, j)
+    return state.reshape(*np.shape(a)[:-2], state.shape[1], -1)
 
 
 def mixed_xp_operator(basis: HermiteBasis, f, alpha: float, beta: float) -> np.ndarray:

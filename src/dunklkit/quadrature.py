@@ -120,16 +120,22 @@ def lp_norm(values, weights, p):
     Each row is scaled by its largest |v|, m (sum w (|v|/m)^p)^{1/p}, so no p
     overflows, and every finite exponent comes from one log(|v|/m): one
     ``exp`` of p log(|v|/m) per exponent into one reused work array.  When
-    every exponent is inf, the row maxima are the norms, and no log is taken.
+    every exponent is inf, the row maxima are the norms, and no log is taken;
+    for real floats they are max(max v, -min v), read without forming |v|.
     """
     exponents = _exponents(p)
+    flat = np.atleast_1d(exponents).tolist()
+    finite = [(k, pk) for k, pk in enumerate(flat) if not math.isinf(pk)]
     # one row is a one-row stack, so that both shapes run the same array
     # code: numpy's scalar and array powers may differ in the last bit
-    a = np.abs(np.atleast_2d(values)).astype(float, copy=False)
-    top = a.max(axis=-1)
-    flat = np.atleast_1d(exponents).tolist()
+    a = np.atleast_2d(values)
+    if finite or a.dtype.kind != "f":
+        a = np.abs(a).astype(float, copy=False)
+        top = a.max(axis=-1)
+    else:
+        # abs turns the max of a row of zeros into +0, as max |v| is
+        top = np.abs(np.maximum(a.max(axis=-1), -a.min(axis=-1))).astype(float, copy=False)
     norms = np.array([top] * len(flat))
-    finite = [(k, pk) for k, pk in enumerate(flat) if not math.isinf(pk)]
     if finite:
         scale = np.where(top > 0, top, 1.0)
         a /= scale[..., None]
@@ -137,7 +143,8 @@ def lp_norm(values, weights, p):
             log_a = np.log(a, out=a)
         work = np.empty_like(log_a)
         for k, pk in finite:
-            np.multiply(log_a, pk, out=work)
+            with np.errstate(over="ignore"):  # p log(|v|/m) = -inf, and e^{-inf} = 0
+                np.multiply(log_a, pk, out=work)
             np.exp(work, out=work)
             work *= weights
             norms[k] = scale * work.sum(axis=-1) ** (1.0 / pk)

@@ -8,9 +8,17 @@ table, the density, the multiplication matrix and the evolved density of a
 system are one dense product each (M^2 K work), and the time-averaged
 operator and the shell densities loop over all (top + 1)^2 pairs of degree
 shells |mu| = a, |nu| = c, one M_a x M_c block at a time.
+
+``shells_to_pairs`` and ``pairs_to_shells`` are the sum-factorized shell
+kernels of ``operators`` as they were before their widening step was
+chunked: breadth first, each axis's whole state formed before the next axis
+starts.  They are kept frozen, so that the chunked kernels can be held to
+them bit for bit.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -101,3 +109,97 @@ def time_averaged_operator(basis: HermiteBasis, time_nodes, v_samples) -> np.nda
         for c, cols in enumerate(shells):
             b[rows, cols] = (table[rows] * harmonics[top + a - c]) @ table[cols].T
     return b
+
+
+# The breadth-first shell kernels, frozen.
+
+def _diagonals(phi):
+    """(delta, rows, pairs) for each per-axis offset delta = -N..N, from the
+    (N + 1, nodes) table phi of one axis: the rows of a ((N + 1)^2, ...)
+    array of pairs (m, l), row m (N + 1) + l, with m - l = delta, as a plain
+    slice (so the rows are a view), and phi_m phi_l at the nodes for those
+    pairs.  No (N + 1)^2 x nodes table of all the pairs is formed."""
+    n = phi.shape[0] - 1
+    for delta in range(-n, n + 1):
+        # the first pair on the diagonal
+        m, l = max(delta, 0), max(-delta, 0)
+        start = m * (n + 1) + l
+        rows = slice(start, start + (n - m - l) * (n + 2) + 1, n + 2)
+        yield delta, rows, phi[m:n + 1 - l] * phi[l:n + 1 - m]
+
+
+def _box_positions(basis: HermiteBasis):
+    """(box, axes): the row-major place of each basis row in the box of
+    multi-indices, and the permutation that takes the axes (mu_0, nu_0, mu_1,
+    nu_1, ...) of the per-axis pairs to (mu_0, mu_1, ..., nu_0, nu_1, ...)."""
+    d = basis.structure.d
+    box = np.ravel_multi_index(basis.multi_indices.T, (basis.per_dim_degree + 1,) * d)
+    return box, [*range(0, 2 * d, 2), *range(1, 2 * d, 2)]
+
+
+def shells_to_pairs(basis: HermiteBasis, h) -> np.ndarray:
+    """sum_k phi_mu(x_k) phi_nu(x_k) h_{|mu|-|nu|}(x_k) for real samples h of
+    the shells n = -dN..dN on the basis grid, (..., 2 d N + 1, K), or of one
+    function on every shell, (..., 1, K): a real (..., M, M) stack, by sum
+    factorization.
+
+    Axis j turns the pairs (mu_j, nu_j) and the offset n - sum_{i<=j}
+    (mu_i - nu_i) that the later axes still owe into one product per value of
+    mu_j - nu_j, 2N + 1 of them, each over the 2 order_j nodes of the axis:
+    about (N + 1)^2 (2 (d - 1) N + 1) K work for the first axis, less for
+    the others, against M^2 K from a dense table; a one-wide shell axis owes
+    no offset and stays one wide.  Every product reads a view of the state
+    and writes into the next one.  The stack is the outermost batch axis of
+    every product, so each row takes the products it would take alone.
+    """
+    n = basis.per_dim_degree
+    shift = int(h.shape[-2] > 1)
+    # before axis j: (stack, offset, pairs_0, ..., pairs_{j-1}, K_j, ..., K_{d-1})
+    state = h.reshape(-1, h.shape[-2], *(phi.shape[1] for phi in basis.axis_tables))
+    stack = state.shape[0]
+    for j, phi in enumerate(basis.axis_tables):
+        nodes, tail = state.shape[j + 2], state.shape[j + 3:]
+        width = state.shape[1] - 2 * n * shift
+        out = np.empty((stack, width, *state.shape[2:j + 2], (n + 1) ** 2, *tail))
+        flat = out.reshape(stack, -1, (n + 1) ** 2, math.prod(tail))
+        for delta, rows, pairs in _diagonals(phi):
+            # the view of the state is left unnamed, so the state is freed when replaced
+            first = shift * (n + delta)
+            flat[:, :, rows] = pairs @ state[:, first:first + width].reshape(
+                *flat.shape[:2], nodes, -1
+            )
+        state = out
+    box, axes = _box_positions(basis)
+    full = state.reshape(stack, *(n + 1,) * len(axes)).transpose(0, *np.add(axes, 1))
+    full = full.reshape(stack, box.size, box.size)[:, box[:, None], box]
+    return full.reshape(*h.shape[:-2], box.size, box.size)
+
+
+def pairs_to_shells(basis: HermiteBasis, a, static=False) -> np.ndarray:
+    """The adjoint of ``shells_to_pairs``: sum over |mu| - |nu| = n of
+    a_{mu nu} phi_mu phi_nu on the basis grid, n = -dN..dN, for a real
+    (..., M, M) stack a: (..., 2 d N + 1, K), by the same per-axis products
+    in reverse.  ``static`` sums over the shells as it goes: (..., 1, K)."""
+    n = basis.per_dim_degree
+    shift = 0 if static else 1
+    box, axes = _box_positions(basis)
+    # box is a permutation of the rows: its inverse takes them to box order
+    inverse = np.argsort(box)
+    state = a.reshape(-1, box.size, box.size)[:, inverse[:, None], inverse]
+    stack = state.shape[0]
+    # after axis j: (stack, offset, pairs_0, ..., pairs_{j-1}, K_j, ..., K_{d-1})
+    state = state.reshape(stack, *(n + 1,) * len(axes)).transpose(0, *np.add(np.argsort(axes), 1))
+    state = state.reshape(stack, 1, *((n + 1) ** 2,) * basis.structure.d)
+    for j in reversed(range(basis.structure.d)):
+        phi = basis.axis_tables[j]
+        tail = state.shape[j + 3:]
+        width, nodes = state.shape[1], phi.shape[1]
+        out = np.zeros((stack, width + 2 * n * shift, *state.shape[2:j + 2], nodes, *tail))
+        part = state.reshape(stack, -1, (n + 1) ** 2, math.prod(tail))
+        for delta, rows, pairs in _diagonals(phi):
+            # a slice of whole offsets of a fresh array: the reshape is a view
+            first = shift * (n + delta)
+            target = out[:, first:first + width].reshape(*part.shape[:2], nodes, -1)
+            target += pairs.T @ part[:, :, rows]
+        state = out
+    return state.reshape(*a.shape[:-2], state.shape[1], -1)

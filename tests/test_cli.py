@@ -2,6 +2,10 @@ import csv
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,8 @@ from click.testing import CliRunner
 from dunklkit.cli import EXIT_CONFIG, EXIT_IDENTITY, EXIT_OK, _context, load_config, main
 from dunklkit.operators import schatten_norm
 from dunklkit.strichartz import ExponentPair, StrichartzReport, run_inequality
+
+SRC = Path(__file__).parent.parent / "src"
 
 
 @pytest.fixture()
@@ -298,6 +304,20 @@ class TestSubcommands:
             main, ["-c", str(small_config), "kss", "--params", "1 2 3"]
         )
         assert result.exit_code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("args", [["--r", "1e308"], ["--params", "1e300 1 1 1"]],
+                             ids=["r-1e308", "alpha-1e300"])
+    def test_kss_overflow_to_the_limit_is_silent(self, tmp_path, args):
+        # p log(|v|/m) in the norms and the square in the Gaussian profiles
+        # overflow to -inf and e^{-inf} = 0, the right limit: a plain run, in
+        # a child without the test suite's warning filter, prints no warning
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-m", "dunklkit.cli", "kss", *args], cwd=tmp_path,
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120,
+        )
+        assert result.returncode == EXIT_OK, result.stderr
+        assert result.stderr == ""
 
     def test_mhls(self, runner, small_config, tmp_path):
         result = runner.invoke(

@@ -8,7 +8,9 @@ package only the modules ``PACKAGE_IMPORTS`` lists for it.  The one
 power-sum root of the package, ``x ** (1 / p)``, is in
 ``quadrature.lp_norm``, so every norm is scaled as that one is, and the one
 SVD is in ``operators.schatten_norm``, so one spectral route serves every
-Schatten norm.  The modules the benchmark's tracer wraps all exist.  Every
+Schatten norm.  Only the two shell kernels of ``operators``, one per
+direction, call ``_diagonals``, so a chunked kernel has no unchunked twin.
+The modules the benchmark's tracer wraps all exist.  Every
 public function, class and method of the package is reached from a command
 of the CLI, apart from those ``UNREACHED`` keeps with their reasons: what
 only the tests call belongs in ``tests/``.  The private names a module
@@ -184,6 +186,34 @@ def test_detects_an_svd():
         "class C:\n    def g(self, a):\n        return scipy.linalg.svd(a, compute_uv=False)\n"
     )
     assert svd_uses(source) == ["<module>", "f", "C.g"]
+
+
+def diagonal_calls(source: str) -> list[str]:
+    """The definitions that call ``_diagonals``, the per-axis products of the
+    shell kernels: one entry per call."""
+    return scopes_of(source, lambda node: (
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "_diagonals"
+    ))
+
+
+# the two shell kernels, one per direction, each chunked within itself
+SHELL_KERNELS = {"_shells_to_pairs", "_pairs_to_shells"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_one_shell_kernel_per_direction(path):
+    outermost = {scope.split(".")[0] for scope in diagonal_calls(path.read_text())}
+    assert outermost == (SHELL_KERNELS if path.name == "operators.py" else set())
+
+
+def test_detects_a_diagonal_loop():
+    source = (
+        "rows = list(_diagonals(phi))\ndef f(phi):\n    for d in _diagonals(phi):\n        pass\n"
+        "def _pairs_to_shells(phi):\n    def add():\n        return [r for r in _diagonals(phi)]\n"
+        "    return add\ndef g(phi):\n    return _diagonals\n"
+    )
+    assert diagonal_calls(source) == ["<module>", "f", "_pairs_to_shells.add"]
 
 
 # Definitions that no command reaches, kept for the reason given; the check

@@ -17,8 +17,9 @@ from dunklkit import (
     schatten_norm,
     tensor_grid,
 )
-from dunklkit.operators import _pairs_to_shells, flow_phases, parity_blocks
+from dunklkit.operators import _pairs_to_shells, _shells_to_pairs, flow_phases, parity_blocks
 from dunklkit.quadrature import time_grid
+from dunklkit.strichartz import generate_system
 
 from conftest import off_blocks, random_state
 import shell_oracle
@@ -734,6 +735,69 @@ class TestShellContractions:
             finally:
                 tracemalloc.stop()
             assert peak < shell_array
+
+
+# (d, N, grid order): at d = 2, N = 5, order 8 and at d = 3, N = 3, order 4
+# each kernel takes two chunks of diagonals or two windows of offsets
+KERNEL_BASES = {"d1": (1, 8, 12), "d2": (2, 5, 8), "d2-anisotropic": (2, 5, [8, 10]),
+                "d3": (3, 3, 4)}
+
+
+class TestChunkedKernels:
+    """The chunked shell kernels against the frozen breadth-first ones of
+    ``shell_oracle``, bit for bit, and their memory at d = 3."""
+
+    @pytest.fixture(params=sorted(KERNEL_BASES), scope="class")
+    def kernel_basis(self, request):
+        d, n_degree, orders = KERNEL_BASES[request.param]
+        s = DunklStructure(d, (0.5, 1.0, 0.0)[:d])
+        return build_basis(s, n_degree, tensor_grid(s, orders))
+
+    @pytest.mark.parametrize("stack", [(), (3,)], ids=["single", "stack"])
+    @pytest.mark.parametrize("static", [False, True], ids=["shelled", "static"])
+    def test_shells_to_pairs_keeps_its_bits(self, kernel_basis, static, stack):
+        basis = kernel_basis
+        shells = 1 if static else 2 * basis.structure.d * basis.per_dim_degree + 1
+        h = np.random.default_rng(28).normal(size=(*stack, shells, basis.grid.npoints))
+        got = _shells_to_pairs(basis, h)
+        assert got.shape == (*stack, basis.size, basis.size)
+        assert np.array_equal(got, shell_oracle.shells_to_pairs(basis, h))
+        # written into the parts of a complex array, as multiplication_matrix does
+        b = np.empty(got.shape, dtype=complex)
+        _shells_to_pairs(basis, h, b.real)
+        _shells_to_pairs(basis, -h, b.imag)
+        assert np.array_equal(b, got - 1j * got)
+
+    @pytest.mark.parametrize("stack", [(), (3,)], ids=["single", "stack"])
+    @pytest.mark.parametrize("static", [False, True], ids=["shelled", "static"])
+    def test_pairs_to_shells_keeps_its_bits(self, kernel_basis, static, stack):
+        basis = kernel_basis
+        a = np.random.default_rng(29).normal(size=(*stack, basis.size, basis.size))
+        got = _pairs_to_shells(basis, a, static)
+        shells = 1 if static else 2 * basis.structure.d * basis.per_dim_degree + 1
+        assert got.shape == (*stack, shells, basis.grid.npoints)
+        assert np.array_equal(got, shell_oracle.pairs_to_shells(basis, a, static))
+
+    def test_memory_at_d3(self):
+        # d = 3, N = 12, grid order 16 (M = 2197, K = 32768): the evolved
+        # density of an 8-state system at 8 times and B_V of 8 rows peaked
+        # at 313 and 312 MiB with breadth-first kernels, whose widest state
+        # (25, 169, 169, 32) alone took 174 MiB; chunked, about 180 and 148 MiB
+        s = DunklStructure(3, (0.5, 0.5, 0.5))
+        basis = build_basis(s, 12, tensor_grid(s, 16))
+        f = generate_system(basis, "haar_rotation", 8, seed=0)
+        gamma = f.T @ f.conj()
+        c = flow_phases(basis, time_grid(-np.pi, np.pi, 8)[0])
+        v = np.tile(np.exp(-(basis.grid.nodes ** 2).sum(axis=-1)), (8, 1))
+        for call in (lambda: density(basis, gamma, c),
+                     lambda: multiplication_matrix(basis, v, c / 8)):
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 190 * 2 ** 20
 
 
 class TestMixedOperators:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dunklkit import DunklStructure, plain_rule, tensor_grid, time_grid
-from dunklkit.quadrature import mixed_norm, weighted_lp_norm
+from dunklkit.quadrature import lp_norm, mixed_norm, weighted_lp_norm
 
 
 def gaussian_rule(kappa, n):
@@ -270,8 +270,9 @@ class TestNorms:
 
     def test_all_inf_exponents_take_the_row_maxima(self, basis_2d):
         # the row maxima, bit for bit, for one row and for a stack, as the
-        # inf entry of a call that takes the log; and with no log or work
-        # array, only |f|: the general path would peak at 2 times the samples
+        # inf entry of a call that takes the log; and with no log, work
+        # array or |f|, only the finiteness mask of the samples (1/8 of
+        # them): the general path would peak at 2 times the samples
         grid = basis_2d.grid
         samples = np.random.default_rng(24).normal(size=(64, grid.npoints))
         for values in (samples[0], samples):
@@ -286,7 +287,29 @@ class TestNorms:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * samples.nbytes
+        assert peak <= 0.25 * samples.nbytes
+
+    def test_all_inf_real_path_is_the_abs_route(self):
+        # max(max v, -min v) of a real stack against max |v|, bit for bit,
+        # on rows of +0, of -0, of both, and with negatives: every zero row
+        # takes the norm +0, as |v| gives it
+        rng = np.random.default_rng(27)
+        v = rng.normal(size=(6, 9))
+        v[0], v[1], v[2] = 0.0, -0.0, [0.0, -0.0] * 4 + [-0.0]
+        v[3, :4] = -0.0
+        v[4] = -np.abs(v[4])
+        for values in (v, v[1], v[2], v.astype(np.float32)):
+            top = np.abs(values).max(axis=-1).astype(float)
+            assert np.asarray(lp_norm(values, 1.0, np.inf)).tobytes() == top.tobytes()
+            assert lp_norm(values, 1.0, [np.inf] * 2).tobytes() == np.array([top] * 2).tobytes()
+
+    def test_huge_exponent_overflows_silently(self, basis_1d_half):
+        # p log(|v|/m) overflows to -inf off the row maxima, and e^{-inf} = 0:
+        # the norm is the maximum, with no warning (the suite turns one from
+        # the package into an error)
+        samples = np.exp(-basis_1d_half.grid.nodes[:, 0] ** 2)
+        assert lp_norm(samples, basis_1d_half.grid.weights, 1e308) == pytest.approx(
+            samples.max(), rel=1e-15)
 
     def test_bad_exponent_is_named(self, basis_1d_half):
         # the message the sweep traceback carries when p(q_max) < 1
