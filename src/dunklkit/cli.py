@@ -28,6 +28,7 @@ from .strichartz import (
     ExponentPair,
     inhomogeneous_check,
     mhls_check,
+    quarter_period,
     run_inequality,
 )
 from .structure import DunklStructure
@@ -335,7 +336,7 @@ def sweep(cfg, q_min, q_max, steps, j_values, seeds):
         if steps < 1 or seeds < 1:
             raise ValueError(f"steps and seeds must be at least 1, got {steps}, {seeds}")
         s, grid, basis = _context(cfg)
-        time_grid(-np.pi, np.pi, cfg["time_nodes"])  # the rule each evaluation builds
+        quarter_period(cfg["time_nodes"])  # the rule each evaluation builds
         j_list = [int(v) for v in j_values.replace(",", " ").split()]
         if not j_list or not all(1 <= j <= basis.size for j in j_list):
             raise ValueError(f"j values must lie in [1, {basis.size}], got {j_values!r}")

@@ -3,11 +3,12 @@ evolved orthonormal systems, the inhomogeneous (Duhamel) variant for sources
 R(s) = r(s) R0, and the multilinear integral inequality with pairwise power
 weights.
 
-The time side lives on (-pi, pi) for the oscillator flow; the free flow is
-integrated over the whole line through the substitution v = tan 2t, which
-maps it onto (-pi/4, pi/4) with a power of sec 2t that vanishes on the
-scaling line 2/p + d_eff/q = d_eff, where every exponent pair lies: there
-the free-flow norm is the oscillator norm on (-pi/4, pi/4).  The Duhamel
+Shell n of a density has parity (-1)^n, so under the oscillator flow
+rho(t + pi/2)(x) = rho(t)(-x): the lhs integrates one period, (-pi/4, pi/4),
+four of which make the flow's window (-pi, pi); v = tan 2t maps the free
+flow's line onto it, with a power of sec 2t that vanishes on the scaling line
+2/p + d_eff/q = d_eff of every exponent pair.  A random V_t or a Duhamel
+source is not pi/2-periodic: their rules span (-pi, pi).  The Duhamel
 integral goes by degree shells: the oscillator flow multiplies entry
 (mu, nu) of an operator by a phase that depends on |mu| - |nu| alone, so for
 a source of one fixed operator the integral over s is a scalar per shell.
@@ -29,6 +30,7 @@ __all__ = [
     "StrichartzReport",
     "admissible_p",
     "generate_system",
+    "quarter_period",
     "strichartz_lhs",
     "schatten_rhs",
     "run_inequality",
@@ -130,6 +132,14 @@ def generate_system(
     return c
 
 
+def quarter_period(n_time: int):
+    """(t, tau): the periodic (midpoint) rule of n_time >= 2 distinct nodes on
+    the period (-pi/4, pi/4) of t -> ||rho(t)||_q; it never samples the ends."""
+    if n_time < 2:
+        raise ValueError(f"the time rule needs at least 2 nodes, got {n_time}")
+    return time_grid(-np.pi / 4, np.pi / 4, n_time, kind="midpoint")
+
+
 def strichartz_lhs(
     basis: HermiteBasis,
     gamma,
@@ -143,22 +153,20 @@ def strichartz_lhs(
     A system of states f_j (rows of f) with occupations n_j is its operator
     gamma = sum_j n_j |f_j><f_j|, ``f.T @ (n[:, None] * f).conj()``.
 
-    Oscillator flow: t over (-pi, pi).  Free flow: the whole-line integral
-    transformed onto (-pi/4, pi/4), where on the scaling line it is the
-    oscillator norm.  The evolved densities do not depend on the exponents:
-    the stack is propagated as one ``density``, then each operator takes one
+    Both flows take the rule of ``quarter_period(n_time)``, the oscillator
+    flow (``"hermite"``) with its weights times 4 for the four periods of
+    (-pi, pi).  The evolved densities do not depend on the exponents: the
+    stack is propagated as one ``density``, then each operator takes one
     ``mixed_norm`` for every q.
     """
     gamma = np.asarray(gamma)
     if gamma.ndim != 3 or not len(gamma):
         raise ValueError(f"expected an (S, M, M) stack of operators, S >= 1, got {gamma.shape}")
     pairs = [ExponentPair(q, basis.structure.d_eff) for q in qs]
-    if flow == "hermite":
-        t, tau = time_grid(-np.pi, np.pi, n_time)
-    elif flow == "laplacian":
-        t, tau = time_grid(-np.pi / 4 + 1e-9, np.pi / 4 - 1e-9, n_time)
-    else:
+    if flow not in ("hermite", "laplacian"):
         raise ValueError(f"unknown flow {flow!r}")
+    t, tau = quarter_period(n_time)
+    tau *= 4.0 if flow == "hermite" else 1.0
     rho = density(basis, gamma, flow_phases(basis, t))
     exponents = [pr.p for pr in pairs], [pr.q for pr in pairs]
     return np.array([mixed_norm((t, tau), basis.grid, r, *exponents) for r in rho])
@@ -184,9 +192,10 @@ def run_inequality(
     sequence ``qs``, and report the ratios: one list of reports per J, in
     order, each with one report per q, in order.
 
-    The systems are propagated together, once for all q (``strichartz_lhs``).
-    Each report's ``wall_time`` is the elapsed time of the whole call, shared
-    by every report of every J, not a per-q or per-J time.
+    The systems are propagated together, once for all q, on one period
+    (``strichartz_lhs``, whose weights ``flow`` multiplies by 4 or 1).  Each
+    report's ``wall_time`` is the elapsed time of the whole call, shared by
+    every report of every J, not a per-q or per-J time.
     """
     start = time.perf_counter()
     s = basis.structure

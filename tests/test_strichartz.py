@@ -16,8 +16,9 @@ from dunklkit import (
     strichartz_lhs,
     tensor_grid,
 )
+from dunklkit.operators import density, flow_phases
 from dunklkit.strichartz import duhamel_solution
-from dunklkit.quadrature import time_grid, weighted_lp_norm
+from dunklkit.quadrature import mixed_norm, time_grid, weighted_lp_norm
 
 import duhamel_oracle
 from shell_oracle import eval_table
@@ -33,9 +34,10 @@ def laplacian_slice_loop(basis, occupations, states, q, n_time):
     """The free-flow lhs of sum_j n_j |f_j><f_j| on the scaling line, per
     slice: |sec 2t|^expo (expo = 0 up to rounding there) times the L^q norm
     of the summed propagated densities, then the L^p_t sum (the max at
-    p = inf)."""
+    p = inf), on the midpoint rule of (-pi/4, pi/4), where sec 2t is finite
+    at every node."""
     p = admissible_p(q, basis.structure.d_eff)
-    t, tau = time_grid(-np.pi / 4 + 1e-9, np.pi / 4 - 1e-9, n_time)
+    t, tau = time_grid(-np.pi / 4, np.pi / 4, n_time, kind="midpoint")
     expo = 2.0 * (0.0 if np.isinf(p) else 1.0 / p) + basis.structure.d_eff * (1.0 / q - 1.0)
     inner = np.array([
         np.abs(1.0 / np.cos(2.0 * tv)) ** expo * weighted_lp_norm(
@@ -125,6 +127,26 @@ class TestSystems:
             generate_system(basis_1d_half, "random", 3)
 
 
+class TestPeriod:
+    @pytest.mark.parametrize("kappa", [(0.0,), (0.5,), (0.0, 0.0), (1.0, 0.5),
+                                       (0.0, 0.0, 0.0), (0.5, 0.0, 1.5)])
+    def test_quarter_period_reflects_the_density(self, kappa):
+        # shell n of a density has parity (-1)^n and takes the phase
+        # e^{-i pi n} over a quarter period: rho(t + pi/2)(x) = rho(t)(-x).
+        # The grid is symmetric, so x -> -x reverses its nodes
+        s = DunklStructure(len(kappa), kappa)
+        n_degree, order = {1: (12, 16), 2: (6, 8), 3: (4, 6)}[s.d]
+        basis = build_basis(s, n_degree, tensor_grid(s, order))
+        np.testing.assert_array_equal(basis.grid.nodes[::-1], -basis.grid.nodes)
+        rng = np.random.default_rng(len(kappa))
+        a = rng.normal(size=(basis.size,) * 2) + 1j * rng.normal(size=(basis.size,) * 2)
+        gamma = a + a.conj().T
+        t = np.array([-1.1, -0.2, 0.3, 0.7])
+        rho = density(basis, gamma, flow_phases(basis, t))
+        shifted = density(basis, gamma, flow_phases(basis, t + np.pi / 2))
+        assert np.abs(shifted - rho[:, ::-1]).max() <= 1e-14 * np.abs(rho).max()
+
+
 class TestInequality:
     def test_q1_exact_regime(self, basis_1d_half):
         # q = 1, p = inf: lhs = sup_t || sum |f_j|^2 ||_1 = J by unitarity,
@@ -155,19 +177,42 @@ class TestInequality:
         assert lhs_a == pytest.approx(lhs_b, rel=1e-13)
 
     def test_hermite_vs_laplacian_scaling_line(self, basis_1d_half):
-        # on the scaling line the free-flow value over the whole line equals
-        # the quarter-window oscillator value (time-norm transport applied
-        # to the system density); both are finite and comparable
-        s = basis_1d_half.structure
-        q = 1.2
-        p = admissible_p(q, s.d_eff)
+        # on the scaling line the free-flow value over the whole line is the
+        # oscillator norm on one period (-pi/4, pi/4), and (-pi, pi) holds
+        # four periods: hermite = 4^{1/p} laplacian at the same rule
+        qs = [1.0, 1.2, 1.5, 2.5]
+        p = np.array([admissible_p(q, basis_1d_half.structure.d_eff) for q in qs])
         gamma = operator(generate_system(basis_1d_half, "haar_rotation", 4, seed=2))[None]
-        [[lap]] = strichartz_lhs(basis_1d_half, gamma, [q], flow="laplacian", n_time=128)
-        [[her]] = strichartz_lhs(basis_1d_half, gamma, [q], flow="hermite", n_time=512)
-        quarter = (0.25) ** (1.0 / p) * her  # (-pi,pi) vs (-pi/4,pi/4) scaling only
-        # densities are pi/2-periodic in t for the oscillator flow, so the
-        # full-window norm is exactly 4^{1/p} times the quarter-window norm
-        assert lap == pytest.approx(quarter, rel=1e-3)
+        [lap] = strichartz_lhs(basis_1d_half, gamma, qs, flow="laplacian", n_time=128)
+        [her] = strichartz_lhs(basis_1d_half, gamma, qs, flow="hermite", n_time=128)
+        np.testing.assert_allclose(her, 4.0 ** (1.0 / p) * lap, rtol=1e-13)
+
+    def test_hermite_is_the_full_window_folded(self, basis_1d_half):
+        # the oscillator value on one period with weights times 4 is the norm
+        # on the midpoint rule of 4T nodes over (-pi, pi): with T even, its
+        # nodes are those of the period shifted by multiples of pi/2
+        basis = basis_1d_half
+        gamma = operator(generate_system(basis, "gaussian_orthogonalized", 5, seed=8),
+                         np.linspace(1.0, 0.2, 5))
+        qs = [1.0, 1.2, 1.5, 2.5]
+        n_time = 48
+        got = strichartz_lhs(basis, gamma[None], qs, "hermite", n_time)[0]
+        t, tau = time_grid(-np.pi, np.pi, 4 * n_time, kind="midpoint")
+        rho = density(basis, gamma, flow_phases(basis, t))
+        pairs = [ExponentPair(q, basis.structure.d_eff) for q in qs]
+        full = mixed_norm((t, tau), basis.grid, rho, [pr.p for pr in pairs], qs)
+        np.testing.assert_allclose(got, full, rtol=1e-13)
+
+    @pytest.mark.parametrize("q", [1.2, 1.5])
+    def test_time_node_count_has_no_trap(self, basis_1d_half, q):
+        # a trapezoid rule of n nodes on (-pi, pi) samples only
+        # (n - 1)/gcd(n - 1, 4) points of the pi/2 period: 32 at n = 129.
+        # The periodic rule of one period has n distinct points at every n
+        gamma = operator(generate_system(basis_1d_half, "gaussian_orthogonalized", 8))[None]
+        [[reference]] = strichartz_lhs(basis_1d_half, gamma, [q], n_time=4096)
+        for n_time in (128, 129, 130, 131):
+            [[got]] = strichartz_lhs(basis_1d_half, gamma, [q], n_time=n_time)
+            assert got == pytest.approx(reference, rel=1e-9), n_time
 
     @pytest.mark.parametrize("q", [1.5, 1.2, 2.5, 1.0])
     def test_laplacian_matches_per_slice_loop(self, basis_1d_half, q):
