@@ -2,9 +2,13 @@
 functionals, Schatten duals, the Hartree solver, and exponent sweeps.
 
 Configuration is a flat key = value file (see ``load_config``); every report
-embeds the configuration echo.  Exit codes: 0 all checks pass, 2 an identity
-check failed, a reported figure is inf or NaN, or the Hartree solve did not
-converge, 64 configuration error.
+embeds the configuration echo.  Exit codes: 0 all checks pass, 64 a
+configuration error (a ValueError in a command's ``_config_errors`` block),
+2 an identity failure.  Every command ends in one ``_finish`` call: it writes
+the report, prints the command's line, then exits 2 if a reported figure is
+inf or NaN, or else if the command's own gate failed (an identity check, or
+a Hartree solve that did not converge).  ``sweep`` writes ``ratio_vs_q.dat``
+after ``_finish`` returns, so a sweep that exits 2 leaves no ``.dat`` file.
 """
 
 from __future__ import annotations
@@ -100,10 +104,13 @@ def _config_errors():
         sys.exit(EXIT_CONFIG)
 
 
-def _report(cfg: dict, name: str, rows: list[dict], summary: dict | None = None) -> Path:
+def _finish(cfg: dict, name: str, rows: list[dict], line: str, summary: dict | None = None,
+            finite: dict | None = None, failure: str | None = None) -> Path:
     """Write ``<name>.csv`` (the rows, if any) and ``<name>.json`` (the
     configuration echo plus ``summary``, by default the rows) to the output
-    directory, and return that directory."""
+    directory and print ``line``; then exit 2 if a figure of ``finite`` (a
+    value or a list of them) is inf or NaN, or else with ``failure`` if the
+    command's gate gave one.  Return the output directory."""
     out = Path(cfg["output"])
     out.mkdir(parents=True, exist_ok=True)
     if rows:
@@ -114,19 +121,14 @@ def _report(cfg: dict, name: str, rows: list[dict], summary: dict | None = None)
     payload = {"config": {k: list(v) if isinstance(v, tuple) else v for k, v in cfg.items()},
                **({"rows": rows} if summary is None else summary)}
     (out / f"{name}.json").write_text(json.dumps(payload, indent=2, default=float) + "\n")
-    return out
-
-
-def _fail_identity(message: str):
-    click.echo(f"IDENTITY FAILURE: {message}", err=True)
-    sys.exit(EXIT_IDENTITY)
-
-
-def _require_finite(**figures):
-    """Exit 2 when a reported figure, or an entry of a list of them, is inf or NaN."""
-    bad = [name for name, value in figures.items() if not np.isfinite(value).all()]
+    click.echo(line)
+    bad = [key for key, value in (finite or {}).items() if not np.isfinite(value).all()]
     if bad:
-        _fail_identity(f"non-finite {', '.join(bad)}")
+        failure = f"non-finite {', '.join(bad)}"
+    if failure is not None:
+        click.echo(f"IDENTITY FAILURE: {failure}", err=True)
+        sys.exit(EXIT_IDENTITY)
+    return out
 
 
 @click.group()
@@ -173,11 +175,10 @@ def verify_kernels(cfg):
                          "parameter": t, "residual": max(mag - bound, 0.0)})
             residuals += [sym, conj, max(mag - bound, 0.0) / bound]
     worst = float(np.max(residuals))  # NaN if any residual is
-    _report(cfg, "verify_kernels", rows, {"worst_residual": worst, "passed": worst < 1e-10})
-    click.echo(f"worst relative residual {worst:.3e}")
-    _require_finite(worst_residual=worst)
-    if worst >= 1e-10:
-        _fail_identity(f"kernel identity residual {worst:.3e} >= 1e-10")
+    _finish(cfg, "verify_kernels", rows, f"worst relative residual {worst:.3e}",
+            {"worst_residual": worst, "passed": worst < 1e-10},
+            finite={"worst_residual": worst},
+            failure=f"kernel identity residual {worst:.3e} >= 1e-10" if worst >= 1e-10 else None)
 
 
 @main.command()
@@ -195,12 +196,12 @@ def strichartz(cfg, q, group, j_count, flow):
         s, grid, basis = _context(cfg)
         [[report]] = run_inequality(basis, [q], group, [j_count], cfg["seed"], flow,
                                     cfg["time_nodes"])
-    _report(cfg, "strichartz", [report.as_dict()], {"report": report.as_dict()})
-    click.echo(f"q={q} p={report.p:.4g} lhs={report.lhs:.6g} rhs={report.rhs:.6g} "
-               f"ratio={report.ratio:.6g}")
-    _require_finite(lhs=report.lhs, rhs=report.rhs, ratio=report.ratio)
-    if q == 1.0 and report.ratio > 1.0 + 1e-8:
-        _fail_identity(f"q=1 ratio {report.ratio} exceeds 1")
+    _finish(cfg, "strichartz", [report.as_dict()],
+            f"q={q} p={report.p:.4g} lhs={report.lhs:.6g} rhs={report.rhs:.6g} "
+            f"ratio={report.ratio:.6g}", {"report": report.as_dict()},
+            finite={"lhs": report.lhs, "rhs": report.rhs, "ratio": report.ratio},
+            failure=(f"q=1 ratio {report.ratio} exceeds 1"
+                     if q == 1.0 and report.ratio > 1.0 + 1e-8 else None))
 
 
 @main.command("dual-schatten")
@@ -223,13 +224,12 @@ def dual_schatten(cfg, qprime):
     # V is even in every x_j, so B commutes with the reflections
     value, opnorm = schatten_norm(b, [2.0 * qprime, np.inf], parity_blocks(basis)).tolist()
     l1linf = mixed_norm((t, tau), grid, v, 1.0, np.inf)
-    _report(cfg, "dual_schatten", [{"qprime": qprime, "value": value, "operator_norm": opnorm,
-                                    "l1_linf_bound": l1linf}])
-    click.echo(f"q'={qprime:.4g}: Schatten-2q' value {value:.6g}; "
-               f"operator norm {opnorm:.6g} <= {l1linf:.6g}")
-    _require_finite(value=value, operator_norm=opnorm, l1_linf_bound=l1linf)
-    if opnorm > l1linf + 1e-8:
-        _fail_identity("triangle bound violated for the dual functional")
+    figures = {"value": value, "operator_norm": opnorm, "l1_linf_bound": l1linf}
+    _finish(cfg, "dual_schatten", [{"qprime": qprime, **figures}],
+            f"q'={qprime:.4g}: Schatten-2q' value {value:.6g}; "
+            f"operator norm {opnorm:.6g} <= {l1linf:.6g}", finite=figures,
+            failure=("triangle bound violated for the dual functional"
+                     if opnorm > l1linf + 1e-8 else None))
 
 
 @main.command()
@@ -252,10 +252,9 @@ def inhomogeneous(cfg, q, t0, rank):
         r0 = sum(np.outer(v, v.conj()) for v in vecs) / rank
         lhs, rhs = inhomogeneous_check(basis, r0, t0, q,
                                        n_time=min(cfg["time_nodes"], 96))
-    _report(cfg, "inhomogeneous", [{"q": q, "t0": t0, "rank": rank, "lhs": lhs, "rhs": rhs,
-                                    "ratio": lhs / rhs}])
-    click.echo(f"lhs={lhs:.6g} rhs={rhs:.6g} ratio={lhs / rhs:.6g}")
-    _require_finite(lhs=lhs, rhs=rhs, ratio=lhs / rhs)
+    figures = {"lhs": lhs, "rhs": rhs, "ratio": lhs / rhs}
+    _finish(cfg, "inhomogeneous", [{"q": q, "t0": t0, "rank": rank, **figures}],
+            f"lhs={lhs:.6g} rhs={rhs:.6g} ratio={lhs / rhs:.6g}", finite=figures)
 
 
 def _gaussian(a: float):
@@ -284,12 +283,12 @@ def kss(cfg, r, params):
         if s.d != 1:
             raise ValueError("mixed-operator checks are one-dimensional")
         lhs, rhs = kss_check(basis, _gaussian(1.0), _gaussian(0.5), *quad, r)
-    _report(cfg, "kss", [{"r": r, "alpha": quad[0], "beta": quad[1], "gamma": quad[2],
-                          "delta": quad[3], "lhs": lhs, "rhs": rhs, "ratio": lhs / rhs}])
-    click.echo(f"lhs={lhs:.6g} rhs={rhs:.6g} ratio={lhs / rhs:.6g}")
-    _require_finite(lhs=lhs, rhs=rhs, ratio=lhs / rhs)
-    if lhs > rhs * (1.0 + 1e-3):
-        _fail_identity(f"Schatten product bound violated: ratio {lhs / rhs}")
+    figures = {"lhs": lhs, "rhs": rhs, "ratio": lhs / rhs}
+    _finish(cfg, "kss", [{"r": r, "alpha": quad[0], "beta": quad[1], "gamma": quad[2],
+                          "delta": quad[3], **figures}],
+            f"lhs={lhs:.6g} rhs={rhs:.6g} ratio={lhs / rhs:.6g}", finite=figures,
+            failure=(f"Schatten product bound violated: ratio {lhs / rhs}"
+                     if lhs > rhs * (1.0 + 1e-3) else None))
 
 
 @main.command()
@@ -316,9 +315,9 @@ def mhls(cfg, n_factors, beta):
             bmat = [[0.0, beta, beta], [beta, 0.0, beta], [beta, beta, 0.0]]
             rs = [r, r, r]
         lhs, rhs = mhls_check(profiles, supports, bmat, rs)
-    _report(cfg, "mhls", [{"n": n, "beta": beta, "lhs": lhs, "rhs": rhs, "ratio": lhs / rhs}])
-    click.echo(f"lhs={lhs:.6g} rhs={rhs:.6g} empirical constant {lhs / rhs:.6g}")
-    _require_finite(lhs=lhs, rhs=rhs, ratio=lhs / rhs)
+    figures = {"lhs": lhs, "rhs": rhs, "ratio": lhs / rhs}
+    _finish(cfg, "mhls", [{"n": n, "beta": beta, **figures}],
+            f"lhs={lhs:.6g} rhs={rhs:.6g} empirical constant {lhs / rhs:.6g}", finite=figures)
 
 
 @main.command()
@@ -353,22 +352,17 @@ def sweep(cfg, q_min, q_max, steps, j_values, seeds):
         admissible = ExponentPair(q, s.d_eff).admissible
         for reports in per_system:
             rows.append({**reports[i].as_dict(), "admissible": admissible})
-    out = _report(cfg, "sweep", rows, {
-        "rows": len(rows),
-        "max_ratio": max(r["ratio"] for r in rows),
-        "min_ratio": min(r["ratio"] for r in rows),
-        "wall_time": time.perf_counter() - start,
-    })
+    lo, hi = min(r["ratio"] for r in rows), max(r["ratio"] for r in rows)
+    out = _finish(cfg, "sweep", rows, f"{len(rows)} evaluations; ratio range [{lo:.4g}, {hi:.4g}]",
+                  {"rows": len(rows), "max_ratio": hi, "min_ratio": lo,
+                   "wall_time": time.perf_counter() - start},
+                  finite={key: [r[key] for r in rows] for key in ("lhs", "rhs", "ratio")})
     curve = {}
     for row in rows:
         curve.setdefault(row["q"], []).append(row["ratio"])
     with (out / "ratio_vs_q.dat").open("w") as fh:
         for q in sorted(curve):
             fh.write(f"{q:.6f} {max(curve[q]):.8f}\n")
-    click.echo(f"{len(rows)} evaluations; ratio range "
-               f"[{min(r['ratio'] for r in rows):.4g}, "
-               f"{max(r['ratio'] for r in rows):.4g}]")
-    _require_finite(**{key: [r[key] for r in rows] for key in ("lhs", "rhs", "ratio")})
 
 
 @main.command()
@@ -395,19 +389,18 @@ def hartree(cfg, coupling, horizon, steps, width):
     times, traj, diag = solve_hartree(config)
     drift = max(abs(t - diag["traces"][0]) for t in diag["traces"])
     rows = [{"iteration": i, "residual": r} for i, r in enumerate(diag["residuals"])]
-    _report(cfg, "hartree", rows, {
-        "converged": diag["converged"],
-        "iterations": diag["iterations"],
-        "trace_drift": drift,
-        "contraction_factors": diag["contraction_factors"],
-        "blocks": diag["blocks"],
-    })
-    click.echo(f"converged={diag['converged']} iterations={diag['iterations']} "
-               f"trace drift={drift:.3e}")
-    if not diag["converged"]:
-        _fail_identity(f"Hartree solve did not converge in {diag['iterations']} iterations")
-    if drift > 1e-8:
-        _fail_identity(f"trace drift {drift:.3e} exceeds 1e-8")
+    _finish(cfg, "hartree", rows,
+            f"converged={diag['converged']} iterations={diag['iterations']} "
+            f"trace drift={drift:.3e}", {
+                "converged": diag["converged"],
+                "iterations": diag["iterations"],
+                "trace_drift": drift,
+                "contraction_factors": diag["contraction_factors"],
+                "blocks": diag["blocks"],
+            },
+            failure=(f"Hartree solve did not converge in {diag['iterations']} iterations"
+                     if not diag["converged"] else
+                     f"trace drift {drift:.3e} exceeds 1e-8" if drift > 1e-8 else None))
 
 
 if __name__ == "__main__":

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,8 @@ import pytest
 from click.testing import CliRunner
 
 from dunklkit.cli import EXIT_CONFIG, EXIT_IDENTITY, EXIT_OK, _context, load_config, main
+from dunklkit.hartree import solve_hartree
+from dunklkit.hermite import kernel_Kit
 from dunklkit.operators import schatten_norm
 from dunklkit.strichartz import ExponentPair, StrichartzReport, run_inequality
 
@@ -191,13 +194,25 @@ class TestSubcommands:
         (["dual-schatten"], "q'=2: Schatten-2q' value 4.44257; operator norm 4.06114 <= 5.91249"),
         (["dual-schatten", "--qprime", "400"],
          "q'=400: Schatten-2q' value 4.06114; operator norm 4.06114 <= 5.91249"),
+        (["inhomogeneous"], "lhs=30.9006 rhs=85.4991 ratio=0.361414"),
+        (["kss"], "lhs=0.370101 rhs=0.392837 ratio=0.942122"),
+        (["mhls"], "lhs=2.66078 rhs=1 empirical constant 2.66078"),
+        (["mhls", "--n", "3", "--beta", "0.4"],
+         "lhs=20.0103 rhs=1.76918 empirical constant 11.3105"),
+        # round-off figures: the line's form, not its digits
+        (["verify-kernels"], re.compile(r"worst relative residual \d\.\d{3}e-1\d")),
+        (["hartree"], re.compile(
+            r"converged=True iterations=4 trace drift=(0\.000e\+00|\d\.\d{3}e-1\d)")),
     ])
     def test_printed_figures(self, runner, small_config, args, line):
         # the printed figures are pinned: a change of the functionals' code
         # that keeps their values keeps these lines
         result = runner.invoke(main, ["-c", str(small_config), *args])
         assert result.exit_code == EXIT_OK, result.output
-        assert result.output == line + "\n"
+        if isinstance(line, re.Pattern):
+            assert line.fullmatch(result.output.removesuffix("\n")), result.output
+        else:
+            assert result.output == line + "\n"
 
     def test_strichartz_q1_identity(self, runner, small_config):
         result = runner.invoke(
@@ -485,6 +500,7 @@ NON_FINITE = {
     "dual-schatten": ("schatten_norm", lambda a, p, blocks=None:
                       schatten_norm(a, p, blocks) * np.array([np.inf, 1.0])),
     "kss": ("kss_check", lambda *a: (np.nan, 1.0)),
+    "mhls": ("mhls_check", lambda *a: (np.inf, 1.0)),
     # max(worst, nan) kept worst: a NaN residual passed
     "verify-kernels": ("lens_relation_residual", lambda *a: np.nan),
 }
@@ -539,6 +555,7 @@ class TestBadOptions:
         (["strichartz"], EXIT_IDENTITY),
         (["dual-schatten"], EXIT_IDENTITY),
         (["kss"], EXIT_IDENTITY),
+        (["mhls"], EXIT_IDENTITY),
         (["verify-kernels"], EXIT_IDENTITY),
     ])
     def test_no_false_success(self, runner, small_config, tmp_path, monkeypatch, args, code):
@@ -548,3 +565,41 @@ class TestBadOptions:
         assert result.exit_code == code, result.output
         reports = list((tmp_path / "reports").glob("*.json"))
         assert bool(reports) == (code == EXIT_IDENTITY)
+
+
+def _drifting_hartree(config):
+    """``solve_hartree`` with 1e-6 added to the last trace."""
+    times, traj, diag = solve_hartree(config)
+    return times, traj, {**diag, "traces": [*diag["traces"][:-1], diag["traces"][-1] + 1e-6]}
+
+
+class TestIdentityGates:
+    # finite figures that fail each command's own gate, and non-finite ones:
+    # the report is written, the line printed, then the command exits 2 with
+    # the gate's message; only a sweep that succeeds writes ratio_vs_q.dat
+    @pytest.mark.parametrize("args, target, replacement, message", [
+        (["verify-kernels"], "lens_relation_residual",
+         lambda s, v, x, y: 2e-10 * np.abs(kernel_Kit(s, 0.5 * np.arctan(v), x, y)).max(),
+         "kernel identity residual 2.000e-10 >= 1e-10"),
+        (["strichartz", "--q", "1"], "run_inequality", lambda *a, **kw: [
+            [dataclasses.replace(r, ratio=1.5) for r in reports]
+            for reports in run_inequality(*a, **kw)
+        ], "q=1 ratio 1.5 exceeds 1"),
+        (["dual-schatten"], "schatten_norm", lambda a, p, blocks=None:
+         schatten_norm(a, p, blocks) * np.array([1.0, 10.0]),
+         "triangle bound violated for the dual functional"),
+        (["hartree"], "solve_hartree", _drifting_hartree, "trace drift 1.000e-06 exceeds 1e-8"),
+        (["mhls"], *NON_FINITE["mhls"], "non-finite lhs, ratio"),
+        (["sweep", "--steps", "1", "--seeds", "1", "--j-values", "1"], *NON_FINITE["sweep"],
+         "non-finite lhs, ratio"),
+    ], ids=["verify-kernels", "strichartz-q1", "dual-schatten", "hartree", "mhls", "sweep"])
+    def test_gate_failure(self, runner, small_config, tmp_path, monkeypatch, args, target,
+                          replacement, message):
+        monkeypatch.setattr(f"dunklkit.cli.{target}", replacement)
+        result = runner.invoke(main, ["-c", str(small_config), *args])
+        assert result.exit_code == EXIT_IDENTITY, result.output
+        assert result.stderr == f"IDENTITY FAILURE: {message}\n"
+        assert result.stdout.count("\n") == 1
+        reports = tmp_path / "reports"
+        assert (reports / f"{args[0].replace('-', '_')}.json").exists()
+        assert not (reports / "ratio_vs_q.dat").exists()

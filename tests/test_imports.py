@@ -10,6 +10,8 @@ power-sum root of the package, ``x ** (1 / p)``, is in
 SVD is in ``operators.schatten_norm``, so one spectral route serves every
 Schatten norm.  Only the two shell kernels of ``operators``, one per
 direction, call ``_diagonals``, so a chunked kernel has no unchunked twin.
+Every command of the CLI prints and exits through ``_config_errors`` or
+``_finish`` alone, so every report and every exit code has one path.
 The modules the benchmark's tracer wraps all exist.  Every
 public function, class and method of the package is reached from a command
 of the CLI, apart from those ``UNREACHED`` keeps with their reasons: what
@@ -186,6 +188,30 @@ def test_detects_an_svd():
         "class C:\n    def g(self, a):\n        return scipy.linalg.svd(a, compute_uv=False)\n"
     )
     assert svd_uses(source) == ["<module>", "f", "C.g"]
+
+
+def command_ends(source: str) -> list[str]:
+    """The definitions that print or exit: one entry per use of ``echo``,
+    ``exit`` or ``print``, as an attribute (``click.echo``, ``sys.exit``) or
+    as a name, and per ``SystemExit``."""
+    ends = {"echo", "exit", "print", "SystemExit"}
+    return scopes_of(source, lambda node: (
+        isinstance(node, ast.Attribute) and node.attr in ends
+        or isinstance(node, ast.Name) and node.id in ends
+    ))
+
+
+def test_one_command_end():
+    assert set(command_ends((PACKAGE / "cli.py").read_text())) == {"_config_errors", "_finish"}
+
+
+def test_detects_a_command_end():
+    source = (
+        "import sys\nsys.exit(2)\ndef f():\n    click.echo('line')\n"
+        "@main.command()\ndef g(cfg):\n    def tail():\n        print(cfg)\n"
+        "    raise SystemExit(1)\nclass C:\n    def h(self, ctx):\n        ctx.exit(2)\n"
+    )
+    assert command_ends(source) == ["<module>", "f", "g.tail", "g", "C.h"]
 
 
 def diagonal_calls(source: str) -> list[str]:
