@@ -37,14 +37,16 @@ step that widens, (N + 1)^2 pairs of an axis for its 2 order nodes with
 all 2N + 1 offsets still carried, is the last axis of ``_shells_to_pairs``
 and the first axis contracted by ``_pairs_to_shells``: held whole it is
 4.6 times the (M, M) operator at d = 3, N = 16, grid order 20.  Both
-kernels form it in chunks instead, each carried on before the next is
-formed and each sized from the arrays so that it stays within the larger
-of the kernel's input and output: ``_shells_to_pairs`` goes depth first by
-chunks of whole diagonals mu_0 - nu_0 of the first axis, and
-``_pairs_to_shells`` forms windows of offsets, highest first, and adds each
-into the whole state after the next axis.  Every product and every sum
-over the diagonals is the one the whole state would take, in the same
-order, so the chunks change no bit.
+kernels follow one plan instead (``_chunks``): the diagonals mu_0 - nu_0 of
+the first axis, in order, in chunks of whole diagonals, each chunk as large
+as keeps its widest state within the larger of the kernel's input and
+output.  That bound is the same for a kernel and its adjoint, and so are
+the shapes of a chunk's states.  ``_shells_to_pairs`` carries a chunk
+through every later axis and puts it at its entries; ``_pairs_to_shells``
+gathers a chunk's entries, contracts the later axes and adds the first
+axis's products into its output one diagonal at a time.  Every product and
+every sum over the diagonals is the one the whole state would take, in the
+same order, so the chunks change no bit.
 
 A static function, as in a multiplication matrix or a static density, is
 the same on every shell: its shell axis is one wide, as in numpy
@@ -255,18 +257,49 @@ def _diagonals(phi):
         yield delta, rows, phi[m:n + 1 - l] * phi[l:n + 1 - m]
 
 
-def _box_index(basis: HermiteBasis):
-    """(rows, cols): the basis row of each multi-index of the box, an (N + 1,
-    ..., N + 1) array, with a unit axis after (rows) or before (cols) each of
-    its later axes.  Indexing a (..., M, M) array by slices (mu_0 + i) of
-    rows and (nu_0 + i) of cols, i < k, picks the entries of those pairs of
-    the first axis, laid out as (..., k, mu_1, nu_1, ..., mu_{d-1},
-    nu_{d-1}); the index arrays broadcast, so no array of indices the size
-    of the entries is formed."""
+def _box_index(basis: HermiteBasis, deltas=None):
+    """(rows, cols): index arrays that pick, from a (..., M, M) array, the
+    entries of pairs of multi-indices of the box laid out by their per-axis
+    pairs.  With ``deltas``, diagonals mu_0 - nu_0 = m - l of the first axis,
+    they pick the pairs (m + i, l + i) of each diagonal in turn, as
+    (..., pairs_0, mu_1, nu_1, ..., mu_{d-1}, nu_{d-1}); without, every pair
+    in box order, (..., mu_0, nu_0, mu_1, nu_1, ...).  The index arrays
+    broadcast, so no array of indices the size of the entries is formed."""
     size, d = basis.per_dim_degree + 1, basis.structure.d
     place = np.empty((size,) * d, dtype=np.intp)
     place[tuple(basis.multi_indices.T)] = np.arange(basis.size)
-    return place.reshape(size, *(size, 1) * (d - 1)), place.reshape(size, *(1, size) * (d - 1))
+    rows = place.reshape(size, *(size, 1) * (d - 1))
+    cols = place.reshape(size, *(1, size) * (d - 1))
+    if deltas is None:
+        return rows[:, None], cols[None]
+    return tuple(np.concatenate([side[max(sign * delta, 0):][:size - abs(delta)]
+                                 for delta in deltas])
+                 for side, sign in ((rows, 1), (cols, -1)))
+
+
+def _chunks(basis: HermiteBasis, shift: int, bound: int) -> list[list[int]]:
+    """The one plan of both shell kernels: the diagonals mu_0 - nu_0 = -N..N
+    of the first axis, in order, in chunks of whole diagonals.  A chunk takes
+    as many pairs of the first axis as keep its widest state within
+    ``bound`` entries per stack row, or one diagonal if even that does not
+    fit.  Per pair of the first axis, a chunk's state between axes j and
+    j + 1 holds 1 + 2N shift (d - 1 - j) offsets (``shift`` is 0 for a
+    one-wide shell axis, else 1) of the pairs of axes 1..j at the nodes of
+    axes j + 1..d - 1: after axis j in ``_shells_to_pairs``, and once axes
+    d - 1..j + 1 are contracted in ``_pairs_to_shells``."""
+    n = basis.per_dim_degree
+    nodes = [phi.shape[1] for phi in basis.axis_tables]
+    d = len(nodes)
+    widest = max((1 + 2 * n * shift * (d - 1 - j)) * (n + 1) ** (2 * j) * math.prod(nodes[j + 1:])
+                 for j in range(d))
+    fit, chunks, count = bound // widest, [], 0
+    for delta in range(-n, n + 1):
+        count += n + 1 - abs(delta)
+        if not chunks or count > fit:
+            chunks.append([])
+            count = n + 1 - abs(delta)
+        chunks[-1].append(delta)
+    return chunks
 
 
 def _shells_to_pairs(basis: HermiteBasis, h, out=None) -> np.ndarray:
@@ -285,11 +318,9 @@ def _shells_to_pairs(basis: HermiteBasis, h, out=None) -> np.ndarray:
     pairs for 2 order_j nodes, while the offsets shrink by 2N only: before
     the last axis it is (2N + 1) (N + 1)^{2(d-1)} K_{d-1} entries, 4.6 times
     the output at d = 3, N = 16, grid order 20.  So the kernel goes depth
-    first, by the diagonals mu_0 - nu_0 of the first axis: a chunk of whole
-    diagonals is carried through every later axis and put at its entries
-    (mu, nu) before the next chunk is formed.  A chunk takes as many pairs
-    of the first axis as keep its widest state within the larger of the
-    input and the output, or one diagonal if even that does not fit.  Each
+    first, by the chunks of ``_chunks``: a chunk of whole diagonals
+    mu_0 - nu_0 of the first axis is carried through every later axis and
+    put at its entries (mu, nu) before the next chunk is formed.  Each
     product is the one the whole state would take, so the result does not
     depend on the chunks.  The stack is the outermost batch axis of every
     product, so each row takes the products it would take alone.
@@ -302,23 +333,10 @@ def _shells_to_pairs(basis: HermiteBasis, h, out=None) -> np.ndarray:
     stack, width, tail = state.shape[0], state.shape[1] - 2 * n * shift, state.shape[3:]
     if out is None:
         out = np.empty((*h.shape[:-2], basis.size, basis.size))
-    # whole diagonals to a chunk, as many pairs of the first axis as keep the
-    # chunk's widest state, after some axis j, within the larger of the input
-    # and the output (one diagonal, if even that does not fit)
-    widest = max((width - 2 * n * shift * j) * (n + 1) ** (2 * j) * math.prod(tail[j:])
-                 for j in range(len(tail) + 1))
-    fit, chunks, count = max(state.size, out.size) // (stack * widest), [], 0
-    for delta in range(-n, n + 1):
-        count += n + 1 - abs(delta)
-        if not chunks or count > fit:
-            chunks.append([])
-            count = n + 1 - abs(delta)
-        chunks[-1].append(delta)
     src = state.reshape(stack, state.shape[1], first_axis.shape[1], -1)
-    index = _box_index(basis)
     # one pass over the diagonals, each formed as its chunk comes
     diagonals = _diagonals(first_axis)
-    for deltas in chunks:
+    for deltas in _chunks(basis, shift, max(state.size, out.size) // stack):
         chunk = np.empty((stack, width, sum(n + 1 - abs(delta) for delta in deltas),
                           math.prod(tail)))
         count = 0
@@ -338,10 +356,7 @@ def _shells_to_pairs(basis: HermiteBasis, h, out=None) -> np.ndarray:
                     *flat.shape[:2], chunk.shape[j + 2], -1
                 )
             chunk = step
-        # the pairs (m + i, l + i) of each diagonal m - l to their entries
-        entries = [np.concatenate([side[max(sign * delta, 0):][:n + 1 - abs(delta)]
-                                   for delta in deltas])
-                   for side, sign in zip(index, (1, -1))]
+        entries = _box_index(basis, deltas)
         out[(..., *entries)] = chunk.reshape(*h.shape[:-2], *np.broadcast_shapes(*(
             e.shape for e in entries)))
     return out
@@ -353,58 +368,53 @@ def _pairs_to_shells(basis: HermiteBasis, a, static=False) -> np.ndarray:
     (..., M, M) stack a: (..., 2 d N + 1, K), by the same per-axis products
     in reverse.  ``static`` sums over the shells as it goes: (..., 1, K).
 
-    The last axis, the first contracted, widens the one offset of the input
-    to 2N + 1 while it turns (N + 1)^2 pairs into 2 order nodes: 4.6 times
-    the input at d = 3, N = 16, grid order 20.  Its offsets are formed in
-    windows, highest first, each as many offsets as fit in the larger of the
-    input and the output, and each window is carried through the next axis
-    into that axis's whole state before the next window is formed.  Each
-    entry of that state then takes its sum over the next axis's diagonals in
-    the order the whole state would, so the windows change no bit.
+    It is the mirror of ``_shells_to_pairs`` on the same chunks: for each,
+    in order, it gathers the entries of the chunk's pairs, contracts axes
+    d - 1..1, whose states have the shapes the forward kernel's have, and
+    adds the first axis's products into the output one diagonal at a time.
+    Each entry of the output then takes its sum over the diagonals in the
+    order the whole state would, so the chunks change no bit.  A plan of
+    one chunk gathers every pair in box order, so that the rows of each
+    diagonal are the strided slice ``_diagonals`` gives, as in the whole
+    state: at d = 1 a contiguous (L, 1) operand takes another product path
+    and differs in the last bit.
     """
     n = basis.per_dim_degree
     shift = 0 if static else 1
-    tables = basis.axis_tables
-    d = len(tables)
-    # one gather lays the entries out by their per-axis pairs
-    rows, cols = _box_index(basis)
-    state = np.reshape(a, (-1, basis.size, basis.size))[:, rows[:, None], cols[None]]
-    stack, grow = state.shape[0], 2 * n * shift
-    # after axis j: (stack, offset, pairs_0, ..., pairs_{j-1}, K_j, ..., K_{d-1})
-    state = state.reshape(stack, 1, *((n + 1) ** 2,) * d)
-
-    def add(out, base, src, j):
-        """out plus the products of axis j on src, whose offset 0 is offset
-        ``base`` of out; the offsets that fall outside out are left out."""
-        tail = math.prod(src.shape[j + 3:])
-        # whole arrays of contiguous entries: the reshapes are views
-        part = src.reshape(stack, src.shape[1], -1, (n + 1) ** 2, tail)
-        target = out.reshape(stack, out.shape[1], -1, tables[j].shape[1], tail)
-        for delta, rows, pairs in _diagonals(tables[j]):
-            start = base + shift * (n + delta)
-            lo, hi = max(-start, 0), min(out.shape[1] - start, src.shape[1])
-            if lo < hi:
-                target[:, start + lo:start + hi] += pairs.T @ part[:, lo:hi, :, rows]
-        return out
-
-    axes = range(d)
-    if d > 1:
-        # offsets to a window: as many as fit in the larger of input and output
-        output = stack * (1 + d * grow) * basis.grid.npoints
-        size = max(1, max(state.size, output) // (state.size // (n + 1) ** 2 * tables[-1].shape[1]))
-        widened = np.zeros((stack, 1 + 2 * grow, *state.shape[2:-2],
-                            tables[-2].shape[1], tables[-1].shape[1]))
-        for hi in range(1 + grow, 0, -size):
-            lo = max(hi - size, 0)
-            # the window is left unnamed, so it is freed before the next is formed
-            shape = (stack, hi - lo, *state.shape[2:-1], tables[-1].shape[1])
-            add(widened, lo, add(np.zeros(shape), -lo, state, d - 1), d - 2)
-        state, axes = widened, range(d - 2)
-    for j in reversed(axes):
-        out = np.zeros((stack, state.shape[1] + grow, *state.shape[2:j + 2],
-                        tables[j].shape[1], *state.shape[j + 3:]))
-        state = add(out, 0, state, j)
-    return state.reshape(*np.shape(a)[:-2], state.shape[1], -1)
+    first_axis, *later = basis.axis_tables
+    stack_shape = np.shape(a)[:-2]
+    a = np.reshape(a, (-1, basis.size, basis.size))
+    stack = a.shape[0]
+    out = np.zeros((stack, 2 * basis.structure.d * n * shift + 1, first_axis.shape[1],
+                    math.prod(phi.shape[1] for phi in later)))
+    chunks = _chunks(basis, shift, max(basis.size ** 2, out[0].size))
+    whole = len(chunks) == 1
+    # one pass over the diagonals, each taken as its chunk comes
+    diagonals = _diagonals(first_axis)
+    for deltas in chunks:
+        # once axes d-1..j+1 are contracted:
+        # (stack, offset, pairs_0, ..., pairs_j, K_{j+1}, ..., K_{d-1})
+        state = a[(..., *_box_index(basis, None if whole else deltas))].reshape(
+            stack, 1, -1, *((n + 1) ** 2,) * len(later))
+        for j in range(len(later), 0, -1):
+            phi, width, tail = basis.axis_tables[j], state.shape[1], state.shape[j + 3:]
+            step = np.zeros((stack, width + 2 * n * shift, *state.shape[2:j + 2], phi.shape[1],
+                             *tail))
+            for delta, rows, pairs in _diagonals(phi):
+                # a slice of whole offsets of a fresh array: the reshape is a view
+                first = shift * (n + delta)
+                target = step[:, first:first + width].reshape(stack, -1, phi.shape[1],
+                                                              math.prod(tail))
+                target += pairs.T @ state.reshape(*target.shape[:2], (n + 1) ** 2, -1)[:, :, rows]
+            state = step
+        count = 0
+        for delta, rows, pairs in itertools.islice(diagonals, len(deltas)):
+            if not whole:
+                rows, count = slice(count, count + len(pairs)), count + len(pairs)
+            first = shift * (n + delta)
+            out[:, first:first + state.shape[1]] += pairs.T @ state.reshape(
+                *state.shape[:3], -1)[:, :, rows]
+    return out.reshape(*stack_shape, out.shape[1], -1)
 
 
 def mixed_xp_operator(basis: HermiteBasis, f, alpha: float, beta: float) -> np.ndarray:

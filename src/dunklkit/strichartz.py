@@ -248,29 +248,6 @@ def _shell_phases(basis: HermiteBasis, r_of_s, t0: float, t: np.ndarray,
     return np.array([wv @ flow_phases(basis, sv - tv) for tv, sv, wv in zip(t, s, w)])
 
 
-def duhamel_solution(
-    basis: HermiteBasis,
-    r0,
-    t0: float,
-    t: float,
-    n_time: int = 128,
-    r_of_s=np.ones_like,
-) -> np.ndarray:
-    """gamma(t) = integral_{t0}^t of e^{i(t-s)H} R(s) e^{-i(t-s)H} ds for the
-    source R(s) = r(s) R0, by a composite Simpson rule in s.
-
-    ``r0`` is the (M, M) operator R0 and ``r_of_s`` the real time profile r,
-    which maps an array of times to an array of values (constant 1 by
-    default).  As lambda_mu = 2|mu| + d_eff, the flow multiplies entry
-    (mu, nu) by e^{2in(t-s)} with n = |mu| - |nu|, so gamma(t) is R0 times
-    the scalar shell phase Phi_n(t) = sum_k w_k r(s_k) e^{2in(t - s_k)}:
-    (2 d N + 1) S scalars and one M x M product.  A sum of such sources is
-    the sum of their solutions.
-    """
-    r0 = _source_operator(basis, r0)
-    return apply_shells(basis, r0, _shell_phases(basis, r_of_s, t0, np.array([t]), n_time)[0])
-
-
 def inhomogeneous_check(
     basis: HermiteBasis,
     r0,
@@ -284,8 +261,9 @@ def inhomogeneous_check(
     R(s) = r(s) R0: R0 (``r0``) self-adjoint, r (``r_of_s``) real.
 
     lhs: ||rho_{gamma(t)}||_{L^p_t L^q_kappa} over the trapezoid rule of
-    n_time nodes on (-pi, pi), with gamma the Duhamel integral from t0 on
-    n_source_time Simpson nodes (``duhamel_solution``).  rhs: Schatten-2q/(q+1)
+    n_time nodes on (-pi, pi), with gamma(t) the Duhamel integral from t0 of
+    e^{i(t-s)H} R(s) e^{-i(t-s)H} ds on n_source_time Simpson nodes: R0 times
+    the shell phases Phi_n(t) of ``_shell_phases``.  rhs: Schatten-2q/(q+1)
     norm of the integral of e^{isH} |R(s)| e^{-isH} ds over the same rule.
 
     Both sides go by degree shells, with no matrix work per time node: the

@@ -1,5 +1,9 @@
 """The Duhamel integral and the inhomogeneous check node by node: the oracle
-for ``strichartz.duhamel_solution`` and ``strichartz.inhomogeneous_check``.
+for ``duhamel_by_shells`` and ``strichartz.inhomogeneous_check``.
+
+``duhamel_by_shells`` is the package's shell route at one time: the source
+operator R0 times the shell phases that ``inhomogeneous_check`` puts on it
+at every time node.  No command needs gamma(t) itself, so it lives here.
 
 The source is any callable R(s) returning an operator matrix.  gamma(t) is a
 loop over the Simpson nodes in s, each conjugating R(s) by diagonal phases;
@@ -21,6 +25,32 @@ from dunklkit import (
     schatten_norm,
     time_grid,
 )
+from dunklkit.operators import apply_shells
+from dunklkit.strichartz import _shell_phases, _source_operator
+
+
+def duhamel_by_shells(
+    basis: HermiteBasis,
+    r0,
+    t0: float,
+    t: float,
+    n_time: int = 128,
+    r_of_s=np.ones_like,
+) -> np.ndarray:
+    """gamma(t) = integral_{t0}^t of e^{i(t-s)H} R(s) e^{-i(t-s)H} ds for the
+    source R(s) = r(s) R0, by a composite Simpson rule in s, as the package
+    forms it.
+
+    ``r0`` is the (M, M) operator R0 and ``r_of_s`` the real time profile r,
+    which maps an array of times to an array of values (constant 1 by
+    default).  As lambda_mu = 2|mu| + d_eff, the flow multiplies entry
+    (mu, nu) by e^{2in(t-s)} with n = |mu| - |nu|, so gamma(t) is R0 times
+    the scalar shell phase Phi_n(t) = sum_k w_k r(s_k) e^{2in(t - s_k)}
+    (``strichartz._shell_phases``).  A sum of such sources is the sum of
+    their solutions.
+    """
+    r0 = _source_operator(basis, r0)
+    return apply_shells(basis, r0, _shell_phases(basis, r_of_s, t0, np.array([t]), n_time)[0])
 
 
 def duhamel_solution(

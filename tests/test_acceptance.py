@@ -24,9 +24,9 @@ from dunklkit import (
     time_grid,
 )
 from dunklkit.operators import flow_phases
-from dunklkit.strichartz import duhamel_solution
 
 from conftest import random_state
+from duhamel_oracle import duhamel_by_shells
 from shell_oracle import eval_table
 from freeprop_oracle import free_evolve_via_lens, norm_transport_check
 from kernel_oracle import kernel_quadrature, mehler_closed_form
@@ -286,7 +286,7 @@ def test_criterion_11_inhomogeneous(basis_1d_half):
     u /= np.linalg.norm(u)
     r0 = np.outer(u, u)
     t0, t = 0.0, 0.6
-    gam = duhamel_solution(basis, r0, t0, t, n_time=401)
+    gam = duhamel_by_shells(basis, r0, t0, t, n_time=401)
     lam = basis.eigenvalues
     dl = lam[:, None] - lam[None, :]
     factor = np.where(

