@@ -5,6 +5,7 @@ Schatten-norm functionals of orthonormal systems, and a small Hartree solver.
 
 from .hartree import (
     HartreeConfig,
+    convolve,
     gaussian_interaction,
     picard_step,
     solve_hartree,

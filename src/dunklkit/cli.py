@@ -221,8 +221,11 @@ def dual_schatten(cfg, qprime):
     envelope = np.exp(-0.5 * (grid.nodes**2).sum(axis=-1))
     v = envelope * (1.0 + 0.3 * np.cos(rng.integers(1, 4, t.size) * t))[:, None]
     b = multiplication_matrix(basis, v, tau[:, None] * flow_phases(basis, -t))
-    # V is even in every x_j, so B commutes with the reflections
-    value, opnorm = schatten_norm(b, [2.0 * qprime, np.inf], parity_blocks(basis)).tolist()
+    # V is even in every x_j, so B commutes with the reflections: its parity
+    # blocks, side by side, are the whole operator
+    blocks = parity_blocks(basis)
+    b = np.concatenate([b[rows[:, None], rows].ravel() for rows in blocks])
+    value, opnorm = schatten_norm(b, [2.0 * qprime, np.inf], blocks).tolist()
     l1linf = mixed_norm((t, tau), grid, v, 1.0, np.inf)
     figures = {"value": value, "operator_norm": opnorm, "l1_linf_bound": l1linf}
     _finish(cfg, "dual_schatten", [{"qprime": qprime, **figures}],

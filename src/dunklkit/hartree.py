@@ -25,6 +25,16 @@ orthonormal family or a Gaussian overlap bounded by one, so no growing factor
 such as e^{|x|^2 / 2} multiplies the density and the route keeps round-off
 accuracy for densities of any degree and any width.
 
+Every factor of W is a product over the axes: w and the weight h_kappa^2,
+the basis functions, the tensor rule and its box of degrees, the constant
+(M_kappa and d_eff are products and sums of one-axis ones) and
+i^{|mu| - |nu|} = prod_j i^{mu_j - nu_j}.  So the matrix G taking the
+samples of rho at the sample nodes to W on the basis grid is the Kronecker
+product G_0 x ... x G_{d-1} of the one-axis matrices, each the d = 1 matrix of
+its axis's multiplicity, (2 order_j, 2 (N + 1)).  ``convolve`` applies them
+one axis at a time: neither the table of the (2N + 1)^d functions on a
+d-dimensional grid nor G, (K, K_y), is formed.
+
 The fixed-point map is
 
     Phi(gamma)(t) = e^{-itH} gamma_0 e^{itH}
@@ -42,22 +52,30 @@ Then rho_gamma is even in every x_j; the Dunkl transform commutes with the
 reflections and w is even, so W = w * rho is even too, and multiplication
 by it commutes with them, as H does.  Phi(gamma) is built from gamma_0, W
 and H by products, the flow and time integrals, so it commutes with them
-when gamma_0 does.  From a gamma_0 that is zero off the blocks, as
-|phi_0><phi_0| is, the step works one block at a time and writes exact
-zeros off them: [W, gamma] is X - X^H with X = W gamma formed per block, as
-W is real symmetric and gamma self-adjoint, and the Schatten residual takes
-one ``eigvalsh`` per block.  A gamma_0 or an input trajectory with an entry
-off the blocks runs as one block of every row, so no entry is dropped.
+when gamma_0 does.
+
+So the solve holds a trajectory as its diagonal blocks: one (T, m_b, m_b)
+stack per block, beside the block's rows, for gamma(t), its update and
+W(t).  From a gamma_0 that is zero off the parity blocks, as |phi_0><phi_0|
+is, those are the blocks; a gamma_0 with an entry off them runs as one block
+of every row, so no entry is dropped.  Per block, [W, gamma] is X - X^H with
+X = W gamma, as W is real symmetric and gamma self-adjoint, and the flow,
+the time integrals, the Schatten residual (one ``eigvalsh`` per block) and
+the traces read no entry off the blocks.  The one full-size array of a step
+is the real (T, M, M) operator whose static ``density`` samples rho: it is
+formed from the blocks and freed before the potentials, whose multiplication
+matrices are cut into their blocks as they come.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .hermite import HermiteBasis, _table, box_multi_indices, build_basis
+from .hermite import HermiteBasis, build_basis, hermite_functions_1d
 from .operators import (
     apply_shells,
     density,
@@ -66,17 +84,19 @@ from .operators import (
     parity_blocks,
     schatten_norm,
 )
-from .quadrature import TensorGrid, tensor_grid
+from .quadrature import TensorGrid, plain_rule, tensor_grid
 
 __all__ = [
     "gaussian_interaction",
+    "convolve",
     "HartreeConfig",
     "picard_step",
     "solve_hartree",
 ]
 
 # The solve stops when the Schatten-alpha norm of an update falls below
-# _TOL, or after _MAX_ITER updates.  alpha = 2q/(q+1) at q = 3/2, the
+# _TOL, or after _MAX_ITER updates, or as diverging once the norm of an
+# update exceeds that of the first.  alpha = 2q/(q+1) at q = 3/2, the
 # exponent of the orthonormal Strichartz bound (``ExponentPair.alpha``).
 _SCHATTEN_EXPONENT = 6.0 / 5.0
 _TOL = 1e-8
@@ -84,26 +104,48 @@ _MAX_ITER = 50
 
 
 def gaussian_interaction(basis: HermiteBasis, width: float):
-    """(basis_y, G): (w * rho)(x_k) = sum_l G[k, l] rho(y_l) at the basis
-    grid nodes x_k, for w = e^{-|x|^2 / width^2} and rho any density of the
-    basis.  The y_l are the order-(N + 1) rule's nodes over sqrt 2, and
-    basis_y is the basis on their grid (with the weights of that rule for
-    e^{-2|x|^2}), so ``density(basis_y, A)`` samples rho_A at the y_l."""
-    s = basis.structure
+    """(basis_y, factors): (w * rho)(x_k) = sum_l G[k, l] rho(y_l) at the
+    basis grid nodes x_k, for w = e^{-|x|^2 / width^2} and rho any density of
+    the basis, with G the Kronecker product of the ``factors``, one
+    (2 order_j, 2 (N + 1)) matrix per axis (``convolve`` applies it).  The
+    y_l are the order-(N + 1) rule's nodes over sqrt 2, and basis_y is the
+    basis on their grid (with the weights of that rule for e^{-2|x|^2}), so
+    ``density(basis_y, A)`` samples rho_A at the y_l."""
+    s, n = basis.structure, basis.per_dim_degree
+    rule = tensor_grid(s, n + 1)
+    grid_y = TensorGrid(rule.orders, rule.nodes / math.sqrt(2.0),
+                        rule.weights * 2.0 ** (-0.5 * s.d_eff))
+    factors = tuple(_axis_factor(dataclasses.replace(s, d=1, kappa=(kappa,)), n, width, x)
+                    for kappa, x in zip(s.kappa, basis.grid.axes))
+    return build_basis(s, n, grid_y), factors
+
+
+def _axis_factor(s, n: int, width: float, x: np.ndarray) -> np.ndarray:
+    """The one-axis factor of ``gaussian_interaction`` for the d = 1
+    structure ``s`` of an axis, at that axis's basis grid nodes ``x``: the
+    formula of the module docstring on the axis's box of degrees <= 2N."""
+    (kappa,) = s.kappa
     a = math.hypot(1.0, width)
-    n = 2 * basis.per_dim_degree
-    mi = box_multi_indices(s.d, n)
-    rule = tensor_grid(s, basis.per_dim_degree + 1)
-    q = rule.nodes
-    proj = _table(s, n, mi, q) * rule.weights
-    damped = _table(s, n, mi, q / a) * np.exp(-0.5 * (width / a) ** 2 * (q * q).sum(axis=1))
-    # i^{|mu| - |nu|} = t_mu t_nu where C is non-zero, with t = (-1)^{floor(|mu| / 2)}
-    t = (-1.0) ** (mi.sum(axis=1) // 2)[:, None]
-    out = _table(s, n, mi, basis.grid.nodes * (math.sqrt(2.0) / a)) * t
+    q, weights = plain_rule(kappa, n + 1)
+    proj = hermite_functions_1d(kappa, 2 * n, q) * weights
+    damped = hermite_functions_1d(kappa, 2 * n, q / a) * np.exp(-0.5 * (width / a) ** 2 * (q * q))
+    # i^{m - l} = t_m t_l where C is non-zero, with t = (-1)^{floor(m / 2)}
+    t = (-1.0) ** (np.arange(2 * n + 1) // 2)[:, None]
+    out = hermite_functions_1d(kappa, 2 * n, x * (math.sqrt(2.0) / a)) * t
     scale = (width / a) ** s.d_eff * 2.0 ** (-0.5 * s.d_eff) / s.m_kappa
-    grid_y = TensorGrid(rule.orders, q / math.sqrt(2.0), rule.weights * 2.0 ** (-0.5 * s.d_eff))
-    g = scale * (out.T @ (proj @ damped.T) @ (proj * t))
-    return build_basis(s, basis.per_dim_degree, grid_y), g
+    return scale * (out.T @ (proj @ damped.T) @ (proj * t))
+
+
+def convolve(factors, rho) -> np.ndarray:
+    """w * rho at the basis grid nodes from the (..., K_y) samples of rho at
+    the y nodes of ``gaussian_interaction``: its factors applied one axis at
+    a time, the last axis first, each product turning one axis of y nodes
+    into one of x nodes in front of the y axes still to go.  At d = 1 this
+    is the one product rho @ G^T."""
+    state = np.reshape(rho, (-1, *(g.shape[1] for g in factors)))
+    for g in reversed(factors):
+        state = np.moveaxis(state @ g.T, -1, 1)
+    return state.reshape(*np.shape(rho)[:-1], -1)
 
 
 @dataclass
@@ -135,96 +177,116 @@ class HartreeConfig:
             raise ValueError(f"need at least 2 time steps, got {self.steps}")
 
 
-def _potential_matrices(config: HartreeConfig, interaction, traj: np.ndarray) -> np.ndarray:
-    """Multiplication matrices of coupling * (w * rho_{gamma(t)}) per node;
+def _potentials(config: HartreeConfig, interaction, traj) -> list[np.ndarray]:
+    """The diagonal blocks of the multiplication matrices of coupling *
+    (w * rho_{gamma(t)}) per node, for a trajectory given as its blocks;
     ``interaction`` is ``gaussian_interaction(config.basis, config.width)``."""
-    basis_y, g = interaction
-    rho = density(basis_y, traj)
-    return multiplication_matrix(config.basis, config.coupling * rho @ g.T)
+    basis, (basis_y, factors) = config.basis, interaction
+    # the one full-size array of a step: the real operator that the static
+    # density reads, freed before the potentials
+    real = np.zeros((traj[0][1].shape[0], basis.size, basis.size))
+    for rows, g in traj:
+        real[:, rows[:, None], rows] = g.real
+    rho = density(basis_y, real)
+    del real
+    pots = multiplication_matrix(basis, convolve(factors, config.coupling * rho))
+    return [pots[:, rows[:, None], rows] for rows, _ in traj]
 
 
-def _invariant_blocks(basis: HermiteBasis, *operators) -> list[np.ndarray]:
-    """``parity_blocks(basis)`` when every operator, an (M, M) matrix or a
-    stack, is exactly zero off them; else one block of every row."""
+def _invariant_blocks(basis: HermiteBasis, gamma0: np.ndarray) -> list[np.ndarray]:
+    """``parity_blocks(basis)`` when ``gamma0`` is exactly zero off them;
+    else one block of every row."""
     parity = basis.multi_indices % 2
     off = (parity[:, None] != parity).any(axis=-1)
-    if any(np.any(a[..., off]) for a in operators):
+    if np.any(gamma0[off]):
         return [np.arange(basis.size)]
     return parity_blocks(basis)
 
 
-def picard_step(config: HartreeConfig, times: np.ndarray, traj: np.ndarray,
-                interaction=None, phases=None, blocks=None):
-    """One application of the fixed-point map to a sampled trajectory, a
-    (T, M, M) stack of self-adjoint operators; the result is zero off
-    ``blocks``.  The constants of a solve default to ``interaction =
-    gaussian_interaction(config.basis, config.width)``, ``phases =
-    flow_phases(config.basis, times)`` and ``blocks`` the parity blocks
-    when ``config.gamma0`` and ``traj`` are zero off them, else one block
-    of every row."""
+def picard_step(config: HartreeConfig, times: np.ndarray, traj, interaction=None, phases=None):
+    """One application of the fixed-point map to a sampled trajectory of
+    self-adjoint operators given as its diagonal blocks: a list of (rows,
+    stack) pairs, ``rows`` an index array of basis rows and ``stack`` the
+    (T, m, m) block of those rows at every node.  Every entry off the blocks
+    is taken as zero, in the trajectory and in ``config.gamma0`` (one block
+    of every row takes any operator).  The update comes as the same blocks.
+    The constants of a solve default to ``interaction =
+    gaussian_interaction(config.basis, config.width)`` and ``phases =
+    flow_phases(config.basis, times)``."""
     basis = config.basis
     if interaction is None:
         interaction = gaussian_interaction(basis, config.width)
     if phases is None:
         phases = flow_phases(basis, times)
-    if blocks is None:
-        blocks = _invariant_blocks(basis, config.gamma0, traj)
-    pots = _potential_matrices(config, interaction, traj)
     h = times[1] - times[0]
-    new = np.zeros_like(traj)
-    for rows in blocks:
-        block = (slice(None), rows[:, None], rows)
+    new = []
+    for (rows, g), w in zip(traj, _potentials(config, interaction, traj)):
         # [W, gamma] = X - X^H with X = W gamma, rotated to e^{isH} [W(s),
         # gamma(s)] e^{-isH} (the phases at -s are the conjugates), then
         # overwritten by its trapezoid integrals from 0 to each node
-        x = pots[block] @ traj[block]
-        acc = apply_shells(basis, x - x.conj().swapaxes(-1, -2), phases.conj(), rows)
+        acc = w @ g
+        acc -= acc.conj().swapaxes(-1, -2)
+        acc = apply_shells(basis, acc, phases.conj(), rows)
         acc[1:] = np.cumsum(0.5 * h * (acc[:-1] + acc[1:]), axis=0)
         acc[0] = 0.0
         # e^{-itH} (gamma_0 - i acc(t)) e^{itH}
         acc *= -1j
         acc += config.gamma0[rows[:, None], rows]
-        new[block] = apply_shells(basis, acc, phases, rows)
+        new.append((rows, apply_shells(basis, acc, phases, rows)))
     return new
 
 
 def solve_hartree(config: HartreeConfig):
     """Iterate the fixed-point map to tolerance; returns (times, trajectory,
-    diagnostics dict with per-iteration residuals, contraction factors and
-    the sizes of the blocks the solve ran on).
+    diagnostics dict with per-iteration residuals, contraction factors,
+    traces and the sizes of the blocks the solve ran on).  The trajectory
+    comes as its diagonal blocks, the (rows, stack) pairs of
+    ``picard_step``: the parity blocks when ``config.gamma0`` is zero off
+    them, else one block of every row.
 
-    An iterate with a non-finite entry ends the solve as not converged; the
-    trajectory returned is then the last finite iterate.
+    An iterate with a non-finite entry, or an update larger than the first,
+    ends the solve as not converged; the trajectory returned is then the
+    last finite iterate.
     """
     basis = config.basis
     times = np.linspace(0.0, config.horizon, config.steps)
     interaction = gaussian_interaction(basis, config.width)
     phases = flow_phases(basis, times)
     blocks = _invariant_blocks(basis, config.gamma0)
-    traj = apply_shells(basis, config.gamma0, phases)
+    traj = [(rows, apply_shells(basis, config.gamma0[rows[:, None], rows], phases, rows))
+            for rows in blocks]
     residuals = []
     converged = False
     for _ in range(_MAX_ITER):
-        new = picard_step(config, times, traj, interaction, phases, blocks)
-        if not np.isfinite(new).all():
+        new = picard_step(config, times, traj, interaction, phases)
+        if not all(np.isfinite(g).all() for _, g in new):
             break
-        res = float(schatten_norm(new - traj, _SCHATTEN_EXPONENT, blocks).max())
+        # the update's blocks side by side, as schatten_norm takes them
+        res = float(schatten_norm(np.concatenate(
+            [(g - old).reshape(times.size, -1) for (_, g), (_, old) in zip(new, traj)], axis=-1),
+            _SCHATTEN_EXPONENT, blocks).max())
         residuals.append(res)
         traj = new
         if res < _TOL:
             converged = True
+            break
+        if res > residuals[0]:
             break
     factors = [
         residuals[i] / residuals[i - 1]
         for i in range(1, len(residuals))
         if residuals[i - 1] > 0
     ]
+    # tr gamma(t) over the rows in order, the sum a whole matrix's trace takes
+    diagonal = np.zeros((times.size, basis.size), dtype=complex)
+    for rows, g in traj:
+        diagonal[:, rows] = np.diagonal(g, axis1=1, axis2=2)
     diagnostics = {
         "converged": converged,
         "iterations": len(residuals),
         "residuals": residuals,
         "contraction_factors": factors,
-        "traces": np.trace(traj, axis1=1, axis2=2).real.tolist(),
+        "traces": diagonal.sum(axis=1).real.tolist(),
         "blocks": [rows.size for rows in blocks],
     }
     return times, traj, diagnostics

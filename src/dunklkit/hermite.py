@@ -112,14 +112,7 @@ def build_basis(s: DunklStructure, n_degree: int, grid: TensorGrid) -> HermiteBa
             )
     mi = box_multi_indices(s.d, n_degree)
     eig = 2.0 * mi.sum(axis=1) + s.d_eff
-    # the grid is row-major over the axes' rules: the nodes of axis j are the
-    # points at position 0 on every other axis, one every prod(sizes[j + 1:]) points
-    sizes = [2 * order for order in grid.orders]
-    strides = [math.prod(sizes[j + 1:]) for j in range(s.d)]
-    tables = tuple(
-        hermite_functions_1d(k, n_degree, grid.nodes[:size * stride:stride, j])
-        for j, (k, size, stride) in enumerate(zip(s.kappa, sizes, strides))
-    )
+    tables = tuple(hermite_functions_1d(k, n_degree, x) for k, x in zip(s.kappa, grid.axes))
     return HermiteBasis(s, int(n_degree), grid, mi, eig, tables)
 
 

@@ -11,11 +11,11 @@ Everything is dense: operators are square matrices A with entries
 A_{mu nu} = <A phi_nu, phi_mu>_kappa in the truncated orthonormal basis.
 Schatten norms come from one SVD, or, for a self-adjoint operator that
 commutes with the reflections x_j -> -x_j of the group Z_2^d, from the
-eigenvalues of its parity blocks: phi_mu has parity (-1)^{mu_j} in x_j, so
-such an operator is zero between rows of different mu mod 2
-(``parity_blocks``).  The oscillator flow, multiplication by a function
-even in every x_j, and their products and time averages are such
-operators.  The momentum operator is p = -iT (T the Dunkl gradient).  As
+eigenvalues of its parity blocks, given as those blocks alone: phi_mu has
+parity (-1)^{mu_j} in x_j, so such an operator is zero between rows of
+different mu mod 2 (``parity_blocks``).  The oscillator flow,
+multiplication by a function even in every x_j, and their products and
+time averages are such operators.  The momentum operator is p = -iT (T the Dunkl gradient).  As
 i[H, x_j] = 2 p_j and i[H, p_j] = -2 x_j, the oscillator flow rotates phase
 space,
 
@@ -137,19 +137,27 @@ def schatten_norm(a, p, blocks=None):
     sequence of exponents gives one norm per exponent, on a leading axis,
     all from one decomposition.
 
-    Without ``blocks`` the singular values come from one SVD.  With
-    ``blocks``, index arrays of the rows such as ``parity_blocks``, ``a``
-    must be self-adjoint and zero off the diagonal blocks they index, as
-    the caller knows from the operator's symmetry (nothing here infers it
-    from the data): the singular values are then the |eigenvalues| of those
-    blocks, one ``eigvalsh`` each.
+    Without ``blocks`` the singular values come from one SVD of ``a``.  With
+    ``blocks``, index arrays of the rows such as ``parity_blocks``, ``a`` is
+    a self-adjoint operator that is zero off the diagonal blocks they index,
+    given as those blocks alone: the m_b^2 entries of each block, row by
+    row, one block after the other, on the last axis of an (..., sum of
+    m_b^2) array.  The caller knows from the operator's symmetry that
+    nothing is left out (nothing here infers it from the data), and no
+    entry off the blocks is read or formed: the singular values are the
+    |eigenvalues| of the blocks, one ``eigvalsh`` each.
     """
     if blocks is None:
         sv = np.linalg.svd(a, compute_uv=False)
     else:
         a = np.asarray(a)
+        ends = np.cumsum([rows.size ** 2 for rows in blocks])
+        if a.shape[-1:] != (ends[-1],):
+            raise ValueError(f"expected the {ends[-1]} entries of the blocks on the last axis, "
+                             f"got shape {a.shape}")
         sv = np.abs(np.concatenate(
-            [np.linalg.eigvalsh(a[..., rows[:, None], rows]) for rows in blocks], axis=-1))
+            [np.linalg.eigvalsh(part.reshape(*part.shape[:-1], rows.size, rows.size))
+             for rows, part in zip(blocks, np.split(a, ends[:-1], axis=-1))], axis=-1))
     return lp_norm(sv, 1.0, p)
 
 

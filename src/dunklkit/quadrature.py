@@ -93,6 +93,16 @@ class TensorGrid:
     def npoints(self) -> int:
         return self.nodes.shape[0]
 
+    @property
+    def axes(self) -> tuple:
+        """The nodes of each dimension's rule: those of axis j are the points
+        at position 0 on every other axis, one every prod(sizes[j + 1:])
+        points, with 2 orders[j] nodes per axis."""
+        sizes = [2 * order for order in self.orders]
+        strides = [math.prod(sizes[j + 1:]) for j in range(len(sizes))]
+        return tuple(self.nodes[:size * stride:stride, j]
+                     for j, (size, stride) in enumerate(zip(sizes, strides)))
+
 
 def tensor_grid(s: DunklStructure, orders) -> TensorGrid:
     """Product of the ``plain_rule``s of each dimension, exact for

@@ -47,3 +47,21 @@ def off_blocks(basis):
     for i, rows in enumerate(parity_blocks(basis)):
         key[rows] = i
     return key[:, None] != key
+
+
+def packed(a, blocks):
+    """The diagonal blocks of a (..., M, M) array side by side on the last
+    axis, each row by row: the operator as ``schatten_norm`` takes it with
+    ``blocks``."""
+    a = np.asarray(a)
+    return np.concatenate([a[..., rows[:, None], rows].reshape(*a.shape[:-2], -1)
+                           for rows in blocks], axis=-1)
+
+
+def assembled(basis, traj):
+    """The (T, M, M) trajectory whose diagonal blocks are the (rows, stack)
+    pairs of ``traj``, zero off them."""
+    out = np.zeros((traj[0][1].shape[0], basis.size, basis.size), dtype=complex)
+    for rows, stack in traj:
+        out[:, rows[:, None], rows] = stack
+    return out

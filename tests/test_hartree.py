@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,10 @@ from dunklkit import (
     HartreeConfig,
     build_basis,
     conjugate,
+    convolve,
     density,
     gaussian_interaction,
+    generate_system,
     hermite_functions_1d,
     multiplication_matrix,
     picard_step,
@@ -16,9 +20,11 @@ from dunklkit import (
     solve_hartree,
     tensor_grid,
 )
-from dunklkit.hartree import _SCHATTEN_EXPONENT, _TOL, _potential_matrices
+from dunklkit.hartree import _SCHATTEN_EXPONENT, _TOL, _potentials
 from dunklkit.operators import parity_blocks
-from conftest import off_blocks
+from conftest import assembled, off_blocks
+from hartree_oracle import midpoint_trajectory
+from interaction_oracle import dense_interaction
 import shell_oracle
 from transform_oracle import DunklTransform1D, interaction_potential
 
@@ -40,9 +46,10 @@ def ground_state_operator(basis):
 
 
 def loop_potentials(config, traj):
-    """The potential matrices one time node at a time."""
+    """The potential matrices one time node at a time, from the dense
+    interaction matrix."""
     basis = config.basis
-    basis_y, g = gaussian_interaction(basis, config.width)
+    basis_y, g = dense_interaction(basis, config.width)
     return np.stack([
         multiplication_matrix(basis, config.coupling * (g @ density(basis_y, gamma)))
         for gamma in traj
@@ -56,6 +63,17 @@ def odd_mixed_operator(basis):
     u[np.flatnonzero(basis.multi_indices.sum(axis=1) == 1)[0]] = 1.0
     u[0] = 1.0
     return np.outer(u, u) / 2.0
+
+
+def blocked(traj, blocks):
+    """A (T, M, M) trajectory as its diagonal blocks, the (rows, stack) pairs
+    that ``picard_step`` takes."""
+    return [(rows, traj[:, rows[:, None], rows]) for rows in blocks]
+
+
+def every_row(basis):
+    """One block of every row."""
+    return [np.arange(basis.size)]
 
 
 def loop_step(config, times, traj):
@@ -81,7 +99,8 @@ def loop_step(config, times, traj):
 
 def full_route_residuals(config, iterations):
     """The residuals of the fixed-point iteration on the whole matrices: the
-    full commutator W gamma - gamma W, and Schatten norms from SVDs."""
+    potentials of one block of every row, the full commutator W gamma -
+    gamma W, and Schatten norms from SVDs."""
     basis = config.basis
     times = np.linspace(0.0, config.horizon, config.steps)
     interaction = gaussian_interaction(basis, config.width)
@@ -89,7 +108,7 @@ def full_route_residuals(config, iterations):
     traj = conjugate(basis, config.gamma0, times)
     residuals = []
     for _ in range(iterations):
-        pots = _potential_matrices(config, interaction, traj)
+        [pots] = _potentials(config, interaction, blocked(traj, every_row(basis)))
         acc = conjugate(basis, pots @ traj - traj @ pots, -times)
         acc[1:] = np.cumsum(0.5 * h * (acc[:-1] + acc[1:]), axis=0)
         acc[0] = 0.0
@@ -192,8 +211,8 @@ class TestInteraction:
         s = DunklStructure(d, (0.0,) * d)
         basis = build_basis(s, n_degree, tensor_grid(s, order))
         gamma = full_degree_operator(basis, seed=d)
-        basis_y, g = gaussian_interaction(basis, width)
-        got = g @ density(basis_y, gamma)
+        basis_y, factors = gaussian_interaction(basis, width)
+        got = convolve(factors, density(basis_y, gamma))
         expected = direct_convolution(basis, gamma, width)
         assert np.abs(got - expected).max() <= 1e-9 * np.abs(expected).max()
 
@@ -205,8 +224,8 @@ class TestInteraction:
         s = DunklStructure(1, (kappa,))
         basis = build_basis(s, 32, tensor_grid(s, 48))
         gamma = full_degree_operator(basis, seed=7)
-        basis_y, g = gaussian_interaction(basis, width)
-        got = g @ density(basis_y, gamma)
+        basis_y, factors = gaussian_interaction(basis, width)
+        got = convolve(factors, density(basis_y, gamma))
         tr = DunklTransform1D(kappa, order=120)
         expected = np.real(interaction_potential(
             tr, np.exp(-((tr.nodes / width) ** 2)), shell_oracle.density(basis, gamma, tr.nodes),
@@ -219,7 +238,7 @@ class TestInteraction:
         # nodes reach |x| = 39.5 at order 400, where e^{|x|^2 / 2} overflows
         s = DunklStructure(1, (0.5,))
         basis = build_basis(s, 16, tensor_grid(s, 400))
-        basis_y, g = gaussian_interaction(basis, width)
+        basis_y, [g] = gaussian_interaction(basis, width)
         assert np.isfinite(g).all()
         w = g @ density(basis_y, full_degree_operator(basis, seed=1))
         assert np.isfinite(w).all() and w.min() >= -1e-12 * w.max() and w.max() > 0.0
@@ -247,13 +266,45 @@ class TestInteraction:
             density(basis_y, gamma), oracle, rtol=0, atol=1e-13 * np.abs(oracle).max()
         )
 
+    def test_factor_is_the_dense_matrix_at_d1(self, basis_1d_half):
+        # at d = 1 the one factor is the dense matrix and the sample grid is
+        # the same, bit for bit, and so is the product
+        basis_y, [g] = gaussian_interaction(basis_1d_half, 0.7)
+        dense_y, dense = dense_interaction(basis_1d_half, 0.7)
+        np.testing.assert_array_equal(g, dense)
+        np.testing.assert_array_equal(basis_y.grid.nodes, dense_y.grid.nodes)
+        np.testing.assert_array_equal(basis_y.grid.weights, dense_y.grid.weights)
+        rho = density(basis_y, np.stack([full_degree_operator(basis_1d_half, seed)
+                                         for seed in range(3)]))
+        np.testing.assert_array_equal(convolve([g], 0.3 * rho), 0.3 * rho @ dense.T)
+
+    @pytest.mark.parametrize("kappa, n_degree, orders", [
+        ((1.0, 0.5), 6, (9, 8)), ((0.0, 0.5), 6, (8, 8)), ((0.5, 0.5, 1.5), 3, (5, 4, 6)),
+    ], ids=["d2", "d2-classical-axis", "d3"])
+    @pytest.mark.parametrize("width", [0.3, 1.0, 3.0])
+    def test_factors_match_the_dense_matrix(self, kappa, n_degree, orders, width):
+        # one (2 order_j, 2 (N + 1)) factor per axis; their Kronecker product
+        # applied one axis at a time is the dense matrix to round-off
+        s = DunklStructure(len(kappa), kappa)
+        basis = build_basis(s, n_degree, tensor_grid(s, orders))
+        basis_y, factors = gaussian_interaction(basis, width)
+        dense_y, dense = dense_interaction(basis, width)
+        assert [g.shape for g in factors] == [(2 * order, 2 * (n_degree + 1)) for order in orders]
+        np.testing.assert_array_equal(basis_y.grid.nodes, dense_y.grid.nodes)
+        np.testing.assert_array_equal(basis_y.grid.weights, dense_y.grid.weights)
+        rho = density(basis_y, np.stack([full_degree_operator(basis, seed) for seed in range(3)]))
+        expected = rho @ dense.T
+        got = convolve(factors, rho)
+        assert got.shape == expected.shape
+        assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
+
     def test_heat_route_is_positive_and_covariant(self, basis_1d_half):
         # the kernel of w * . is positive, and rho(-x) gives W(-x)
         gamma = full_degree_operator(basis_1d_half, seed=3)
-        basis_y, g = gaussian_interaction(basis_1d_half, 0.7)
-        w = g @ density(basis_y, gamma)
+        basis_y, factors = gaussian_interaction(basis_1d_half, 0.7)
+        w = convolve(factors, density(basis_y, gamma))
         parity = (-1.0) ** basis_1d_half.multi_indices[:, 0]
-        w_flip = g @ density(basis_y, parity[:, None] * gamma * parity)
+        w_flip = convolve(factors, density(basis_y, parity[:, None] * gamma * parity))
         assert w.min() >= -1e-13 * w.max()
         np.testing.assert_allclose(w_flip, w[::-1], rtol=0, atol=1e-13 * w.max())
 
@@ -271,6 +322,7 @@ class TestPicard:
         assert diag["converged"]
         assert diag["iterations"] == 1
         # gamma0 commutes with H: trajectory is constant
+        traj = assembled(basis_1d_half, traj)
         for i in range(times.size):
             assert np.abs(traj[i] - config.gamma0).max() < 1e-14
 
@@ -285,9 +337,10 @@ class TestPicard:
             basis=basis, gamma0=g0, width=1.0, coupling=0.0,
             horizon=0.1, steps=9,
         )
-        _, traj, _ = solve_hartree(config)
+        _, traj, diag = solve_hartree(config)
+        assert diag["blocks"] == [basis.size]
         base = schatten_norm(g0, _SCHATTEN_EXPONENT)
-        for val in schatten_norm(traj, _SCHATTEN_EXPONENT):
+        for val in schatten_norm(assembled(basis, traj), _SCHATTEN_EXPONENT):
             assert val == pytest.approx(base, rel=1e-12)
 
     def test_step_preserves_self_adjointness_and_trace(self, basis_1d_half):
@@ -301,7 +354,7 @@ class TestPicard:
         )
         times = np.linspace(0.0, config.horizon, config.steps)
         traj = conjugate(basis, config.gamma0, times)
-        new = picard_step(config, times, traj)
+        new = assembled(basis, picard_step(config, times, blocked(traj, parity_blocks(basis))))
         for i in range(times.size):
             assert np.abs(new[i] - new[i].conj().T).max() < 1e-10
             assert abs(np.trace(new[i]).real - 1.0) < 1e-10
@@ -321,23 +374,24 @@ class TestPicard:
         )
         times = np.linspace(0.0, config.horizon, config.steps)
         _, traj, diag = solve_hartree(config)
+        full = assembled(basis, traj)
         if initial is odd_mixed_operator:
             assert diag["blocks"] == [basis.size]
-            assert np.abs(traj[:, off_blocks(basis)]).max() > 0.1
+            assert np.abs(full[:, off_blocks(basis)]).max() > 0.1
         else:
             assert diag["blocks"] == [rows.size for rows in parity_blocks(basis)]
-        got = picard_step(config, times, traj)
-        np.testing.assert_allclose(got, loop_step(config, times, traj), rtol=0, atol=1e-14)
+        got = assembled(basis, picard_step(config, times, traj))
+        np.testing.assert_allclose(got, loop_step(config, times, full), rtol=0, atol=1e-14)
 
     def test_trajectory_off_the_blocks_is_kept(self, basis_1d_half):
-        # gamma_0 on the blocks, but an input trajectory off them: no entry
-        # of the step is dropped
+        # gamma_0 on the blocks, but an input trajectory off them, given as
+        # one block of every row: no entry of the step is dropped
         basis = basis_1d_half
         config = HartreeConfig(basis=basis, gamma0=ground_state_operator(basis),
                                width=1.0, coupling=0.5, horizon=0.1, steps=9)
         times = np.linspace(0.0, config.horizon, config.steps)
         traj = conjugate(basis, odd_mixed_operator(basis), times)
-        got = picard_step(config, times, traj)
+        got = assembled(basis, picard_step(config, times, blocked(traj, every_row(basis))))
         assert np.abs(got[1:, off_blocks(basis)]).max() > 0.0
         np.testing.assert_allclose(got, loop_step(config, times, traj), rtol=0, atol=1e-14)
 
@@ -355,7 +409,10 @@ class TestPicard:
         assert diag["converged"]
         assert diag["blocks"] == [rows.size for rows in parity_blocks(basis)]
         assert len(diag["blocks"]) == 2 ** basis.structure.d
-        assert not np.any(traj[:, off_blocks(basis)])
+        for (rows, stack), block in zip(traj, parity_blocks(basis)):
+            np.testing.assert_array_equal(rows, block)
+            assert stack.shape == (config.steps, rows.size, rows.size)
+        traj = assembled(basis, traj)
         assert np.array_equal(traj, traj.conj().swapaxes(-1, -2))
         np.testing.assert_allclose(
             diag["residuals"], full_route_residuals(config, diag["iterations"]),
@@ -371,11 +428,9 @@ class TestPicard:
         config = HartreeConfig(basis=basis, gamma0=gamma0, width=1.0,
                                coupling=0.5, horizon=0.4, steps=7)
         traj = conjugate(basis, gamma0, np.linspace(0.0, config.horizon, config.steps))
-        np.testing.assert_allclose(
-            _potential_matrices(config, gaussian_interaction(basis, config.width), traj),
-            loop_potentials(config, traj),
-            rtol=0, atol=1e-14,
-        )
+        [got] = _potentials(config, gaussian_interaction(basis, config.width),
+                            blocked(traj, every_row(basis)))
+        np.testing.assert_allclose(got, loop_potentials(config, traj), rtol=0, atol=1e-14)
 
     def test_contraction_and_trace_drift(self, basis_1d_half):
         config = HartreeConfig(
@@ -428,4 +483,52 @@ class TestPicard:
         assert diag["converged"]
         assert all(f < 1.0 for f in diag["contraction_factors"])
         assert max(abs(tr - diag["traces"][0]) for tr in diag["traces"]) < 1e-8
+        traj = assembled(basis_2d, traj)
         assert np.abs(traj - traj.conj().transpose(0, 2, 1)).max() < 1e-12
+
+    def test_memory_at_d3(self):
+        # d = 3, N = 6, grid order 8 (M = 343, K = 4096, K_y = 2744): with the
+        # dense interaction, its tables of the 2197 functions of degree <= 12
+        # per axis on both grids, and (T, M, M) complex stacks, the solve
+        # peaked at 361.5 MiB; per axis and by blocks, at about 85 MiB
+        s = DunklStructure(3, (0.5, 0.5, 0.5))
+        basis = build_basis(s, 6, tensor_grid(s, 8))
+        config = HartreeConfig(basis=basis, gamma0=ground_state_operator(basis),
+                               width=1.0, coupling=0.3, steps=33)
+        tracemalloc.start()
+        try:
+            _, _, diag = solve_hartree(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert diag["converged"]
+        assert peak <= 150 * 2 ** 20
+
+
+class TestSecondRoute:
+    # the trapezoid Picard scheme and the exponential midpoint rule of
+    # hartree_oracle are both second order: their end states differ by
+    # O(h^2), a factor 4 per halving of the step
+    @pytest.mark.parametrize("initial", ["ground-state", "haar-8"])
+    def test_midpoint_rule_agrees_at_second_order(self, basis_1d_half, initial):
+        basis = basis_1d_half
+        if initial == "ground-state":
+            # even: the solve runs on the parity blocks
+            gamma0, blocks = ground_state_operator(basis), [r.size for r in parity_blocks(basis)]
+        else:
+            # a Haar system is not parity-invariant: one block of every row
+            f = generate_system(basis, "haar_rotation", 8, seed=0)
+            gamma0, blocks = f.T @ f.conj(), [basis.size]
+        gaps = []
+        for steps in (17, 33, 65):
+            config = HartreeConfig(basis=basis, gamma0=gamma0, width=1.0, coupling=0.3,
+                                   horizon=0.5, steps=steps)
+            _, traj, diag = solve_hartree(config)
+            assert diag["converged"] and diag["blocks"] == blocks
+            _, oracle = midpoint_trajectory(config)
+            # the oracle is unitary: it keeps the spectrum of gamma_0
+            np.testing.assert_allclose(np.linalg.eigvalsh(oracle[-1]), np.linalg.eigvalsh(gamma0),
+                                       rtol=0, atol=1e-12)
+            gaps.append(np.abs(assembled(basis, traj)[-1] - oracle[-1]).max())
+        ratios = np.array(gaps[:-1]) / gaps[1:]
+        assert np.all((3.5 <= ratios) & (ratios <= 4.5)), (gaps, ratios)

@@ -8,8 +8,10 @@ package only the modules ``PACKAGE_IMPORTS`` lists for it.  The one
 power-sum root of the package, ``x ** (1 / p)``, is in
 ``quadrature.lp_norm``, so every norm is scaled as that one is, and the one
 SVD is in ``operators.schatten_norm``, so one spectral route serves every
-Schatten norm.  Only the two shell kernels of ``operators``, one per
-direction, call ``_diagonals``, so a chunked kernel has no unchunked twin,
+Schatten norm; ``eigvalsh`` is there too, for operators given as their
+parity blocks, and in ``quadrature.plain_rule`` alone besides.  Only the
+two shell kernels of ``operators``, one per direction, call
+``_diagonals``, so a chunked kernel has no unchunked twin,
 and those two alone call ``_chunks``, so both directions follow one plan.
 Every command of the CLI prints and exits through ``_config_errors`` or
 ``_finish`` alone, so every report and every exit code has one path.
@@ -152,12 +154,12 @@ def power_roots(source: str) -> list[str]:
     ))
 
 
-def svd_uses(source: str) -> list[str]:
-    """The definitions that name ``svd``, as an attribute (``np.linalg.svd``)
+def name_uses(source: str, name: str) -> list[str]:
+    """The definitions that name ``name``, as an attribute (``np.linalg.svd``)
     or as a name: one entry per use."""
     return scopes_of(source, lambda node: (
-        isinstance(node, ast.Attribute) and node.attr == "svd"
-        or isinstance(node, ast.Name) and node.id == "svd"
+        isinstance(node, ast.Attribute) and node.attr == name
+        or isinstance(node, ast.Name) and node.id == name
     ))
 
 
@@ -177,7 +179,7 @@ def test_detects_a_power_root():
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_one_singular_value_route(path):
-    assert svd_uses(path.read_text()) == (
+    assert name_uses(path.read_text(), "svd") == (
         ["schatten_norm"] if path.name == "operators.py" else []
     )
 
@@ -188,7 +190,26 @@ def test_detects_an_svd():
         "def f(a):\n    return svd(a)\n"
         "class C:\n    def g(self, a):\n        return scipy.linalg.svd(a, compute_uv=False)\n"
     )
-    assert svd_uses(source) == ["<module>", "f", "C.g"]
+    assert name_uses(source, "svd") == ["<module>", "f", "C.g"]
+
+
+# the spectra the package takes: the Schatten norms of operators given as
+# their parity blocks, and the nodes of the Golub-Welsch rule
+EIGVALSH_USES = {"operators.py": ["schatten_norm"], "quadrature.py": ["plain_rule"]}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_one_eigenvalue_route_per_use(path):
+    assert name_uses(path.read_text(), "eigvalsh") == EIGVALSH_USES.get(path.name, [])
+
+
+def test_detects_an_eigvalsh():
+    source = (
+        "import numpy as np\nfrom numpy.linalg import eigvalsh\nw = np.linalg.eigvalsh(a)\n"
+        "def residual(blocks):\n    return [eigvalsh(b) for b in blocks]\n"
+        "class C:\n    def spectrum(self, a):\n        return np.linalg.eigvalsh(a).max()\n"
+    )
+    assert name_uses(source, "eigvalsh") == ["<module>", "residual", "C.spectrum"]
 
 
 def command_ends(source: str) -> list[str]:
@@ -432,7 +453,7 @@ PRIVATE_IMPORTS = {
     "cli.py": [],
     "dunklops.py": ["hermite._ladder"],
     "freeprop.py": ["hermite._kernel_body"],
-    "hartree.py": ["hermite._table"],
+    "hartree.py": [],
     "hermite.py": ["structure._kernel_product"],
     "operators.py": [],
     "quadrature.py": [],

@@ -24,7 +24,7 @@ from dunklkit.operators import (
 from dunklkit.quadrature import time_grid
 from dunklkit.strichartz import generate_system
 
-from conftest import off_blocks, random_state
+from conftest import off_blocks, packed, random_state
 import shell_oracle
 from shell_oracle import eval_table
 from freeprop_oracle import free_propagator_matrix
@@ -352,9 +352,10 @@ class TestParityBlocks:
     def test_block_norms_match_svd(self, basis, operator):
         # each exponent alone and all of them at once
         ps = [1.0, 1.2, 2.0, 4.0, np.inf]
-        got = schatten_norm(operator, ps, parity_blocks(basis))
+        blocks = parity_blocks(basis)
+        got = schatten_norm(packed(operator, blocks), ps, blocks)
         np.testing.assert_allclose(got, schatten_norm(operator, ps), rtol=1e-13)
-        np.testing.assert_array_equal(got, [schatten_norm(operator, p, parity_blocks(basis))
+        np.testing.assert_array_equal(got, [schatten_norm(packed(operator, blocks), p, blocks)
                                             for p in ps])
 
     def test_stack_is_one_norm_per_matrix(self, basis):
@@ -362,9 +363,18 @@ class TestParityBlocks:
         stack = np.stack([time_averaged(basis, (t, scale * tau), even_potential(basis, t, seed))
                           for seed, scale in enumerate([1.0, 0.1, 3.0])])
         blocks = parity_blocks(basis)
-        got = schatten_norm(stack, 1.2, blocks)
-        np.testing.assert_array_equal(got, [schatten_norm(b, 1.2, blocks) for b in stack])
+        got = schatten_norm(packed(stack, blocks), 1.2, blocks)
+        np.testing.assert_array_equal(got, [schatten_norm(packed(b, blocks), 1.2, blocks)
+                                            for b in stack])
         np.testing.assert_allclose(got, schatten_norm(stack, 1.2), rtol=1e-13)
+
+    def test_blocks_are_the_whole_input(self, basis, operator):
+        # the last axis holds the blocks' entries and nothing else
+        blocks = parity_blocks(basis)
+        with pytest.raises(ValueError, match="entries of the blocks"):
+            schatten_norm(operator, 2.0, blocks)
+        with pytest.raises(ValueError, match="entries of the blocks"):
+            schatten_norm(packed(operator, blocks)[:-1], 2.0, blocks)
 
 
 def node_loop(basis, time_nodes, v_samples):
