@@ -45,7 +45,6 @@ from .quadrature import (
 )
 from .strichartz import (
     ExponentPair,
-    StrichartzReport,
     admissible_p,
     generate_system,
     inhomogeneous_check,

@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import json
 import sys
-import time
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -28,13 +27,7 @@ from .hermite import build_basis, kernel_Kit
 from .freeprop import lens_relation_residual
 from .operators import flow_phases, kss_check, multiplication_matrix, parity_blocks, schatten_norm
 from .quadrature import mixed_norm, tensor_grid, time_grid
-from .strichartz import (
-    ExponentPair,
-    inhomogeneous_check,
-    mhls_check,
-    quarter_period,
-    run_inequality,
-)
+from .strichartz import inhomogeneous_check, mhls_check, quarter_period, run_inequality
 from .structure import DunklStructure
 
 EXIT_OK = 0
@@ -194,14 +187,14 @@ def strichartz(cfg, q, group, j_count, flow):
     """One orthonormal-system inequality evaluation."""
     with _config_errors():
         s, grid, basis = _context(cfg)
-        [[report]] = run_inequality(basis, [q], group, [j_count], cfg["seed"], flow,
-                                    cfg["time_nodes"])
-    _finish(cfg, "strichartz", [report.as_dict()],
-            f"q={q} p={report.p:.4g} lhs={report.lhs:.6g} rhs={report.rhs:.6g} "
-            f"ratio={report.ratio:.6g}", {"report": report.as_dict()},
-            finite={"lhs": report.lhs, "rhs": report.rhs, "ratio": report.ratio},
-            failure=(f"q=1 ratio {report.ratio} exceeds 1"
-                     if q == 1.0 and report.ratio > 1.0 + 1e-8 else None))
+        [row] = run_inequality(basis, [q], group, [j_count], [cfg["seed"]], flow,
+                               cfg["time_nodes"])
+    _finish(cfg, "strichartz", [row],
+            f"q={q} p={row['p']:.4g} lhs={row['lhs']:.6g} rhs={row['rhs']:.6g} "
+            f"ratio={row['ratio']:.6g}", {"report": row},
+            finite={key: row[key] for key in ("lhs", "rhs", "ratio")},
+            failure=(f"q=1 ratio {row['ratio']} exceeds 1"
+                     if q == 1.0 and row["ratio"] > 1.0 + 1e-8 else None))
 
 
 @main.command("dual-schatten")
@@ -337,28 +330,17 @@ def sweep(cfg, q_min, q_max, steps, j_values, seeds):
             raise ValueError(f"need 1 <= q_min <= q_max < inf, got {q_min}, {q_max}")
         if steps < 1 or seeds < 1:
             raise ValueError(f"steps and seeds must be at least 1, got {steps}, {seeds}")
-        s, grid, basis = _context(cfg)
+        _, _, basis = _context(cfg)
         quarter_period(cfg["time_nodes"])  # the rule each evaluation builds
         j_list = [int(v) for v in j_values.replace(",", " ").split()]
         if not j_list or not all(1 <= j <= basis.size for j in j_list):
             raise ValueError(f"j values must lie in [1, {basis.size}], got {j_values!r}")
-    qs = np.linspace(q_min, q_max, steps).tolist()
-    start = time.perf_counter()
-    # one stacked propagation per seed for every J and q; rows stay q-major,
-    # then J, then seed
-    per_seed = [run_inequality(basis, qs, "haar_rotation", j_list, seed,
-                               "hermite", cfg["time_nodes"])
-                for seed in range(seeds)]
-    per_system = [reports for by_seed in zip(*per_seed) for reports in by_seed]
-    rows = []
-    for i, q in enumerate(qs):
-        admissible = ExponentPair(q, s.d_eff).admissible
-        for reports in per_system:
-            rows.append({**reports[i].as_dict(), "admissible": admissible})
+    rows = run_inequality(basis, np.linspace(q_min, q_max, steps).tolist(), "haar_rotation",
+                          j_list, range(seeds), "hermite", cfg["time_nodes"])
     lo, hi = min(r["ratio"] for r in rows), max(r["ratio"] for r in rows)
     out = _finish(cfg, "sweep", rows, f"{len(rows)} evaluations; ratio range [{lo:.4g}, {hi:.4g}]",
                   {"rows": len(rows), "max_ratio": hi, "min_ratio": lo,
-                   "wall_time": time.perf_counter() - start},
+                   "wall_time": rows[0]["wall_time"]},
                   finite={key: [r[key] for r in rows] for key in ("lhs", "rhs", "ratio")})
     curve = {}
     for row in rows:

@@ -77,15 +77,6 @@ def box_multi_indices(d: int, n: int) -> np.ndarray:
     return np.asarray(idx, dtype=int)
 
 
-def _table(s: DunklStructure, n_degree: int, multi_indices: np.ndarray, points) -> np.ndarray:
-    """phi_mu at the (npts, d) points, shape (M, npts): the product over j of
-    the 1-D functions of degree mu_j at the j-th coordinates."""
-    out = np.ones((multi_indices.shape[0], points.shape[0]))
-    for j in range(s.d):
-        out *= hermite_functions_1d(s.kappa[j], n_degree, points[:, j])[multi_indices[:, j]]
-    return out
-
-
 @dataclass(frozen=True)
 class HermiteBasis:
     """Truncated orthonormal generalized-Hermite basis with its per-axis tables."""

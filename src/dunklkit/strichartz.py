@@ -17,7 +17,7 @@ a source of one fixed operator the integral over s is a scalar per shell.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .quadrature import lp_norm, mixed_norm, time_grid
 
 __all__ = [
     "ExponentPair",
-    "StrichartzReport",
     "admissible_p",
     "generate_system",
     "quarter_period",
@@ -66,30 +65,6 @@ class ExponentPair:
     @property
     def alpha(self) -> float:
         return 2.0 * self.q / (self.q + 1.0)
-
-
-@dataclass
-class StrichartzReport:
-    """One evaluation record: configuration echo plus lhs/rhs/ratio."""
-
-    d: int
-    kappa: tuple
-    n_degree: int
-    flow: str
-    q: float
-    p: float
-    system_kind: str
-    system_size: int
-    seed: int
-    lhs: float
-    rhs: float
-    ratio: float
-    wall_time: float
-
-    def as_dict(self) -> dict:
-        # the fields as they are: ``dataclasses.asdict`` would deep-copy each one
-        row = {f.name: getattr(self, f.name) for f in fields(self)}
-        return {**row, "kappa": " ".join(str(k) for k in self.kappa)}
 
 
 def generate_system(
@@ -134,7 +109,9 @@ def generate_system(
 
 def quarter_period(n_time: int):
     """(t, tau): the periodic (midpoint) rule of n_time >= 2 distinct nodes on
-    the period (-pi/4, pi/4) of t -> ||rho(t)||_q; it never samples the ends."""
+    the period (-pi/4, pi/4) of t -> ||rho(t)||_q; it never samples the ends.
+    A trapezoid rule of n nodes on (-pi, pi) would sample only
+    (n - 1)/gcd(n - 1, 4) distinct points of the period."""
     if n_time < 2:
         raise ValueError(f"the time rule needs at least 2 nodes, got {n_time}")
     return time_grid(-np.pi / 4, np.pi / 4, n_time, kind="midpoint")
@@ -183,34 +160,45 @@ def run_inequality(
     qs,
     system_kind: str = "haar_rotation",
     j_counts=(8,),
-    seed: int = 0,
+    seeds=(0,),
     flow: str = "hermite",
     n_time: int = 256,
-) -> list[list[StrichartzReport]]:
-    """Assemble one system per size J of ``j_counts``, all from ``seed`` and
+) -> list[dict]:
+    """Assemble one system per size J of ``j_counts`` and seed of ``seeds``,
     each with unit occupations, evaluate lhs and rhs at each q of the
-    sequence ``qs``, and report the ratios: one list of reports per J, in
-    order, each with one report per q, in order.
+    sequence ``qs``, and report the ratios: one row per (q, J, seed), ordered
+    by q, then J, then seed.  A row echoes the configuration (``kappa`` as
+    one space-separated string) and gives q, p, lhs, rhs, ratio, the elapsed
+    time of the whole call (``wall_time``, shared by every row) and the
+    ``admissible`` flag of its ``ExponentPair``.
 
-    The systems are propagated together, once for all q, on one period
-    (``strichartz_lhs``, whose weights ``flow`` multiplies by 4 or 1).  Each
-    report's ``wall_time`` is the elapsed time of the whole call, shared by
-    every report of every J, not a per-q or per-J time.
+    Each seed's systems are propagated together, once for all q, on one
+    period (``strichartz_lhs``, whose weights ``flow`` multiplies by 4 or 1):
+    one stacked density per seed, so that one seed's stack sets the peak
+    memory.
     """
     start = time.perf_counter()
     s = basis.structure
     pairs = [ExponentPair(q, s.d_eff) for q in qs]
-    states = [generate_system(basis, system_kind, j_count, seed) for j_count in j_counts]
-    gammas = np.stack([f.T @ f.conj() for f in states])
-    lhs = strichartz_lhs(basis, gammas, qs, flow, n_time).tolist()
+    lhs = []
+    for seed in seeds:
+        states = [generate_system(basis, system_kind, j_count, seed) for j_count in j_counts]
+        gammas = np.stack([f.T @ f.conj() for f in states])
+        lhs.append(strichartz_lhs(basis, gammas, qs, flow, n_time).tolist())
     rhs = [schatten_rhs(np.ones(j_count), pairs).tolist() for j_count in j_counts]
     wall_time = time.perf_counter() - start
-    echo = dict(d=s.d, kappa=s.kappa, n_degree=basis.per_dim_degree, flow=flow,
-                system_kind=system_kind, seed=seed, wall_time=wall_time)
-    return [[StrichartzReport(q=pr.q, p=pr.p, system_size=j_count, lhs=lk, rhs=rk,
-                              ratio=lk / rk if rk > 0 else np.nan, **echo)
-             for pr, lk, rk in zip(pairs, lhs_j, rhs_j)]
-            for j_count, lhs_j, rhs_j in zip(j_counts, lhs, rhs)]
+    echo = dict(d=s.d, kappa=" ".join(str(k) for k in s.kappa),
+                n_degree=basis.per_dim_degree, flow=flow)
+    rows = []
+    for i, pr in enumerate(pairs):
+        for j, j_count in enumerate(j_counts):
+            for seed, lhs_s in zip(seeds, lhs):
+                lk, rk = lhs_s[j][i], rhs[j][i]
+                rows.append({**echo, "q": pr.q, "p": pr.p, "system_kind": system_kind,
+                             "system_size": j_count, "seed": seed, "lhs": lk, "rhs": rk,
+                             "ratio": lk / rk if rk > 0 else np.nan,
+                             "wall_time": wall_time, "admissible": pr.admissible})
+    return rows
 
 
 def _profile(r_of_s, s: np.ndarray) -> np.ndarray:

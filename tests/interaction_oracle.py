@@ -16,7 +16,8 @@ import math
 import numpy as np
 
 from dunklkit import HermiteBasis, TensorGrid, build_basis, tensor_grid
-from dunklkit.hermite import _table, box_multi_indices
+from dunklkit.hermite import box_multi_indices
+from shell_oracle import product_table
 
 
 def dense_interaction(basis: HermiteBasis, width: float):
@@ -29,11 +30,12 @@ def dense_interaction(basis: HermiteBasis, width: float):
     mi = box_multi_indices(s.d, n)
     rule = tensor_grid(s, basis.per_dim_degree + 1)
     q = rule.nodes
-    proj = _table(s, n, mi, q) * rule.weights
-    damped = _table(s, n, mi, q / a) * np.exp(-0.5 * (width / a) ** 2 * (q * q).sum(axis=1))
+    proj = product_table(s, n, mi, q) * rule.weights
+    damped = (product_table(s, n, mi, q / a)
+              * np.exp(-0.5 * (width / a) ** 2 * (q * q).sum(axis=1)))
     # i^{|mu| - |nu|} = t_mu t_nu where C is non-zero, with t = (-1)^{floor(|mu| / 2)}
     t = (-1.0) ** (mi.sum(axis=1) // 2)[:, None]
-    out = _table(s, n, mi, basis.grid.nodes * (math.sqrt(2.0) / a)) * t
+    out = product_table(s, n, mi, basis.grid.nodes * (math.sqrt(2.0) / a)) * t
     scale = (width / a) ** s.d_eff * 2.0 ** (-0.5 * s.d_eff) / s.m_kappa
     grid_y = TensorGrid(rule.orders, q / math.sqrt(2.0), rule.weights * 2.0 ** (-0.5 * s.d_eff))
     g = scale * (out.T @ (proj @ damped.T) @ (proj * t))

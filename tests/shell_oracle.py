@@ -22,8 +22,16 @@ import math
 
 import numpy as np
 
-from dunklkit import HermiteBasis
-from dunklkit.hermite import _table
+from dunklkit import HermiteBasis, hermite_functions_1d
+
+
+def product_table(s, n_degree: int, multi_indices: np.ndarray, points) -> np.ndarray:
+    """phi_mu at the (npts, d) points, shape (M, npts): the product over j of
+    the 1-D functions of degree mu_j at the j-th coordinates."""
+    out = np.ones((multi_indices.shape[0], points.shape[0]))
+    for j in range(s.d):
+        out *= hermite_functions_1d(s.kappa[j], n_degree, points[:, j])[multi_indices[:, j]]
+    return out
 
 
 def as_point_list(s, x) -> np.ndarray:
@@ -39,7 +47,7 @@ def as_point_list(s, x) -> np.ndarray:
 def evaluate(basis: HermiteBasis, points) -> np.ndarray:
     """phi_mu at arbitrary points, shape (M, npts)."""
     pts = as_point_list(basis.structure, points)
-    return _table(basis.structure, basis.per_dim_degree, basis.multi_indices, pts)
+    return product_table(basis.structure, basis.per_dim_degree, basis.multi_indices, pts)
 
 
 def eval_table(basis: HermiteBasis) -> np.ndarray:

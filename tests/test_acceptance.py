@@ -164,10 +164,10 @@ def test_criterion_07_q1_exact_regime(basis_1d_half):
     worst = 0.0
     for seed in range(20):
         j_count = 1 + (seed * 7) % 32
-        [[rep]] = run_inequality(
-            basis_1d_half, [1.0], "haar_rotation", [j_count], seed=seed, n_time=48
+        [row] = run_inequality(
+            basis_1d_half, [1.0], "haar_rotation", [j_count], seeds=[seed], n_time=48
         )
-        worst = max(worst, rep.ratio)
+        worst = max(worst, row["ratio"])
     announce(7, "q = 1 exact regime", worst <= 1 + 1e-8,
              f"max ratio {worst:.12f} <= 1 + 1e-8")
 
@@ -177,15 +177,9 @@ def test_criterion_08_boundedness_sweep(basis_1d_half, tmp_path):
 
     basis = basis_1d_half  # d_eff = 2, window q < 3
     j_values = [1, 2, 4, 8, 16, 32]
-    rows = []
-    for j_count in j_values:
-        for seed in range(5):
-            # one system and one density per (J, seed) for all three q
-            [reports] = run_inequality(
-                basis, (1.2, 1.5, 1.8), "haar_rotation", [j_count], seed=seed, n_time=96
-            )
-            for rep in reports:
-                rows.append(rep.as_dict())
+    # one stacked density per seed for every J and all three q
+    rows = run_inequality(basis, (1.2, 1.5, 1.8), "haar_rotation", j_values, range(5),
+                          n_time=96)
     out = tmp_path / "acceptance_sweep.csv"
     with out.open("w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]))

@@ -152,21 +152,21 @@ class TestInequality:
         # q = 1, p = inf: lhs = sup_t || sum |f_j|^2 ||_1 = J by unitarity,
         # rhs = l^1 norm of the coefficients = J; ratio exactly 1
         for seed in range(3):
-            [[rep]] = run_inequality(
-                basis_1d_half, [1.0], "haar_rotation", [6], seed=seed, n_time=64
+            [row] = run_inequality(
+                basis_1d_half, [1.0], "haar_rotation", [6], seeds=[seed], n_time=64
             )
-            assert rep.ratio == pytest.approx(1.0, abs=1e-8)
+            assert row["ratio"] == pytest.approx(1.0, abs=1e-8)
 
     def test_ground_state_closed_form(self, basis_1d_one):
         # single eigenstate: density is t-independent, lhs = || phi_0^2 ||_q
         basis = basis_1d_one
         q = 1.5
-        [[rep]] = run_inequality(basis, [q], "basis_subset", [1], n_time=32)
+        [row] = run_inequality(basis, [q], "basis_subset", [1], n_time=32)
         dens = np.abs(eval_table(basis)[0]) ** 2
-        tnorm = (2 * np.pi) ** (1.0 / rep.p)
+        tnorm = (2 * np.pi) ** (1.0 / row["p"])
         expected = tnorm * weighted_lp_norm(basis.grid, dens, q)
-        assert rep.lhs == pytest.approx(expected, rel=1e-10)
-        assert rep.rhs == pytest.approx(1.0)
+        assert row["lhs"] == pytest.approx(expected, rel=1e-10)
+        assert row["rhs"] == pytest.approx(1.0)
 
     def test_rearrangement_invariance(self, basis_1d_half):
         # the lhs depends on the system only through the operator sum, which
@@ -258,11 +258,14 @@ class TestInequality:
                 strichartz_lhs(basis, bad, [1.5], n_time=16)
 
     def test_report_fields(self, basis_1d_half):
-        [[rep]] = run_inequality(basis_1d_half, [1.5], "basis_subset", [2], n_time=32)
-        d = rep.as_dict()
-        assert d["q"] == 1.5
-        assert d["system_size"] == 2
-        assert d["ratio"] == pytest.approx(rep.lhs / rep.rhs)
+        # d_eff = 2: q = 1.5 lies in the window q < 3
+        [row] = run_inequality(basis_1d_half, [1.5], "basis_subset", [2], n_time=32)
+        assert list(row) == ["d", "kappa", "n_degree", "flow", "q", "p", "system_kind",
+                             "system_size", "seed", "lhs", "rhs", "ratio", "wall_time",
+                             "admissible"]
+        assert (row["kappa"], row["q"], row["system_size"], row["seed"]) == ("0.5", 1.5, 2, 0)
+        assert row["ratio"] == pytest.approx(row["lhs"] / row["rhs"])
+        assert row["admissible"] is True
 
 
     @pytest.mark.parametrize("flow", ["hermite", "laplacian"])
@@ -324,30 +327,45 @@ class TestInequality:
     @pytest.mark.parametrize("flow", ["hermite", "laplacian"])
     def test_run_inequality_sequence_matches_one_q_calls(self, basis_1d_half, flow):
         qs = [1.0, 1.2, 1.5, 1.9]
-        [reps] = run_inequality(basis_1d_half, qs, "haar_rotation", [5], seed=3,
-                                flow=flow, n_time=48)
-        assert [r.q for r in reps] == qs
-        assert len({r.wall_time for r in reps}) == 1
-        for rep, q in zip(reps, qs):
-            [[one]] = run_inequality(basis_1d_half, [q], "haar_rotation", [5], seed=3,
-                                     flow=flow, n_time=48)
-            assert (rep.p, rep.lhs, rep.rhs, rep.ratio) == (one.p, one.lhs, one.rhs, one.ratio)
+        rows = run_inequality(basis_1d_half, qs, "haar_rotation", [5], seeds=[3],
+                              flow=flow, n_time=48)
+        assert [r["q"] for r in rows] == qs
+        assert len({r["wall_time"] for r in rows}) == 1
+        for row, q in zip(rows, qs):
+            [one] = run_inequality(basis_1d_half, [q], "haar_rotation", [5], seeds=[3],
+                                   flow=flow, n_time=48)
+            assert {**row, "wall_time": 0} == {**one, "wall_time": 0}
 
     @pytest.mark.parametrize("flow", ["hermite", "laplacian"])
     def test_run_inequality_j_counts_match_one_j_calls(self, basis_1d_half, flow):
-        # every J of one seed in one call: one list of reports per J, each
-        # equal to the one-J call in every field but the shared wall_time
+        # every J of one seed in one call: the rows, q-major, each equal to
+        # the one-J call's in every field but the shared wall_time
         qs = [1.0, 1.5, 1.9]
         j_counts = [1, 2, 4, 8]
-        per_j = run_inequality(basis_1d_half, qs, "haar_rotation", j_counts, seed=4,
-                               flow=flow, n_time=48)
-        assert [[r.system_size for r in reps] for reps in per_j] == [[j] * 3 for j in j_counts]
-        assert len({r.wall_time for reps in per_j for r in reps}) == 1
-        for j_count, reps in zip(j_counts, per_j):
-            [one] = run_inequality(basis_1d_half, qs, "haar_rotation", [j_count], seed=4,
-                                   flow=flow, n_time=48)
-            for rep, single in zip(reps, one):
-                assert {**rep.as_dict(), "wall_time": 0} == {**single.as_dict(), "wall_time": 0}
+        rows = run_inequality(basis_1d_half, qs, "haar_rotation", j_counts, seeds=[4],
+                              flow=flow, n_time=48)
+        assert [r["system_size"] for r in rows] == j_counts * 3
+        assert len({r["wall_time"] for r in rows}) == 1
+        per_j = [run_inequality(basis_1d_half, qs, "haar_rotation", [j_count], seeds=[4],
+                                flow=flow, n_time=48) for j_count in j_counts]
+        for row, one in zip(rows, [row for by_j in zip(*per_j) for row in by_j]):
+            assert {**row, "wall_time": 0} == {**one, "wall_time": 0}
+
+    @pytest.mark.parametrize("flow", ["hermite", "laplacian"])
+    def test_run_inequality_seeds_match_one_seed_calls(self, basis_1d_half, flow):
+        # every seed in one call, one stacked density per seed: the rows, by
+        # q, then J, then seed, each equal to the one-seed call's in every
+        # field but the shared wall_time
+        qs = [1.0, 1.5, 1.9]
+        j_counts = [1, 4]
+        rows = run_inequality(basis_1d_half, qs, "haar_rotation", j_counts, seeds=[0, 1, 2],
+                              flow=flow, n_time=48)
+        assert [r["seed"] for r in rows] == [0, 1, 2] * 6
+        assert len({r["wall_time"] for r in rows}) == 1
+        per_seed = [run_inequality(basis_1d_half, qs, "haar_rotation", j_counts, seeds=[seed],
+                                   flow=flow, n_time=48) for seed in range(3)]
+        expected = [row for by_seed in zip(*per_seed) for row in by_seed]
+        assert [{**r, "wall_time": 0} for r in rows] == [{**r, "wall_time": 0} for r in expected]
 
 
 class TestDuhamel:

@@ -1,5 +1,6 @@
 """The rank-one Dunkl transform by quadrature, and the Gaussian interaction
-as a transform multiplier: the d = 1 oracle for ``hartree.interaction_matrix``.
+as a transform multiplier: the d = 1 oracle for ``hartree.gaussian_interaction``
+and ``hartree.convolve``.
 
 With the transform D f(xi) = integral of f(x) E(-i xi, x) h^2 dx and the
 inverse f(x) = M_kappa^2 integral of Df(xi) E(i x, xi) h^2 dxi, the
